@@ -8,7 +8,7 @@ oracle for validation.
 
 from .drf import (AmDrfResult, ContinuousDrfConfig, ContinuousDrfResult,
                   ContinuousDrfSolver, MmseFilter, NonConvergedError,
-                  drf_am, drf_am_random_phase, drf_cs_at_resolution,
+                  drf_am, drf_cs_at_resolution,
                   drf_cs_continuous, drf_cs_discrete, drf_pam,
                   lower_bound_continuous, lower_bound_discrete, mmse_filter,
                   pam_waterfiller, sampled_source_coding,

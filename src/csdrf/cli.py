@@ -3,7 +3,8 @@
 Scenarios are flat INI files (sections [source], [rates], [methods],
 [numerics], [output]) naming a built-in spectral family and its parameters.
 Output is deterministic: fixed grids, fixed-order reductions, 17 significant
-digits, newline-terminated rows, no timestamps.
+digits, newline-terminated rows, no timestamps. Every subcommand reads one
+table, ``SOURCES``, for the sources of a kind and the methods they offer.
 """
 
 from __future__ import annotations
@@ -13,23 +14,24 @@ import configparser
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import drf as drf_mod
 from . import oracle as oracle_mod
 from .polyphase import psd_pc_matrix_continuous, psd_pc_matrix_discrete
-from .quadrature import segmented_midpoint
+from .quadrature import phi_grid, segmented_midpoint
 from .spectra import (DiscreteCsProcess, PamCyclicSpectrum, PulseShape,
-                      StationaryPsd, am_cpsd, flat_psd, ideal_interp_pulse,
-                      modulated_ma, pam_cpsd, raised_cosine_psd,
-                      raised_cosine_pulse, rect_pulse, stationary_cyclic,
-                      triangle_pulse, triangular_psd, white_cs)
-from .waterfilling import hermitian_eigenvalues, stationary_drf
+                      StationaryPsd, am_cpsd, am_gaussian_psd, flat_psd,
+                      ideal_interp_pulse, modulated_ma, pam_cpsd,
+                      raised_cosine_psd, raised_cosine_pulse, rect_pulse,
+                      stationary_cyclic, triangle_pulse, triangular_psd,
+                      white_cs)
+from .waterfilling import EigenField, hermitian_eigenvalues, stationary_waterfiller
 
 CSV_HEADER = "rate_bits,distortion,theta,method,M,converged"
-
-SOURCE_KINDS = ("stationary", "discrete-cs", "am", "pam", "sampled-coding")
 
 
 class ConfigError(Exception):
@@ -69,12 +71,21 @@ class Scenario:
     spectra_points: int = 512
 
 
+# [numerics] key -> (type, least allowed value)
+NUMERICS = {"phi_grid": (int, 1), "m_start": (int, 1), "m_max": (int, 1), "oracle_n": (int, 2),
+            "oracle_periods": (int, 1), "t_grid": (int, 1), "spectra_m": (int, 1),
+            "spectra_points": (int, 1), "convergence_tol": (float, 0.0), "oracle_tol": (float, 0.0)}
+
+
 def _get(cp, section, key, cast, default=None, required=False):
     if not cp.has_option(section, key):
         if required:
             raise ConfigError(f"missing required key '{key}' in section [{section}]")
         return default
-    raw = cp.get(section, key)
+    try:
+        raw = cp.get(section, key)
+    except configparser.Error as exc:          # e.g. a '%' the interpolation rejects
+        raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
     try:
         return cast(raw)
     except (TypeError, ValueError) as exc:
@@ -96,15 +107,18 @@ def _bool(raw):
 
 def load_scenario(path: str) -> Scenario:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:          # e.g. a duplicated key, named in the message
+        raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
     if not cp.has_section("source"):
         raise ConfigError("missing required section [source]")
     kind = _get(cp, "source", "kind", str, required=True).strip()
-    if kind not in SOURCE_KINDS:
+    if kind not in SOURCES:
         raise ConfigError(f"unknown source kind {kind!r} for key 'kind'; "
-                          f"expected one of {SOURCE_KINDS}")
+                          f"expected one of {tuple(SOURCES)}")
     sc = Scenario(kind=kind)
     sc.family = _get(cp, "source", "family", str, sc.family).strip()
     sc.bandwidth = _get(cp, "source", "bandwidth", float, sc.bandwidth)
@@ -145,14 +159,15 @@ def load_scenario(path: str) -> Scenario:
 
     if cp.has_section("methods"):
         sc.methods = tuple(_get(cp, "methods", "methods", str, "drf").split())
-    for key in ("phi_grid", "m_start", "m_max", "oracle_n", "oracle_periods",
-                "t_grid", "spectra_m", "spectra_points"):
-        setattr(sc, key, _get(cp, "numerics", key, int, getattr(sc, key)))
-    for key in ("convergence_tol", "oracle_tol"):
-        setattr(sc, key, _get(cp, "numerics", key, float, getattr(sc, key)))
-    if not (math.isfinite(sc.convergence_tol) and sc.convergence_tol >= 0):
-        raise ConfigError(f"[numerics] convergence_tol must be finite and nonnegative, "
-                          f"got {sc.convergence_tol!r}")
+    for key, (cast, least) in NUMERICS.items():
+        value = _get(cp, "numerics", key, cast, getattr(sc, key))
+        if not (math.isfinite(value) and value >= least):
+            raise ConfigError(f"[numerics] {key} must be finite and at least {least}, "
+                              f"got {value!r}")
+        setattr(sc, key, value)
+    if sc.m_max < sc.m_start:
+        raise ConfigError(f"[numerics] m_max must be at least m_start = {sc.m_start}, "
+                          f"got {sc.m_max}")
     sc.out_path = _get(cp, "output", "path", str, sc.out_path)
     return sc
 
@@ -162,27 +177,19 @@ def load_scenario(path: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def make_base(sc: Scenario) -> StationaryPsd:
-    fam = sc.family
-    if fam == "flat":
-        return flat_psd(sc.bandwidth, sc.power)
-    if fam == "triangular":
-        return triangular_psd(sc.bandwidth, sc.power)
-    if fam == "raised_cosine":
-        return raised_cosine_psd(sc.bandwidth, sc.power)
-    raise ConfigError(f"unknown spectral family {sc.family!r} for key 'family'")
+    families = {"flat": flat_psd, "triangular": triangular_psd,
+                "raised_cosine": raised_cosine_psd}
+    if sc.family not in families:
+        raise ConfigError(f"unknown spectral family {sc.family!r} for key 'family'")
+    return families[sc.family](sc.bandwidth, sc.power)
 
 
 def make_pulse(sc: Scenario, t_symbol: float) -> PulseShape:
-    name = sc.pulse
-    if name == "rect":
-        return rect_pulse(t_symbol)
-    if name == "triangle":
-        return triangle_pulse(t_symbol)
-    if name == "ideal":
-        return ideal_interp_pulse(t_symbol)
-    if name == "raised_cosine":
-        return raised_cosine_pulse(t_symbol, sc.pulse_beta)
-    raise ConfigError(f"unknown pulse {sc.pulse!r} for key 'pulse'")
+    pulses = {"rect": rect_pulse, "triangle": triangle_pulse, "ideal": ideal_interp_pulse,
+              "raised_cosine": partial(raised_cosine_pulse, beta=sc.pulse_beta)}
+    if sc.pulse not in pulses:
+        raise ConfigError(f"unknown pulse {sc.pulse!r} for key 'pulse'")
+    return pulses[sc.pulse](t_symbol)
 
 
 def make_discrete(sc: Scenario) -> DiscreteCsProcess:
@@ -216,182 +223,216 @@ def _scaled_pulse(pulse: PulseShape, gain: float) -> PulseShape:
 
 
 # ---------------------------------------------------------------------------
+# the source table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Source:
+    """One source of a scenario: its spectral model and the curves it offers.
+
+    ``curves`` maps a method name to a builder. A builder runs once per curve
+    and returns ``rate -> (distortion, theta, M, converged)``. ``spec`` is the
+    model that ``verify`` takes sigma^2 from (a CyclicSpectrum, or the
+    DiscreteCsProcess in discrete time), ``matrix`` builds the polyphase
+    matrix that ``spectra`` dumps, and ``tag`` suffixes the method labels of
+    a scenario with several sources.
+    """
+
+    spec: object
+    curves: dict
+    matrix: Callable | None = None
+    tag: str = ""
+
+
+def _solved(make_solve, m=0):
+    """Builder for a curve whose solver ``make_solve()`` is built once per curve."""
+    def build():
+        solve = make_solve()
+
+        def point(rate):
+            pt = solve(rate)
+            return pt.distortion, pt.theta, m, True
+        return point
+    return build
+
+
+def _per_rate(distortion, m=0):
+    """Builder for a bound evaluated afresh at every rate; theta reads 0."""
+    return lambda: lambda rate: (distortion(rate), 0.0, m, True)
+
+
+def _stationary(sc, psd):
+    return _solved(lambda: stationary_waterfiller(psd, sc.phi_grid).solve)
+
+
+def _lower_bound(sc, spec):
+    return _per_rate(lambda rate: drf_mod.lower_bound_continuous(spec, rate, sc.t_grid,
+                                                                 sc.phi_grid))
+
+
+def _kernel_oracle(sc, spec):
+    return _solved(lambda: partial(oracle_mod.kl_drf, oracle_mod.build_kernel(
+        spec, sc.oracle_periods * spec.period, sc.oracle_n)))
+
+
+def _refined(sc, spec):
+    """M-doubling refinement; the solver caches its fields across rates."""
+    solver = drf_mod.ContinuousDrfSolver(spec, drf_mod.ContinuousDrfConfig(
+        sc.m_start, sc.m_max, None, sc.convergence_tol, sc.phi_grid))
+
+    def point(rate):
+        res = solver.solve(rate)
+        return res.point.distortion, res.point.theta, res.iterates[-1][0], res.converged
+    return point
+
+
+def _stationary_sources(sc):
+    base = make_base(sc)
+    spec = stationary_cyclic(base, 0.5 / base.support_radius)
+    return [Source(spec, {"drf": _stationary(sc, base), "oracle": _kernel_oracle(sc, spec)},
+                   lambda: psd_pc_matrix_continuous(spec, 1))]
+
+
+def _discrete_sources(sc):
+    proc = make_discrete(sc)
+    m = proc.period
+
+    def field_solve():
+        matrix = psd_pc_matrix_discrete(proc)
+        field = EigenField.from_matrix(matrix, phi_grid(sc.phi_grid, matrix.phi_breakpoints))
+        return field.waterfiller(1.0 / (2.0 * m)).solve
+
+    def block_solve():
+        block = oracle_mod.BlockCovariance.from_process(proc, sc.oracle_n)
+        return partial(oracle_mod.kl_drf, block)
+
+    return [Source(proc, {
+        "drf": _solved(field_solve, m),
+        "lower_bound": _per_rate(
+            lambda rate: drf_mod.lower_bound_discrete(proc, rate, sc.phi_grid), m),
+        "oracle": _solved(block_solve, m),
+    }, lambda: psd_pc_matrix_discrete(proc))]
+
+
+def _am_sources(sc):
+    base = make_base(sc)
+    spec = am_cpsd(base, sc.f0, sc.phase)
+    if sc.f0 > 2.0 * base.support_radius:
+        drf = _stationary(sc, base)     # the carrier clears the band: exactly the baseband curve
+    else:
+        drf = partial(_refined, sc, spec)
+    return [Source(spec, {
+        "drf": drf,
+        "baseband": _stationary(sc, base),
+        "upper_bound_gaussian_psd": _stationary(sc, am_gaussian_psd(base, sc.f0)),
+        "lower_bound": _lower_bound(sc, spec),
+        "oracle": _kernel_oracle(sc, spec),
+    }, lambda: psd_pc_matrix_continuous(spec, sc.spectra_m))]
+
+
+def _pam_source(sc, spec, tag):
+    return Source(spec, {
+        "drf": _solved(lambda: drf_mod.pam_waterfiller(spec, sc.phi_grid).solve),
+        "lower_bound": _lower_bound(sc, spec),
+        "oracle": _kernel_oracle(sc, spec),
+    }, lambda: psd_pc_matrix_continuous(spec, sc.spectra_m), tag)
+
+
+def _pam_sources(sc):
+    """One source per symbol rate, then the baseband source they are compared with."""
+    base = make_base(sc)
+    multi = len(sc.symbol_rates) > 1
+    sources = [_pam_source(sc, _normalized_pam(sc, base, fs), f":fs={fs:g}" if multi else "")
+               for fs in sc.symbol_rates]
+    return sources + [Source(None, {"baseband": _stationary(sc, base)})]
+
+
+def _sampled_sources(sc):
+    base = make_base(sc)
+
+    def coded(rate):
+        total, pt = drf_mod.sampled_source_coding(base, sc.sampling_rate, rate, sc.phi_grid)
+        return total, pt.theta, 0, True
+
+    return [Source(None, {"drf": lambda: coded, "baseband": _stationary(sc, base)})]
+
+
+# source kind -> the scenario's sources. A (kind, method) pair is supported
+# exactly when one of the sources offers the method; bound, verify and
+# spectra use the first source.
+SOURCES = {
+    "stationary": _stationary_sources,
+    "discrete-cs": _discrete_sources,
+    "am": _am_sources,
+    "pam": _pam_sources,
+    "sampled-coding": _sampled_sources,
+}
+
+
+# ---------------------------------------------------------------------------
 # row generation
 # ---------------------------------------------------------------------------
 
-def _row(rate, distortion, theta, method, m, converged=True):
+def _row(rate, distortion, theta, method, m, converged):
     flag = "true" if converged else "false"
     return f"{rate:.17g},{distortion:.17g},{theta:.17g},{method},{m},{flag}"
 
 
+def _points(sc, point, method, allow_nonconverged):
+    """(rate, distortion, theta, M, converged) at every configured rate."""
+    for rate in sc.rates:
+        d, theta, m, converged = point(float(rate))
+        if not converged and not allow_nonconverged:
+            raise drf_mod.NonConvergedError(
+                f"{method} at rate {rate} did not converge by M={sc.m_max}")
+        yield rate, d, theta, m, converged
+
+
+def _unavailable(sc, command):
+    return ConfigError(f"{command} is not available for source kind {sc.kind!r}")
+
+
 def drf_rows(sc: Scenario, allow_nonconverged: bool):
-    """Rows for the requested methods; raises on non-convergence unless allowed."""
+    """Rows of the configured methods in order, one block per source offering each.
+
+    ``include_baseband`` appends ``baseband``. Raises on non-convergence
+    unless allowed.
+    """
+    sources = SOURCES[sc.kind](sc)
+    methods = sc.methods
+    if sc.include_baseband and "baseband" not in methods:
+        methods += ("baseband",)
+    for method in methods:
+        if not any(method in src.curves for src in sources):
+            raise ConfigError(f"method {method!r} is not available for {sc.kind}")
     rows = []
-    if sc.kind == "stationary":
-        base = make_base(sc)
-        for rate in sc.rates:
-            pt = stationary_drf(base, float(rate), sc.phi_grid)
-            rows.append(_row(rate, pt.distortion, pt.theta, "drf", 0))
-        return rows
-
-    if sc.kind == "discrete-cs":
-        proc = make_discrete(sc)
-        for method in sc.methods:
-            if method == "drf":
-                for rate in sc.rates:
-                    pt = drf_mod.drf_cs_discrete(proc, float(rate), sc.phi_grid)
-                    rows.append(_row(rate, pt.distortion, pt.theta, "drf", proc.period))
-            elif method == "lower_bound":
-                for rate in sc.rates:
-                    d = drf_mod.lower_bound_discrete(proc, float(rate), sc.phi_grid)
-                    rows.append(_row(rate, d, 0.0, "lower_bound", proc.period))
-            elif method == "oracle":
-                block = oracle_mod.BlockCovariance.from_process(proc, sc.oracle_n)
-                for rate in sc.rates:
-                    pt = oracle_mod.kl_drf(block, float(rate))
-                    rows.append(_row(rate, pt.distortion, pt.theta, "oracle", proc.period))
-            else:
-                raise ConfigError(f"method {method!r} is not available for discrete-cs")
-        return rows
-
-    if sc.kind == "am":
-        base = make_base(sc)
-        cfg = drf_mod.ContinuousDrfConfig(sc.m_start, sc.m_max, None,
-                                          sc.convergence_tol, sc.phi_grid)
-        solver = None
-        if sc.f0 <= 2.0 * base.support_radius:
-            solver = drf_mod.ContinuousDrfSolver(am_cpsd(base, sc.f0, sc.phase), cfg)
-        for method in sc.methods:
-            if method == "drf":
-                for rate in sc.rates:
-                    if solver is None:
-                        pt = stationary_drf(base, float(rate), sc.phi_grid)
-                        rows.append(_row(rate, pt.distortion, pt.theta, "drf", 0))
-                    else:
-                        res = solver.solve(float(rate))
-                        if not res.converged and not allow_nonconverged:
-                            raise drf_mod.NonConvergedError(
-                                f"drf at rate {rate} did not converge by M={sc.m_max}")
-                        rows.append(_row(rate, res.point.distortion, res.point.theta,
-                                         "drf", res.iterates[-1][0], res.converged))
-            elif method in ("baseband", "baseline"):
-                for rate in sc.rates:
-                    pt = stationary_drf(base, float(rate), sc.phi_grid)
-                    rows.append(_row(rate, pt.distortion, pt.theta, "baseband", 0))
-            elif method == "upper_bound_gaussian_psd":
-                for rate in sc.rates:
-                    pt = drf_mod.upper_bound_gaussian_psd(base, sc.f0, float(rate), sc.phi_grid)
-                    rows.append(_row(rate, pt.distortion, pt.theta,
-                                     "upper_bound_gaussian_psd", 0))
-            elif method == "lower_bound":
-                spec = am_cpsd(base, sc.f0, sc.phase)
-                for rate in sc.rates:
-                    d = drf_mod.lower_bound_continuous(spec, float(rate), sc.t_grid, sc.phi_grid)
-                    rows.append(_row(rate, d, 0.0, "lower_bound", 0))
-            elif method == "oracle":
-                spec = am_cpsd(base, sc.f0, sc.phase)
-                kern = oracle_mod.build_kernel(spec, sc.oracle_periods * spec.period, sc.oracle_n)
-                for rate in sc.rates:
-                    pt = oracle_mod.kl_drf(kern, float(rate))
-                    rows.append(_row(rate, pt.distortion, pt.theta, "oracle", 0))
-            else:
-                raise ConfigError(f"method {method!r} is not available for am")
-        return rows
-
-    if sc.kind == "pam":
-        base = make_base(sc)
-        multi = len(sc.symbol_rates) > 1
-        for fs in sc.symbol_rates:
-            spec = _normalized_pam(sc, base, fs)
-            label = f"drf:fs={fs:g}" if multi else "drf"
-            wf = drf_mod.pam_waterfiller(spec, sc.phi_grid)
-            for method in sc.methods:
-                if method == "drf":
-                    for rate in sc.rates:
-                        pt = wf.solve(float(rate))
-                        rows.append(_row(rate, pt.distortion, pt.theta, label, 0))
-                elif method == "lower_bound":
-                    for rate in sc.rates:
-                        d = drf_mod.lower_bound_continuous(spec, float(rate),
-                                                           sc.t_grid, sc.phi_grid)
-                        rows.append(_row(rate, d, 0.0,
-                                         f"lower_bound:fs={fs:g}" if multi else "lower_bound", 0))
-                elif method == "oracle":
-                    kern = oracle_mod.build_kernel(spec, sc.oracle_periods * spec.period,
-                                                   sc.oracle_n)
-                    for rate in sc.rates:
-                        pt = oracle_mod.kl_drf(kern, float(rate))
-                        rows.append(_row(rate, pt.distortion, pt.theta,
-                                         f"oracle:fs={fs:g}" if multi else "oracle", 0))
-                elif method in ("baseband", "baseline"):
-                    continue
-                else:
-                    raise ConfigError(f"method {method!r} is not available for pam")
-        if sc.include_baseband or "baseband" in sc.methods or "baseline" in sc.methods:
-            for rate in sc.rates:
-                pt = stationary_drf(base, float(rate), sc.phi_grid)
-                rows.append(_row(rate, pt.distortion, pt.theta, "baseband", 0))
-        return rows
-
-    if sc.kind == "sampled-coding":
-        base = make_base(sc)
-        for method in sc.methods:
-            if method == "drf":
-                for rate in sc.rates:
-                    total, pt = drf_mod.sampled_source_coding(base, sc.sampling_rate,
-                                                              float(rate), sc.phi_grid)
-                    rows.append(_row(rate, total, pt.theta, "drf", 0))
-            elif method in ("baseband", "baseline"):
-                for rate in sc.rates:
-                    pt = stationary_drf(base, float(rate), sc.phi_grid)
-                    rows.append(_row(rate, pt.distortion, pt.theta, "baseband", 0))
-            else:
-                raise ConfigError(f"method {method!r} is not available for sampled-coding")
-        return rows
-
-    raise ConfigError(f"unhandled source kind {sc.kind!r}")
+    for method in methods:
+        for src in sources:
+            if method in src.curves:
+                point = src.curves[method]()
+                rows += [_row(rate, d, theta, method + src.tag, m, ok)
+                         for rate, d, theta, m, ok in
+                         _points(sc, point, method, allow_nonconverged)]
+    return rows
 
 
 def bound_rows(sc: Scenario):
-    rows = []
-    if sc.kind == "discrete-cs":
-        proc = make_discrete(sc)
-        for rate in sc.rates:
-            d = drf_mod.lower_bound_discrete(proc, float(rate), sc.phi_grid)
-            rows.append(_row(rate, d, 0.0, "lower_bound", proc.period))
-        return rows
-    if sc.kind == "am":
-        spec = am_cpsd(make_base(sc), sc.f0, sc.phase)
-    elif sc.kind == "pam":
-        spec = _normalized_pam(sc, make_base(sc), sc.symbol_rates[0])
-    else:
-        raise ConfigError(f"bound is not available for source kind {sc.kind!r}")
-    for rate in sc.rates:
-        d = drf_mod.lower_bound_continuous(spec, float(rate), sc.t_grid, sc.phi_grid)
-        rows.append(_row(rate, d, 0.0, "lower_bound", 0))
-    return rows
+    """Per-component lower-bound rows of the first source."""
+    src = SOURCES[sc.kind](sc)[0]
+    if "lower_bound" not in src.curves:
+        raise _unavailable(sc, "bound")
+    point = src.curves["lower_bound"]()
+    return [_row(rate, d, theta, "lower_bound", m, ok)
+            for rate, d, theta, m, ok in _points(sc, point, "lower_bound", False)]
 
 
 def spectra_rows(sc: Scenario):
     """phi, f, ascending eigenvalues, trace, and the pulse profile when present."""
-    if sc.kind == "discrete-cs":
-        proc = make_discrete(sc)
-        matrix = psd_pc_matrix_discrete(proc)
-        period = float(proc.period)
-        spec = None
-    else:
-        base = make_base(sc)
-        if sc.kind == "am":
-            spec = am_cpsd(base, sc.f0, sc.phase)
-        elif sc.kind == "pam":
-            spec = _normalized_pam(sc, base, sc.symbol_rates[0])
-        elif sc.kind == "stationary":
-            spec = stationary_cyclic(base, 0.5 / base.support_radius)
-        else:
-            raise ConfigError(f"spectra is not available for source kind {sc.kind!r}")
-        m = 1 if sc.kind == "stationary" else sc.spectra_m
-        matrix = psd_pc_matrix_continuous(spec, m)
-        period = spec.period
+    src = SOURCES[sc.kind](sc)[0]
+    if src.matrix is None:
+        raise _unavailable(sc, "spectra")
+    spec, matrix = src.spec, src.matrix()
+    period = float(spec.period)
     grid = segmented_midpoint(-0.5, 0.5, sc.spectra_points, matrix.phi_breakpoints)
     vals = matrix(grid.nodes)
     lam = hermitian_eigenvalues(vals)
@@ -412,52 +453,24 @@ def spectra_rows(sc: Scenario):
     return rows
 
 
-def verify_lines(sc: Scenario):
-    """Fast-path vs oracle comparison; returns (report lines, max relative gap)."""
+def verify_lines(sc: Scenario, allow_nonconverged: bool):
+    """The first source's ``drf`` curve against its ``oracle`` curve.
+
+    Returns (report lines, max relative gap); raises on non-convergence
+    unless allowed.
+    """
+    src = SOURCES[sc.kind](sc)[0]
+    if not {"drf", "oracle"} <= src.curves.keys():
+        raise _unavailable(sc, "verify")
+    sigma2 = src.spec.avg_power
+    oracle = src.curves["oracle"]()
     lines = []
     gaps = []
-    if sc.kind == "discrete-cs":
-        proc = make_discrete(sc)
-        sigma2 = proc.avg_power
-        block = oracle_mod.BlockCovariance.from_process(proc, sc.oracle_n)
-        for rate in sc.rates:
-            fast = drf_mod.drf_cs_discrete(proc, float(rate), sc.phi_grid).distortion
-            ref = oracle_mod.kl_drf(block, float(rate)).distortion
-            rel = abs(fast - ref) / max(ref, 1e-9 * sigma2)
-            gaps.append(rel)
-            lines.append(f"rate={rate:.6g} fast={fast:.12g} oracle={ref:.12g} rel_gap={rel:.3e}")
-    elif sc.kind in ("am", "pam", "stationary"):
-        base = make_base(sc)
-        if sc.kind == "am":
-            spec = am_cpsd(base, sc.f0, sc.phase)
-
-            def fast_at(rate):
-                return drf_mod.drf_am(base, sc.f0, rate,
-                                      drf_mod.ContinuousDrfConfig(
-                                          sc.m_start, sc.m_max, None,
-                                          sc.convergence_tol, sc.phi_grid)).point.distortion
-        elif sc.kind == "pam":
-            spec = _normalized_pam(sc, base, sc.symbol_rates[0])
-            wf = drf_mod.pam_waterfiller(spec, sc.phi_grid)
-
-            def fast_at(rate):
-                return wf.solve(rate).distortion
-        else:
-            spec = stationary_cyclic(base, 0.5 / base.support_radius)
-
-            def fast_at(rate):
-                return stationary_drf(base, rate, sc.phi_grid).distortion
-
-        sigma2 = spec.avg_power
-        kern = oracle_mod.build_kernel(spec, sc.oracle_periods * spec.period, sc.oracle_n)
-        for rate in sc.rates:
-            fast = fast_at(float(rate))
-            ref = oracle_mod.kl_drf(kern, float(rate)).distortion
-            rel = abs(fast - ref) / max(ref, 1e-9 * sigma2)
-            gaps.append(rel)
-            lines.append(f"rate={rate:.6g} fast={fast:.12g} oracle={ref:.12g} rel_gap={rel:.3e}")
-    else:
-        raise ConfigError(f"verify is not available for source kind {sc.kind!r}")
+    for rate, fast, *_ in _points(sc, src.curves["drf"](), "drf", allow_nonconverged):
+        ref = oracle(float(rate))[0]
+        rel = abs(fast - ref) / max(ref, 1e-9 * sigma2)
+        gaps.append(rel)
+        lines.append(f"rate={rate:.6g} fast={fast:.12g} oracle={ref:.12g} rel_gap={rel:.3e}")
     return lines, max(gaps)
 
 
@@ -465,17 +478,10 @@ def verify_lines(sc: Scenario):
 # entry point
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: str, rows, header=CSV_HEADER):
+def _write_csv(path: str, lines):
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-
-
-def _write_plain(path: str, rows):
-    with open(path, "w", newline="") as fh:
-        for row in rows:
-            fh.write(row + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -508,15 +514,13 @@ def main(argv=None) -> int:
     out = args.out or sc.out_path
     try:
         if args.command == "drf":
-            rows = drf_rows(sc, args.allow_nonconverged)
-            _write_csv(out, rows)
+            _write_csv(out, [CSV_HEADER, *drf_rows(sc, args.allow_nonconverged)])
         elif args.command == "bound":
-            rows = bound_rows(sc)
-            _write_csv(out, rows)
+            _write_csv(out, [CSV_HEADER, *bound_rows(sc)])
         elif args.command == "spectra":
-            _write_plain(out, spectra_rows(sc))
+            _write_csv(out, spectra_rows(sc))
         elif args.command == "verify":
-            lines, worst = verify_lines(sc)
+            lines, worst = verify_lines(sc, args.allow_nonconverged)
             for line in lines:
                 print(line)
             print(f"max_rel_gap={worst:.6e} tol={sc.oracle_tol:.1e}")

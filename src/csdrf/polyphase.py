@@ -34,13 +34,6 @@ class PsdPcMatrix:
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         return self._evaluate(phi)
 
-    def entry(self, m: int, r: int, phi):
-        return self(phi)[:, m, r]
-
-    def trace(self, phi):
-        vals = self(phi)
-        return np.einsum("pmm->p", vals).real
-
 
 def psd_pc_matrix_discrete(proc: DiscreteCsProcess) -> PsdPcMatrix:
     """Polyphase matrix of a discrete-time process with period M.

@@ -10,7 +10,7 @@ rates reported in bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,10 +50,9 @@ class RateDistortionPoint:
 
 @dataclass(frozen=True)
 class DrfCurve:
-    """Distortion-rate points sorted by rate, plus solver metadata."""
+    """Distortion-rate points sorted by rate."""
 
     points: tuple
-    meta: dict = field(default_factory=dict)
 
     def rates(self):
         return np.array([p.rate for p in self.points])

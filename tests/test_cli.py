@@ -1,11 +1,13 @@
 import csv
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from csdrf.cli import main
+import csdrf
+from csdrf.cli import SOURCES, load_scenario, main
 from csdrf.spectra import flat_psd, triangular_psd
 from csdrf.waterfilling import stationary_drf
 
@@ -126,12 +128,20 @@ def test_config_error_names_the_key(tmp_path, capsys):
 
 
 def test_config_error_names_convergence_tol(tmp_path, capsys):
-    for i, tol in enumerate(("-1", "nan", "inf")):
-        cfg = _write(tmp_path, f"tol{i}.ini",
-                     f"[source]\nkind = am\nf0 = 1.2\n[numerics]\nconvergence_tol = {tol}\n")
-        assert main(["drf", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    """Every bad [numerics] value and every parse error exits 2 naming the key."""
+    numerics = [("convergence_tol", v) for v in ("-1", "nan", "inf")]
+    numerics += [("oracle_tol", v) for v in ("nan", "-1", "inf")]
+    numerics += [("m_start", "0"), ("m_start", "1.5"), ("m_max", "2"), ("t_grid", "0"),
+                 ("oracle_n", "1"), ("phi_grid", "0"), ("oracle_periods", "0"),
+                 ("spectra_m", "0"), ("spectra_points", "0")]
+    cases = [(key, f"[numerics]\n{key} = {value}\n") for key, value in numerics]
+    cases += [("oracle_tol", "[numerics]\noracle_tol = 1e-3\noracle_tol = 1e-2\n"),  # duplicate
+              ("path", "[output]\npath = out%.csv\n")]           # '%' starts an interpolation
+    for i, (key, section) in enumerate(cases):
+        cfg = _write(tmp_path, f"bad{i}.ini", "[source]\nkind = am\nf0 = 1.2\n" + section)
+        assert main(["drf", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2, section
         err = capsys.readouterr().err
-        assert "convergence_tol" in err
+        assert key in err, (section, err)
 
 
 def test_nonconvergence_exit_code_and_flag(tmp_path):
@@ -249,6 +259,120 @@ methods = drf baseband
 
 
 def test_console_entry_point():
+    # run from the directory holding the imported package, so no install is needed
     res = subprocess.run([sys.executable, "-m", "csdrf.cli", "drf", "--config",
-                          "/nonexistent.ini"], capture_output=True, text=True)
+                          "/nonexistent.ini"], capture_output=True, text=True,
+                         cwd=Path(csdrf.__file__).parents[1])
     assert res.returncode == 2
+
+
+# one tiny scenario per source kind; PAM has two symbol rates, so two sources
+TINY = {
+    "stationary": "family = triangular\n",
+    "discrete-cs": "variances = 1 4\n",
+    "am": "family = triangular\nf0 = 1.2\n",
+    "pam": "family = flat\nbandwidth = 0.5\npulse = triangle\nsymbol_rates = 0.5 0.9\n",
+    "sampled-coding": "sampling_rate = 1.5\n",
+}
+# the methods each kind offers, as the README tables them
+OFFERS = {
+    "stationary": {"drf", "oracle"},
+    "discrete-cs": {"drf", "lower_bound", "oracle"},
+    "am": {"drf", "lower_bound", "oracle", "baseband", "upper_bound_gaussian_psd"},
+    "pam": {"drf", "lower_bound", "oracle", "baseband"},
+    "sampled-coding": {"drf", "baseband"},
+}
+TINY_NUMERICS = """
+[rates]
+min = 0.5
+max = 2.0
+count = 3
+spacing = linear
+
+[numerics]
+phi_grid = 128
+m_start = 4
+m_max = 8
+oracle_n = 48
+oracle_periods = 2
+t_grid = 4
+"""
+
+
+def _tiny(tmp_path, kind, methods, extra=""):
+    text = (f"[source]\nkind = {kind}\n{TINY[kind]}{extra}{TINY_NUMERICS}\n"
+            f"[methods]\nmethods = {methods}\n")
+    return _write(tmp_path, f"{kind}.ini", text)
+
+
+@pytest.mark.parametrize("kind", sorted(SOURCES))
+def test_every_tabled_method_runs(tmp_path, kind):
+    sources = SOURCES[kind](load_scenario(_tiny(tmp_path, kind, "drf")))
+    methods = {m for src in sources for m in src.curves}
+    assert methods == OFFERS[kind]
+    for method in sorted(methods):
+        out = str(tmp_path / f"{method}.csv")
+        assert main(["drf", "--config", _tiny(tmp_path, kind, method), "--out", out]) == 0, method
+        rows = _read_rows(out)
+        offering = [src for src in sources if method in src.curves]
+        labels = [method + src.tag for src in offering for _ in range(3)]
+        assert [r["method"] for r in rows] == labels
+        assert all(r["converged"] == "true" for r in rows)
+        assert all(np.isfinite(float(r["distortion"])) for r in rows)
+
+
+@pytest.mark.parametrize("kind, method", [
+    ("stationary", "lower_bound"), ("stationary", "baseband"), ("discrete-cs", "baseband"),
+    ("sampled-coding", "oracle"), ("pam", "upper_bound_gaussian_psd"),
+    ("am", "baseline"), ("pam", "baseline"), ("sampled-coding", "baseline")])
+def test_unsupported_method_is_a_config_error(tmp_path, capsys, kind, method):
+    cfg = _tiny(tmp_path, kind, f"drf {method}")
+    assert main(["drf", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert repr(method) in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_rows_follow_method_order(tmp_path):
+    out = str(tmp_path / "p.csv")
+    cfg = _tiny(tmp_path, "pam", "baseband lower_bound drf")
+    assert main(["drf", "--config", cfg, "--out", out]) == 0
+    labels = [r["method"] for r in _read_rows(out)]
+    expect = ["baseband", "lower_bound:fs=0.5", "lower_bound:fs=0.9", "drf:fs=0.5", "drf:fs=0.9"]
+    assert labels == [label for label in expect for _ in range(3)]
+    # include_baseband appends the baseband block after the configured methods
+    cfg = _tiny(tmp_path, "am", "drf", "include_baseband = true\n")
+    assert main(["drf", "--config", cfg, "--out", out]) == 0
+    assert [r["method"] for r in _read_rows(out)] == ["drf"] * 3 + ["baseband"] * 3
+
+
+AM_PHASE_CFG = """
+[source]
+kind = am
+family = triangular
+f0 = 1.2
+phase = 0.7
+
+[rates]
+min = 1.0
+max = 1.0
+count = 1
+spacing = linear
+
+[numerics]
+m_start = 1
+m_max = 2
+oracle_n = 64
+"""
+
+
+def test_verify_am_uses_phase_and_convergence(tmp_path, capsys):
+    cfg = _write(tmp_path, "amp.ini", AM_PHASE_CFG)
+    out = str(tmp_path / "amp.csv")
+    assert main(["drf", "--config", cfg, "--out", out, "--allow-nonconverged"]) == 0
+    row = _read_rows(out)[0]
+    assert row["converged"] == "false"
+    capsys.readouterr()
+    main(["verify", "--config", cfg, "--allow-nonconverged"])
+    assert f"fast={float(row['distortion']):.12g} " in capsys.readouterr().out
+    assert main(["verify", "--config", cfg]) == 3
+    assert "did not converge" in capsys.readouterr().err

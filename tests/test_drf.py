@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from csdrf.drf import (ContinuousDrfConfig, ContinuousDrfSolver,
-                       NonConvergedError, drf_am, drf_am_random_phase,
-                       drf_cs_at_resolution, drf_cs_continuous,
-                       drf_cs_discrete, drf_pam, lower_bound_continuous,
-                       lower_bound_discrete, mmse_filter, sampled_source_coding,
+                       NonConvergedError, drf_am, drf_cs_at_resolution,
+                       drf_cs_continuous, drf_cs_discrete, drf_pam,
+                       lower_bound_continuous, lower_bound_discrete,
+                       mmse_filter, sampled_source_coding,
                        upper_bound_gaussian_psd)
 from csdrf.spectra import (PulseShape, am_cpsd, flat_psd, ideal_interp_pulse,
                            modulated_ma, pam_cpsd, raised_cosine_pulse,
@@ -155,7 +155,6 @@ def test_am_exact_path_above_twice_bandwidth():
         assert res.exact
         ref = stationary_drf(base, rate)
         assert res.point.distortion == pytest.approx(ref.distortion, rel=1e-12)
-    assert drf_am_random_phase(base, 4.0, 1.0).point == drf_am(base, 4.0, 1.0).point
 
 
 def test_am_zero_rate_power_preserved():
