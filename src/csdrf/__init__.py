@@ -8,8 +8,7 @@ oracle for validation.
 
 from .drf import (AmDrfResult, ContinuousDrfConfig, ContinuousDrfResult,
                   ContinuousDrfSolver, MmseFilter, NonConvergedError,
-                  drf_am, drf_cs_at_resolution,
-                  drf_cs_continuous, drf_cs_discrete, drf_pam,
+                  drf_am, drf_cs_at_resolution, drf_cs_discrete, drf_pam,
                   lower_bound_continuous, lower_bound_discrete, mmse_filter,
                   pam_waterfiller, sampled_source_coding,
                   upper_bound_gaussian_psd)
@@ -25,11 +24,10 @@ from .spectra import (CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum,
                       raised_cosine_psd, raised_cosine_pulse, rect_pulse,
                       stationary_cyclic, tabulated_psd, triangle_pulse,
                       triangular_psd, white_cs)
-from .waterfilling import (DrfCurve, EigenField, NotPositiveSemidefinite,
+from .waterfilling import (EigenField, NotPositiveSemidefinite,
                            RateDistortionPoint, ScalarWaterfiller,
                            WaterLevelUnderflow, discrete_stationary_drf,
-                           hermitian_eigenvalues, solve_water_level,
-                           stationary_drf, stationary_waterfiller,
-                           waterfill_eval)
+                           hermitian_eigenvalues, stationary_drf,
+                           stationary_waterfiller)
 
 __version__ = "0.1.0"

@@ -29,7 +29,8 @@ from .spectra import (DiscreteCsProcess, PamCyclicSpectrum, PulseShape,
                       raised_cosine_psd, raised_cosine_pulse, rect_pulse,
                       stationary_cyclic, triangle_pulse, triangular_psd,
                       white_cs)
-from .waterfilling import EigenField, hermitian_eigenvalues, stationary_waterfiller
+from .waterfilling import (EigenField, WaterLevelUnderflow, hermitian_eigenvalues,
+                           stationary_waterfiller)
 
 CSV_HEADER = "rate_bits,distortion,theta,method,M,converged"
 
@@ -105,6 +106,26 @@ def _bool(raw):
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+# [source] number key -> (parser, range of every value); every value must also
+# be finite, and a list must hold at least one (an empty mod_scales selects white_cs)
+SOURCE_NUMBERS = {"bandwidth": (float, "positive"), "power": (float, "nonnegative"),
+                  "f0": (float, "positive"), "phase": (float, "any"),
+                  "pulse_beta": (float, "in (0, 1]"), "symbol_rates": (_floats, "positive"),
+                  "sampling_rate": (float, "positive"), "variances": (_floats, "nonnegative"),
+                  "mod_scales": (_floats, "any"), "ma_taps": (_floats, "any")}
+IN_RANGE = {"positive": lambda x: x > 0.0, "nonnegative": lambda x: x >= 0.0,
+            "in (0, 1]": lambda x: 0.0 < x <= 1.0, "any": lambda x: True}
+
+
+def _check_source(key, value, bound):
+    values = value if isinstance(value, tuple) else (value,)
+    if not (values or key == "mod_scales") or \
+            not all(math.isfinite(x) and IN_RANGE[bound](x) for x in values):
+        what = "finite" if bound == "any" else f"finite and {bound}"
+        many = " (at least one value)" if isinstance(value, tuple) else ""
+        raise ConfigError(f"[source] {key} must be {what}{many}, got {value!r}")
+
+
 def load_scenario(path: str) -> Scenario:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -121,23 +142,17 @@ def load_scenario(path: str) -> Scenario:
                           f"expected one of {tuple(SOURCES)}")
     sc = Scenario(kind=kind)
     sc.family = _get(cp, "source", "family", str, sc.family).strip()
-    sc.bandwidth = _get(cp, "source", "bandwidth", float, sc.bandwidth)
-    sc.power = _get(cp, "source", "power", float, sc.power)
-    sc.f0 = _get(cp, "source", "f0", float, sc.f0)
-    sc.phase = _get(cp, "source", "phase", float, sc.phase)
     sc.pulse = _get(cp, "source", "pulse", str, sc.pulse).strip()
-    sc.pulse_beta = _get(cp, "source", "pulse_beta", float, sc.pulse_beta)
-    rates_raw = _get(cp, "source", "symbol_rates", _floats, None)
-    if rates_raw is None:
-        single = _get(cp, "source", "symbol_rate", float, None)
-        rates_raw = (single,) if single is not None else sc.symbol_rates
-    sc.symbol_rates = rates_raw
     sc.normalize_power = _get(cp, "source", "normalize_power", _bool, sc.normalize_power)
     sc.include_baseband = _get(cp, "source", "include_baseband", _bool, sc.include_baseband)
-    sc.sampling_rate = _get(cp, "source", "sampling_rate", float, sc.sampling_rate)
-    sc.variances = _get(cp, "source", "variances", _floats, sc.variances)
-    sc.mod_scales = _get(cp, "source", "mod_scales", _floats, sc.mod_scales)
-    sc.ma_taps = _get(cp, "source", "ma_taps", _floats, sc.ma_taps)
+    for key, (cast, bound) in SOURCE_NUMBERS.items():
+        value = _get(cp, "source", key, cast, getattr(sc, key))
+        _check_source(key, value, bound)
+        setattr(sc, key, value)
+    if cp.has_option("source", "symbol_rate") and not cp.has_option("source", "symbol_rates"):
+        single = _get(cp, "source", "symbol_rate", float)
+        _check_source("symbol_rate", single, "positive")
+        sc.symbol_rates = (single,)
 
     if cp.has_section("rates"):
         rmin = _get(cp, "rates", "min", float, 0.1)
@@ -146,11 +161,12 @@ def load_scenario(path: str) -> Scenario:
         spacing = _get(cp, "rates", "spacing", str, "log").strip()
         if count < 1:
             raise ConfigError("[rates] count must be at least 1")
-        if rmin < 0:
-            raise ConfigError("[rates] min must be nonnegative")
+        for key, value in (("min", rmin), ("max", rmax)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"[rates] {key} must be finite and nonnegative, got {value!r}")
+            if spacing == "log" and value <= 0:
+                raise ConfigError(f"[rates] spacing=log requires {key} > 0")
         if spacing == "log":
-            if rmin <= 0:
-                raise ConfigError("[rates] spacing=log requires min > 0")
             sc.rates = np.geomspace(rmin, rmax, count)
         elif spacing == "linear":
             sc.rates = np.linspace(rmin, rmax, count)
@@ -378,10 +394,18 @@ def _row(rate, distortion, theta, method, m, converged):
     return f"{rate:.17g},{distortion:.17g},{theta:.17g},{method},{m},{flag}"
 
 
+def _at(point, method, rate):
+    """``point(rate)``, naming the method and rate when the rate is beyond the bracket."""
+    try:
+        return point(float(rate))
+    except WaterLevelUnderflow as exc:
+        raise WaterLevelUnderflow(f"{method} at rate {rate}: {exc}") from exc
+
+
 def _points(sc, point, method, allow_nonconverged):
     """(rate, distortion, theta, M, converged) at every configured rate."""
     for rate in sc.rates:
-        d, theta, m, converged = point(float(rate))
+        d, theta, m, converged = _at(point, method, rate)
         if not converged and not allow_nonconverged:
             raise drf_mod.NonConvergedError(
                 f"{method} at rate {rate} did not converge by M={sc.m_max}")
@@ -467,7 +491,7 @@ def verify_lines(sc: Scenario, allow_nonconverged: bool):
     lines = []
     gaps = []
     for rate, fast, *_ in _points(sc, src.curves["drf"](), "drf", allow_nonconverged):
-        ref = oracle(float(rate))[0]
+        ref = _at(oracle, "oracle", rate)[0]
         rel = abs(fast - ref) / max(ref, 1e-9 * sigma2)
         gaps.append(rel)
         lines.append(f"rate={rate:.6g} fast={fast:.12g} oracle={ref:.12g} rel_gap={rel:.3e}")
@@ -531,7 +555,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except drf_mod.NonConvergedError as exc:
+    except (drf_mod.NonConvergedError, WaterLevelUnderflow) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -20,7 +20,7 @@ from .quadrature import phi_grid, segmented_midpoint
 from .spectra import (CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum,
                       PulseShape, StationaryPsd, am_cpsd, am_gaussian_psd)
 from .waterfilling import (EigenField, RateDistortionPoint, ScalarWaterfiller,
-                           solve_water_level, stationary_drf)
+                           stationary_drf)
 
 
 class NonConvergedError(RuntimeError):
@@ -41,7 +41,7 @@ def drf_cs_discrete(proc: DiscreteCsProcess, rate_bits_per_symbol: float,
     matrix = psd_pc_matrix_discrete(proc)
     grid = phi_grid(n_grid, matrix.phi_breakpoints)
     eigs = EigenField.from_matrix(matrix, grid)
-    return solve_water_level(eigs, rate_bits_per_symbol, 1.0 / (2.0 * proc.period))
+    return eigs.waterfiller(1.0 / (2.0 * proc.period)).solve(rate_bits_per_symbol)
 
 
 def lower_bound_discrete(proc: DiscreteCsProcess, rate_bits_per_symbol: float,
@@ -78,9 +78,9 @@ class ContinuousDrfConfig:
     average power, or ``m_max`` is reached. A tolerance of 0 therefore never
     stops early: every level from ``m_start`` to ``m_max`` runs and the
     result reports ``converged=False``, even where a saturated source gives
-    bit-identical distortions. ``lipschitz_c`` feeds the reported
-    (conservative) kernel-perturbation diagnostic 4 C T0 / M; when None it is
-    estimated by finite differences of the covariance.
+    bit-identical distortions. A supplied ``lipschitz_c`` feeds the reported
+    (conservative) kernel-perturbation diagnostic 4 C T0 / M; when None no
+    diagnostic is reported.
     """
 
     m_start: int = 4
@@ -106,24 +106,8 @@ class ContinuousDrfResult:
     iterates: tuple            # (dim, theta, distortion) per refinement level
     converged: bool
     cauchy_gaps: tuple         # |D_{2M} - D_M| sequence
-    weyl_bounds: tuple         # heuristic 4 C T0 / M per level (may be empty)
+    weyl_bounds: tuple         # heuristic 4 C T0 / M per level; empty without lipschitz_c
     sigma2: float
-
-
-def estimate_lipschitz(spec: CyclicSpectrum, n_tau: int = 256, n_t: int = 8) -> float:
-    """Largest finite-difference slope of the covariance in its lag argument.
-
-    Sampled over one period of phases and lags within one period width.
-    Diagnostic quality only; the refinement stop rule never uses it.
-    """
-    t0 = spec.period
-    taus = np.linspace(-t0, t0, n_tau + 1)
-    worst = 0.0
-    for i in range(n_t):
-        t = (i + 0.5) * t0 / n_t
-        vals = spec.covariance(t + taus, np.full_like(taus, t))
-        worst = max(worst, float(np.max(np.abs(np.diff(vals)) / np.diff(taus))))
-    return worst
 
 
 class ContinuousDrfSolver:
@@ -135,7 +119,6 @@ class ContinuousDrfSolver:
         self.sigma2 = spec.avg_power
         self._grid = phi_grid(self.cfg.n_grid, spec.phi_breakpoints())
         self._fields: dict[int, EigenField] = {}
-        self._lipschitz: float | None = self.cfg.lipschitz_c
 
     def eigen_field(self, dim: int) -> EigenField:
         if dim not in self._fields:
@@ -145,15 +128,9 @@ class ContinuousDrfSolver:
 
     def point_at(self, rate_bits_per_second: float, dim: int) -> RateDistortionPoint:
         normalizer = 1.0 / (2.0 * self.spec.period)
-        return solve_water_level(self.eigen_field(dim), rate_bits_per_second, normalizer)
+        return self.eigen_field(dim).waterfiller(normalizer).solve(rate_bits_per_second)
 
-    def lipschitz(self) -> float:
-        if self._lipschitz is None:
-            self._lipschitz = estimate_lipschitz(self.spec)
-        return self._lipschitz
-
-    def solve(self, rate_bits_per_second: float,
-              require_converged: bool = False) -> ContinuousDrfResult:
+    def solve(self, rate_bits_per_second: float) -> ContinuousDrfResult:
         cfg = self.cfg
         dims = []
         dim = cfg.m_start
@@ -174,28 +151,19 @@ class ContinuousDrfSolver:
                     converged = True
                     break
             prev_d = pt.distortion
-        c = self.lipschitz()
-        weyl = tuple(4.0 * c * self.spec.period / d for d, _, _ in iterates)
-        if require_converged and not converged:
-            raise NonConvergedError(
-                f"distortion gap {gaps[-1] if gaps else math.nan:.3e} not below "
-                f"{cfg.convergence_tol:.1e} * sigma2 at resolution {iterates[-1][0]}")
-        last_dim, theta, dist = iterates[-1]
+        c = cfg.lipschitz_c
+        weyl = () if c is None else tuple(4.0 * c * self.spec.period / d
+                                          for d, _, _ in iterates)
+        _, theta, dist = iterates[-1]
         point = RateDistortionPoint(theta, rate_bits_per_second, dist)
         return ContinuousDrfResult(point, tuple(iterates), converged,
                                    tuple(gaps), weyl, self.sigma2)
 
 
-def drf_cs_continuous(spec: CyclicSpectrum, rate_bits_per_second: float,
-                      cfg: ContinuousDrfConfig | None = None) -> ContinuousDrfResult:
-    """Continuous-time curve point by doubling the intra-period resolution."""
-    return ContinuousDrfSolver(spec, cfg).solve(rate_bits_per_second)
-
-
 def drf_cs_at_resolution(spec: CyclicSpectrum, rate_bits_per_second: float,
                          dim: int, n_grid: int = 2048) -> RateDistortionPoint:
     """Single fixed-resolution evaluation of the continuous-time curve."""
-    cfg = ContinuousDrfConfig(m_start=dim, m_max=dim, n_grid=n_grid, lipschitz_c=0.0)
+    cfg = ContinuousDrfConfig(m_start=dim, m_max=dim, n_grid=n_grid)
     return ContinuousDrfSolver(spec, cfg).point_at(rate_bits_per_second, dim)
 
 
@@ -267,7 +235,6 @@ class AmDrfResult:
 
     point: RateDistortionPoint
     exact: bool
-    refinement: ContinuousDrfResult | None = None
 
 
 def drf_am(base: StationaryPsd, f0: float, rate_bits_per_second: float,
@@ -284,8 +251,8 @@ def drf_am(base: StationaryPsd, f0: float, rate_bits_per_second: float,
         n_grid = cfg.n_grid if cfg is not None else 2048
         return AmDrfResult(stationary_drf(base, rate_bits_per_second, n_grid), True)
     spec = am_cpsd(base, f0, phase)
-    result = drf_cs_continuous(spec, rate_bits_per_second, cfg)
-    return AmDrfResult(result.point, False, result)
+    result = ContinuousDrfSolver(spec, cfg).solve(rate_bits_per_second)
+    return AmDrfResult(result.point, False)
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +321,10 @@ def mmse_filter(base: StationaryPsd, fs: float, n_grid: int = 2048) -> MmseFilte
             x = b + k * fs
             if -0.5 * fs < x < 0.5 * fs:
                 breaks.add(x)
-    filt = MmseFilter(fs, response, folded_j, math.nan, tuple(sorted(breaks)))
-    grid = filt.band_grid(n_grid)
+    band_breakpoints = tuple(sorted(breaks))
+    grid = segmented_midpoint(-0.5 * fs, 0.5 * fs, n_grid, band_breakpoints)
     mmse = base.total_power - float(grid.weights @ folded_j(grid.nodes))
-    return MmseFilter(fs, response, folded_j, max(mmse, 0.0), tuple(sorted(breaks)))
+    return MmseFilter(fs, response, folded_j, max(mmse, 0.0), band_breakpoints)
 
 
 def sampled_source_coding(base: StationaryPsd, fs: float,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectra import CyclicSpectrum, DiscreteCsProcess
-from .waterfilling import RateDistortionPoint, ScalarWaterfiller
+from .waterfilling import RateDistortionPoint, ScalarWaterfiller, _clip_eigenvalues
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,11 +61,6 @@ class BlockCovariance:
         return cls(0.5 * (mat + mat.T))
 
 
-def kernel_time_grid(t_half: float, n: int) -> np.ndarray:
-    dt = 2.0 * t_half / n
-    return -t_half + dt * (np.arange(n) + 0.5)
-
-
 def build_kernel(spec: CyclicSpectrum, t_half: float, n: int) -> KernelGrid:
     """Covariance kernel of a continuous-time source on a [-T, T] grid.
 
@@ -78,7 +73,8 @@ def build_kernel(spec: CyclicSpectrum, t_half: float, n: int) -> KernelGrid:
     cycles = t_half / spec.period
     if abs(cycles - round(cycles)) > 1e-9 * max(1.0, cycles):
         raise ValueError(f"window half-width {t_half} is not a multiple of the period {spec.period}")
-    times = kernel_time_grid(t_half, n)
+    dt = 2.0 * t_half / n
+    times = -t_half + dt * (np.arange(n) + 0.5)
 
     def fn(t, s):
         return spec.covariance(t, s)
@@ -103,13 +99,6 @@ def step_approximation(kernel: KernelGrid, steps_per_period: int, period: float)
     values = np.asarray(kernel.fn(tt, ss), dtype=float)
     values = 0.5 * (values + values.T)
     return KernelGrid(kernel.times, values, kernel.weight, kernel.half_width, kernel.fn)
-
-
-def _clip_eigenvalues(lam: np.ndarray, tol_scale: float = 1e-9) -> np.ndarray:
-    scale = max(float(np.abs(lam).max(initial=0.0)), 1e-300)
-    if float(lam.min(initial=0.0)) < -tol_scale * scale:
-        raise ValueError(f"kernel is not positive semidefinite: min eigenvalue {lam.min():.3e}")
-    return np.maximum(lam, 0.0)
 
 
 def kl_drf(source, target_rate: float) -> RateDistortionPoint:

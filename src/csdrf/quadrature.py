@@ -27,14 +27,6 @@ class Grid:
     def size(self) -> int:
         return self.nodes.size
 
-    def refine(self) -> "Grid":
-        """Split every cell in two; used for refinement diagnostics."""
-        half = 0.25 * self.weights
-        nodes = np.concatenate([self.nodes - half, self.nodes + half])
-        weights = np.concatenate([0.5 * self.weights, 0.5 * self.weights])
-        order = np.argsort(nodes, kind="stable")
-        return Grid(nodes[order], weights[order], self.lo, self.hi)
-
 
 def segmented_midpoint(lo: float, hi: float, n: int, breakpoints=()) -> Grid:
     """Composite midpoint rule with cell edges aligned to breakpoints.

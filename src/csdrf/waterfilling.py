@@ -25,6 +25,9 @@ LOG2 = math.log(2.0)
 BRACKET_EXP = 120
 MAX_BISECT = 200
 
+# relative size of the negative eigenvalues read as round-off and clipped to zero
+CLIP_SCALE = 1e-9
+
 
 class WaterLevelUnderflow(RuntimeError):
     """Requested rate exceeds what the bisection bracket can resolve."""
@@ -48,33 +51,6 @@ class RateDistortionPoint:
     distortion: float
 
 
-@dataclass(frozen=True)
-class DrfCurve:
-    """Distortion-rate points sorted by rate."""
-
-    points: tuple
-
-    def rates(self):
-        return np.array([p.rate for p in self.points])
-
-    def distortions(self):
-        return np.array([p.distortion for p in self.points])
-
-    def is_convex(self, tol: float = 1e-9) -> bool:
-        """Distortion non-increasing and convex in rate, up to grid tolerance."""
-        r = self.rates()
-        d = self.distortions()
-        scale = max(float(d.max(initial=0.0)), 1e-300)
-        if np.any(np.diff(d) > tol * scale):
-            return False
-        for i in range(1, len(r) - 1):
-            slope_l = (d[i] - d[i - 1]) / (r[i] - r[i - 1])
-            slope_r = (d[i + 1] - d[i]) / (r[i + 1] - r[i])
-            if slope_r < slope_l - tol * scale:
-                return False
-        return True
-
-
 class ScalarWaterfiller:
     """Waterfilling over a weighted set of nonnegative spectral levels.
 
@@ -92,7 +68,6 @@ class ScalarWaterfiller:
         self.d_scale = float(d_scale)
         self.r_scale = float(r_scale)
         self.level_max = float(levels.max(initial=0.0))
-        self.power = self.d_scale * float(weights @ levels)
 
     def distortion(self, theta: float) -> float:
         return self.d_scale * float(self.weights @ np.minimum(self.levels, theta))
@@ -141,13 +116,30 @@ class ScalarWaterfiller:
 # eigenvalue fields
 # ---------------------------------------------------------------------------
 
-def hermitian_eigenvalues(mats: np.ndarray, clip_scale: float = 1e-9) -> np.ndarray:
+def _clip_eigenvalues(lam: np.ndarray) -> np.ndarray:
+    """Eigenvalues (one matrix per row of the last axis) with round-off
+    negatives set to zero.
+
+    An eigenvalue below -CLIP_SCALE times the largest magnitude in its row
+    raises, since it means the input was not a valid spectral or covariance
+    matrix.
+    """
+    scale = np.maximum(np.abs(lam).max(axis=-1, keepdims=True, initial=0.0), 1e-300)
+    if np.any(lam < -CLIP_SCALE * scale):
+        worst = int(np.argmin(lam.min(axis=-1)))
+        raise NotPositiveSemidefinite(
+            f"eigenvalue {lam.min():.3e} below tolerance at batch index {worst} "
+            f"(scale {scale.ravel()[worst]:.3e})")
+    return np.maximum(lam, 0.0)
+
+
+def hermitian_eigenvalues(mats: np.ndarray) -> np.ndarray:
     """Ascending real eigenvalues of a stack of (near-)Hermitian matrices.
 
     The input is symmetrized as (A + A^H)/2 before decomposition. Small
-    negative eigenvalues (within clip_scale times the local trace scale) are
-    clipped to zero; anything more negative raises, since it means the input
-    was not a valid spectral matrix.
+    negative eigenvalues (within CLIP_SCALE times the matrix's largest
+    magnitude) are clipped to zero; anything more negative raises
+    NotPositiveSemidefinite.
     """
     mats = np.asarray(mats, dtype=complex)
     herm = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
@@ -157,14 +149,7 @@ def hermitian_eigenvalues(mats: np.ndarray, clip_scale: float = 1e-9) -> np.ndar
         raise np.linalg.LinAlgError(
             f"eigensolver failed on a batch of shape {herm.shape}; "
             f"max |entry| = {np.abs(herm).max():.3e}") from exc
-    scale = np.maximum(np.abs(lam).max(axis=-1, keepdims=True), 1e-300)
-    floor = -clip_scale * scale
-    if np.any(lam < floor):
-        worst = int(np.argmin(lam.min(axis=-1)))
-        raise NotPositiveSemidefinite(
-            f"eigenvalue {lam.min():.3e} below tolerance at batch index {worst} "
-            f"(scale {scale.ravel()[worst]:.3e})")
-    return np.maximum(lam, 0.0)
+    return _clip_eigenvalues(lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,35 +169,12 @@ class EigenField:
                             f"{grid.size} nodes)") from exc
         return cls(grid, lam, matrix.dim)
 
-    @property
-    def lam_max(self) -> float:
-        return float(self.lam.max(initial=0.0))
-
-    def power(self) -> float:
-        """Average power carried by the field: (1/dim) integral of the trace."""
-        return float(self.grid.weights @ self.lam.sum(axis=1)) / self.dim
-
     def waterfiller(self, rate_normalizer: float) -> ScalarWaterfiller:
+        """Waterfiller over the field: ``rate_normalizer`` is 1/(2 M) for bits
+        per symbol or 1/(2 T0) for bits per second."""
         weights = np.repeat(self.grid.weights, self.dim)
         return ScalarWaterfiller(self.lam.ravel(), weights,
                                  d_scale=1.0 / self.dim, r_scale=rate_normalizer)
-
-
-def waterfill_eval(eigs: EigenField, theta: float, rate_normalizer: float) -> RateDistortionPoint:
-    """Distortion and rate of an eigenvalue field at a fixed water level.
-
-    ``rate_normalizer`` is 1/(2 M) for bits per symbol or 1/(2 T0) for bits
-    per second. theta = 0 on a nonzero field yields an infinite-rate point.
-    """
-    if theta < 0.0:
-        raise ValueError("water level must be nonnegative")
-    return eigs.waterfiller(rate_normalizer).point(theta)
-
-
-def solve_water_level(eigs: EigenField, target_rate: float,
-                      rate_normalizer: float) -> RateDistortionPoint:
-    """Invert the rate map of an eigenvalue field at the requested rate."""
-    return eigs.waterfiller(rate_normalizer).solve(target_rate)
 
 
 # ---------------------------------------------------------------------------

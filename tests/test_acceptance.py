@@ -211,7 +211,7 @@ def test_ac6_weyl_machinery_and_refinement():
         "pam(rc)": csdrf.pam_cpsd(base, csdrf.raised_cosine_pulse(0.8, 0.3), 0.8),
     }
     for name, spec in scen.items():
-        res = csdrf.drf_cs_continuous(spec, 1.0, cfg)
+        res = csdrf.ContinuousDrfSolver(spec, cfg).solve(1.0)
         floor = 1e-10 * res.sigma2
         cg = res.cauchy_gaps
         assert len(cg) == 4, name

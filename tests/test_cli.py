@@ -128,20 +128,40 @@ def test_config_error_names_the_key(tmp_path, capsys):
 
 
 def test_config_error_names_convergence_tol(tmp_path, capsys):
-    """Every bad [numerics] value and every parse error exits 2 naming the key."""
+    """Every bad [source], [rates] or [numerics] value and every parse error
+    exits 2 naming the key."""
+    am = "[source]\nkind = am\nf0 = 1.2\n"
     numerics = [("convergence_tol", v) for v in ("-1", "nan", "inf")]
     numerics += [("oracle_tol", v) for v in ("nan", "-1", "inf")]
     numerics += [("m_start", "0"), ("m_start", "1.5"), ("m_max", "2"), ("t_grid", "0"),
                  ("oracle_n", "1"), ("phi_grid", "0"), ("oracle_periods", "0"),
                  ("spectra_m", "0"), ("spectra_points", "0")]
-    cases = [(key, f"[numerics]\n{key} = {value}\n") for key, value in numerics]
-    cases += [("oracle_tol", "[numerics]\noracle_tol = 1e-3\noracle_tol = 1e-2\n"),  # duplicate
-              ("path", "[output]\npath = out%.csv\n")]           # '%' starts an interpolation
-    for i, (key, section) in enumerate(cases):
-        cfg = _write(tmp_path, f"bad{i}.ini", "[source]\nkind = am\nf0 = 1.2\n" + section)
-        assert main(["drf", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2, section
+    cases = [(key, am + f"[numerics]\n{key} = {value}\n") for key, value in numerics]
+    cases += [("oracle_tol", am + "[numerics]\noracle_tol = 1e-3\noracle_tol = 1e-2\n"),
+              ("path", am + "[output]\npath = out%.csv\n")]    # '%' starts an interpolation
+    source = [("am", "f0", "0"), ("am", "f0", "nan"), ("am", "phase", "nan"),
+              ("stationary", "bandwidth", "-1"), ("stationary", "bandwidth", "inf"),
+              ("stationary", "power", "-1"), ("stationary", "power", "nan"),
+              ("pam", "symbol_rates", "0.5 0"), ("pam", "symbol_rate", "-1"),
+              ("pam", "pulse_beta", "2"), ("sampled-coding", "sampling_rate", "0"),
+              ("discrete-cs", "variances", "1 -1"), ("discrete-cs", "variances", ""),
+              ("discrete-cs", "variances", "1 nan"),
+              ("discrete-cs", "ma_taps", "\nmod_scales = 1 2")]
+    cases += [(key, f"[source]\nkind = {kind}\n{key} = {value}\n") for kind, key, value in source]
+    cases += [("[rates] max", am + "[rates]\nmax = nan\n")]
+    for i, (key, text) in enumerate(cases):
+        cfg = _write(tmp_path, f"bad{i}.ini", text)
+        assert main(["drf", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2, text
         err = capsys.readouterr().err
-        assert key in err, (section, err)
+        assert key in err, (text, err)
+
+
+def test_rate_beyond_the_bracket_is_a_numeric_failure(tmp_path, capsys):
+    cfg = _write(tmp_path, "big.ini", STATIONARY_CFG.replace("max = 4.0", "max = 1e6"))
+    assert main(["drf", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: drf at rate ") and "exceeds" in err, err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_nonconvergence_exit_code_and_flag(tmp_path):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from csdrf.drf import (ContinuousDrfConfig, ContinuousDrfSolver,
-                       NonConvergedError, drf_am, drf_cs_at_resolution,
-                       drf_cs_continuous, drf_cs_discrete, drf_pam,
+                       drf_am, drf_cs_at_resolution, drf_cs_discrete, drf_pam,
                        lower_bound_continuous, lower_bound_discrete,
                        mmse_filter, sampled_source_coding,
                        upper_bound_gaussian_psd)
@@ -79,7 +78,9 @@ def test_pam_matches_closed_form_at_every_resolution():
 
 def test_refinement_reports_iterates_and_weyl_diagnostic():
     spec = am_cpsd(triangular_psd(1.0, 1.0), 1.2)
-    res = drf_cs_continuous(spec, 1.0, ContinuousDrfConfig(m_start=4, m_max=32))
+    res = ContinuousDrfSolver(spec, ContinuousDrfConfig(m_start=4, m_max=32)).solve(1.0)
+    assert res.weyl_bounds == ()            # no diagnostic without a supplied constant
+    res = ContinuousDrfSolver(spec, ContinuousDrfConfig(4, 32, lipschitz_c=2.0)).solve(1.0)
     assert res.converged
     assert res.iterates[0][0] == 4
     assert len(res.weyl_bounds) == len(res.iterates)
@@ -88,16 +89,14 @@ def test_refinement_reports_iterates_and_weyl_diagnostic():
     assert res.weyl_bounds[1] == pytest.approx(0.5 * res.weyl_bounds[0], rel=1e-12)
 
 
-def test_nonconvergence_flagged_and_raised():
+def test_nonconvergence_flagged():
     spec = am_cpsd(triangular_psd(1.0, 1.0), 1.2)
     cfg = ContinuousDrfConfig(m_start=4, m_max=8, convergence_tol=0.0)
-    res = drf_cs_continuous(spec, 1.0, cfg)
+    res = ContinuousDrfSolver(spec, cfg).solve(1.0)
     assert not res.converged
     # a zero tolerance runs the whole schedule, even where D_4 and D_8 tie
     assert len(res.iterates) == 2
     assert len(res.cauchy_gaps) == 1
-    with pytest.raises(NonConvergedError):
-        ContinuousDrfSolver(spec, cfg).solve(1.0, require_converged=True)
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from csdrf.quadrature import fold_breakpoints, phi_grid, segmented_midpoint
+from csdrf.quadrature import fold_breakpoints, segmented_midpoint
 
 
 def test_weights_sum_to_span():
@@ -32,13 +32,6 @@ def test_node_budget_honors_minimum_per_segment():
     g = segmented_midpoint(0.0, 1.0, 4, (0.001, 0.002, 0.999))
     assert g.size == 4          # one node per tiny segment, deterministic
     assert np.isclose(g.weights.sum(), 1.0)
-
-
-def test_refine_halves_cells():
-    g = phi_grid(16)
-    r = g.refine()
-    assert r.size == 32
-    assert np.isclose(r.weights.sum(), 1.0)
 
 
 def test_fold_breakpoints_lands_in_window():

@@ -10,8 +10,7 @@ from csdrf.spectra import (am_cpsd, flat_psd, raised_cosine_psd,
 from csdrf.waterfilling import (EigenField, NotPositiveSemidefinite,
                                 ScalarWaterfiller, WaterLevelUnderflow,
                                 discrete_stationary_drf, hermitian_eigenvalues,
-                                solve_water_level, stationary_drf,
-                                stationary_waterfiller, waterfill_eval)
+                                stationary_drf, stationary_waterfiller)
 
 
 # ---------------------------------------------------------------------------
@@ -85,17 +84,17 @@ def _field_from_white(variances, n_grid=512):
 
 def test_zero_rate_region_gives_total_power():
     eigs = _field_from_white([1.0, 4.0])
-    pt = waterfill_eval(eigs, 5.0, 1.0 / 4.0)   # theta above lam_max
+    pt = eigs.waterfiller(1.0 / 4.0).point(5.0)   # theta above lam_max
     assert pt.rate == 0.0
     assert pt.distortion == pytest.approx(2.5, rel=1e-12)
 
 
 def test_hand_example_two_constant_eigenvalues():
     eigs = _field_from_white([1.0, 4.0])
-    pt = waterfill_eval(eigs, 1.0, 1.0 / 4.0)
+    pt = eigs.waterfiller(1.0 / 4.0).point(1.0)
     assert pt.distortion == pytest.approx(1.0, rel=1e-12)
     assert pt.rate == pytest.approx(0.5, rel=1e-12)
-    inv = solve_water_level(eigs, 0.5, 1.0 / 4.0)
+    inv = eigs.waterfiller(1.0 / 4.0).solve(0.5)
     assert inv.theta == pytest.approx(1.0, rel=1e-9)
     assert inv.distortion == pytest.approx(1.0, rel=1e-9)
 
@@ -113,7 +112,7 @@ def test_flat_band_closed_form_discrete():
 
 def test_theta_zero_infinite_rate_sentinel():
     eigs = _field_from_white([1.0])
-    pt = waterfill_eval(eigs, 0.0, 0.5)
+    pt = eigs.waterfiller(0.5).point(0.0)
     assert math.isinf(pt.rate)
 
 
@@ -127,16 +126,17 @@ def test_monotone_in_theta():
     eigs = EigenField.from_matrix(
         psd_pc_matrix_continuous(am_cpsd(triangular_psd(1.0, 1.0), 1.2), 4),
         phi_grid(512))
-    thetas = np.geomspace(1e-6, eigs.lam_max, 25)
-    rates = [waterfill_eval(eigs, t, 0.5).rate for t in thetas]
-    dists = [waterfill_eval(eigs, t, 0.5).distortion for t in thetas]
+    thetas = np.geomspace(1e-6, eigs.lam.max(), 25)
+    sw = eigs.waterfiller(0.5)
+    rates = [sw.point(t).rate for t in thetas]
+    dists = [sw.point(t).distortion for t in thetas]
     assert np.all(np.diff(rates) <= 1e-12)
     assert np.all(np.diff(dists) >= -1e-15)
 
 
 def test_distortion_vanishes_for_small_theta_on_bounded_support():
     eigs = _field_from_white([1.0, 4.0])
-    pt = waterfill_eval(eigs, 1e-12, 0.25)
+    pt = eigs.waterfiller(0.25).point(1e-12)
     assert pt.distortion <= 1e-11
 
 
@@ -191,7 +191,7 @@ def test_quadrature_refinement_stability():
 def test_diagonal_field_equals_average_of_scalar_evaluations():
     eigs = _field_from_white([1.0, 4.0], n_grid=256)
     theta = 0.7
-    pt = waterfill_eval(eigs, theta, 1.0 / 4.0)
+    pt = eigs.waterfiller(1.0 / 4.0).point(theta)
     # common water level across two independent flat spectra
     d_avg = 0.5 * (min(1.0, theta) + min(4.0, theta))
     r_avg = 0.5 * (0.5 * math.log2(1.0 / theta) + 0.5 * math.log2(4.0 / theta))
@@ -200,10 +200,11 @@ def test_diagonal_field_equals_average_of_scalar_evaluations():
 
 
 def test_curve_convexity():
-    from csdrf.waterfilling import DrfCurve
     base = triangular_psd(1.0, 1.0)
-    pts = tuple(stationary_drf(base, r) for r in np.linspace(0.0, 4.0, 15))
-    assert DrfCurve(pts).is_convex()
+    rates = np.linspace(0.0, 4.0, 15)
+    d = np.array([stationary_drf(base, r).distortion for r in rates])
+    assert np.all(np.diff(d) <= 1e-9 * d[0])               # non-increasing
+    assert np.all(np.diff(d, 2) >= -1e-9 * d[0])           # convex on the uniform grid
 
 
 def test_waterfiller_is_permutation_invariant():
