@@ -492,7 +492,10 @@ def verify_lines(sc: Scenario, allow_nonconverged: bool):
     gaps = []
     for rate, fast, *_ in _points(sc, src.curves["drf"](), "drf", allow_nonconverged):
         ref = _at(oracle, "oracle", rate)[0]
-        rel = abs(fast - ref) / max(ref, 1e-9 * sigma2)
+        diff = abs(fast - ref)
+        scale = max(ref, 1e-9 * sigma2)
+        # a zero-power source gives fast == ref == 0: no gap, not 0/0
+        rel = diff / scale if scale > 0.0 else (math.inf if diff else 0.0)
         gaps.append(rel)
         lines.append(f"rate={rate:.6g} fast={fast:.12g} oracle={ref:.12g} rel_gap={rel:.3e}")
     return lines, max(gaps)

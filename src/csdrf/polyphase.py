@@ -64,9 +64,12 @@ def psd_pc_matrix_continuous(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
     """Polyphase matrix of a continuous-time process at intra-period resolution dim.
 
     Entry (m, r) at phi is (1/T0) sum_k sum_n cpsd(n, (phi - k)/T0)
-    e^{2 pi i (n r + (m - r)(phi - k)) / dim}. Spectra that expose an exact
-    rank-one factorization (pulse-amplitude structure) bypass the double
-    series.
+    e^{2 pi i (n r + (m - r)(phi - k)) / dim}. With
+    A[m, j] = e^{2 pi i m (phi - j) / dim} over the column aliases j = k + n,
+    the double series regroups into one batched product (1/T0) A_k W, where
+    W[k, r] = sum_n cpsd(n, (phi - k)/T0) conj(A[r, k + n]) and A_k keeps the
+    alias columns k = -kmax..kmax. Spectra that expose an exact rank-one
+    factorization (pulse-amplitude structure) bypass the series.
     """
     if dim < 1:
         raise ValueError("dim must be a positive integer")
@@ -85,23 +88,25 @@ def psd_pc_matrix_continuous(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
 
     t0 = spec.period
     kmax = ceil(0.5 + t0 * spec.freq_radius) + 1
+    n_alias = 2 * kmax + 1
     idx = np.arange(dim)
-    harmonic_phase = {n: np.exp(TWO_PI * 1j * n * idx / dim) for n in spec.active_indices}
+    # column aliases j = k + n cover -kmax + min(n, 0) .. kmax + max(n, 0)
+    j_lo = min(min(spec.active_indices, default=0), 0)
+    j_hi = max(max(spec.active_indices, default=0), 0)
+    aliases = np.arange(-kmax + j_lo, kmax + j_hi + 1)
+    k_rows = slice(-j_lo, -j_lo + n_alias)
+    alias_phase = np.exp(-TWO_PI * 1j * np.multiply.outer(aliases, idx) / dim)   # (j, m)
 
     def evaluate(phi):
-        npts = phi.size
-        out = np.zeros((npts, dim, dim), dtype=complex)
-        for k in range(-kmax, kmax + 1):
-            f = (phi - k) / t0
-            a = np.exp(TWO_PI * 1j * np.multiply.outer((phi - k) / dim, idx))
-            for n in spec.active_indices:
-                s = spec.cpsd(n, f)
-                if not np.any(s):
-                    continue
-                w = a.conj() * (s[:, None] * harmonic_phase[n][None, :])
-                out += np.einsum("pm,pr->pmr", a, w)
-        out /= t0
-        return out
+        # a[p, j, m] = A[m, j] at phi_p, split as e^{2 pi i m phi/dim} e^{-2 pi i m j/dim}
+        a = np.exp(TWO_PI * 1j * np.multiply.outer(phi / dim, idx))[:, None, :] * alias_phase
+        a_conj = a.conj()
+        f = ((phi[:, None] - aliases[k_rows]) / t0).ravel()
+        w = np.zeros((phi.size, n_alias, dim), dtype=complex)           # w[p, k, r]
+        for n in spec.active_indices:
+            s = spec.cpsd(n, f).reshape(phi.size, n_alias) / t0
+            w += s[:, :, None] * a_conj[:, k_rows.start + n:k_rows.stop + n, :]
+        return np.swapaxes(a[:, k_rows, :], 1, 2) @ w
 
     return PsdPcMatrix(dim, evaluate, spec.phi_breakpoints())
 

@@ -28,13 +28,24 @@ MAX_BISECT = 200
 # relative size of the negative eigenvalues read as round-off and clipped to zero
 CLIP_SCALE = 1e-9
 
+# complex matrix entries per eigenvalue-field slice (16 MB): a field is
+# assembled and decomposed at most SLICE_ENTRIES // dim**2 phi nodes at a time
+SLICE_ENTRIES = 2 ** 20
+
 
 class WaterLevelUnderflow(RuntimeError):
     """Requested rate exceeds what the bisection bracket can resolve."""
 
 
 class NotPositiveSemidefinite(ValueError):
-    """A spectral matrix had an eigenvalue below the tolerance floor."""
+    """A spectral matrix had an eigenvalue below the tolerance floor.
+
+    ``index`` is the batch position of the offending matrix.
+    """
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -129,7 +140,7 @@ def _clip_eigenvalues(lam: np.ndarray) -> np.ndarray:
         worst = int(np.argmin(lam.min(axis=-1)))
         raise NotPositiveSemidefinite(
             f"eigenvalue {lam.min():.3e} below tolerance at batch index {worst} "
-            f"(scale {scale.ravel()[worst]:.3e})")
+            f"(scale {scale.ravel()[worst]:.3e})", worst)
     return np.maximum(lam, 0.0)
 
 
@@ -162,12 +173,27 @@ class EigenField:
 
     @classmethod
     def from_matrix(cls, matrix: PsdPcMatrix, grid: Grid) -> "EigenField":
-        try:
-            lam = hermitian_eigenvalues(matrix(grid.nodes))
-        except (NotPositiveSemidefinite, np.linalg.LinAlgError) as exc:
-            raise type(exc)(f"{exc} (phi grid on [{grid.lo}, {grid.hi}], "
-                            f"{grid.size} nodes)") from exc
-        return cls(grid, lam, matrix.dim)
+        """Field of ``matrix`` over ``grid``, built slice by slice.
+
+        Each matrix is decomposed on its own, so the field does not depend on
+        the slicing; only the peak memory does.
+        """
+        step = max(1, SLICE_ENTRIES // matrix.dim ** 2)
+        parts = []
+        for start in range(0, grid.size, step):
+            nodes = grid.nodes[start:start + step]
+            where = (f"nodes {start}..{start + nodes.size - 1} of the phi grid on "
+                     f"[{grid.lo}, {grid.hi}], {grid.size} nodes")
+            try:
+                parts.append(hermitian_eigenvalues(matrix(nodes)))
+            except NotPositiveSemidefinite as exc:
+                node = start + exc.index
+                raise NotPositiveSemidefinite(
+                    f"node {node} at phi = {grid.nodes[node]:.17g}: {exc} in {where}",
+                    node) from exc
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(f"{exc} ({where})") from exc
+        return cls(grid, np.concatenate(parts), matrix.dim)
 
     def waterfiller(self, rate_normalizer: float) -> ScalarWaterfiller:
         """Waterfiller over the field: ``rate_normalizer`` is 1/(2 M) for bits

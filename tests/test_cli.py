@@ -115,6 +115,19 @@ def test_verify_subcommand_passes(tmp_path, capsys):
     assert "max_rel_gap" in out and "verify OK" in out
 
 
+@pytest.mark.parametrize("source", [
+    "kind = stationary\nfamily = flat\nbandwidth = 1.0\npower = 0",
+    "kind = am\nfamily = triangular\nbandwidth = 1.0\npower = 0\nf0 = 1.2",
+    "kind = discrete-cs\nvariances = 0 0",
+], ids=["stationary", "am", "discrete-cs"])
+def test_verify_zero_power_source_has_zero_gap(tmp_path, capsys, source):
+    text = f"[source]\n{source}\n\n[rates]\nmin = 0.1\nmax = 2.0\ncount = 3\nspacing = log\n"
+    cfg = _write(tmp_path, "zero.ini", text)
+    assert main(["verify", "--config", cfg]) == 0      # raised ZeroDivisionError before
+    out = capsys.readouterr().out
+    assert "max_rel_gap=0.000000e+00" in out and "verify OK" in out
+
+
 def test_config_error_names_the_key(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.ini", "[source]\nfamily = flat\n")
     assert main(["drf", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2

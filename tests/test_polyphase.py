@@ -1,8 +1,10 @@
+from math import ceil
+
 import numpy as np
 import pytest
 
-from csdrf.polyphase import (polyphase_component_psd, psd_pc_matrix_continuous,
-                             psd_pc_matrix_discrete)
+from csdrf.polyphase import (TWO_PI, polyphase_component_psd,
+                             psd_pc_matrix_continuous, psd_pc_matrix_discrete)
 from csdrf.quadrature import phi_grid
 from csdrf.spectra import (CyclicSpectrum, TruncationError, am_cpsd, flat_psd,
                            modulated_ma, pam_cpsd, raised_cosine_pulse,
@@ -101,6 +103,54 @@ def test_pam_matrix_is_rank_one_at_random_phis():
     top = lam[:, -1]
     mask = top > 1e-12 * top.max()
     assert np.all(lam[mask, -2] / top[mask] <= 1e-10)
+
+
+def _double_sum_matrix(spec, dim, phi):
+    """Reference: (1/T0) sum_k sum_n cpsd(n, (phi - k)/T0)
+    e^{2 pi i (n r + (m - r)(phi - k)) / dim}, one rank-one term per
+    (alias, harmonic) pair."""
+    t0 = spec.period
+    kmax = ceil(0.5 + t0 * spec.freq_radius) + 1
+    idx = np.arange(dim)
+    out = np.zeros((phi.size, dim, dim), dtype=complex)
+    for k in range(-kmax, kmax + 1):
+        a = np.exp(TWO_PI * 1j * np.multiply.outer((phi - k) / dim, idx))
+        for n in spec.active_indices:
+            s = spec.cpsd(n, (phi - k) / t0)
+            w = a.conj() * (s[:, None] * np.exp(TWO_PI * 1j * n * idx / dim)[None, :])
+            out += np.einsum("pm,pr->pmr", a, w)
+    return out / t0
+
+
+def _assert_matches_double_sum(spec, dim, phi):
+    got = psd_pc_matrix_continuous(spec, dim)(phi)
+    ref = _double_sum_matrix(spec, dim, phi)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("center", [0.11, 0.2, 0.45, 1.4, 2.5])
+def test_factored_am_matrix_matches_double_sum(center):
+    # one carrier in each refinement stratum (f0/f_B near 0.11, 0.2, 0.45,
+    # 1.4) and one above the narrowband threshold
+    rng = np.random.default_rng(int(100 * center))
+    bandwidth = rng.uniform(0.5, 2.0)
+    spec = am_cpsd(triangular_psd(bandwidth, rng.uniform(0.5, 2.0)),
+                   bandwidth * center * rng.uniform(0.97, 1.03), rng.uniform(0.0, np.pi))
+    phi = rng.uniform(-0.5, 0.5, 48)
+    for dim in (1, 3, 8, 64):
+        _assert_matches_double_sum(spec, dim, phi)
+
+
+def test_factored_stationary_and_one_sided_matrices_match_double_sum():
+    phi = np.random.default_rng(3).uniform(-0.5, 0.5, 40)
+    base = triangular_psd(1.0, 1.0)
+    # a one-sided harmonic set: the column aliases reach k + 3 but never below k
+    one_sided = CyclicSpectrum(
+        0.7, lambda n, f: (1.0 + 0.25 * n) * np.exp(0.4j * n) * base(f), (0, 3),
+        base.support_radius, 1.0, base.breakpoints)
+    for spec in (stationary_cyclic(base, 0.4), one_sided):
+        for dim in (1, 3, 8):
+            _assert_matches_double_sum(spec, dim, phi)
 
 
 def test_staircase_matrix_works_through_factor_route():

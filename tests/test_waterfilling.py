@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from csdrf.polyphase import psd_pc_matrix_continuous, psd_pc_matrix_discrete
+from csdrf.polyphase import (PsdPcMatrix, psd_pc_matrix_continuous,
+                             psd_pc_matrix_discrete)
 from csdrf.quadrature import phi_grid
 from csdrf.spectra import (am_cpsd, flat_psd, raised_cosine_psd,
                            triangular_psd, white_cs)
-from csdrf.waterfilling import (EigenField, NotPositiveSemidefinite,
+from csdrf.waterfilling import (SLICE_ENTRIES, EigenField, NotPositiveSemidefinite,
                                 ScalarWaterfiller, WaterLevelUnderflow,
                                 discrete_stationary_drf, hermitian_eigenvalues,
                                 stationary_drf, stationary_waterfiller)
@@ -80,6 +81,45 @@ def test_tiny_negative_clipped():
 def _field_from_white(variances, n_grid=512):
     mat = psd_pc_matrix_discrete(white_cs(variances))
     return EigenField.from_matrix(mat, phi_grid(n_grid))
+
+
+def _recording(matrix):
+    """The same matrix field, recording the node count of every evaluation."""
+    sizes = []
+
+    def evaluate(phi):
+        sizes.append(phi.size)
+        return matrix(phi)
+
+    return PsdPcMatrix(matrix.dim, evaluate, matrix.phi_breakpoints), sizes
+
+
+def test_field_is_built_in_slices_and_equals_the_one_shot_field():
+    matrix, sizes = _recording(
+        psd_pc_matrix_continuous(am_cpsd(triangular_psd(1.0, 1.0), 0.45, 0.3), 64))
+    step = SLICE_ENTRIES // 64 ** 2
+    grid = phi_grid(2 * step + 77, matrix.phi_breakpoints)     # not a multiple of the slice
+    field = EigenField.from_matrix(matrix, grid)
+    assert max(sizes) <= step and sum(sizes) == grid.size and len(sizes) == 3
+    np.testing.assert_array_equal(field.lam, hermitian_eigenvalues(matrix(grid.nodes)))
+
+
+def test_psd_failure_in_a_later_slice_names_the_grid_node():
+    dim = 32
+    step = SLICE_ENTRIES // dim ** 2
+    grid = phi_grid(3 * step)
+    bad = 2 * step + 5
+
+    def evaluate(phi):
+        out = np.tile(np.eye(dim, dtype=complex), (phi.size, 1, 1))
+        out[phi == grid.nodes[bad], 0, 0] = -1.0
+        return out
+
+    matrix, sizes = _recording(PsdPcMatrix(dim, evaluate, ()))
+    with pytest.raises(NotPositiveSemidefinite) as info:
+        EigenField.from_matrix(matrix, grid)
+    assert info.value.index == bad and sizes == [step] * 3
+    assert f"node {bad} at phi = {grid.nodes[bad]:.17g}:" in str(info.value)
 
 
 def test_zero_rate_region_gives_total_power():
