@@ -272,9 +272,16 @@ def _solved(make_solve, m=0):
     return build
 
 
-def _per_rate(distortion, m=0):
-    """Builder for a bound evaluated afresh at every rate; theta reads 0."""
-    return lambda: lambda rate: (distortion(rate), 0.0, m, True)
+def _whole_curve(sc, distortions, m=0):
+    """Builder for a bound that ``distortions(rates)`` gives at all rates at once; theta reads 0."""
+    def build():
+        try:
+            values = distortions(sc.rates)
+        except WaterLevelUnderflow as exc:
+            raise WaterLevelUnderflow(f"lower_bound: {exc}") from exc
+        table = dict(zip(sc.rates.tolist(), values.tolist()))
+        return lambda rate: (table[rate], 0.0, m, True)
+    return build
 
 
 def _stationary(sc, psd):
@@ -282,13 +289,13 @@ def _stationary(sc, psd):
 
 
 def _lower_bound(sc, spec):
-    return _per_rate(lambda rate: drf_mod.lower_bound_continuous(spec, rate, sc.t_grid,
-                                                                 sc.phi_grid))
+    return _whole_curve(sc, lambda rates: drf_mod.lower_bound_continuous(
+        spec, rates, sc.t_grid, sc.phi_grid))
 
 
 def _kernel_oracle(sc, spec):
-    return _solved(lambda: partial(oracle_mod.kl_drf, oracle_mod.build_kernel(
-        spec, sc.oracle_periods * spec.period, sc.oracle_n)))
+    return _solved(lambda: oracle_mod.kl_drf(oracle_mod.build_kernel(
+        spec, sc.oracle_periods * spec.period, sc.oracle_n)).solve)
 
 
 def _refined(sc, spec):
@@ -319,13 +326,12 @@ def _discrete_sources(sc):
         return field.waterfiller(1.0 / (2.0 * m)).solve
 
     def block_solve():
-        block = oracle_mod.BlockCovariance.from_process(proc, sc.oracle_n)
-        return partial(oracle_mod.kl_drf, block)
+        return oracle_mod.kl_drf(oracle_mod.BlockCovariance.from_process(proc, sc.oracle_n)).solve
 
     return [Source(proc, {
         "drf": _solved(field_solve, m),
-        "lower_bound": _per_rate(
-            lambda rate: drf_mod.lower_bound_discrete(proc, rate, sc.phi_grid), m),
+        "lower_bound": _whole_curve(
+            sc, lambda rates: drf_mod.lower_bound_discrete(proc, rates, sc.phi_grid), m),
         "oracle": _solved(block_solve, m),
     }, lambda: psd_pc_matrix_discrete(proc))]
 

@@ -44,8 +44,8 @@ def drf_cs_discrete(proc: DiscreteCsProcess, rate_bits_per_symbol: float,
     return eigs.waterfiller(1.0 / (2.0 * proc.period)).solve(rate_bits_per_symbol)
 
 
-def lower_bound_discrete(proc: DiscreteCsProcess, rate_bits_per_symbol: float,
-                         n_grid: int = 2048) -> float:
+def lower_bound_discrete(proc: DiscreteCsProcess, rates_bits_per_symbol,
+                         n_grid: int = 2048) -> np.ndarray:
     """Average of the per-component curves: a lower bound on the distortion.
 
     Each polyphase subsequence is waterfilled on its own spectrum. A code of
@@ -53,16 +53,24 @@ def lower_bound_discrete(proc: DiscreteCsProcess, rate_bits_per_symbol: float,
     coordinate sees the full M*R bits per its own symbol; coding the
     coordinates jointly can only do better, hence the bound. Tight at rate 0
     and asymptotically as the rate grows.
+
+    Returns the bound at every rate, shaped like ``rates_bits_per_symbol``;
+    each component's spectrum is folded once for the whole curve.
     """
     m = proc.period
     grid = phi_grid(n_grid, proc.phi_breakpoints)
-    per_component_rate = m * rate_bits_per_symbol
-    total = 0.0
+    per_component_rates = m * np.asarray(rates_bits_per_symbol, dtype=float)
+    total = np.zeros(per_component_rates.shape)
     for comp in range(m):
         levels = polyphase_component_psd(proc, comp, grid.nodes)
         sw = ScalarWaterfiller(levels, grid.weights, d_scale=1.0, r_scale=0.5)
-        total += sw.solve(per_component_rate).distortion
+        total += _distortions(sw, per_component_rates)
     return total / m
+
+
+def _distortions(sw: ScalarWaterfiller, rates: np.ndarray) -> np.ndarray:
+    """Distortion of one waterfiller at every rate, shaped like ``rates``."""
+    return np.array([sw.solve(rate).distortion for rate in rates.flat]).reshape(rates.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +175,8 @@ def drf_cs_at_resolution(spec: CyclicSpectrum, rate_bits_per_second: float,
     return ContinuousDrfSolver(spec, cfg).point_at(rate_bits_per_second, dim)
 
 
-def lower_bound_continuous(spec: CyclicSpectrum, rate_bits_per_second: float,
-                           n_t: int = 64, n_grid: int = 2048) -> float:
+def lower_bound_continuous(spec: CyclicSpectrum, rates_bits_per_second,
+                           n_t: int = 64, n_grid: int = 2048) -> np.ndarray:
     """Phase-averaged per-component bound for a continuous-time source.
 
     For each phase t the component spectrum is the folded time-varying
@@ -176,16 +184,20 @@ def lower_bound_continuous(spec: CyclicSpectrum, rate_bits_per_second: float,
     and the resulting distortions are averaged over one period by the
     midpoint rule. Equality holds exactly when a single component determines
     all others.
+
+    Returns the bound at every rate, shaped like ``rates_bits_per_second``;
+    each phase's spectrum is folded once for the whole curve.
     """
     t0 = spec.period
     grid = phi_grid(n_grid, spec.phi_breakpoints())
     normalizer = 1.0 / (2.0 * t0)
-    total = 0.0
+    rates = np.asarray(rates_bits_per_second, dtype=float)
+    total = np.zeros(rates.shape)
     for i in range(n_t):
         t = (i + 0.5) * t0 / n_t
         levels = spec.pc_psd(t, grid.nodes)
         sw = ScalarWaterfiller(levels, grid.weights, d_scale=1.0, r_scale=normalizer)
-        total += sw.solve(rate_bits_per_second).distortion
+        total += _distortions(sw, rates)
     return total / n_t
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectra import CyclicSpectrum, DiscreteCsProcess
-from .waterfilling import RateDistortionPoint, ScalarWaterfiller, _clip_eigenvalues
+from .waterfilling import ScalarWaterfiller, _clip_eigenvalues
 
 
 @dataclass(frozen=True, eq=False)
@@ -22,7 +22,8 @@ class KernelGrid:
 
     ``weight`` is the quadrature weight per cell divided by the window length
     2T, so values * weight is the matrix of the window-normalized integral
-    operator. ``fn`` optionally keeps the kernel callable for resampling.
+    operator. ``fn`` optionally keeps the kernel callable for resampling: it
+    maps a 1-d time vector to the covariance matrix at those times.
     """
 
     times: np.ndarray
@@ -53,6 +54,8 @@ class BlockCovariance:
 
     @classmethod
     def from_process(cls, proc: DiscreteCsProcess, n: int) -> "BlockCovariance":
+        if n < 1:
+            raise ValueError(f"block length n must be at least 1, got {n!r}")
         mat = np.zeros((n, n))
         lmax = proc.memory
         for lag in range(-lmax, lmax + 1):
@@ -64,25 +67,22 @@ class BlockCovariance:
 def build_kernel(spec: CyclicSpectrum, t_half: float, n: int) -> KernelGrid:
     """Covariance kernel of a continuous-time source on a [-T, T] grid.
 
-    T must be an integer multiple of the period (keeps whole cycles in the
-    window). The kernel is evaluated through the source's covariance
+    T must be a positive integer multiple of the period (keeps whole cycles
+    in the window). The kernel is evaluated through the source's covariance
     function, symmetrized, and paired with the 1/(2T) window normalization.
     """
     if n < 2:
-        raise ValueError("need at least two grid points")
+        raise ValueError(f"need at least two grid points, got n = {n!r}")
+    if not (np.isfinite(t_half) and t_half > 0.0):
+        raise ValueError(f"window half-width t_half must be finite and positive, "
+                         f"got {t_half!r}")
     cycles = t_half / spec.period
     if abs(cycles - round(cycles)) > 1e-9 * max(1.0, cycles):
         raise ValueError(f"window half-width {t_half} is not a multiple of the period {spec.period}")
     dt = 2.0 * t_half / n
     times = -t_half + dt * (np.arange(n) + 0.5)
-
-    def fn(t, s):
-        return spec.covariance(t, s)
-
-    tt, ss = np.meshgrid(times, times, indexing="ij")
-    values = np.asarray(fn(tt, ss), dtype=float)
-    values = 0.5 * (values + values.T)
-    return KernelGrid(times, values, 1.0 / n, t_half, fn)
+    return KernelGrid(times, _symmetric(spec.covariance(times)), 1.0 / n, t_half,
+                      spec.covariance)
 
 
 def step_approximation(kernel: KernelGrid, steps_per_period: int, period: float) -> KernelGrid:
@@ -95,21 +95,25 @@ def step_approximation(kernel: KernelGrid, steps_per_period: int, period: float)
         raise ValueError("step approximation needs the kernel callable")
     h = period / steps_per_period
     stepped = np.floor(kernel.times / h) * h
-    tt, ss = np.meshgrid(stepped, stepped, indexing="ij")
-    values = np.asarray(kernel.fn(tt, ss), dtype=float)
-    values = 0.5 * (values + values.T)
-    return KernelGrid(kernel.times, values, kernel.weight, kernel.half_width, kernel.fn)
+    return KernelGrid(kernel.times, _symmetric(kernel.fn(stepped)), kernel.weight,
+                      kernel.half_width, kernel.fn)
 
 
-def kl_drf(source, target_rate: float) -> RateDistortionPoint:
-    """Finite-window curve from covariance eigenvalues.
+def _symmetric(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    return 0.5 * (values + values.T)
 
-    For a KernelGrid the eigenvalues of the window-normalized operator are
-    waterfilled with rate in bits per second, (1/(4T)) sum log2+. For a
-    BlockCovariance the eigenvalues of C/N are waterfilled with rate in bits
-    per symbol, (1/(2N)) sum log2+. Distortion is a plain eigenvalue sum in
-    both cases because the normalization already sits inside the
-    eigenvalues.
+
+def kl_drf(source) -> ScalarWaterfiller:
+    """Finite-window waterfiller from covariance eigenvalues.
+
+    The kernel or block is decomposed once; ``.solve(rate)`` then gives the
+    curve at any rate. For a KernelGrid the eigenvalues of the
+    window-normalized operator are waterfilled with rate in bits per second,
+    (1/(4T)) sum log2+. For a BlockCovariance the eigenvalues of C/N are
+    waterfilled with rate in bits per symbol, (1/(2N)) sum log2+. Distortion
+    is a plain eigenvalue sum in both cases because the normalization already
+    sits inside the eigenvalues.
     """
     if isinstance(source, KernelGrid):
         lam = _clip_eigenvalues(source.operator_eigenvalues())
@@ -120,8 +124,7 @@ def kl_drf(source, target_rate: float) -> RateDistortionPoint:
         r_scale = 1.0 / (2.0 * n)
     else:
         raise TypeError(f"unsupported oracle source: {type(source)!r}")
-    sw = ScalarWaterfiller(lam, np.ones_like(lam), d_scale=1.0, r_scale=r_scale)
-    return sw.solve(target_rate)
+    return ScalarWaterfiller(lam, np.ones_like(lam), d_scale=1.0, r_scale=r_scale)
 
 
 @dataclass(frozen=True)

@@ -341,15 +341,29 @@ class CyclicSpectrum:
         kern = np.exp(TWO_PI * 1j * np.multiply.outer(tau, nodes))
         return kern @ (weights * self.cpsd(n, nodes))
 
-    def covariance(self, t, s):
-        """Covariance E[X(t) X(s)], broadcasting over the inputs."""
+    def covariance(self, times):
+        """Covariance matrix E[X(t_i) X(t_j)] at the times of a 1-d vector.
+
+        Entry (i, j) is sum_n cyclic_autocorr(n, t_i - t_j) exp(2 pi i n t_j / T0).
+        Each harmonic's autocorrelation is evaluated once per distinct value
+        of t_i - t_j and gathered into the matrix, so the lag-domain work
+        grows with the number of distinct lags, not with n^2.
+        """
         self._require_finite("covariance")
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        out = np.zeros(np.broadcast(t, s).shape, dtype=complex)
+        t = _time_vector(times)
+        lags, where = np.unique(np.subtract.outer(t, t), return_inverse=True)
+        where = where.reshape(t.size, t.size)
+        out = np.zeros((t.size, t.size), dtype=complex)
         for n in self.active_indices:
-            out += self.cyclic_autocorr(n, t - s) * np.exp(TWO_PI * 1j * n * s / self.period)
+            out += self.cyclic_autocorr(n, lags)[where] * np.exp(TWO_PI * 1j * n * t / self.period)
         return out.real
+
+
+def _time_vector(times) -> np.ndarray:
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"times must be a 1-d vector, got shape {t.shape}")
+    return t
 
 
 def am_cpsd(base: StationaryPsd, f0: float, phase: float = 0.0) -> CyclicSpectrum:
@@ -572,28 +586,24 @@ class PamCyclicSpectrum(CyclicSpectrum):
     def phi_breakpoints(self):
         return fold_breakpoints(self._band_breaks, self.period)
 
-    def covariance(self, t, s):
-        """Exact covariance via the time-domain pulse sums (compact pulses only)."""
+    def covariance(self, times):
+        """Covariance matrix P R_U P^T for pulses with a time window.
+
+        P[i, b] = p(t_i - b T0) over every symbol b whose pulse window meets
+        the times, and R_U is the Toeplitz matrix of the base autocorrelation
+        at whole-symbol lags. Other pulses take the generic lag-domain path.
+        """
         win = self.pulse.time_window
         if win is None or self.pulse.time_fn is None or self.base.autocorr is None:
-            return super().covariance(t, s)
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
+            return super().covariance(times)
+        t = _time_vector(times)
         t0 = self.period
-        t, s = np.broadcast_arrays(t, s)
-        out = np.zeros(t.shape, dtype=float)
-        width = win[1] - win[0]
-        dmin = floor(((t - s).min() - width) / t0) - 1
-        dmax = ceil(((t - s).max() + width) / t0) + 1
-        b_lo = floor((s.min() - win[1]) / t0) - 1
-        b_hi = ceil((s.max() - win[0]) / t0) + 1
-        for j in range(dmin, dmax + 1):
-            acc = np.zeros(t.shape, dtype=float)
-            for b in range(b_lo, b_hi + 1):
-                acc += self.pulse.time_fn(t - (b + j) * t0) * self.pulse.time_fn(s - b * t0)
-            if np.any(acc):
-                out += float(self.base.autocorr(j * t0).real) * acc
-        return out
+        symbols = np.arange(floor((t.min() - win[1]) / t0) - 1,
+                            ceil((t.max() - win[0]) / t0) + 2)
+        pulses = self.pulse.time_fn(np.subtract.outer(t, symbols * t0))
+        r_u = self.base.autocorr(np.arange(1 - symbols.size, symbols.size) * t0).real
+        toeplitz = r_u[np.subtract.outer(symbols, symbols) + symbols.size - 1]
+        return pulses @ toeplitz @ pulses.T
 
 
 def pam_cpsd(base: StationaryPsd, pulse: PulseShape, t_symbol: float) -> PamCyclicSpectrum:

@@ -175,6 +175,11 @@ def test_rate_beyond_the_bracket_is_a_numeric_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: drf at rate ") and "exceeds" in err, err
     assert not (tmp_path / "x.csv").exists()
+    cfg = _write(tmp_path, "bigb.ini", VERIFY_CFG.replace("max = 8.0", "max = 1e6"))
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: lower_bound: ") and "exceeds" in err, err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_nonconvergence_exit_code_and_flag(tmp_path):
@@ -409,3 +414,56 @@ def test_verify_am_uses_phase_and_convergence(tmp_path, capsys):
     assert f"fast={float(row['distortion']):.12g} " in capsys.readouterr().out
     assert main(["verify", "--config", cfg]) == 3
     assert "did not converge" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# expensive state is built once per curve
+# ---------------------------------------------------------------------------
+
+def _curve_cfg(tmp_path, kind, count):
+    text = (f"[source]\nkind = {kind}\n{TINY[kind]}\n"
+            f"[rates]\nmin = 0.2\nmax = 2.0\ncount = {count}\nspacing = log\n\n"
+            "[numerics]\nphi_grid = 128\nm_start = 4\nm_max = 8\n"
+            "oracle_n = 48\noracle_periods = 2\nt_grid = 4\n")
+    return _write(tmp_path, f"{kind}-{count}.ini", text)
+
+
+@pytest.mark.parametrize("kind", ["stationary", "discrete-cs", "am", "pam"])
+def test_verify_decomposes_each_kernel_once(tmp_path, monkeypatch, capsys, kind):
+    eigvalsh = np.linalg.eigvalsh
+    oracle_shapes = []
+
+    def recording(a, *args, **kwargs):
+        if np.shape(a) == (48, 48):
+            oracle_shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    main(["verify", "--config", _curve_cfg(tmp_path, kind, 8), "--allow-nonconverged"])
+    assert capsys.readouterr().out.count("rate=") == 8
+    assert len(oracle_shapes) == 1
+
+
+@pytest.mark.parametrize("kind", ["discrete-cs", "am", "pam"])
+def test_bound_folds_each_profile_once_per_curve(tmp_path, monkeypatch, kind):
+    calls = []
+
+    def record(owner, name):
+        original = getattr(owner, name)
+
+        def recording(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, recording)
+
+    record(csdrf.spectra.CyclicSpectrum, "pc_psd")
+    record(csdrf.spectra.PamCyclicSpectrum, "pc_psd")
+    record(csdrf.drf, "polyphase_component_psd")
+    counts = []
+    for count in (2, 8):
+        calls.clear()
+        out = str(tmp_path / f"b{count}.csv")
+        assert main(["bound", "--config", _curve_cfg(tmp_path, kind, count), "--out", out]) == 0
+        assert len(_read_rows(out)) == count
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

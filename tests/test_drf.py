@@ -8,8 +8,8 @@ from csdrf.drf import (ContinuousDrfConfig, ContinuousDrfSolver,
                        upper_bound_gaussian_psd)
 from csdrf.spectra import (PulseShape, am_cpsd, flat_psd, ideal_interp_pulse,
                            modulated_ma, pam_cpsd, raised_cosine_pulse,
-                           rect_pulse, stationary_cyclic, triangular_psd,
-                           white_cs)
+                           rect_pulse, stationary_cyclic, triangle_pulse,
+                           triangular_psd, white_cs)
 from csdrf.waterfilling import discrete_stationary_drf, stationary_drf
 
 
@@ -178,8 +178,8 @@ def test_am_numeric_below_gaussian_psd_upper_bound():
 def test_discrete_bound_sandwich_and_endpoints():
     proc = white_cs([1.0, 4.0])
     assert lower_bound_discrete(proc, 0.0) == pytest.approx(2.5, rel=1e-9)
-    for rate in (0.25, 0.5, 1.0, 2.0):
-        lb = lower_bound_discrete(proc, rate)
+    rates = [0.25, 0.5, 1.0, 2.0]
+    for rate, lb in zip(rates, lower_bound_discrete(proc, rates)):
         drf = drf_cs_discrete(proc, rate).distortion
         assert lb <= drf + 1e-12
     # hand value: each coordinate coded at 2 * 0.5 = 1 bit per own symbol
@@ -196,8 +196,8 @@ def test_discrete_bound_tight_at_high_rate():
 def test_continuous_bound_zero_rate_and_am_ordering():
     spec = am_cpsd(triangular_psd(1.0, 1.0), 1.2)
     assert lower_bound_continuous(spec, 0.0) == pytest.approx(spec.avg_power, rel=1e-9)
-    for rate in (0.3, 1.0, 2.5):
-        lb = lower_bound_continuous(spec, rate)
+    rates = [0.3, 1.0, 2.5]
+    for rate, lb in zip(rates, lower_bound_continuous(spec, rates)):
         am = drf_am(triangular_psd(1.0, 1.0), 1.2, rate)
         assert lb <= am.point.distortion + 1e-9
 
@@ -206,10 +206,27 @@ def test_staircase_bound_attains_the_curve():
     # maximally correlated components: the bound is the curve
     base = flat_psd(1.0, 1.0)
     spec = pam_cpsd(base, rect_pulse(1.0), 1.0)
-    for rate in (0.3, 0.9, 1.8):
-        lb = lower_bound_continuous(spec, rate)
+    rates = [0.3, 0.9, 1.8]
+    for rate, lb in zip(rates, lower_bound_continuous(spec, rates)):
         pt = drf_pam(base, rect_pulse(1.0), 1.0, rate)
         assert lb == pytest.approx(pt.distortion, rel=1e-6)
+
+
+@pytest.mark.parametrize("bound, source", [
+    (lower_bound_discrete, lambda: modulated_ma([1.0, 0.5, 2.0], [1.0, 0.4, 0.2])),
+    (lower_bound_continuous, lambda: am_cpsd(triangular_psd(1.0, 1.0), 1.2)),
+    (lower_bound_continuous, lambda: pam_cpsd(flat_psd(1.0, 1.0), triangle_pulse(0.8), 0.8)),
+])
+def test_whole_curve_bound_equals_the_bound_at_each_rate(bound, source):
+    # the profiles are built once per curve; each rate still sums the same
+    # terms in the same order, so the values are bit-identical
+    src = source()
+    rates = np.geomspace(0.05, 3.0, 7)
+    curve = bound(src, rates, n_grid=256)
+    assert curve.shape == rates.shape
+    for rate, d in zip(rates, curve):
+        assert d == bound(src, float(rate), n_grid=256)
+    assert bound(src, rates.reshape(7, 1), n_grid=256).shape == (7, 1)
 
 
 def test_continuous_bound_t_grid_refinement():

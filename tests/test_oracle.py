@@ -1,11 +1,17 @@
+from math import ceil, floor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from csdrf.cli import Scenario, _normalized_pam, make_base
 from csdrf.oracle import (BlockCovariance, KernelGrid, build_kernel, kl_drf,
                           step_approximation, weyl_gap)
-from csdrf.spectra import (am_cpsd, flat_psd, modulated_ma, pam_cpsd,
-                           rect_pulse, stationary_cyclic, triangular_psd,
-                           white_cs)
+from csdrf.spectra import (am_cpsd, flat_psd, ideal_interp_pulse, modulated_ma,
+                           pam_cpsd, raised_cosine_psd, raised_cosine_pulse,
+                           rect_pulse, stationary_cyclic, triangle_pulse,
+                           triangular_psd, white_cs)
 from csdrf.waterfilling import stationary_drf
 
 
@@ -65,21 +71,153 @@ def test_window_must_cover_whole_periods():
         build_kernel(spec, 1.1, 64)
 
 
+def test_window_half_width_must_be_finite_and_positive():
+    spec = am_cpsd(flat_psd(1.0, 1.0), 4.0)
+    for t_half in (0.0, -2.0 * spec.period, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="t_half"):
+            build_kernel(spec, t_half, 64)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_block_length_must_be_positive(n):
+    with pytest.raises(ValueError, match="block length n"):
+        BlockCovariance.from_process(white_cs([1.0, 4.0]), n)
+
+
+# ---------------------------------------------------------------------------
+# covariance evaluation against the direct sums it replaces
+# ---------------------------------------------------------------------------
+
+def _pam_loop_covariance(spec, t, s):
+    """Windowed-pulse PAM covariance by the lag-by-symbol double sum.
+
+    sum_j R_U(j T0) sum_b p(t - (b + j) T0) p(s - b T0), broadcasting over
+    t and s; the reference for the factored product P R_U P^T.
+    """
+    win = spec.pulse.time_window
+    t0 = spec.period
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    out = np.zeros(t.shape)
+    width = win[1] - win[0]
+    dmin = floor(((t - s).min() - width) / t0) - 1
+    dmax = ceil(((t - s).max() + width) / t0) + 1
+    b_lo = floor((s.min() - win[1]) / t0) - 1
+    b_hi = ceil((s.max() - win[0]) / t0) + 1
+    for j in range(dmin, dmax + 1):
+        acc = np.zeros(t.shape)
+        for b in range(b_lo, b_hi + 1):
+            acc += spec.pulse.time_fn(t - (b + j) * t0) * spec.pulse.time_fn(s - b * t0)
+        if np.any(acc):
+            out += float(spec.base.autocorr(j * t0).real) * acc
+    return out
+
+
+def _broadcast_covariance(spec, t, s):
+    """sum_n cyclic_autocorr(n, t - s) exp(2 pi i n s / T0) on the full broadcast grid."""
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    out = np.zeros(t.shape, dtype=complex)
+    for n in spec.active_indices:
+        out += spec.cyclic_autocorr(n, t - s) * np.exp(2.0 * np.pi * 1j * n * s / spec.period)
+    return out.real
+
+
+def _outer(reference, spec, times):
+    values = reference(spec, times[:, None], times[None, :])
+    return 0.5 * (values + values.T)
+
+
+def _pam(family, bandwidth, power, pulse, symbol_rate, normalize):
+    sc = Scenario(kind="pam", family=family, bandwidth=bandwidth, power=power,
+                  pulse=pulse, normalize_power=normalize)
+    return _normalized_pam(sc, make_base(sc), symbol_rate)
+
+
+def _assert_factored_matches_loop(spec, periods, n, steps):
+    kern = build_kernel(spec, periods * spec.period, n)
+    stepped = step_approximation(kern, steps, spec.period)
+    h = spec.period / steps
+    for values, times in ((kern.values, kern.times),
+                          (stepped.values, np.floor(kern.times / h) * h)):
+        ref = _outer(_pam_loop_covariance, spec, times)
+        np.testing.assert_allclose(values, ref, rtol=0.0, atol=1e-15 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("pulse, normalize", [
+    ("rect", False), ("triangle", False), ("rect", True), ("triangle", True)])
+def test_factored_pam_kernel_matches_the_symbol_loop(pulse, normalize):
+    spec = _pam("raised_cosine", 1.0, 2.0, pulse, 1.3, normalize)
+    if normalize:
+        assert spec.pulse.name.startswith(pulse + "*")
+    _assert_factored_matches_loop(spec, periods=4, n=96, steps=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["flat", "triangular", "raised_cosine"]),
+       bandwidth=st.floats(0.25, 4.0), power=st.floats(0.1, 10.0),
+       pulse=st.sampled_from(["rect", "triangle"]), normalize=st.booleans(),
+       nyquist_share=st.floats(0.1, 2.0), periods=st.integers(1, 5),
+       n=st.integers(2, 64), steps=st.integers(1, 8))
+def test_factored_pam_kernel_property(family, bandwidth, power, pulse, normalize,
+                                      nyquist_share, periods, n, steps):
+    spec = _pam(family, bandwidth, power, pulse, 2.0 * bandwidth * nyquist_share, normalize)
+    _assert_factored_matches_loop(spec, periods, n, steps)
+
+
+GENERIC_SOURCES = {
+    "am": lambda: am_cpsd(triangular_psd(1.0, 1.5), 1.7, 0.4),
+    "stationary": lambda: stationary_cyclic(raised_cosine_psd(0.8, 1.0), 0.7),
+    "pam-ideal": lambda: pam_cpsd(flat_psd(1.0, 1.0), ideal_interp_pulse(0.8), 0.8),
+    "pam-raised-cosine": lambda: pam_cpsd(triangular_psd(1.0, 1.0),
+                                          raised_cosine_pulse(0.7, 0.3), 0.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_SOURCES))
+def test_generic_covariance_equals_the_broadcast_sum(name):
+    spec = GENERIC_SOURCES[name]()
+    kern = build_kernel(spec, 3 * spec.period, 40)
+    stepped = step_approximation(kern, 5, spec.period)
+    h = spec.period / 5
+    for values, times in ((kern.values, kern.times),
+                          (stepped.values, np.floor(kern.times / h) * h)):
+        np.testing.assert_array_equal(values, _outer(_broadcast_covariance, spec, times))
+
+
+@pytest.mark.parametrize("name", ["pam-ideal", "pam-raised-cosine", "am"])
+def test_cyclic_autocorr_sees_only_the_distinct_lags(monkeypatch, name):
+    spec = GENERIC_SOURCES[name]()
+    original = spec.cyclic_autocorr
+    sizes = []
+
+    def recording(n, tau):
+        sizes.append(np.size(tau))
+        return original(n, tau)
+
+    monkeypatch.setattr(spec, "cyclic_autocorr", recording)
+    kern = build_kernel(spec, 4 * spec.period, 64)
+    h = spec.period / 3
+    for times in (kern.times, np.floor(kern.times / h) * h):
+        sizes.clear()
+        spec.covariance(times)
+        distinct = np.unique(np.subtract.outer(times, times)).size
+        assert sizes and max(sizes) <= distinct < times.size ** 2
+
+
 # ---------------------------------------------------------------------------
 # finite-window curves
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_iid_block_closed_form_any_length(n):
-    block = BlockCovariance.from_process(white_cs([1.0]), n)
+    oracle = kl_drf(BlockCovariance.from_process(white_cs([1.0]), n))
     for rate in (0.5, 1.0, 3.0):
-        pt = kl_drf(block, rate)
+        pt = oracle.solve(rate)
         assert pt.distortion == pytest.approx(2.0 ** (-2.0 * rate), rel=1e-12)
 
 
 def test_alternating_block_matches_fast_path():
     block = BlockCovariance.from_process(white_cs([1.0, 4.0]), 64)
-    pt = kl_drf(block, 0.5)
+    pt = kl_drf(block).solve(0.5)
     assert pt.distortion == pytest.approx(1.0, rel=1e-3)
 
 
@@ -112,7 +250,7 @@ def test_window_doubling_halves_the_gap():
         gaps = []
         for periods, n in ((8, 256), (16, 512), (32, 1024)):
             kern = build_kernel(spec, periods * spec.period, n)
-            gaps.append(abs(kl_drf(kern, 1.0).distortion - ref))
+            gaps.append(abs(kl_drf(kern).solve(1.0).distortion - ref))
         assert gaps[1] <= 0.65 * gaps[0]
         assert gaps[2] <= 0.65 * gaps[1]
 
@@ -121,7 +259,7 @@ def test_negative_definite_block_rejected():
     bad = KernelGrid(np.array([0.0, 1.0]), np.array([[1.0, 2.0], [2.0, 1.0]]),
                      0.5, 1.0)
     with pytest.raises(ValueError):
-        kl_drf(bad, 1.0)
+        kl_drf(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +317,9 @@ def test_staircase_oracle_agreement_all_families(family):
     # curve has no truncation bias
     base = family(1.0, 1.0)
     spec = pam_cpsd(base, rect_pulse(1.0), 1.0)
-    kern = build_kernel(spec, 8.0, 256)
+    oracle = kl_drf(build_kernel(spec, 8.0, 256))
     from csdrf.drf import drf_pam
     for rate in np.geomspace(0.1, 2.0, 6):
         fast = drf_pam(base, rect_pulse(1.0), 1.0, float(rate)).distortion
-        ref = kl_drf(kern, float(rate)).distortion
+        ref = oracle.solve(float(rate)).distortion
         assert fast == pytest.approx(ref, rel=1e-3)
