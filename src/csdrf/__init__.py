@@ -14,7 +14,7 @@ from .drf import (AmDrfResult, ContinuousDrfConfig, ContinuousDrfResult,
                   upper_bound_gaussian_psd)
 from .oracle import (BlockCovariance, KernelGrid, WeylGap, build_kernel,
                      kl_drf, step_approximation, weyl_gap)
-from .polyphase import (PsdPcMatrix, polyphase_component_psd,
+from .polyphase import (PsdPcMatrix, folded_alias_matrix, polyphase_component_psd,
                         psd_pc_matrix_continuous, psd_pc_matrix_discrete)
 from .quadrature import Grid, fold_breakpoints, phi_grid, segmented_midpoint
 from .spectra import (CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum,

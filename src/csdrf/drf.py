@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyphase import (polyphase_component_psd, psd_pc_matrix_continuous,
-                        psd_pc_matrix_discrete)
+from .polyphase import (_require_positive_int, folded_alias_matrix,
+                        polyphase_component_psd, psd_pc_matrix_discrete)
 from .quadrature import phi_grid, segmented_midpoint
 from .spectra import (CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum,
                       PulseShape, StationaryPsd, am_cpsd, am_gaussian_psd)
@@ -98,8 +98,11 @@ class ContinuousDrfConfig:
     n_grid: int = 2048
 
     def __post_init__(self):
-        if self.m_start < 1 or self.m_max < self.m_start:
-            raise ValueError("need 1 <= m_start <= m_max")
+        for name in ("m_start", "m_max", "n_grid"):
+            _require_positive_int(name, getattr(self, name))
+        if self.m_max < self.m_start:
+            raise ValueError(f"m_max must be at least m_start = {self.m_start}, "
+                             f"got {self.m_max}")
         if self.lipschitz_c is not None and self.lipschitz_c < 0:
             raise ValueError("lipschitz_c must be nonnegative")
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
@@ -119,7 +122,12 @@ class ContinuousDrfResult:
 
 
 class ContinuousDrfSolver:
-    """Caches eigenvalue fields per resolution so rate sweeps reuse them."""
+    """Caches eigenvalue fields per resolution so rate sweeps reuse them.
+
+    The field at resolution M is the nonzero spectrum of the M x M polyphase
+    matrix, taken from the folded alias matrix of side min(M, J) over the J
+    aliases, or from the rank-one level for pulse-amplitude spectra.
+    """
 
     def __init__(self, spec: CyclicSpectrum, cfg: ContinuousDrfConfig | None = None):
         self.spec = spec
@@ -130,8 +138,8 @@ class ContinuousDrfSolver:
 
     def eigen_field(self, dim: int) -> EigenField:
         if dim not in self._fields:
-            matrix = psd_pc_matrix_continuous(self.spec, dim)
-            self._fields[dim] = EigenField.from_matrix(matrix, self._grid)
+            matrix = folded_alias_matrix(self.spec, dim)
+            self._fields[dim] = EigenField.from_matrix(matrix, self._grid, 1.0 / dim)
         return self._fields[dim]
 
     def point_at(self, rate_bits_per_second: float, dim: int) -> RateDistortionPoint:

@@ -60,6 +60,53 @@ def psd_pc_matrix_discrete(proc: DiscreteCsProcess) -> PsdPcMatrix:
     return PsdPcMatrix(m_dim, evaluate, tuple(proc.phi_breakpoints))
 
 
+def _require_positive_int(name: str, value) -> None:
+    """Reject anything but an integer of at least 1, naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class _AliasSeries:
+    """Truncated alias series of a harmonic-limited continuous-time spectrum.
+
+    At resolution M the polyphase matrix is (1/T0) A S A^H with
+    A[m, j] = e^{2 pi i m (phi - j) / M} and S[k, k + n] = cpsd(n, (phi - k)/T0).
+    The rows are the aliases k = -kmax..kmax, kmax = ceil(0.5 + T0 f_rad) + 1;
+    the columns are every k + n over the active harmonics n.
+    """
+
+    spec: CyclicSpectrum
+    aliases: np.ndarray      # column aliases j, consecutive and ascending
+    rows: slice              # the row aliases k inside ``aliases``
+
+    @classmethod
+    def of(cls, spec: CyclicSpectrum, caller: str) -> "_AliasSeries":
+        if spec.active_indices is None or not isfinite(spec.freq_radius):
+            raise TruncationError(
+                f"{caller}: harmonic/alias series does not truncate "
+                "for this spectrum; achieved tail bound is unbounded")
+        kmax = ceil(0.5 + spec.period * spec.freq_radius) + 1
+        # column aliases j = k + n cover -kmax + min(n, 0) .. kmax + max(n, 0)
+        j_lo = min(min(spec.active_indices, default=0), 0)
+        j_hi = max(max(spec.active_indices, default=0), 0)
+        aliases = np.arange(-kmax + j_lo, kmax + j_hi + 1)
+        return cls(spec, aliases, slice(-j_lo, -j_lo + 2 * kmax + 1))
+
+    def columns(self, n: int) -> slice:
+        """Positions in ``aliases`` of the columns k + n of the row aliases k."""
+        return slice(self.rows.start + n, self.rows.stop + n)
+
+    def blocks(self, phi: np.ndarray):
+        """(n, block) per active harmonic, one ``cpsd`` call each:
+        block[p, i] = cpsd(n, (phi_p - k_i)/T0) / T0 over the row aliases k_i."""
+        t0 = self.spec.period
+        k = self.aliases[self.rows]
+        f = ((phi[:, None] - k) / t0).ravel()
+        for n in self.spec.active_indices:
+            yield n, self.spec.cpsd(n, f).reshape(phi.size, k.size) / t0
+
+
 def psd_pc_matrix_continuous(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
     """Polyphase matrix of a continuous-time process at intra-period resolution dim.
 
@@ -71,8 +118,7 @@ def psd_pc_matrix_continuous(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
     alias columns k = -kmax..kmax. Spectra that expose an exact rank-one
     factorization (pulse-amplitude structure) bypass the series.
     """
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
+    _require_positive_int("dim", dim)
 
     if hasattr(spec, "polyphase_factor"):
         def evaluate(phi):
@@ -81,34 +127,71 @@ def psd_pc_matrix_continuous(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
 
         return PsdPcMatrix(dim, evaluate, spec.phi_breakpoints())
 
-    if spec.active_indices is None or not isfinite(spec.freq_radius):
-        raise TruncationError(
-            "psd_pc_matrix_continuous: harmonic/alias series does not truncate "
-            "for this spectrum; achieved tail bound is unbounded")
-
-    t0 = spec.period
-    kmax = ceil(0.5 + t0 * spec.freq_radius) + 1
-    n_alias = 2 * kmax + 1
+    series = _AliasSeries.of(spec, "psd_pc_matrix_continuous")
+    rows = series.rows
     idx = np.arange(dim)
-    # column aliases j = k + n cover -kmax + min(n, 0) .. kmax + max(n, 0)
-    j_lo = min(min(spec.active_indices, default=0), 0)
-    j_hi = max(max(spec.active_indices, default=0), 0)
-    aliases = np.arange(-kmax + j_lo, kmax + j_hi + 1)
-    k_rows = slice(-j_lo, -j_lo + n_alias)
-    alias_phase = np.exp(-TWO_PI * 1j * np.multiply.outer(aliases, idx) / dim)   # (j, m)
+    alias_phase = np.exp(-TWO_PI * 1j * np.multiply.outer(series.aliases, idx) / dim)  # (j, m)
 
     def evaluate(phi):
         # a[p, j, m] = A[m, j] at phi_p, split as e^{2 pi i m phi/dim} e^{-2 pi i m j/dim}
         a = np.exp(TWO_PI * 1j * np.multiply.outer(phi / dim, idx))[:, None, :] * alias_phase
         a_conj = a.conj()
-        f = ((phi[:, None] - aliases[k_rows]) / t0).ravel()
-        w = np.zeros((phi.size, n_alias, dim), dtype=complex)           # w[p, k, r]
-        for n in spec.active_indices:
-            s = spec.cpsd(n, f).reshape(phi.size, n_alias) / t0
-            w += s[:, :, None] * a_conj[:, k_rows.start + n:k_rows.stop + n, :]
-        return np.swapaxes(a[:, k_rows, :], 1, 2) @ w
+        w = np.zeros((phi.size, rows.stop - rows.start, dim), dtype=complex)   # w[p, k, r]
+        for n, s in series.blocks(phi):
+            w += s[:, :, None] * a_conj[:, series.columns(n), :]
+        return np.swapaxes(a[:, rows, :], 1, 2) @ w
 
     return PsdPcMatrix(dim, evaluate, spec.phi_breakpoints())
+
+
+def folded_alias_matrix(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
+    """Smallest matrix with the nonzero spectrum of ``psd_pc_matrix_continuous(spec, dim)``.
+
+    Over the J = 2 kmax + 1 row aliases k the alias matrix factors as
+    A = D(phi) F E: D(phi) = diag(e^{2 pi i m phi/dim}) is unitary, F is the
+    dim-point DFT (F^H F = dim I) and E maps alias k to its residue k mod dim.
+    The nonzero eigenvalues of (1/T0) A S A^H are therefore those of
+    (dim/T0) E S E^T, of side r = min(dim, J); entries of aliases that share a
+    residue add. This holds at every dim, below the alias count too. Columns
+    k + n beyond the row aliases are dropped: a cyclic spectrum is Hermitian,
+    cpsd(n, f) = conj(cpsd(-n, f - n/T0)), so such an entry mirrors one on a
+    row beyond kmax, which the support radius makes zero.
+
+    Pulse-amplitude spectra give the rank-one case, a 1 x 1 matrix holding
+    fold * sum_m |g_m|^2. An eigenvalue field of the result carries the
+    distortion weight 1/dim, not one over its own side.
+    """
+    _require_positive_int("dim", dim)
+
+    if hasattr(spec, "polyphase_factor"):
+        def evaluate(phi):
+            fold, g = spec.polyphase_factor(dim, phi)
+            return (fold * (g * g.conj()).real.sum(axis=-1))[:, None, None]
+
+        return PsdPcMatrix(1, evaluate, spec.phi_breakpoints())
+
+    series = _AliasSeries.of(spec, "folded_alias_matrix")
+    pos = np.arange(series.rows.stop - series.rows.start)      # alias k sits at k + kmax
+    side = min(dim, pos.size)
+    # residues counted from -kmax, (k + kmax) mod dim, fill 0..side-1; they
+    # differ from k mod dim by a shift, a diagonal unitary similarity
+    residue = pos % dim
+    inside = {n: pos[(pos + n >= 0) & (pos + n < pos.size)] for n in spec.active_indices}
+    # row-major (k, k + n) entries; a spectrum without harmonics is zero
+    flat = np.concatenate([np.zeros(0, dtype=int)] +
+                          [residue[i] * side + residue[i + n] for n, i in inside.items()])
+
+    def evaluate(phi):
+        s = dim * np.concatenate([np.zeros((phi.size, 0))] +
+                                 [block[:, inside[n]] for n, block in series.blocks(phi)],
+                                 axis=1)
+        where = (np.arange(phi.size)[:, None] * side ** 2 + flat).ravel()
+        out = np.empty(phi.size * side ** 2, dtype=complex)
+        out.real = np.bincount(where, s.real.ravel(), out.size)
+        out.imag = np.bincount(where, s.imag.ravel(), out.size)
+        return out.reshape(phi.size, side, side)
+
+    return PsdPcMatrix(side, evaluate, spec.phi_breakpoints())
 
 
 def polyphase_component_psd(proc: DiscreteCsProcess, m: int, phi) -> np.ndarray:

@@ -29,7 +29,8 @@ MAX_BISECT = 200
 CLIP_SCALE = 1e-9
 
 # complex matrix entries per eigenvalue-field slice (16 MB): a field is
-# assembled and decomposed at most SLICE_ENTRIES // dim**2 phi nodes at a time
+# assembled and decomposed at most SLICE_ENTRIES // side**2 phi nodes at a
+# time, side being the matrix side (r for a folded alias matrix, not M)
 SLICE_ENTRIES = 2 ** 20
 
 
@@ -165,18 +166,25 @@ def hermitian_eigenvalues(mats: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EigenField:
-    """Sorted nonnegative eigenvalues of a spectral matrix over a phi grid."""
+    """Sorted nonnegative eigenvalues of a spectral matrix over a phi grid.
+
+    ``d_scale`` is the distortion weight of each eigenvalue: 1/M for the
+    nonzero spectrum of an M x M polyphase matrix, however many of its
+    eigenvalues ``lam`` keeps.
+    """
 
     grid: Grid
-    lam: np.ndarray          # (n_phi, dim), ascending in the last axis
-    dim: int
+    lam: np.ndarray          # (n_phi, r), ascending in the last axis
+    d_scale: float
 
     @classmethod
-    def from_matrix(cls, matrix: PsdPcMatrix, grid: Grid) -> "EigenField":
+    def from_matrix(cls, matrix: PsdPcMatrix, grid: Grid,
+                    d_scale: float | None = None) -> "EigenField":
         """Field of ``matrix`` over ``grid``, built slice by slice.
 
-        Each matrix is decomposed on its own, so the field does not depend on
-        the slicing; only the peak memory does.
+        ``d_scale`` defaults to 1/matrix.dim, the weight of a full polyphase
+        matrix. Each matrix is decomposed on its own, so the field does not
+        depend on the slicing; only the peak memory does.
         """
         step = max(1, SLICE_ENTRIES // matrix.dim ** 2)
         parts = []
@@ -193,14 +201,16 @@ class EigenField:
                     node) from exc
             except np.linalg.LinAlgError as exc:
                 raise np.linalg.LinAlgError(f"{exc} ({where})") from exc
-        return cls(grid, np.concatenate(parts), matrix.dim)
+        if d_scale is None:
+            d_scale = 1.0 / matrix.dim
+        return cls(grid, np.concatenate(parts), d_scale)
 
     def waterfiller(self, rate_normalizer: float) -> ScalarWaterfiller:
         """Waterfiller over the field: ``rate_normalizer`` is 1/(2 M) for bits
         per symbol or 1/(2 T0) for bits per second."""
-        weights = np.repeat(self.grid.weights, self.dim)
+        weights = np.repeat(self.grid.weights, self.lam.shape[1])
         return ScalarWaterfiller(self.lam.ravel(), weights,
-                                 d_scale=1.0 / self.dim, r_scale=rate_normalizer)
+                                 d_scale=self.d_scale, r_scale=rate_normalizer)
 
 
 # ---------------------------------------------------------------------------

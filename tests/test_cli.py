@@ -1,4 +1,5 @@
 import csv
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -467,3 +468,27 @@ def test_bound_folds_each_profile_once_per_curve(tmp_path, monkeypatch, kind):
         assert len(_read_rows(out)) == count
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_fig6_refinement_never_decomposes_beyond_its_alias_count(tmp_path, monkeypatch):
+    # fig6's source with every level of the schedule up to M = 64: the solver
+    # decomposes folded alias matrices, never the M x M polyphase matrix
+    shipped = (Path(__file__).resolve().parent.parent / "configs" / "fig6.ini").read_text()
+    assert "convergence_tol = 1e-4" in shipped
+    cfg = _write(tmp_path, "fig6-all-levels.ini",
+                 shipped.replace("convergence_tol = 1e-4", "convergence_tol = 0"))
+    sc = load_scenario(cfg)
+    spec = csdrf.am_cpsd(csdrf.triangular_psd(sc.bandwidth, sc.power), sc.f0, sc.phase)
+    aliases = 2 * (math.ceil(0.5 + spec.period * spec.freq_radius) + 1) + 1
+    decompose = csdrf.waterfilling.hermitian_eigenvalues
+    widths = []
+
+    def recording(mats):
+        widths.append(np.shape(mats)[-1])
+        return decompose(mats)
+
+    monkeypatch.setattr(csdrf.waterfilling, "hermitian_eigenvalues", recording)
+    out = str(tmp_path / "fig6.csv")
+    assert main(["drf", "--config", cfg, "--out", out, "--allow-nonconverged"]) == 0
+    assert {row["M"] for row in _read_rows(out) if row["method"] == "drf"} == {"64"}
+    assert aliases == 9 and max(widths) == aliases

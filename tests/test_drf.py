@@ -6,11 +6,12 @@ from csdrf.drf import (ContinuousDrfConfig, ContinuousDrfSolver,
                        lower_bound_continuous, lower_bound_discrete,
                        mmse_filter, sampled_source_coding,
                        upper_bound_gaussian_psd)
+from csdrf.polyphase import psd_pc_matrix_continuous
 from csdrf.spectra import (PulseShape, am_cpsd, flat_psd, ideal_interp_pulse,
-                           modulated_ma, pam_cpsd, raised_cosine_pulse,
-                           rect_pulse, stationary_cyclic, triangle_pulse,
-                           triangular_psd, white_cs)
-from csdrf.waterfilling import discrete_stationary_drf, stationary_drf
+                           modulated_ma, pam_cpsd, raised_cosine_psd,
+                           raised_cosine_pulse, rect_pulse, stationary_cyclic,
+                           triangle_pulse, triangular_psd, white_cs)
+from csdrf.waterfilling import EigenField, discrete_stationary_drf, stationary_drf
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +104,68 @@ def test_nonconvergence_flagged():
 def test_meaningless_convergence_tol_rejected(tol):
     with pytest.raises(ValueError, match="convergence_tol"):
         ContinuousDrfConfig(convergence_tol=tol)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("m_start", 2.5), ("m_start", 4.0), ("m_start", 0), ("m_max", 64.0), ("m_max", "64"),
+    ("n_grid", 100.5), ("n_grid", 0), ("n_grid", -8), ("n_grid", True),
+])
+def test_refinement_schedule_must_be_positive_integers(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be a positive integer"):
+        ContinuousDrfConfig(**{key: value})
+
+
+def test_m_max_below_m_start_rejected():
+    with pytest.raises(ValueError, match="m_max must be at least m_start"):
+        ContinuousDrfConfig(m_start=8, m_max=4)
+
+
+class _FullMatrixSolver(ContinuousDrfSolver):
+    """Reference: the same refinement over fields of the full M x M polyphase
+    matrix, all M eigenvalues kept."""
+
+    def eigen_field(self, dim):
+        if dim not in self._fields:
+            self._fields[dim] = EigenField.from_matrix(
+                psd_pc_matrix_continuous(self.spec, dim), self._grid)
+        return self._fields[dim]
+
+
+FOLDED_SOURCES = {
+    "am-fig6": lambda: am_cpsd(triangular_psd(1.0, 1.0), 1.2),
+    "am-early-stop": lambda: am_cpsd(triangular_psd(1.0, 1.0), 0.1),
+    "am-flat-phase": lambda: am_cpsd(flat_psd(0.8, 2.0), 0.35, 0.9),
+    "am-raised-cosine": lambda: am_cpsd(raised_cosine_psd(1.5, 0.5), 2.1, 2.0),
+    "stationary": lambda: stationary_cyclic(triangular_psd(1.0, 1.0), 0.7),
+    "pam-raised-cosine": lambda: pam_cpsd(triangular_psd(1.0, 1.0),
+                                          raised_cosine_pulse(0.8, 0.3), 0.8),
+    "pam-triangle": lambda: pam_cpsd(flat_psd(1.0, 1.0), triangle_pulse(0.8), 0.8),
+}
+
+
+def _roundoff_mass(ref, fast, dim):
+    """Distortion that the reference's M - r trailing eigenvalues, round-off
+    of the zeros the folded field leaves out, can add at any water level."""
+    field, side = ref.eigen_field(dim), fast.eigen_field(dim).lam.shape[1]
+    return field.d_scale * float(field.grid.weights @ field.lam[:, :dim - side].sum(axis=1))
+
+
+@pytest.mark.parametrize("name", sorted(FOLDED_SOURCES))
+def test_folded_fields_reproduce_the_full_matrix_solver(name):
+    # every level of the schedule, converged or not, at rates up to 8 bits
+    # per second per unit bandwidth: within 1e-12 D + 1e-15 sigma^2, plus the
+    # round-off mass of the reference (up to 3e-15 sigma^2 for PAM at M = 64)
+    spec = FOLDED_SOURCES[name]()
+    for cfg in (ContinuousDrfConfig(4, 64, None, 1e-4, 512),
+                ContinuousDrfConfig(4, 64, None, 0.0, 512)):
+        fast, ref = ContinuousDrfSolver(spec, cfg), _FullMatrixSolver(spec, cfg)
+        for rate in np.geomspace(0.25, 8.0, 6):
+            a, b = fast.solve(float(rate)), ref.solve(float(rate))
+            assert a.converged == b.converged
+            assert [d for d, _, _ in a.iterates] == [d for d, _, _ in b.iterates]
+            for (dim, _, d_fast), (_, _, d_ref) in zip(a.iterates, b.iterates):
+                slack = 1e-15 * spec.avg_power + _roundoff_mass(ref, fast, dim)
+                assert abs(d_fast - d_ref) <= 1e-12 * d_ref + slack
 
 
 # ---------------------------------------------------------------------------

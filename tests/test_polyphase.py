@@ -2,14 +2,16 @@ from math import ceil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from csdrf.polyphase import (TWO_PI, polyphase_component_psd,
+from csdrf.polyphase import (TWO_PI, folded_alias_matrix, polyphase_component_psd,
                              psd_pc_matrix_continuous, psd_pc_matrix_discrete)
 from csdrf.quadrature import phi_grid
 from csdrf.spectra import (CyclicSpectrum, TruncationError, am_cpsd, flat_psd,
-                           modulated_ma, pam_cpsd, raised_cosine_pulse,
-                           rect_pulse, stationary_cyclic, triangular_psd,
-                           white_cs)
+                           modulated_ma, pam_cpsd, raised_cosine_psd,
+                           raised_cosine_pulse, rect_pulse, stationary_cyclic,
+                           triangle_pulse, triangular_psd, white_cs)
 from csdrf.waterfilling import hermitian_eigenvalues
 
 
@@ -203,3 +205,91 @@ def test_component_psd_is_matrix_diagonal():
     for m in range(3):
         np.testing.assert_allclose(polyphase_component_psd(proc, m, phi),
                                    vals[:, m, m].real, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the residue-folded alias matrix
+# ---------------------------------------------------------------------------
+
+FAMILIES = {"flat": flat_psd, "triangular": triangular_psd, "raised_cosine": raised_cosine_psd}
+
+
+def _alias_count(spec):
+    """Row aliases k = -kmax..kmax of the truncated alias series."""
+    return 2 * (ceil(0.5 + spec.period * spec.freq_radius) + 1) + 1
+
+
+def _assert_folded_field_is_the_nonzero_spectrum(spec, dim, phi):
+    full = hermitian_eigenvalues(psd_pc_matrix_continuous(spec, dim)(phi))
+    folded = hermitian_eigenvalues(folded_alias_matrix(spec, dim)(phi))
+    side = min(dim, _alias_count(spec))
+    assert folded.shape == (phi.size, side)
+    scale = 1e-13 * full.max()
+    np.testing.assert_allclose(folded, full[:, dim - side:], rtol=0, atol=scale)
+    assert np.all(full[:, :dim - side] <= scale)      # the rest is round-off
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["am", "stationary"]),
+       family=st.sampled_from(sorted(FAMILIES)), bandwidth=st.floats(0.25, 4.0),
+       power=st.floats(0.1, 10.0), carrier=st.floats(0.05, 2.0),
+       phase=st.floats(0.0, 2.0 * np.pi), dim=st.integers(1, 64),
+       seed=st.integers(0, 2 ** 16))
+@example(kind="am", family="triangular", bandwidth=1.0, power=1.0, carrier=0.1,
+         phase=0.3, dim=8, seed=0)                      # 27 aliases on 8 residues
+@example(kind="am", family="flat", bandwidth=1.0, power=1.0, carrier=1.2,
+         phase=0.0, dim=5, seed=1)                      # 9 aliases on 5 residues
+def test_folded_field_is_the_nonzero_spectrum_of_the_full_matrix(
+        kind, family, bandwidth, power, carrier, phase, dim, seed):
+    # AM carriers up to the narrowband threshold 2 f_B, and stationary sources
+    # with periods 0.25/f_B to 10/f_B; dim runs below the alias count as well,
+    # where aliases share a residue
+    base = FAMILIES[family](bandwidth, power)
+    if kind == "am":
+        spec = am_cpsd(base, carrier * bandwidth, phase)
+    else:
+        spec = stationary_cyclic(base, 0.5 / (carrier * bandwidth))
+    phi = np.random.default_rng(seed).uniform(-0.5, 0.5, 16)
+    _assert_folded_field_is_the_nonzero_spectrum(spec, dim, phi)
+
+
+@pytest.mark.parametrize("pulse", [rect_pulse, triangle_pulse,
+                                   lambda t0: raised_cosine_pulse(t0, 0.3)])
+@pytest.mark.parametrize("dim", [4, 16, 64])
+def test_pam_rank_one_level_is_the_top_eigenvalue(pulse, dim):
+    spec = pam_cpsd(triangular_psd(1.0, 1.0), pulse(0.8), 0.8)
+    phi = np.random.default_rng(dim).uniform(-0.5, 0.5, 64)
+    level = folded_alias_matrix(spec, dim)(phi)
+    assert level.shape == (64, 1, 1)
+    top = hermitian_eigenvalues(psd_pc_matrix_continuous(spec, dim)(phi))[:, -1]
+    np.testing.assert_allclose(level[:, 0, 0].real, top, rtol=0, atol=1e-14 * top.max())
+
+
+@pytest.mark.parametrize("build", [psd_pc_matrix_continuous, folded_alias_matrix])
+@pytest.mark.parametrize("dim", [2.5, 4.0, np.float64(8.0), "4", True, 0, -3])
+def test_dim_must_be_a_positive_integer(build, dim):
+    spec = am_cpsd(triangular_psd(1.0, 1.0), 1.2)
+    with pytest.raises(ValueError, match="dim must be a positive integer"):
+        build(spec, dim)
+
+
+def test_folded_matrix_refuses_a_series_that_does_not_truncate():
+    generic = CyclicSpectrum(1.0, lambda n, f: np.zeros_like(f, dtype=complex),
+                             None, np.inf, 1.0)
+    with pytest.raises(TruncationError, match="folded_alias_matrix"):
+        folded_alias_matrix(generic, 4)
+
+
+def test_spectrum_without_harmonics_gives_zero_matrices():
+    zero = CyclicSpectrum(1.0, lambda n, f: np.zeros_like(f, dtype=complex), (), 1.0, 0.0)
+    phi = np.array([0.1, -0.3])
+    assert not np.any(psd_pc_matrix_continuous(zero, 4)(phi))
+    folded = folded_alias_matrix(zero, 4)(phi)
+    assert folded.shape == (2, 4, 4) and not np.any(folded)
+
+
+def test_folded_matrix_accepts_numpy_integers():
+    spec = am_cpsd(triangular_psd(1.0, 1.0), 1.2)
+    phi = np.array([0.1, -0.3])
+    np.testing.assert_array_equal(folded_alias_matrix(spec, np.int64(8))(phi),
+                                  folded_alias_matrix(spec, 8)(phi))
