@@ -157,6 +157,10 @@ def folded_alias_matrix(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
     cpsd(n, f) = conj(cpsd(-n, f - n/T0)), so such an entry mirrors one on a
     row beyond kmax, which the support radius makes zero.
 
+    A slice whose scattered ``cpsd`` values are all real (an AM source with
+    phase 0, a stationary source) is returned as a real symmetric float64
+    matrix; any other slice is complex Hermitian.
+
     Pulse-amplitude spectra give the rank-one case, a 1 x 1 matrix holding
     fold * sum_m |g_m|^2. An eigenvalue field of the result carries the
     distortion weight 1/dim, not one over its own side.
@@ -186,9 +190,13 @@ def folded_alias_matrix(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
                                  [block[:, inside[n]] for n, block in series.blocks(phi)],
                                  axis=1)
         where = (np.arange(phi.size)[:, None] * side ** 2 + flat).ravel()
-        out = np.empty(phi.size * side ** 2, dtype=complex)
-        out.real = np.bincount(where, s.real.ravel(), out.size)
-        out.imag = np.bincount(where, s.imag.ravel(), out.size)
+        size = phi.size * side ** 2
+        if not np.any(s.imag):      # a real slice stays real: half the bytes, real eigvalsh
+            out = np.bincount(where, s.real.ravel(), size)
+        else:
+            out = np.empty(size, dtype=complex)
+            out.real = np.bincount(where, s.real.ravel(), size)
+            out.imag = np.bincount(where, s.imag.ravel(), size)
         return out.reshape(phi.size, side, side)
 
     return PsdPcMatrix(side, evaluate, spec.phi_breakpoints())

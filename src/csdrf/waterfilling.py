@@ -28,7 +28,7 @@ MAX_BISECT = 200
 # relative size of the negative eigenvalues read as round-off and clipped to zero
 CLIP_SCALE = 1e-9
 
-# complex matrix entries per eigenvalue-field slice (16 MB): a field is
+# matrix entries per eigenvalue-field slice (16 MB complex, 8 MB real): a field is
 # assembled and decomposed at most SLICE_ENTRIES // side**2 phi nodes at a
 # time, side being the matrix side (r for a folded alias matrix, not M)
 SLICE_ENTRIES = 2 ** 20
@@ -68,27 +68,45 @@ class ScalarWaterfiller:
 
     distortion(theta) = d_scale * sum_i w_i * min(level_i, theta)
     rate(theta)       = r_scale * sum_i w_i * log2+(level_i / theta)
+
+    Levels at or below zero add nothing to either sum and are dropped;
+    ``levels`` and ``weights`` hold the positive levels that are kept. Their
+    logarithms relative to the largest level are taken once here, so that a
+    rate evaluation is a subtraction, a clip and a weighted dot product.
     """
 
     def __init__(self, levels, weights, d_scale: float, r_scale: float):
-        levels = np.maximum(np.asarray(levels, dtype=float).ravel(), 0.0)
+        levels = np.asarray(levels, dtype=float).ravel()
         weights = np.asarray(weights, dtype=float).ravel()
         if levels.shape != weights.shape:
             raise ValueError("levels and weights must have matching shapes")
-        self.levels = levels
-        self.weights = weights
+        if not np.all(np.isfinite(levels)):
+            raise ValueError("levels must be finite")
+        if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+            raise ValueError("weights must be finite and nonnegative")
+        for name, scale in (("d_scale", d_scale), ("r_scale", r_scale)):
+            if not (math.isfinite(scale) and scale > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {scale!r}")
+        kept = levels > 0.0
+        self.levels = levels[kept]
+        self.weights = weights[kept]
         self.d_scale = float(d_scale)
         self.r_scale = float(r_scale)
-        self.level_max = float(levels.max(initial=0.0))
+        self.level_max = float(self.levels.max(initial=0.0))
+        # log2(level / level_max) <= 0; rate(theta) clips log_levels - log2(theta / level_max)
+        self._log_levels = np.log2(self.levels / self.level_max)
 
     def distortion(self, theta: float) -> float:
         return self.d_scale * float(self.weights @ np.minimum(self.levels, theta))
 
     def rate(self, theta: float) -> float:
-        if theta <= 0.0:
-            return math.inf if self.level_max > 0.0 else 0.0
-        ratio = np.maximum(self.levels / theta, 1.0)
-        return self.r_scale * float(self.weights @ np.log2(ratio))
+        if not self.levels.size:
+            return 0.0
+        ratio = theta / self.level_max
+        if ratio <= 0.0:        # theta <= 0, or too far below level_max to represent
+            return math.inf
+        excess = np.maximum(self._log_levels - math.log2(ratio), 0.0)
+        return self.r_scale * float(self.weights @ excess)
 
     def point(self, theta: float) -> RateDistortionPoint:
         return RateDistortionPoint(float(theta), self.rate(theta), self.distortion(theta))
@@ -102,7 +120,7 @@ class ScalarWaterfiller:
         """
         if not math.isfinite(target_rate) or target_rate < 0.0:
             raise ValueError("target rate must be finite and nonnegative")
-        if self.level_max == 0.0:
+        if not self.levels.size:
             return RateDistortionPoint(0.0, 0.0, 0.0)
         if target_rate == 0.0:
             return self.point(self.level_max)
@@ -148,13 +166,16 @@ def _clip_eigenvalues(lam: np.ndarray) -> np.ndarray:
 def hermitian_eigenvalues(mats: np.ndarray) -> np.ndarray:
     """Ascending real eigenvalues of a stack of (near-)Hermitian matrices.
 
-    The input is symmetrized as (A + A^H)/2 before decomposition. Small
+    The input is symmetrized as (A + A^H)/2 before decomposition; a real
+    stack is decomposed in real arithmetic, a complex one in complex. Small
     negative eigenvalues (within CLIP_SCALE times the matrix's largest
     magnitude) are clipped to zero; anything more negative raises
     NotPositiveSemidefinite.
     """
-    mats = np.asarray(mats, dtype=complex)
-    herm = 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
+    mats = np.asarray(mats)
+    if not np.iscomplexobj(mats):
+        mats = mats.astype(float, copy=False)
+    herm = 0.5 * (mats + np.swapaxes(mats, -1, -2).conj())
     try:
         lam = np.linalg.eigvalsh(herm)
     except np.linalg.LinAlgError as exc:

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from csdrf.polyphase import (PsdPcMatrix, psd_pc_matrix_continuous,
+from csdrf.polyphase import (PsdPcMatrix, folded_alias_matrix, psd_pc_matrix_continuous,
                              psd_pc_matrix_discrete)
 from csdrf.quadrature import phi_grid
 from csdrf.spectra import (am_cpsd, flat_psd, raised_cosine_psd,
                            triangular_psd, white_cs)
-from csdrf.waterfilling import (SLICE_ENTRIES, EigenField, NotPositiveSemidefinite,
+from csdrf.waterfilling import (BRACKET_EXP, MAX_BISECT, SLICE_ENTRIES, EigenField,
+                                NotPositiveSemidefinite, RateDistortionPoint,
                                 ScalarWaterfiller, WaterLevelUnderflow,
                                 discrete_stationary_drf, hermitian_eigenvalues,
                                 stationary_drf, stationary_waterfiller)
@@ -257,3 +260,174 @@ def test_waterfiller_is_permutation_invariant():
     pa, pb = a.solve(1.2), b.solve(1.2)
     assert pa.distortion == pytest.approx(pb.distortion, rel=1e-12)
     assert pa.theta == pytest.approx(pb.theta, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the log-level bisection against the direct rate map
+# ---------------------------------------------------------------------------
+
+class _DirectWaterfiller:
+    """Reference: the same bisection with the rate map evaluated directly as
+    sum_i w_i log2(max(level_i / theta, 1)) over every level, zeros included."""
+
+    def __init__(self, levels, weights, d_scale, r_scale):
+        self.levels = np.maximum(np.asarray(levels, dtype=float), 0.0)
+        self.weights = np.asarray(weights, dtype=float)
+        self.d_scale, self.r_scale = d_scale, r_scale
+        self.level_max = float(self.levels.max(initial=0.0))
+
+    def distortion(self, theta):
+        return self.d_scale * float(self.weights @ np.minimum(self.levels, theta))
+
+    def rate(self, theta):
+        return self.r_scale * float(self.weights @ np.log2(np.maximum(self.levels / theta, 1.0)))
+
+    def point(self, theta):
+        return RateDistortionPoint(float(theta), self.rate(theta), self.distortion(theta))
+
+    def edge_rate(self):
+        """Largest target the bracket admits before WaterLevelUnderflow."""
+        if self.level_max == 0.0:
+            return 1.0              # any target: the curve is zero
+        rate_lo = self.rate(self.level_max * 2.0 ** -BRACKET_EXP)
+        return rate_lo * (1.0 + 1e-12) + 1e-12
+
+    def solve(self, target_rate):
+        if self.level_max == 0.0:
+            return RateDistortionPoint(0.0, 0.0, 0.0)
+        if target_rate == 0.0:
+            return self.point(self.level_max)
+        if target_rate > self.edge_rate():
+            raise WaterLevelUnderflow("reference")
+        lo, hi = self.level_max * 2.0 ** -BRACKET_EXP, self.level_max
+        for _ in range(MAX_BISECT):
+            mid = math.sqrt(lo * hi)
+            if self.rate(mid) >= target_rate:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 4e-16 * hi:
+                break
+        return self.point(math.sqrt(lo * hi))
+
+
+_levels_and_weights = st.lists(
+    st.tuples(st.one_of(st.just(0.0), st.floats(-30.0, 3.0).map(lambda e: 10.0 ** e)),
+              st.one_of(st.just(0.0), st.floats(1e-3, 10.0))),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=_levels_and_weights, d_scale=st.floats(1e-3, 1e3), r_scale=st.floats(1e-3, 1e3),
+       share=st.floats(0.0, 1.2))
+@example(pairs=[(1e-30, 1.0), (1e3, 1.0), (0.0, 1.0)], d_scale=1.0, r_scale=0.5, share=1.0)
+@example(pairs=[(1e-30, 1.0), (1e3, 1.0), (0.0, 1.0)], d_scale=1.0, r_scale=0.5, share=1.01)
+@example(pairs=[(0.0, 1.0), (0.0, 2.0)], d_scale=1.0, r_scale=0.5, share=0.5)
+@example(pairs=[(2.0, 0.0), (1.0, 1.0)], d_scale=1.0, r_scale=0.5, share=1e-9)
+def test_log_level_bisection_matches_the_direct_rate_map(pairs, d_scale, r_scale, share):
+    # the target runs from 0 to past the bracket edge, as a share of the edge rate
+    levels, weights = map(np.array, zip(*pairs))
+    ref = _DirectWaterfiller(levels, weights, d_scale, r_scale)
+    edge = ref.edge_rate()
+    target = share * edge
+    # the two rate maps round differently; only a target inside that
+    # rounding of the edge may be refused by one and solved by the other
+    assume(abs(target - edge) > 1e-12 * edge)
+    sw = ScalarWaterfiller(levels, weights, d_scale, r_scale)
+    try:
+        want = ref.solve(target)
+    except WaterLevelUnderflow:
+        with pytest.raises(WaterLevelUnderflow):
+            sw.solve(target)
+        return
+    got = sw.solve(target)
+    assert got.theta == pytest.approx(want.theta, rel=1e-13, abs=0.0)
+    assert got.distortion == pytest.approx(want.distortion, rel=1e-13, abs=0.0)
+    assert got.rate == pytest.approx(want.rate, rel=1e-12, abs=1e-12 * edge)
+
+
+def test_log2_runs_once_per_waterfiller_and_never_per_step(monkeypatch):
+    calls = []
+    real_log2 = np.log2
+
+    def recording_log2(*args, **kwargs):
+        calls.append(np.size(args[0]))
+        return real_log2(*args, **kwargs)
+
+    monkeypatch.setattr(np, "log2", recording_log2)
+    levels = np.array([0.0, 1e-6, 0.3, 2.0, 5.0])
+    sw = ScalarWaterfiller(levels, np.ones(5), 1.0, 0.5)
+    assert calls == [4]                                   # the kept levels, once
+    rate_calls = []
+    real_rate = ScalarWaterfiller.rate
+    monkeypatch.setattr(ScalarWaterfiller, "rate",
+                        lambda self, theta: rate_calls.append(theta) or real_rate(self, theta))
+    sw.solve(1.5)
+    sw.point(0.7)
+    assert calls == [4] and len(rate_calls) > 30
+
+
+def test_waterfiller_keeps_only_the_positive_levels():
+    sw = ScalarWaterfiller([0.0, 3.0, -1e-18, 1.0], [0.5, 1.0, 2.0, 0.25], 1.0, 0.5)
+    np.testing.assert_array_equal(sw.levels, [3.0, 1.0])
+    np.testing.assert_array_equal(sw.weights, [1.0, 0.25])
+    assert sw.level_max == 3.0
+
+
+def test_waterfiller_without_positive_levels_is_the_zero_curve():
+    sw = ScalarWaterfiller([0.0, -1e-20], [1.0, 1.0], 1.0, 0.5)
+    assert sw.levels.size == 0
+    assert sw.solve(2.0) == RateDistortionPoint(0.0, 0.0, 0.0)
+    assert sw.rate(0.0) == 0.0 and sw.distortion(1.0) == 0.0
+
+
+def test_rate_at_a_water_level_below_the_float_range_is_infinite():
+    sw = ScalarWaterfiller([1e300], [1.0], 1.0, 0.5)
+    assert math.isinf(sw.rate(1e-300)) and math.isinf(sw.rate(-1.0))
+
+
+@pytest.mark.parametrize("levels, weights, d_scale, r_scale, name", [
+    ([1.0, np.nan], [1.0, 1.0], 1.0, 0.5, "levels"),
+    ([1.0, np.inf], [1.0, 1.0], 1.0, 0.5, "levels"),
+    ([1.0, -np.inf], [1.0, 1.0], 1.0, 0.5, "levels"),
+    ([1.0, 2.0], [1.0, np.nan], 1.0, 0.5, "weights"),
+    ([1.0, 2.0], [1.0, np.inf], 1.0, 0.5, "weights"),
+    ([1.0, 2.0], [1.0, -0.1], 1.0, 0.5, "weights"),
+    ([1.0, 2.0], [1.0, 1.0], 0.0, 0.5, "d_scale"),
+    ([1.0, 2.0], [1.0, 1.0], -1.0, 0.5, "d_scale"),
+    ([1.0, 2.0], [1.0, 1.0], np.nan, 0.5, "d_scale"),
+    ([1.0, 2.0], [1.0, 1.0], 1.0, 0.0, "r_scale"),
+    ([1.0, 2.0], [1.0, 1.0], 1.0, np.inf, "r_scale"),
+    ([1.0, 2.0], [1.0, 1.0], 1.0, np.nan, "r_scale"),
+])
+def test_waterfiller_input_contract(levels, weights, d_scale, r_scale, name):
+    with pytest.raises(ValueError, match=name):
+        ScalarWaterfiller(levels, weights, d_scale, r_scale)
+
+
+# ---------------------------------------------------------------------------
+# real fields in real arithmetic
+# ---------------------------------------------------------------------------
+
+def _eigvalsh_dtypes(monkeypatch):
+    dtypes = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    return dtypes
+
+
+@pytest.mark.parametrize("phase, dtype", [(0.0, np.float64), (0.3, np.complex128)])
+def test_am_field_reaches_eigvalsh_real_only_at_phase_zero(monkeypatch, phase, dtype):
+    matrix = folded_alias_matrix(am_cpsd(triangular_psd(1.0, 1.0), 0.1, phase), 8)
+    grid = phi_grid(300, matrix.phi_breakpoints)
+    dtypes = _eigvalsh_dtypes(monkeypatch)
+    field = EigenField.from_matrix(matrix, grid, d_scale=1.0 / 8)
+    assert dtypes == [dtype]
+    as_complex = hermitian_eigenvalues(matrix(grid.nodes).astype(complex))
+    assert dtypes[-1] == np.complex128
+    np.testing.assert_allclose(field.lam, as_complex, rtol=0, atol=1e-13 * as_complex.max())
