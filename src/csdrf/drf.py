@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polyphase import (_require_positive_int, folded_alias_matrix,
-                        polyphase_component_psd, psd_pc_matrix_discrete)
+                        polyphase_component_psd, psd_pc_matrix_discrete,
+                        saturation_dim)
 from .quadrature import phi_grid, segmented_midpoint
 from .spectra import (CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum,
                       PulseShape, StationaryPsd, am_cpsd, am_gaussian_psd)
@@ -127,6 +128,17 @@ class ContinuousDrfSolver:
     The field at resolution M is the nonzero spectrum of the M x M polyphase
     matrix, taken from the folded alias matrix of side min(M, J) over the J
     aliases, or from the rank-one level for pulse-amplitude spectra.
+
+    ``solve`` builds a level only while the previous one is below the
+    saturation dimension s (``polyphase.saturation_dim``). From M >= s on
+    every nonzero alias has its own residue, so the field at 2M is the field
+    at M with each eigenvalue doubled and weight 1/(2M): the rate at 2 theta
+    equals the rate at theta and the distortion is unchanged. The next
+    iterate is therefore (2M, 2 theta, D), derived from the previous one
+    without a matrix, a decomposition or a water-level solve. The doubling
+    schedule and the stop rule run as before; a derived gap is 0. Pulse-
+    amplitude spectra have no s and build every level. ``point_at`` always
+    builds its level.
     """
 
     def __init__(self, spec: CyclicSpectrum, cfg: ContinuousDrfConfig | None = None):
@@ -135,6 +147,7 @@ class ContinuousDrfSolver:
         self.sigma2 = spec.avg_power
         self._grid = phi_grid(self.cfg.n_grid, spec.phi_breakpoints())
         self._fields: dict[int, EigenField] = {}
+        self._saturation = saturation_dim(spec)
 
     def eigen_field(self, dim: int) -> EigenField:
         if dim not in self._fields:
@@ -158,15 +171,19 @@ class ContinuousDrfSolver:
         converged = False
         prev_d = None
         for dim in dims:
-            pt = self.point_at(rate_bits_per_second, dim)
-            iterates.append((dim, pt.theta, pt.distortion))
+            if iterates and self._saturation is not None and iterates[-1][0] >= self._saturation:
+                theta, dist = 2.0 * iterates[-1][1], prev_d      # exact rescale of the last level
+            else:
+                pt = self.point_at(rate_bits_per_second, dim)
+                theta, dist = pt.theta, pt.distortion
+            iterates.append((dim, theta, dist))
             if prev_d is not None:
-                gap = abs(pt.distortion - prev_d)
+                gap = abs(dist - prev_d)
                 gaps.append(gap)
                 if gap < cfg.convergence_tol * max(self.sigma2, 1e-300):
                     converged = True
                     break
-            prev_d = pt.distortion
+            prev_d = dist
         c = cfg.lipschitz_c
         weyl = () if c is None else tuple(4.0 * c * self.spec.period / d
                                           for d, _, _ in iterates)

@@ -11,7 +11,7 @@ entire rate-distortion content of the source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, isfinite
+from math import ceil, floor, isfinite
 from typing import Callable
 
 import numpy as np
@@ -73,7 +73,10 @@ class _AliasSeries:
     At resolution M the polyphase matrix is (1/T0) A S A^H with
     A[m, j] = e^{2 pi i m (phi - j) / M} and S[k, k + n] = cpsd(n, (phi - k)/T0).
     The rows are the aliases k = -kmax..kmax, kmax = ceil(0.5 + T0 f_rad) + 1;
-    the columns are every k + n over the active harmonics n.
+    the columns are every k + n over the active harmonics n. Only the aliases
+    |k| <= floor(T0 f_rad + 1/2) can be nonzero for phi in (-1/2, 1/2) (see
+    ``saturation_dim``); the outer rows stay in the series, since trimming
+    them would change the matrix side that the benchmark records.
     """
 
     spec: CyclicSpectrum
@@ -105,6 +108,25 @@ class _AliasSeries:
         f = ((phi[:, None] - k) / t0).ravel()
         for n in self.spec.active_indices:
             yield n, self.spec.cpsd(n, f).reshape(phi.size, k.size) / t0
+
+
+def saturation_dim(spec: CyclicSpectrum) -> int | None:
+    """Resolution from which the nonzero polyphase spectrum only rescales.
+
+    Alias k of S(phi) holds cpsd(., (phi - k)/T0), which vanishes for every
+    phi in (-1/2, 1/2) unless |k| - 1/2 < T0 f_rad; so at most
+    s = 2 floor(T0 f_rad + 1/2) + 1 consecutive aliases are nonzero. From
+    dim = s on they fall on distinct residues, and the nonzero eigenvalues of
+    the polyphase matrix are (dim/T0) eig S(phi): doubling dim doubles every
+    eigenvalue and changes nothing else. Returns s, or None where no such
+    resolution exists: a pulse-amplitude spectrum, whose rank-one level
+    depends on dim through the pulse samples, or a series that does not
+    truncate.
+    """
+    if (hasattr(spec, "polyphase_factor") or spec.active_indices is None
+            or not isfinite(spec.freq_radius)):
+        return None
+    return 2 * floor(spec.period * spec.freq_radius + 0.5) + 1
 
 
 def psd_pc_matrix_continuous(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:

@@ -28,10 +28,10 @@ MAX_BISECT = 200
 # relative size of the negative eigenvalues read as round-off and clipped to zero
 CLIP_SCALE = 1e-9
 
-# matrix entries per eigenvalue-field slice (16 MB complex, 8 MB real): a field is
+# matrix entries per eigenvalue-field slice (4 MB complex, 2 MB real): a field is
 # assembled and decomposed at most SLICE_ENTRIES // side**2 phi nodes at a
 # time, side being the matrix side (r for a folded alias matrix, not M)
-SLICE_ENTRIES = 2 ** 20
+SLICE_ENTRIES = 2 ** 18
 
 
 class WaterLevelUnderflow(RuntimeError):

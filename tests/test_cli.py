@@ -472,7 +472,9 @@ def test_bound_folds_each_profile_once_per_curve(tmp_path, monkeypatch, kind):
 
 def test_fig6_refinement_never_decomposes_beyond_its_alias_count(tmp_path, monkeypatch):
     # fig6's source with every level of the schedule up to M = 64: the solver
-    # decomposes folded alias matrices, never the M x M polyphase matrix
+    # decomposes folded alias matrices, never the M x M polyphase matrix, and
+    # only the levels up to the first one at or above the s = 5 aliases that
+    # can be nonzero; M = 16, 32 and 64 are exact rescales of M = 8
     shipped = (Path(__file__).resolve().parent.parent / "configs" / "fig6.ini").read_text()
     assert "convergence_tol = 1e-4" in shipped
     cfg = _write(tmp_path, "fig6-all-levels.ini",
@@ -480,6 +482,7 @@ def test_fig6_refinement_never_decomposes_beyond_its_alias_count(tmp_path, monke
     sc = load_scenario(cfg)
     spec = csdrf.am_cpsd(csdrf.triangular_psd(sc.bandwidth, sc.power), sc.f0, sc.phase)
     aliases = 2 * (math.ceil(0.5 + spec.period * spec.freq_radius) + 1) + 1
+    nonzero = 2 * math.floor(spec.period * spec.freq_radius + 0.5) + 1
     decompose = csdrf.waterfilling.hermitian_eigenvalues
     widths = []
 
@@ -491,4 +494,6 @@ def test_fig6_refinement_never_decomposes_beyond_its_alias_count(tmp_path, monke
     out = str(tmp_path / "fig6.csv")
     assert main(["drf", "--config", cfg, "--out", out, "--allow-nonconverged"]) == 0
     assert {row["M"] for row in _read_rows(out) if row["method"] == "drf"} == {"64"}
-    assert aliases == 9 and max(widths) == aliases
+    assert (aliases, nonzero) == (9, 5)
+    # one slice per level: M = 4 (side 4) and M = 8 (side min(8, 9) = 8)
+    assert widths == [4, 8] and max(widths) <= aliases

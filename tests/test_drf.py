@@ -1,6 +1,11 @@
+from math import floor
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import csdrf.drf
 from csdrf.drf import (ContinuousDrfConfig, ContinuousDrfSolver,
                        drf_am, drf_cs_at_resolution, drf_cs_discrete, drf_pam,
                        lower_bound_continuous, lower_bound_discrete,
@@ -166,6 +171,93 @@ def test_folded_fields_reproduce_the_full_matrix_solver(name):
             for (dim, _, d_fast), (_, _, d_ref) in zip(a.iterates, b.iterates):
                 slack = 1e-15 * spec.avg_power + _roundoff_mass(ref, fast, dim)
                 assert abs(d_fast - d_ref) <= 1e-12 * d_ref + slack
+
+
+FAMILIES = {"flat": flat_psd, "triangular": triangular_psd,
+            "raised_cosine": raised_cosine_psd}
+
+
+def _assert_every_iterate_is_its_built_level(solver, rate):
+    """Solve, then hold every iterate against ``point_at`` on the field built
+    at its resolution; returns the result and the resolutions ``solve`` built."""
+    res = solver.solve(rate)
+    built = sorted(solver._fields)
+    for dim, theta, dist in res.iterates:
+        ref = solver.point_at(rate, dim)
+        assert abs(dist - ref.distortion) <= 1e-12 * ref.distortion + 1e-15 * solver.sigma2
+        assert theta == pytest.approx(ref.theta, rel=1e-12, abs=0.0)
+    return res, built
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["am", "stationary"]),
+       family=st.sampled_from(sorted(FAMILIES)), bandwidth=st.floats(0.25, 4.0),
+       power=st.floats(0.1, 10.0), carrier=st.floats(0.05, 2.0),
+       phase=st.one_of(st.just(0.0), st.floats(0.0, 2.0 * np.pi)),
+       rate=st.floats(0.05, 16.0))
+@example(kind="am", family="triangular", bandwidth=1.0, power=1.0, carrier=0.1,
+         phase=0.0, rate=12.0)                 # the early-stop curve: s = 23, J = 27
+@example(kind="am", family="triangular", bandwidth=1.0, power=1.0, carrier=1.2,
+         phase=0.3, rate=2.0)                  # fig6 with a complex slice: s = 5, J = 9
+def test_levels_past_the_alias_span_are_exact_rescales(
+        kind, family, bandwidth, power, carrier, phase, rate):
+    # AM carriers up to the narrowband threshold 2 f_B, and stationary sources
+    # with periods 0.25/f_B to 10/f_B; every level from M = 1 to 128 runs, so
+    # the rate, in units of 1/T0, stays within what M = 1 can resolve
+    base = FAMILIES[family](bandwidth, power)
+    if kind == "am":
+        spec = am_cpsd(base, carrier * bandwidth, phase)
+    else:
+        spec = stationary_cyclic(base, 0.5 / (carrier * bandwidth))
+    solver = ContinuousDrfSolver(spec, ContinuousDrfConfig(1, 128, None, 0.0, 128))
+    res, built = _assert_every_iterate_is_its_built_level(solver, rate / spec.period)
+    dims = [2 ** i for i in range(8)]
+    assert [d for d, _, _ in res.iterates] == dims and not res.converged
+    # built up to the first level at or above the s aliases that can be
+    # nonzero, derived past it: the comparison above covers derived levels
+    s = 2 * floor(spec.period * spec.freq_radius + 0.5) + 1
+    assert built == [d for d in dims if d < 2 * s]
+
+
+def _built_levels(monkeypatch, spec, cfg, rates):
+    """Resolutions whose folded alias matrix ``solve`` assembles."""
+    built = []
+    original = csdrf.drf.folded_alias_matrix
+
+    def recording(spec, dim):
+        built.append(dim)
+        return original(spec, dim)
+
+    monkeypatch.setattr(csdrf.drf, "folded_alias_matrix", recording)
+    solver = ContinuousDrfSolver(spec, cfg)
+    results = [solver.solve(rate) for rate in rates]
+    return built, results
+
+
+def test_am_builds_only_the_levels_up_to_saturation(monkeypatch):
+    # f0 = 0.45 f_B: s = 7, so M = 4 and M = 8 are built and 16..64 derived;
+    # with a positive tolerance the first derived gap, 0, stops the schedule
+    spec = am_cpsd(triangular_psd(1.0, 1.0), 0.45)
+    built, results = _built_levels(monkeypatch, spec, ContinuousDrfConfig(4, 64, None, 0.0, 256),
+                                   (0.5, 2.0))
+    assert built == [4, 8]
+    assert all(not r.converged and len(r.iterates) == 5 for r in results)
+    built, results = _built_levels(monkeypatch, spec, ContinuousDrfConfig(4, 64, None, 1e-4, 256),
+                                   (0.5, 2.0))
+    assert built == [4, 8]
+    assert all(r.converged and [d for d, _, _ in r.iterates] == [4, 8, 16] for r in results)
+    assert all(r.cauchy_gaps[0] > 1e-2 and r.cauchy_gaps[1] == 0.0 for r in results)
+
+
+@pytest.mark.parametrize("pulse", [rect_pulse(0.8), triangle_pulse(0.8),
+                                   raised_cosine_pulse(0.8, 0.3)])
+def test_pam_builds_every_level(monkeypatch, pulse):
+    # the rank-one level depends on M through the pulse samples: no level is
+    # a rescale of the one before
+    spec = pam_cpsd(triangular_psd(1.0, 1.0), pulse, 0.8)
+    built, _ = _built_levels(monkeypatch, spec, ContinuousDrfConfig(4, 64, None, 0.0, 256),
+                             (0.5, 2.0))
+    assert built == [4, 8, 16, 32, 64]
 
 
 # ---------------------------------------------------------------------------

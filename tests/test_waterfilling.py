@@ -101,7 +101,7 @@ def test_field_is_built_in_slices_and_equals_the_one_shot_field():
     matrix, sizes = _recording(
         psd_pc_matrix_continuous(am_cpsd(triangular_psd(1.0, 1.0), 0.45, 0.3), 64))
     step = SLICE_ENTRIES // 64 ** 2
-    grid = phi_grid(2 * step + 77, matrix.phi_breakpoints)     # not a multiple of the slice
+    grid = phi_grid(2 * step + 37, matrix.phi_breakpoints)     # a partial third slice
     field = EigenField.from_matrix(matrix, grid)
     assert max(sizes) <= step and sum(sizes) == grid.size and len(sizes) == 3
     np.testing.assert_array_equal(field.lam, hermitian_eigenvalues(matrix(grid.nodes)))
