@@ -7,10 +7,10 @@ oracle for validation.
 """
 
 from .drf import (AmDrfResult, ContinuousDrfConfig, ContinuousDrfResult,
-                  ContinuousDrfSolver, MmseFilter, NonConvergedError,
+                  ContinuousDrfSolver, NonConvergedError, discrete_waterfiller,
                   drf_am, drf_cs_at_resolution, drf_cs_discrete, drf_pam,
-                  lower_bound_continuous, lower_bound_discrete, mmse_filter,
-                  pam_waterfiller, sampled_source_coding,
+                  lower_bound_continuous, lower_bound_discrete,
+                  pam_waterfiller, sampled_coding, sampled_source_coding,
                   upper_bound_gaussian_psd)
 from .oracle import (BlockCovariance, KernelGrid, WeylGap, build_kernel,
                      kl_drf, step_approximation, weyl_gap)
@@ -23,7 +23,7 @@ from .spectra import (CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum,
                       ideal_interp_pulse, modulated_ma, pam_cpsd,
                       raised_cosine_psd, raised_cosine_pulse, rect_pulse,
                       stationary_cyclic, tabulated_psd, triangle_pulse,
-                      triangular_psd, white_cs)
+                      triangular_psd, white_cs, wiener_pulse)
 from .waterfilling import (EigenField, NotPositiveSemidefinite,
                            RateDistortionPoint, ScalarWaterfiller,
                            WaterLevelUnderflow, discrete_stationary_drf,

@@ -22,14 +22,14 @@ import numpy as np
 from . import drf as drf_mod
 from . import oracle as oracle_mod
 from .polyphase import psd_pc_matrix_continuous, psd_pc_matrix_discrete
-from .quadrature import phi_grid, segmented_midpoint
+from .quadrature import segmented_midpoint
 from .spectra import (DiscreteCsProcess, PamCyclicSpectrum, PulseShape,
                       StationaryPsd, am_cpsd, am_gaussian_psd, flat_psd,
                       ideal_interp_pulse, modulated_ma, pam_cpsd,
                       raised_cosine_psd, raised_cosine_pulse, rect_pulse,
                       stationary_cyclic, triangle_pulse, triangular_psd,
                       white_cs)
-from .waterfilling import (EigenField, WaterLevelUnderflow, hermitian_eigenvalues,
+from .waterfilling import (WaterLevelUnderflow, hermitian_eigenvalues,
                            stationary_waterfiller)
 
 CSV_HEADER = "rate_bits,distortion,theta,method,M,converged"
@@ -320,16 +320,11 @@ def _discrete_sources(sc):
     proc = make_discrete(sc)
     m = proc.period
 
-    def field_solve():
-        matrix = psd_pc_matrix_discrete(proc)
-        field = EigenField.from_matrix(matrix, phi_grid(sc.phi_grid, matrix.phi_breakpoints))
-        return field.waterfiller(1.0 / (2.0 * m)).solve
-
     def block_solve():
         return oracle_mod.kl_drf(oracle_mod.BlockCovariance.from_process(proc, sc.oracle_n)).solve
 
     return [Source(proc, {
-        "drf": _solved(field_solve, m),
+        "drf": _solved(lambda: drf_mod.discrete_waterfiller(proc, sc.phi_grid).solve, m),
         "lower_bound": _whole_curve(
             sc, lambda rates: drf_mod.lower_bound_discrete(proc, rates, sc.phi_grid), m),
         "oracle": _solved(block_solve, m),
@@ -371,12 +366,18 @@ def _pam_sources(sc):
 
 def _sampled_sources(sc):
     base = make_base(sc)
+    fs = sc.sampling_rate
 
-    def coded(rate):
-        total, pt = drf_mod.sampled_source_coding(base, sc.sampling_rate, rate, sc.phi_grid)
-        return total, pt.theta, 0, True
+    def coded():
+        """Built once per curve; theta is on the estimate's density, fs times the PAM level."""
+        mmse, sw = drf_mod.sampled_coding(base, fs, sc.phi_grid)
 
-    return [Source(None, {"drf": lambda: coded, "baseband": _stationary(sc, base)})]
+        def point(rate):
+            pt = sw.solve(rate)
+            return mmse + pt.distortion, fs * pt.theta, 0, True
+        return point
+
+    return [Source(None, {"drf": coded, "baseband": _stationary(sc, base)})]
 
 
 # source kind -> the scenario's sources. A (kind, method) pair is supported

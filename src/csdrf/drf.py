@@ -17,11 +17,12 @@ import numpy as np
 from .polyphase import (_require_positive_int, folded_alias_matrix,
                         polyphase_component_psd, psd_pc_matrix_discrete,
                         saturation_dim)
-from .quadrature import phi_grid, segmented_midpoint
+from .quadrature import phi_grid
 from .spectra import (CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum,
-                      PulseShape, StationaryPsd, am_cpsd, am_gaussian_psd)
+                      PulseShape, StationaryPsd, am_cpsd, am_gaussian_psd,
+                      wiener_pulse)
 from .waterfilling import (EigenField, RateDistortionPoint, ScalarWaterfiller,
-                           stationary_drf)
+                           WaterLevelUnderflow, stationary_drf)
 
 
 class NonConvergedError(RuntimeError):
@@ -36,13 +37,21 @@ def drf_cs_discrete(proc: DiscreteCsProcess, rate_bits_per_symbol: float,
                     n_grid: int = 2048) -> RateDistortionPoint:
     """Distortion-rate point of a discrete-time cyclostationary source.
 
-    Builds the polyphase matrix, decomposes it over the frequency grid, and
-    solves the common water level at the requested per-symbol rate.
+    Solves the common water level of ``discrete_waterfiller`` at the
+    requested per-symbol rate.
+    """
+    return discrete_waterfiller(proc, n_grid).solve(rate_bits_per_symbol)
+
+
+def discrete_waterfiller(proc: DiscreteCsProcess, n_grid: int = 2048) -> ScalarWaterfiller:
+    """Waterfiller of a discrete-time cyclostationary source, rates per symbol.
+
+    Builds the polyphase matrix and decomposes it over the frequency grid;
+    the levels are its eigenvalues, weighted 1/M.
     """
     matrix = psd_pc_matrix_discrete(proc)
     grid = phi_grid(n_grid, matrix.phi_breakpoints)
-    eigs = EigenField.from_matrix(matrix, grid)
-    return eigs.waterfiller(1.0 / (2.0 * proc.period)).solve(rate_bits_per_symbol)
+    return EigenField.from_matrix(matrix, grid).waterfiller(1.0 / (2.0 * proc.period))
 
 
 def lower_bound_discrete(proc: DiscreteCsProcess, rates_bits_per_symbol,
@@ -139,6 +148,11 @@ class ContinuousDrfSolver:
     schedule and the stop rule run as before; a derived gap is 0. Pulse-
     amplitude spectra have no s and build every level. ``point_at`` always
     builds its level.
+
+    A built level whose water-level bracket cannot reach the rate
+    (``WaterLevelUnderflow``) is skipped: it adds no iterate and no gap, and
+    the next level is built, since a level is derived only from the one just
+    before it. Only an underflow at the last level of the schedule raises.
     """
 
     def __init__(self, spec: CyclicSpectrum, cfg: ContinuousDrfConfig | None = None):
@@ -174,7 +188,12 @@ class ContinuousDrfSolver:
             if iterates and self._saturation is not None and iterates[-1][0] >= self._saturation:
                 theta, dist = 2.0 * iterates[-1][1], prev_d      # exact rescale of the last level
             else:
-                pt = self.point_at(rate_bits_per_second, dim)
+                try:
+                    pt = self.point_at(rate_bits_per_second, dim)
+                except WaterLevelUnderflow:
+                    if dim == dims[-1]:
+                        raise
+                    continue            # too coarse to carry the rate: no iterate, no gap
                 theta, dist = pt.theta, pt.distortion
             iterates.append((dim, theta, dist))
             if prev_d is not None:
@@ -296,72 +315,18 @@ def drf_am(base: StationaryPsd, f0: float, rate_bits_per_second: float,
 # combined sampling and source coding
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class MmseFilter:
-    """Optimal interpolation of a stationary source from uniform samples.
+def sampled_coding(base: StationaryPsd, fs: float,
+                   n_grid: int = 2048) -> tuple[float, ScalarWaterfiller]:
+    """(MMSE, waterfiller) of sampling at fs, then coding the MMSE estimate.
 
-    ``response`` is the dimensionless frequency response S(f)/fold(f) in
-    [0, 1]; ``folded_j`` restricted to (-fs/2, fs/2) is the spectral mass of
-    the estimate per aliasing cell, so the estimation error is the source
-    power minus the band integral of ``folded_j``.
+    The estimate is the pulse-amplitude process of the samples with the
+    Wiener pulse, so its waterfiller is the PAM closed form; its level is
+    theta / fs for a level theta on the estimate's density folded onto
+    (-fs/2, fs/2). The MMSE is the source power minus D(rate 0).
     """
-
-    fs: float
-    response: object           # callable f -> gain in [0, 1]
-    folded_j: object           # callable f -> power density on the band
-    mmse: float
-    band_breakpoints: tuple
-
-    def band_grid(self, n_grid: int = 2048):
-        half = 0.5 * self.fs
-        return segmented_midpoint(-half, half, n_grid, self.band_breakpoints)
-
-
-def mmse_filter(base: StationaryPsd, fs: float, n_grid: int = 2048) -> MmseFilter:
-    """Wiener interpolation filter and its error for sampling at rate fs.
-
-    W(f) = S(f) / sum_k S(f - k fs) where the aliased denominator is
-    positive, else 0. At or above twice the support radius the response is
-    the support indicator and the error vanishes; frequency regions whose
-    aliases all vanish contribute their source mass to the error.
-    """
-    if fs <= 0:
-        raise ValueError("sampling rate must be positive")
-    if not math.isfinite(base.support_radius):
-        raise ValueError("mmse filter needs a band-limited density")
-    f_b = base.support_radius
-
-    def folded(f, power_of_s):
-        f = np.asarray(f, dtype=float)
-        out = np.zeros(f.shape, dtype=float)
-        lo = math.floor((f.min() - f_b) / fs) - 1
-        hi = math.ceil((f.max() + f_b) / fs) + 1
-        for k in range(lo, hi + 1):
-            out += base(f - k * fs) ** power_of_s
-        return out
-
-    def response(f):
-        num = base(f)
-        den = folded(f, 1)
-        return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-
-    def folded_j(f):
-        num = folded(f, 2)
-        den = folded(f, 1)
-        return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-
-    breaks = set()
-    for b in base.breakpoints:
-        k_lo = math.floor((-0.5 * fs - b) / fs) - 1
-        k_hi = math.ceil((0.5 * fs - b) / fs) + 1
-        for k in range(k_lo, k_hi + 1):
-            x = b + k * fs
-            if -0.5 * fs < x < 0.5 * fs:
-                breaks.add(x)
-    band_breakpoints = tuple(sorted(breaks))
-    grid = segmented_midpoint(-0.5 * fs, 0.5 * fs, n_grid, band_breakpoints)
-    mmse = base.total_power - float(grid.weights @ folded_j(grid.nodes))
-    return MmseFilter(fs, response, folded_j, max(mmse, 0.0), band_breakpoints)
+    spec = PamCyclicSpectrum(base, wiener_pulse(base, fs), 1.0 / fs)
+    sw = pam_waterfiller(spec, n_grid)
+    return max(base.total_power - sw.solve(0.0).distortion, 0.0), sw
 
 
 def sampled_source_coding(base: StationaryPsd, fs: float,
@@ -369,17 +334,13 @@ def sampled_source_coding(base: StationaryPsd, fs: float,
                           n_grid: int = 2048) -> tuple[float, RateDistortionPoint]:
     """Minimal distortion of sampling at fs followed by rate-limited coding.
 
-    The optimal scheme estimates the source from its samples and then codes
-    the estimate, so the distortion splits into the estimation error plus the
-    waterfilled distortion of the estimate's folded spectrum on
-    (-fs/2, fs/2). Returns (total distortion, coding point).
+    The distortion splits into the estimation error plus the waterfilled
+    distortion of the estimate (``sampled_coding``). Returns (total
+    distortion, coding point), the point's theta on the estimate's density.
     """
-    filt = mmse_filter(base, fs, n_grid)
-    grid = filt.band_grid(n_grid)
-    sw = ScalarWaterfiller(filt.folded_j(grid.nodes), grid.weights,
-                           d_scale=1.0, r_scale=0.5)
+    mmse, sw = sampled_coding(base, fs, n_grid)
     pt = sw.solve(rate_bits_per_second)
-    return filt.mmse + pt.distortion, pt
+    return mmse + pt.distortion, RateDistortionPoint(fs * pt.theta, pt.rate, pt.distortion)
 
 
 def upper_bound_gaussian_psd(base: StationaryPsd, f0: float,

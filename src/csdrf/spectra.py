@@ -31,6 +31,22 @@ class TruncationError(RuntimeError):
     """An infinite spectral series could not be truncated within tolerance."""
 
 
+def _lattice_fold(fn, f, radius: float, period: float) -> np.ndarray:
+    """sum_l fn(f - l/period) for a function that vanishes outside |x| <= radius.
+
+    Every shift that can reach the support at some f is summed, in ascending
+    l. The folded base density, the aliased pulse energy and the Wiener pulse
+    all fold through here.
+    """
+    f = np.asarray(f, dtype=float)
+    out = np.zeros(f.shape, dtype=float)
+    lo = floor((f.min() - radius) * period) - 1
+    hi = ceil((f.max() + radius) * period) + 1
+    for l in range(lo, hi + 1):
+        out += fn(f - l / period)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # stationary sources
 # ---------------------------------------------------------------------------
@@ -251,6 +267,35 @@ def raised_cosine_pulse(t_symbol: float, beta: float = 0.25) -> PulseShape:
 
     energy = t_symbol * (1.0 - beta / 4.0)
     return PulseShape(fourier, energy, f2, None, None, (-f2, -f1, f1, f2), "raised_cosine")
+
+
+def wiener_pulse(base: StationaryPsd, fs: float) -> PulseShape:
+    """Pulse of the MMSE estimate sum_n U(n/fs) p(t - n/fs) of a source from its samples.
+
+    P(f) = S(f) / (fs sum_k S(f - k fs)), and 0 where the fold vanishes. Its
+    support is that of S, and ``energy`` integrates |P|^2 on a grid pinned
+    to the lattice shifts of the base breakpoints, where P kinks.
+    ``breakpoints`` are the base's own: a fold over 1/fs maps the shifts
+    onto the same points.
+    """
+    if not (isfinite(fs) and fs > 0.0):
+        raise ValueError(f"fs must be finite and positive, got {fs!r}")
+    f_b = base.support_radius
+    if not isfinite(f_b):
+        raise ValueError("base must be band-limited (finite support_radius) for a Wiener pulse")
+    t0 = 1.0 / fs
+
+    def fourier(f):
+        num = base(f)
+        den = fs * _lattice_fold(base, f, f_b, t0)
+        return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0).astype(complex)
+
+    kinks = [b + k * fs for b in base.breakpoints
+             for k in range(ceil((-f_b - b) / fs), floor((f_b - b) / fs) + 1)]
+    grid = segmented_midpoint(-f_b, f_b, 4096, kinks)
+    energy = float(grid.weights @ np.abs(fourier(grid.nodes)) ** 2)
+    return PulseShape(fourier, energy, f_b, None, None, base.breakpoints,
+                      f"wiener({base.name},fs={fs:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -481,15 +526,7 @@ class PamCyclicSpectrum(CyclicSpectrum):
 
     def sampled_base_psd(self, f):
         """Folded base density (1/T0) sum_l S(f - l/T0): spectrum of the samples."""
-        f = np.asarray(f, dtype=float)
-        t0 = self.period
-        fb = self.base.support_radius
-        out = np.zeros(f.shape, dtype=float)
-        lo = floor((f.min() - fb) * t0) - 1
-        hi = ceil((f.max() + fb) * t0) + 1
-        for l in range(lo, hi + 1):
-            out += self.base(f - l / t0)
-        return out / t0
+        return _lattice_fold(self.base, f, self.base.support_radius, self.period) / self.period
 
     def pulse_energy_fold(self, f):
         """Aliased pulse energy sum_k |P(f - k/T0)|^2.
@@ -501,14 +538,10 @@ class PamCyclicSpectrum(CyclicSpectrum):
         f = np.asarray(f, dtype=float)
         t0 = self.period
         if isfinite(self.pulse.support_radius):
-            fp = self.pulse.support_radius
-            out = np.zeros(f.shape, dtype=float)
-            lo = floor((f.min() - fp) * t0) - 1
-            hi = ceil((f.max() + fp) * t0) + 1
-            for k in range(lo, hi + 1):
-                p = self.pulse.fourier(f - k / t0)
-                out += (p * p.conj()).real
-            return out
+            def energy(x):
+                p = self.pulse.fourier(x)
+                return (p * p.conj()).real
+            return _lattice_fold(energy, f, self.pulse.support_radius, t0)
         win = self.pulse.time_window
         if win is not None and (win[1] - win[0]) <= t0 * (1.0 + 1e-12):
             return np.full(f.shape, t0 * self.pulse.energy)

@@ -232,10 +232,10 @@ def test_ac7_combined_sampling_and_coding():
             ref = csdrf.stationary_drf(base, float(r)).distortion
             assert total == pytest.approx(ref, rel=1e-9, abs=1e-12), (fs, r)
 
-    filt = csdrf.mmse_filter(base, 1.0)
-    assert filt.mmse == pytest.approx(0.5, abs=1e-6)
+    mmse, _ = csdrf.sampled_coding(base, 1.0)
+    assert mmse == pytest.approx(0.5, abs=1e-6)
     total, _ = csdrf.sampled_source_coding(base, 1.0, 60.0)
-    assert total - filt.mmse <= 1e-9
+    assert total - mmse <= 1e-9
 
     _report("AC7 combined sampling and coding (equalities at 1e-9, "
             "aliasing error 0.5 +- 1e-6)")

@@ -470,6 +470,25 @@ def test_bound_folds_each_profile_once_per_curve(tmp_path, monkeypatch, kind):
     assert counts[0] == counts[1] > 0
 
 
+def test_sampled_coding_builds_one_waterfiller_per_curve(tmp_path, monkeypatch):
+    # the estimate's waterfiller serves every rate of the curve and its MMSE
+    built = []
+    init = csdrf.waterfilling.ScalarWaterfiller.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(csdrf.waterfilling.ScalarWaterfiller, "__init__", recording)
+    for count in (2, 8):
+        built.clear()
+        out = str(tmp_path / f"s{count}.csv")
+        assert main(["drf", "--config", _curve_cfg(tmp_path, "sampled-coding", count),
+                     "--out", out]) == 0
+        assert len(_read_rows(out)) == count
+        assert len(built) == 1
+
+
 def test_fig6_refinement_never_decomposes_beyond_its_alias_count(tmp_path, monkeypatch):
     # fig6's source with every level of the schedule up to M = 64: the solver
     # decomposes folded alias matrices, never the M x M polyphase matrix, and

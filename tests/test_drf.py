@@ -1,4 +1,4 @@
-from math import floor
+from math import ceil, floor
 
 import numpy as np
 import pytest
@@ -9,14 +9,16 @@ import csdrf.drf
 from csdrf.drf import (ContinuousDrfConfig, ContinuousDrfSolver,
                        drf_am, drf_cs_at_resolution, drf_cs_discrete, drf_pam,
                        lower_bound_continuous, lower_bound_discrete,
-                       mmse_filter, sampled_source_coding,
+                       sampled_coding, sampled_source_coding,
                        upper_bound_gaussian_psd)
 from csdrf.polyphase import psd_pc_matrix_continuous
-from csdrf.spectra import (PulseShape, am_cpsd, flat_psd, ideal_interp_pulse,
-                           modulated_ma, pam_cpsd, raised_cosine_psd,
-                           raised_cosine_pulse, rect_pulse, stationary_cyclic,
-                           triangle_pulse, triangular_psd, white_cs)
-from csdrf.waterfilling import EigenField, discrete_stationary_drf, stationary_drf
+from csdrf.spectra import (PamCyclicSpectrum, PulseShape, am_cpsd, flat_psd,
+                           ideal_interp_pulse, modulated_ma, pam_cpsd,
+                           raised_cosine_psd, raised_cosine_pulse, rect_pulse,
+                           stationary_cyclic, triangle_pulse, triangular_psd,
+                           white_cs, wiener_pulse)
+from csdrf.waterfilling import (EigenField, ScalarWaterfiller, WaterLevelUnderflow,
+                                discrete_stationary_drf, stationary_drf)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +105,21 @@ def test_nonconvergence_flagged():
     # a zero tolerance runs the whole schedule, even where D_4 and D_8 tie
     assert len(res.iterates) == 2
     assert len(res.cauchy_gaps) == 1
+
+
+def test_levels_too_coarse_for_the_rate_are_skipped():
+    # AM at f0 = f_B / 16: M = 1 resolves at most 3.75 bits per second, so
+    # at R = 4 the schedule from M = 1 skips it and runs as the one from M = 2
+    spec = am_cpsd(flat_psd(1.0, 1.0), 0.0625)
+    with pytest.raises(WaterLevelUnderflow, match="resolvable maximum 3.75"):
+        drf_cs_at_resolution(spec, 4.0, 1)
+    a = ContinuousDrfSolver(spec, ContinuousDrfConfig(m_start=1)).solve(4.0)
+    b = ContinuousDrfSolver(spec, ContinuousDrfConfig(m_start=2)).solve(4.0)
+    assert a == b
+    assert a.iterates[0][0] == 2 and len(a.cauchy_gaps) == len(a.iterates) - 1
+    # an underflow at the last level of the schedule still raises
+    with pytest.raises(WaterLevelUnderflow):
+        ContinuousDrfSolver(spec, ContinuousDrfConfig(m_start=1, m_max=1)).solve(4.0)
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
@@ -395,45 +412,99 @@ def test_continuous_bound_t_grid_refinement():
 # sampling plus coding
 # ---------------------------------------------------------------------------
 
+def _estimate(base, fs):
+    """The MMSE estimate from samples at fs: the PAM process with the Wiener pulse."""
+    return PamCyclicSpectrum(base, wiener_pulse(base, fs), 1.0 / fs)
+
+
+def _response(base, fs, f):
+    """Dimensionless interpolation gain fs P(f) of the Wiener pulse."""
+    p = fs * wiener_pulse(base, fs).fourier(f)
+    assert np.all(p.imag == 0.0)
+    return p.real
+
+
 def test_filter_above_nyquist_is_lossless():
     base = triangular_psd(1.0, 1.0)
-    filt = mmse_filter(base, 2.5)
-    assert filt.mmse == pytest.approx(0.0, abs=1e-12)
+    mmse, _ = sampled_coding(base, 2.5)
+    assert mmse == pytest.approx(0.0, abs=1e-12)
     f = np.linspace(-0.9, 0.9, 33)
-    np.testing.assert_allclose(filt.response(f), 1.0, atol=1e-13)
+    np.testing.assert_allclose(_response(base, 2.5, f), 1.0, atol=1e-13)
 
 
 def test_filter_zero_source():
-    filt = mmse_filter(flat_psd(1.0, 0.0), 1.0)
-    assert filt.mmse == 0.0
-    assert np.all(filt.folded_j(np.linspace(-0.4, 0.4, 9)) == 0)
+    base, fs = flat_psd(1.0, 0.0), 1.0
+    mmse, _ = sampled_coding(base, fs)
+    assert mmse == 0.0
+    assert np.all(fs * _estimate(base, fs).shaped_profile(np.linspace(-0.4, 0.4, 9)) == 0)
 
 
 def test_flat_twofold_overlap_closed_form():
     # derived: two equal aliases overlap everywhere on the band, so the
     # response is 1/2, the folded estimate density is 1/4 + 1/4 = ... S^2/S
-    base = flat_psd(1.0, 1.0)
-    filt = mmse_filter(base, 1.0)
-    assert filt.mmse == pytest.approx(0.5, abs=1e-6)
+    base, fs = flat_psd(1.0, 1.0), 1.0
+    mmse, _ = sampled_coding(base, fs)
+    assert mmse == pytest.approx(0.5, abs=1e-6)
     f = np.linspace(-0.45, 0.45, 10)   # even count avoids the f = 0 alias edge
-    np.testing.assert_allclose(filt.response(f), 0.5, atol=1e-13)
-    np.testing.assert_allclose(filt.folded_j(f), 0.5, atol=1e-13)
+    np.testing.assert_allclose(_response(base, fs, f), 0.5, atol=1e-13)
+    np.testing.assert_allclose(fs * _estimate(base, fs).shaped_profile(f), 0.5, atol=1e-13)
 
 
 def test_filter_error_accounting():
     # mmse equals the source power minus the band mass of the estimate
-    base = triangular_psd(1.0, 1.0)
-    filt = mmse_filter(base, 1.3)
-    grid = filt.band_grid(2048)
-    mass = grid.weights @ filt.folded_j(grid.nodes)
-    assert filt.mmse == pytest.approx(base.total_power - mass, abs=1e-12)
+    base, fs = triangular_psd(1.0, 1.0), 1.3
+    spec = _estimate(base, fs)
+    mmse, _ = sampled_coding(base, fs)
+    grid = spec.band_grid(2048)
+    mass = grid.weights @ (fs * spec.shaped_profile(grid.nodes))
+    assert mmse == pytest.approx(base.total_power - mass, abs=1e-12)
     # grid refinement only moves the accounting at the quadrature level
-    fine = filt.band_grid(4096)
-    mass_fine = fine.weights @ filt.folded_j(fine.nodes)
+    fine = spec.band_grid(4096)
+    mass_fine = fine.weights @ (fs * spec.shaped_profile(fine.nodes))
     assert abs(mass_fine - mass) <= 1e-6
-    f = np.linspace(-0.6, 0.6, 41)
-    w = filt.response(f)
+    w = _response(base, fs, np.linspace(-0.6, 0.6, 41))
     assert np.all((0.0 <= w) & (w <= 1.0 + 1e-12))
+
+
+def _reference_fold(base, fs, f, exponent):
+    """sum_k S(f - k fs)**exponent, the fold of the former MMSE-filter code."""
+    f_b = base.support_radius
+    out = np.zeros(f.shape)
+    for k in range(floor((f.min() - f_b) / fs) - 1, ceil((f.max() + f_b) / fs) + 2):
+        out += base(f - k * fs) ** exponent
+    return out
+
+
+def _reference_sampled_coding(base, fs, rate, grid):
+    """Total distortion and theta of the former closed form on ``grid``:
+    the estimate's folded density sum S^2 / sum S waterfilled, plus the
+    source power it leaves out."""
+    num = _reference_fold(base, fs, grid.nodes, 2)
+    den = _reference_fold(base, fs, grid.nodes, 1)
+    levels = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    mmse = max(base.total_power - float(grid.weights @ levels), 0.0)
+    pt = ScalarWaterfiller(levels, grid.weights, d_scale=1.0, r_scale=0.5).solve(rate)
+    return mmse + pt.distortion, pt.theta
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), bandwidth=st.floats(0.25, 4.0),
+       power=st.one_of(st.just(0.0), st.floats(0.1, 10.0)), ratio=st.floats(0.3, 4.0),
+       rates=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4))
+@example(family="raised_cosine", bandwidth=1.0, power=1.0, ratio=0.6, rates=[0.5, 3.0])
+def test_wiener_pam_equals_the_mmse_fold(family, bandwidth, power, ratio, rates):
+    # fs / f_B in [0.3, 4], rates up to 4 f_B bits per second; the reference
+    # runs on the PAM band grid, since the two constructions' folded
+    # breakpoints can differ in the last bit and so split a segment's nodes
+    # differently (raised cosine at fs = 0.6 f_B: 0.12 vs 0.12000000000000005)
+    base = FAMILIES[family](bandwidth, power)
+    fs = ratio * bandwidth
+    grid = _estimate(base, fs).band_grid(512)
+    for rate in rates:
+        total, pt = sampled_source_coding(base, fs, rate * bandwidth, 512)
+        ref_total, ref_theta = _reference_sampled_coding(base, fs, rate * bandwidth, grid)
+        assert total == pytest.approx(ref_total, rel=1e-12, abs=0.0)
+        assert pt.theta == pytest.approx(ref_theta, rel=1e-12, abs=0.0)
 
 
 def test_sampled_coding_super_nyquist_equals_baseband():
@@ -447,9 +518,9 @@ def test_sampled_coding_super_nyquist_equals_baseband():
 
 def test_sampled_coding_saturates_at_estimation_error():
     base = flat_psd(1.0, 1.0)
-    filt = mmse_filter(base, 1.0)
+    mmse, _ = sampled_coding(base, 1.0)
     total, _ = sampled_source_coding(base, 1.0, 60.0)
-    assert total - filt.mmse <= 1e-9
+    assert total - mmse <= 1e-9
 
 
 def test_sampled_coding_flat_overlap_value():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from csdrf.spectra import (DiscreteCsProcess, TruncationError, am_cpsd,
-                           am_gaussian_psd, average_power, flat_psd,
+from csdrf.spectra import (DiscreteCsProcess, StationaryPsd, TruncationError,
+                           am_cpsd, am_gaussian_psd, average_power, flat_psd,
                            ideal_interp_pulse, modulated_ma, pam_cpsd,
                            raised_cosine_psd, raised_cosine_pulse, rect_pulse,
                            stationary_cyclic, tabulated_psd, triangle_pulse,
-                           triangular_psd, white_cs)
+                           triangular_psd, white_cs, wiener_pulse)
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +72,49 @@ def test_parseval_energy(pulse, span, tol):
     f = np.linspace(-span, span, 800001)
     quad = np.trapezoid(np.abs(pulse.fourier(f)) ** 2, f)
     assert quad == pytest.approx(pulse.energy, rel=tol)
+
+
+@pytest.mark.parametrize("fs", [0.0, -1.0, float("nan"), float("inf")])
+def test_wiener_pulse_rejects_a_meaningless_sampling_rate(fs):
+    with pytest.raises(ValueError, match="fs must be finite and positive"):
+        wiener_pulse(flat_psd(1.0, 1.0), fs)
+
+
+def test_wiener_pulse_needs_a_band_limited_base():
+    gauss = StationaryPsd(lambda f: np.exp(-np.pi * f * f), np.inf, 1.0)
+    with pytest.raises(ValueError, match="base must be band-limited"):
+        wiener_pulse(gauss, 1.0)
+
+
+@pytest.mark.parametrize("psd", [flat_psd(1.0, 1.0), triangular_psd(0.7, 2.0),
+                                 raised_cosine_psd(1.3, 0.5)])
+@pytest.mark.parametrize("ratio", [2.0, 3.1])
+def test_wiener_pulse_energy_at_or_above_nyquist(psd, ratio):
+    # no alias overlaps the support: P = 1/fs wherever S > 0
+    f_b = psd.support_radius
+    fs = ratio * f_b
+    pulse = wiener_pulse(psd, fs)
+    assert pulse.support_radius == f_b
+    assert pulse.energy == pytest.approx(2.0 * f_b / fs ** 2, rel=1e-12)
+    f = np.linspace(-1.5 * f_b, 1.5 * f_b, 60)     # misses the edges, where aliases touch
+    np.testing.assert_allclose(pulse.fourier(f), np.where(psd(f) > 0.0, 1.0 / fs, 0.0),
+                               rtol=1e-13, atol=0.0)
+
+
+def test_wiener_pulse_energy_below_nyquist():
+    # flat f_B = 1 sampled at fs = 1: two aliases overlap everywhere, P = 1/2
+    # on [-1, 1]; the triangle's energy against a dense independent rule
+    assert wiener_pulse(flat_psd(1.0, 1.0), 1.0).energy == pytest.approx(0.5, rel=1e-12)
+    pulse = wiener_pulse(triangular_psd(1.0, 1.0), 1.3)
+    f = np.linspace(-1.0, 1.0, 400001)
+    quad = np.trapezoid(np.abs(pulse.fourier(f)) ** 2, f)
+    assert pulse.energy == pytest.approx(quad, rel=1e-6)
+
+
+def test_wiener_pulse_of_a_zero_source_is_zero():
+    pulse = wiener_pulse(flat_psd(1.0, 0.0), 0.7)
+    assert pulse.energy == 0.0
+    assert np.all(pulse.fourier(np.linspace(-2.0, 2.0, 41)) == 0.0)
 
 
 def test_pulse_conjugate_symmetry():
