@@ -64,9 +64,11 @@ def lower_bound_discrete(proc: DiscreteCsProcess, rates_bits_per_symbol,
     coordinates jointly can only do better, hence the bound. Tight at rate 0
     and asymptotically as the rate grows.
 
-    Returns the bound at every rate, shaped like ``rates_bits_per_symbol``;
-    each component's spectrum is folded once for the whole curve.
+    Returns the bound at every rate, shaped like ``rates_bits_per_symbol``.
+    Each component's spectrum is folded once for the whole curve and solved
+    exactly at every rate by one ``ScalarWaterfiller.solve_many``.
     """
+    _require_positive_int("n_grid", n_grid)
     m = proc.period
     grid = phi_grid(n_grid, proc.phi_breakpoints)
     per_component_rates = m * np.asarray(rates_bits_per_symbol, dtype=float)
@@ -74,13 +76,8 @@ def lower_bound_discrete(proc: DiscreteCsProcess, rates_bits_per_symbol,
     for comp in range(m):
         levels = polyphase_component_psd(proc, comp, grid.nodes)
         sw = ScalarWaterfiller(levels, grid.weights, d_scale=1.0, r_scale=0.5)
-        total += _distortions(sw, per_component_rates)
+        total += sw.solve_many(per_component_rates)[1]
     return total / m
-
-
-def _distortions(sw: ScalarWaterfiller, rates: np.ndarray) -> np.ndarray:
-    """Distortion of one waterfiller at every rate, shaped like ``rates``."""
-    return np.array([sw.solve(rate).distortion for rate in rates.flat]).reshape(rates.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +226,22 @@ def lower_bound_continuous(spec: CyclicSpectrum, rates_bits_per_second,
     midpoint rule. Equality holds exactly when a single component determines
     all others.
 
-    Returns the bound at every rate, shaped like ``rates_bits_per_second``;
-    each phase's spectrum is folded once for the whole curve.
+    Returns the bound at every rate, shaped like ``rates_bits_per_second``.
+    The ``n_t`` phase spectra come from one batched ``pc_psd`` call, which
+    folds each harmonic once for the whole curve, and each phase is solved
+    exactly at every rate by one ``ScalarWaterfiller.solve_many``.
     """
+    _require_positive_int("n_t", n_t)
+    _require_positive_int("n_grid", n_grid)
     t0 = spec.period
     grid = phi_grid(n_grid, spec.phi_breakpoints())
     normalizer = 1.0 / (2.0 * t0)
     rates = np.asarray(rates_bits_per_second, dtype=float)
     total = np.zeros(rates.shape)
-    for i in range(n_t):
-        t = (i + 0.5) * t0 / n_t
-        levels = spec.pc_psd(t, grid.nodes)
+    phases = (np.arange(n_t) + 0.5) * t0 / n_t
+    for levels in spec.pc_psd(phases, grid.nodes):
         sw = ScalarWaterfiller(levels, grid.weights, d_scale=1.0, r_scale=normalizer)
-        total += _distortions(sw, rates)
+        total += sw.solve_many(rates)[1]
     return total / n_t
 
 

@@ -352,19 +352,29 @@ class CyclicSpectrum:
             out += self.cpsd(n, f) * np.exp(TWO_PI * 1j * n * t / self.period)
         return out
 
-    def pc_psd(self, t: float, phi):
+    def pc_psd(self, t, phi):
         """Spectrum of the phase-t polyphase component on the normalized circle.
 
-        Folds the time-varying spectrum over the sampling lattice 1/period;
-        the result of the fold is real and nonnegative up to rounding.
+        Folds the time-varying spectrum over the sampling lattice 1/period:
+        Re sum_n e^{2 pi i n t / T0} F_n(phi) / T0, where F_n(phi) is
+        cpsd(n, .) summed over the lattice shifts (phi - k) / T0. Each F_n is
+        folded once, whatever the number of phases; ``t`` may be an array,
+        and the result has shape t.shape + phi.shape. Every phase is summed
+        elementwise, so a phase's row does not depend on the others. The
+        fold is real and nonnegative up to rounding.
         """
         self._require_finite("pc_psd")
+        t = np.asarray(t, dtype=float)
         phi = np.asarray(phi, dtype=float)
-        out = np.zeros(phi.shape, dtype=complex)
         kr = self.period * self.freq_radius
-        for k in range(floor(phi.min() - kr), ceil(phi.max() + kr) + 1):
-            out += self.tpsd(t, (phi - k) / self.period)
-        return np.maximum(out.real / self.period, 0.0)
+        shifts = range(floor(phi.min() - kr), ceil(phi.max() + kr) + 1)
+        out = np.zeros(t.shape + phi.shape)
+        for n in self.active_indices:
+            fold = np.zeros(phi.shape, dtype=complex)
+            for k in shifts:
+                fold += self.cpsd(n, (phi - k) / self.period)
+            out += np.multiply.outer(np.exp(TWO_PI * 1j * n * t / self.period), fold).real
+        return np.maximum(out / self.period, 0.0)
 
     def phi_breakpoints(self):
         """Physical breakpoints folded onto the normalized circle."""
@@ -611,10 +621,15 @@ class PamCyclicSpectrum(CyclicSpectrum):
             g[..., m] = self.synthesis_gain(m * self.period / dim, phi)
         return fold, g
 
-    def pc_psd(self, t: float, phi):
+    def pc_psd(self, t, phi):
+        """Phase-t component spectrum fold * |g(t, phi)|^2, the fold taken
+        once for every phase in ``t``; shaped t.shape + phi.shape."""
+        t = np.asarray(t, dtype=float)
         phi = np.asarray(phi, dtype=float)
-        g = self.synthesis_gain(t, phi)
-        return self.sampled_base_psd(phi / self.period) * (g * g.conj()).real
+        fold = self.sampled_base_psd(phi / self.period)
+        gains = np.array([self.synthesis_gain(ti, phi) for ti in t.ravel()])
+        power = (gains * gains.conj()).real.reshape(t.shape + phi.shape)
+        return fold * power
 
     def phi_breakpoints(self):
         return fold_breakpoints(self._band_breaks, self.period)

@@ -2,9 +2,10 @@
 
 A water level theta splits every spectral level lambda into a preserved part
 min(lambda, theta) charged to distortion and a coded part log+(lambda/theta)
-charged to rate. One bisection solver inverts the monotone rate map for all
-of the curve evaluations in this package; integrals are computed in nats and
-rates reported in bits.
+charged to rate. A geometric bisection inverts the monotone rate map one
+rate at a time; ``ScalarWaterfiller.solve_many`` inverts it exactly at many
+rates from the sorted levels. Integrals are computed in nats and rates
+reported in bits.
 """
 
 from __future__ import annotations
@@ -140,6 +141,59 @@ class ScalarWaterfiller:
             if hi - lo <= 4e-16 * hi:
                 break
         return self.point(math.sqrt(lo * hi))
+
+    def solve_many(self, rates) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, distortion) at every target rate, shaped like ``rates``.
+
+        The exact solve: with the levels sorted descending, the rate map is
+        linear in x = log2(theta / level_max) between breakpoints. Above the
+        (k+1)-th largest level only the top k levels code, and
+
+            rate = r_scale * (L_k - W_k x)
+
+        with W_k and L_k the sums of w and of w log2(level / level_max) over
+        the top k (every term <= 0, so nothing cancels). Each rate finds its
+        segment among the breakpoint rates, and x = (L_k - rate / r_scale) /
+        W_k; the distortion is d_scale * (tail_k + theta W_k), tail_k being
+        the sum of w level over the remaining levels, taken from the small
+        end. The rules of ``solve`` hold: a negative or non-finite rate
+        raises ``ValueError``, rate 0 gives theta = level_max, no positive
+        level gives the zero curve, and a rate beyond the 2^-BRACKET_EXP
+        bracket raises ``WaterLevelUnderflow`` (within the edge's 1e-12 band,
+        theta stays at the bracket edge). A zero-weight level adds nothing to
+        rate or distortion and never stops theta from falling below it.
+        """
+        rates = np.asarray(rates, dtype=float)
+        flat = rates.ravel()
+        if not np.all(np.isfinite(flat)) or np.any(flat < 0.0):
+            raise ValueError("target rate must be finite and nonnegative")
+        if not self.levels.size:
+            return np.zeros(rates.shape), np.zeros(rates.shape)
+        lo = self.level_max * 2.0 ** -BRACKET_EXP
+        ratio = lo / self.level_max      # rate_lo is self.rate(lo), evaluated as it evaluates it
+        rate_lo = math.inf if ratio <= 0.0 else self.r_scale * float(
+            self.weights @ np.maximum(self._log_levels - math.log2(ratio), 0.0))
+        edge = rate_lo * (1.0 + 1e-12) + 1e-12
+        if np.any(flat > edge):
+            raise WaterLevelUnderflow(
+                f"target rate {flat[np.argmax(flat > edge)]} exceeds resolvable maximum {rate_lo} "
+                f"(water level underflow below {lo})")
+        order = np.argsort(-self._log_levels, kind="stable")
+        x, w = self._log_levels[order], self.weights[order]
+        big_w = np.cumsum(w)                                  # W_k at index k - 1
+        big_l = np.cumsum(w * x)                              # L_k at index k - 1
+        tail = np.append(np.cumsum((w * self.levels[order])[::-1])[::-1], 0.0)
+        # rate at theta = k-th largest level; every level above it codes
+        breaks = np.maximum.accumulate(
+            self.r_scale * np.append(0.0, big_l[:-1] - big_w[:-1] * x[1:]))
+        k = np.maximum(np.searchsorted(breaks, flat, side="left"), 1)   # top k code
+        wk, lk = big_w[k - 1], big_l[k - 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xk = np.where(wk > 0.0, (lk - flat / self.r_scale) / wk, -np.inf)
+        theta = np.where(flat == 0.0, self.level_max,
+                         self.level_max * np.exp2(np.maximum(xk, -BRACKET_EXP)))
+        dist = np.where(flat == 0.0, tail[0], tail[k] + theta * wk)
+        return theta.reshape(rates.shape), (self.d_scale * dist).reshape(rates.shape)
 
 
 # ---------------------------------------------------------------------------

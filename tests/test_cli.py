@@ -470,6 +470,20 @@ def test_bound_folds_each_profile_once_per_curve(tmp_path, monkeypatch, kind):
     assert counts[0] == counts[1] > 0
 
 
+@pytest.mark.parametrize("kind", ["discrete-cs", "am", "pam"])
+def test_bound_solves_each_profile_without_evaluating_the_rate_map(tmp_path, monkeypatch, kind):
+    # the bound solves its profiles in closed form: no bisection step runs
+    calls = []
+    rate = csdrf.waterfilling.ScalarWaterfiller.rate
+    monkeypatch.setattr(csdrf.waterfilling.ScalarWaterfiller, "rate",
+                        lambda self, theta: calls.append(theta) or rate(self, theta))
+    for count in (2, 8):
+        out = str(tmp_path / f"b{count}.csv")
+        assert main(["bound", "--config", _curve_cfg(tmp_path, kind, count), "--out", out]) == 0
+        assert len(_read_rows(out)) == count
+    assert calls == []
+
+
 def test_sampled_coding_builds_one_waterfiller_per_curve(tmp_path, monkeypatch):
     # the estimate's waterfiller serves every rate of the curve and its MMSE
     built = []

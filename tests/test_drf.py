@@ -408,6 +408,17 @@ def test_continuous_bound_t_grid_refinement():
     assert abs(a - b) <= 1e-6 * max(a, 1e-12)
 
 
+@pytest.mark.parametrize("value", [0, -3, 2.5])
+@pytest.mark.parametrize("bound, source, name", [
+    (lower_bound_continuous, lambda: am_cpsd(triangular_psd(1.0, 1.0), 1.2), "n_t"),
+    (lower_bound_continuous, lambda: am_cpsd(triangular_psd(1.0, 1.0), 1.2), "n_grid"),
+    (lower_bound_discrete, lambda: white_cs([1.0, 4.0]), "n_grid"),
+])
+def test_bounds_reject_grid_sizes_that_are_not_positive_integers(bound, source, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+        bound(source(), [0.5, 1.0], **{name: value})
+
+
 # ---------------------------------------------------------------------------
 # sampling plus coding
 # ---------------------------------------------------------------------------

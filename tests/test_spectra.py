@@ -265,6 +265,40 @@ def test_pam_generic_vs_structured_component_spectra():
                                    atol=1e-12)
 
 
+def _phase_profile(spec, t, phi):
+    """One phase's component spectrum, folded term by term: the sum over
+    lattice shifts of the time-varying spectrum, or fold * |g|^2 for PAM."""
+    if hasattr(spec, "synthesis_gain"):
+        g = spec.synthesis_gain(t, phi)
+        return spec.sampled_base_psd(phi / spec.period) * (g * g.conj()).real
+    kr = spec.period * spec.freq_radius
+    out = sum(spec.tpsd(t, (phi - k) / spec.period)
+              for k in range(int(np.floor(phi.min() - kr)), int(np.ceil(phi.max() + kr)) + 1))
+    return np.maximum(out.real / spec.period, 0.0)
+
+
+@pytest.mark.parametrize("spec", [
+    am_cpsd(triangular_psd(1.0, 1.0), 1.2),
+    am_cpsd(triangular_psd(1.0, 1.0), 1.2, 0.3),
+    stationary_cyclic(raised_cosine_psd(1.0, 1.0), 0.7),
+    pam_cpsd(flat_psd(1.0, 1.0), rect_pulse(1.0), 1.0),
+    pam_cpsd(flat_psd(1.0, 1.0), triangle_pulse(0.8), 0.8),
+    pam_cpsd(triangular_psd(1.0, 1.0), raised_cosine_pulse(0.8, 0.3), 0.8),
+], ids=["am", "am-phase", "stationary", "pam-rect", "pam-triangle", "pam-raised-cosine"])
+def test_batched_component_spectra_equal_the_per_phase_ones(spec):
+    phi = np.linspace(-0.5, 0.5, 97)
+    ts = (np.arange(16) + 0.5) * spec.period / 16
+    batched = spec.pc_psd(ts, phi)
+    assert batched.shape == (16, 97)
+    assert spec.pc_psd(ts.reshape(4, 4), phi).shape == (4, 4, 97)
+    scale = batched.max()
+    for t, row in zip(ts, batched):
+        np.testing.assert_allclose(row, _phase_profile(spec, t, phi), rtol=0, atol=1e-14 * scale)
+        single = spec.pc_psd(float(t), phi)
+        assert single.shape == phi.shape
+        np.testing.assert_array_equal(single, row)
+
+
 def test_pam_rejects_bad_symbol_time():
     with pytest.raises(ValueError):
         pam_cpsd(flat_psd(1.0, 1.0), rect_pulse(1.0), 0.0)

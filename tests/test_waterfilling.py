@@ -367,6 +367,45 @@ def test_log2_runs_once_per_waterfiller_and_never_per_step(monkeypatch):
     assert calls == [4] and len(rate_calls) > 30
 
 
+@settings(max_examples=300, deadline=None)
+@given(pairs=_levels_and_weights, d_scale=st.floats(1e-3, 1e3), r_scale=st.floats(1e-3, 1e3),
+       shares=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=8))
+@example(pairs=[(1.0, 0.0)], d_scale=1.0, r_scale=0.5, shares=[0.0, 0.5, 1e-3])
+@example(pairs=[(2.0, 0.0), (1.0, 1.0)], d_scale=1.0, r_scale=0.5, shares=[1e-9, 0.5])
+@example(pairs=[(3.0, 1.0), (3.0, 0.0), (3.0, 2.0), (1.0, 1.0)], d_scale=1.0, r_scale=0.5,
+         shares=[0.0, 1e-6, 0.01, 0.3, 1.1])
+@example(pairs=[(1e-30, 1.0), (1e3, 1.0), (0.0, 1.0)], d_scale=1.0, r_scale=0.5,
+         shares=[0.9, 1.0, 1.01])
+@example(pairs=[(0.0, 1.0), (0.0, 2.0)], d_scale=1.0, r_scale=0.5, shares=[0.0, 0.5])
+def test_exact_solve_matches_the_bisection_and_the_direct_rate_map(pairs, d_scale, r_scale,
+                                                                   shares):
+    levels, weights = map(np.array, zip(*pairs))
+    ref = _DirectWaterfiller(levels, weights, d_scale, r_scale)
+    sw = ScalarWaterfiller(levels, weights, d_scale, r_scale)
+    edge = ref.edge_rate()
+    # only a target inside the rounding of the edge may be refused by one
+    # rate map and solved by the other
+    targets = [share * edge for share in shares if abs(share - 1.0) > 1e-12]
+    assume(targets)
+    solved = []
+    for target in targets:
+        try:
+            ref.solve(target)
+        except WaterLevelUnderflow:
+            with pytest.raises(WaterLevelUnderflow):
+                sw.solve(target)
+            with pytest.raises(WaterLevelUnderflow):
+                sw.solve_many([0.0, target])
+            continue
+        solved.append(target)
+    theta, dist = sw.solve_many(solved)
+    assert theta.shape == dist.shape == (len(solved),)
+    for target, got_theta, got_dist in zip(solved, theta, dist):
+        for want in (sw.solve(target), ref.solve(target)):
+            assert got_theta == pytest.approx(want.theta, rel=1e-12, abs=0.0)
+            assert got_dist == pytest.approx(want.distortion, rel=1e-12, abs=0.0)
+
+
 def test_waterfiller_keeps_only_the_positive_levels():
     sw = ScalarWaterfiller([0.0, 3.0, -1e-18, 1.0], [0.5, 1.0, 2.0, 0.25], 1.0, 0.5)
     np.testing.assert_array_equal(sw.levels, [3.0, 1.0])
@@ -403,6 +442,35 @@ def test_rate_at_a_water_level_below_the_float_range_is_infinite():
 def test_waterfiller_input_contract(levels, weights, d_scale, r_scale, name):
     with pytest.raises(ValueError, match=name):
         ScalarWaterfiller(levels, weights, d_scale, r_scale)
+
+
+@pytest.mark.parametrize("rates", [-1.0, [0.5, -1e-300], [0.5, np.nan], [np.inf]])
+def test_exact_solve_refuses_a_negative_or_non_finite_rate(rates):
+    sw = ScalarWaterfiller([1.0, 2.0], [1.0, 1.0], 1.0, 0.5)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        sw.solve_many(rates)
+
+
+def test_exact_solve_keeps_the_shape_and_the_endpoints_of_solve():
+    sw = ScalarWaterfiller([0.0, 1.0, 2.0, 0.5], [1.0, 0.5, 1.0, 2.0], 3.0, 0.5)
+    theta, dist = sw.solve_many(0.0)
+    assert theta.shape == dist.shape == ()
+    assert theta == 2.0 and dist == pytest.approx(3.0 * (0.5 + 2.0 + 1.0), rel=1e-15)
+    theta, dist = sw.solve_many(np.full((2, 3), 0.7))
+    assert theta.shape == dist.shape == (2, 3)
+    zero = ScalarWaterfiller([0.0, -1e-20], [1.0, 1.0], 1.0, 0.5)
+    for out in zero.solve_many([0.0, 2.0, 1e9]):
+        np.testing.assert_array_equal(out, 0.0)
+
+
+def test_exact_solve_names_the_first_rate_past_the_bracket():
+    sw = ScalarWaterfiller([1.0], [1.0], 1.0, 0.5)
+    edge_rate = 0.5 * BRACKET_EXP
+    with pytest.raises(WaterLevelUnderflow) as many:
+        sw.solve_many([1.0, 2.0 * edge_rate, 3.0 * edge_rate])
+    with pytest.raises(WaterLevelUnderflow) as one:
+        sw.solve(2.0 * edge_rate)
+    assert str(many.value) == str(one.value)
 
 
 # ---------------------------------------------------------------------------
