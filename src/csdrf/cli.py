@@ -29,14 +29,24 @@ from .spectra import (DiscreteCsProcess, PamCyclicSpectrum, PulseShape,
                       raised_cosine_psd, raised_cosine_pulse, rect_pulse,
                       stationary_cyclic, triangle_pulse, triangular_psd,
                       white_cs)
-from .waterfilling import (WaterLevelUnderflow, hermitian_eigenvalues,
-                           stationary_waterfiller)
+from .waterfilling import (NotPositiveSemidefinite, WaterLevelUnderflow,
+                           hermitian_eigenvalues, stationary_waterfiller)
 
 CSV_HEADER = "rate_bits,distortion,theta,method,M,converged"
 
 
 class ConfigError(Exception):
     pass
+
+
+class NumericFailure(RuntimeError):
+    """A spectral or kernel decomposition failed while a curve was built or
+    evaluated, or while ``spectra`` ran; the message names the method."""
+
+
+# what a decomposition raises: a matrix below the semidefinite floor, or an
+# eigensolver that did not converge
+DECOMPOSITION_ERRORS = (NotPositiveSemidefinite, np.linalg.LinAlgError)
 
 
 @dataclass
@@ -401,12 +411,23 @@ def _row(rate, distortion, theta, method, m, converged):
     return f"{rate:.17g},{distortion:.17g},{theta:.17g},{method},{m},{flag}"
 
 
+def _curve(src, method):
+    """Build the ``method`` curve of ``src``, naming the method if a decomposition fails."""
+    try:
+        return src.curves[method]()
+    except DECOMPOSITION_ERRORS as exc:
+        raise NumericFailure(f"{method}: {exc}") from exc
+
+
 def _at(point, method, rate):
-    """``point(rate)``, naming the method and rate when the rate is beyond the bracket."""
+    """``point(rate)``, naming the method and rate when the rate is beyond the
+    bracket, and the method when a decomposition fails."""
     try:
         return point(float(rate))
     except WaterLevelUnderflow as exc:
         raise WaterLevelUnderflow(f"{method} at rate {rate}: {exc}") from exc
+    except DECOMPOSITION_ERRORS as exc:
+        raise NumericFailure(f"{method}: {exc}") from exc
 
 
 def _points(sc, point, method, allow_nonconverged):
@@ -440,7 +461,7 @@ def drf_rows(sc: Scenario, allow_nonconverged: bool):
     for method in methods:
         for src in sources:
             if method in src.curves:
-                point = src.curves[method]()
+                point = _curve(src, method)
                 rows += [_row(rate, d, theta, method + src.tag, m, ok)
                          for rate, d, theta, m, ok in
                          _points(sc, point, method, allow_nonconverged)]
@@ -452,7 +473,7 @@ def bound_rows(sc: Scenario):
     src = SOURCES[sc.kind](sc)[0]
     if "lower_bound" not in src.curves:
         raise _unavailable(sc, "bound")
-    point = src.curves["lower_bound"]()
+    point = _curve(src, "lower_bound")
     return [_row(rate, d, theta, "lower_bound", m, ok)
             for rate, d, theta, m, ok in _points(sc, point, "lower_bound", False)]
 
@@ -466,7 +487,10 @@ def spectra_rows(sc: Scenario):
     period = float(spec.period)
     grid = segmented_midpoint(-0.5, 0.5, sc.spectra_points, matrix.phi_breakpoints)
     vals = matrix(grid.nodes)
-    lam = hermitian_eigenvalues(vals)
+    try:
+        lam = hermitian_eigenvalues(vals)
+    except DECOMPOSITION_ERRORS as exc:
+        raise NumericFailure(f"spectra: {exc}") from exc
     trace = np.einsum("pmm->p", vals).real
     is_pam = isinstance(spec, PamCyclicSpectrum)
     header = ["phi", "f"] + [f"lambda_{i + 1}" for i in range(matrix.dim)] + ["trace"]
@@ -494,10 +518,10 @@ def verify_lines(sc: Scenario, allow_nonconverged: bool):
     if not {"drf", "oracle"} <= src.curves.keys():
         raise _unavailable(sc, "verify")
     sigma2 = src.spec.avg_power
-    oracle = src.curves["oracle"]()
+    oracle = _curve(src, "oracle")
     lines = []
     gaps = []
-    for rate, fast, *_ in _points(sc, src.curves["drf"](), "drf", allow_nonconverged):
+    for rate, fast, *_ in _points(sc, _curve(src, "drf"), "drf", allow_nonconverged):
         ref = _at(oracle, "oracle", rate)[0]
         diff = abs(fast - ref)
         scale = max(ref, 1e-9 * sigma2)
@@ -565,7 +589,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (drf_mod.NonConvergedError, WaterLevelUnderflow) as exc:
+    except (drf_mod.NonConvergedError, WaterLevelUnderflow, NumericFailure) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -17,7 +17,7 @@ import numpy as np
 from .polyphase import (_require_positive_int, folded_alias_matrix,
                         polyphase_component_psd, psd_pc_matrix_discrete,
                         saturation_dim)
-from .quadrature import phi_grid
+from .quadrature import even_half, phi_grid
 from .spectra import (CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum,
                       PulseShape, StationaryPsd, am_cpsd, am_gaussian_psd,
                       wiener_pulse)
@@ -47,10 +47,14 @@ def discrete_waterfiller(proc: DiscreteCsProcess, n_grid: int = 2048) -> ScalarW
     """Waterfiller of a discrete-time cyclostationary source, rates per symbol.
 
     Builds the polyphase matrix and decomposes it over the frequency grid;
-    the levels are its eigenvalues, weighted 1/M.
+    the levels are its eigenvalues, weighted 1/M. The process is real
+    (``DiscreteCsProcess``), so the matrix at -phi is the conjugate of the
+    matrix at phi and has the same eigenvalues: the field is decomposed on
+    ``even_half`` of the grid, the nodes phi >= 0 with mirrored weights added,
+    or on the whole grid where its node allocation is not mirror-symmetric.
     """
     matrix = psd_pc_matrix_discrete(proc)
-    grid = phi_grid(n_grid, matrix.phi_breakpoints)
+    grid = even_half(phi_grid(n_grid, matrix.phi_breakpoints))
     return EigenField.from_matrix(matrix, grid).waterfiller(1.0 / (2.0 * proc.period))
 
 
@@ -150,13 +154,20 @@ class ContinuousDrfSolver:
     (``WaterLevelUnderflow``) is skipped: it adds no iterate and no gap, and
     the next level is built, since a level is derived only from the one just
     before it. Only an underflow at the last level of the schedule raises.
+
+    Every ``CyclicSpectrum`` is a real process, so each level's matrix at -phi
+    is the conjugate of its matrix at phi, with the same eigenvalues: the
+    fields are decomposed on ``even_half`` of the phi grid, the nodes
+    phi >= 0 with mirrored weights added, or on the whole grid where its node
+    allocation is not mirror-symmetric. This holds for ``solve``,
+    ``point_at`` and every caller of either.
     """
 
     def __init__(self, spec: CyclicSpectrum, cfg: ContinuousDrfConfig | None = None):
         self.spec = spec
         self.cfg = cfg or ContinuousDrfConfig()
         self.sigma2 = spec.avg_power
-        self._grid = phi_grid(self.cfg.n_grid, spec.phi_breakpoints())
+        self._grid = even_half(phi_grid(self.cfg.n_grid, spec.phi_breakpoints()))
         self._fields: dict[int, EigenField] = {}
         self._saturation = saturation_dim(spec)
 

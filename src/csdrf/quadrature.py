@@ -85,6 +85,30 @@ def phi_grid(n: int, breakpoints=()) -> Grid:
     return segmented_midpoint(-0.5, 0.5, n, breakpoints)
 
 
+def even_half(grid: Grid) -> Grid:
+    """Non-negative half of a mirror-symmetric grid, integrating even functions.
+
+    A grid is mirror-symmetric when its nodes equal their negated reverse
+    within 1e-12 of its span and its weights equal their reverse within 1e-12
+    relative. For such a grid the integral of an even function is the sum over
+    the nodes phi >= 0 with each mirrored pair's weights added; the middle node
+    of an odd grid keeps its own weight (and is read as |phi|, since it may sit
+    a rounding error below 0). Any other grid is returned unchanged, so a
+    caller integrates over it whole.
+    """
+    nodes, weights = grid.nodes, grid.weights
+    n = nodes.size
+    if not (np.all(np.abs(nodes + nodes[::-1]) <= 1e-12 * (grid.hi - grid.lo))
+            and np.all(np.abs(weights - weights[::-1])
+                       <= 1e-12 * np.maximum(weights, weights[::-1]))):
+        return grid
+    half = n // 2
+    paired = weights[half:] + weights[::-1][half:]
+    if n % 2:
+        paired[0] = weights[half]
+    return Grid(np.abs(nodes[half:]), paired, 0.0, grid.hi)
+
+
 def fold_breakpoints(f_breaks, period: float, lo: float = -0.5, hi: float = 0.5):
     """Map physical-frequency breakpoints through phi = period*f + k into [lo, hi].
 

@@ -694,6 +694,13 @@ class DiscreteCsProcess:
     sequence seen from time slot n. Slot spectra of processes with memory are
     complex-valued in general; validity is enforced through the positive
     semidefiniteness of the polyphase matrix they generate.
+
+    The process is real: its covariance is real, so every slot spectrum
+    satisfies tpsd(n, -phi) = conj(tpsd(n, phi)). The polyphase matrix at
+    -phi is then the conjugate of the matrix at phi, with the same
+    eigenvalues, and ``discrete_waterfiller`` decomposes only the half
+    phi >= 0 of its grid. A ``tpsd_fn`` without this symmetry is outside the
+    contract and gives a wrong curve.
     """
 
     def __init__(self, period: int, tpsd_fn, avg_power: float, cov_table=None,

@@ -183,6 +183,53 @@ def test_rate_beyond_the_bracket_is_a_numeric_failure(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+DECOMPOSITION_FAILURES = [
+    csdrf.NotPositiveSemidefinite("eigenvalue -1 below tolerance at batch index 0", 0),
+    np.linalg.LinAlgError("Eigenvalues did not converge"),
+]
+
+
+@pytest.mark.parametrize("failure", DECOMPOSITION_FAILURES, ids=lambda e: type(e).__name__)
+def test_failed_kernel_decomposition_is_a_numeric_failure(tmp_path, capsys, monkeypatch, failure):
+    def failing(kernel):
+        raise failure
+
+    monkeypatch.setattr(csdrf.oracle, "kl_drf", failing)
+    cfg = _write(tmp_path, "v.ini", VERIFY_CFG)
+    assert main(["verify", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err == f"numeric failure: oracle: {failure}\n", err
+
+
+def test_failed_field_decomposition_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    # R(0) = 1, R(+-1) = 2: the spectrum 1 + 4 cos(2 pi phi) is negative near phi = 1/2
+    proc = csdrf.DiscreteCsProcess.from_covariance([[2.0, 1.0, 2.0]])
+    monkeypatch.setattr(csdrf.cli, "make_discrete", lambda sc: proc)
+    cfg = _write(tmp_path, "d.ini", VERIFY_CFG)
+    out = tmp_path / "x.csv"
+    assert main(["drf", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: drf: node ") and "below tolerance" in err, err
+    assert not out.exists()
+    assert main(["spectra", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: spectra: eigenvalue ") and "below" in err, err
+    assert not out.exists()
+
+
+def test_nonconverging_eigensolver_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    def failing(mats):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    cfg = _write(tmp_path, "d.ini", VERIFY_CFG)
+    out = tmp_path / "x.csv"
+    assert main(["drf", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: drf: eigensolver failed on a batch"), err
+    assert not out.exists()
+
+
 def test_nonconvergence_exit_code_and_flag(tmp_path):
     cfg_text = """
 [source]

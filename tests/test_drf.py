@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 import csdrf.drf
 from csdrf.drf import (ContinuousDrfConfig, ContinuousDrfSolver,
-                       drf_am, drf_cs_at_resolution, drf_cs_discrete, drf_pam,
+                       discrete_waterfiller, drf_am, drf_cs_at_resolution,
+                       drf_cs_discrete, drf_pam,
                        lower_bound_continuous, lower_bound_discrete,
                        sampled_coding, sampled_source_coding,
                        upper_bound_gaussian_psd)
-from csdrf.polyphase import psd_pc_matrix_continuous
+from csdrf.polyphase import (PsdPcMatrix, psd_pc_matrix_continuous,
+                             psd_pc_matrix_discrete)
+from csdrf.quadrature import even_half, phi_grid
 from csdrf.spectra import (PamCyclicSpectrum, PulseShape, am_cpsd, flat_psd,
                            ideal_interp_pulse, modulated_ma, pam_cpsd,
                            raised_cosine_psd, raised_cosine_pulse, rect_pulse,
@@ -275,6 +278,143 @@ def test_pam_builds_every_level(monkeypatch, pulse):
     built, _ = _built_levels(monkeypatch, spec, ContinuousDrfConfig(4, 64, None, 0.0, 256),
                              (0.5, 2.0))
     assert built == [4, 8, 16, 32, 64]
+
+
+# ---------------------------------------------------------------------------
+# fields on the non-negative half of the phi grid
+# ---------------------------------------------------------------------------
+
+class _FullGridSolver(ContinuousDrfSolver):
+    """Reference: the same refinement with every field decomposed on the
+    whole phi grid, both halves."""
+
+    def __init__(self, spec, cfg):
+        super().__init__(spec, cfg)
+        self._grid = phi_grid(self.cfg.n_grid, spec.phi_breakpoints())
+
+
+def _full_grid_discrete_waterfiller(proc, n_grid):
+    matrix = psd_pc_matrix_discrete(proc)
+    field = EigenField.from_matrix(matrix, phi_grid(n_grid, matrix.phi_breakpoints))
+    return field.waterfiller(1.0 / (2.0 * proc.period))
+
+
+def _assert_same_point(a, b, sigma2):
+    """(theta, D) pairs: theta within 1e-12 relative; D within 1e-12 relative
+    plus 1e-15 sigma^2, the round-off mass that the eigenvalues of zero,
+    decomposed at other nodes, can add below the water level."""
+    assert a[0] == pytest.approx(b[0], rel=1e-12, abs=0.0)
+    assert abs(a[1] - b[1]) <= 1e-12 * b[1] + 1e-15 * sigma2
+
+
+PULSES = {"rect": rect_pulse, "triangle": triangle_pulse,
+          "raised_cosine": lambda t: raised_cosine_pulse(t, 0.3)}
+
+
+@st.composite
+def _real_sources(draw):
+    """AM (phase 0 or random), stationary and PAM sources on the three bases."""
+    kind = draw(st.sampled_from(["am", "stationary", "pam"]))
+    base = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))](
+        draw(st.floats(0.25, 4.0)), draw(st.floats(0.1, 10.0)))
+    ratio = draw(st.floats(0.05, 2.0))          # f0 / f_B, or f_B T0 / 2
+    if kind == "am":
+        phase = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0 * np.pi)))
+        return am_cpsd(base, ratio * base.support_radius, phase)
+    if kind == "stationary":
+        return stationary_cyclic(base, 0.5 / (ratio * base.support_radius))
+    t_symbol = 0.5 / (ratio * base.support_radius)
+    return pam_cpsd(base, PULSES[draw(st.sampled_from(sorted(PULSES)))](t_symbol), t_symbol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_real_sources(), m_start=st.integers(1, 64), n_grid=st.integers(16, 300),
+       rate=st.floats(0.05, 16.0))
+@example(spec=am_cpsd(triangular_psd(1.0, 1.0), 0.1), m_start=4, n_grid=256, rate=12.0)
+@example(spec=am_cpsd(triangular_psd(1.0, 1.0), 1.2, 0.3), m_start=1, n_grid=257, rate=2.0)
+@example(spec=pam_cpsd(flat_psd(1.0, 1.0), triangle_pulse(0.8), 0.8), m_start=4,
+         n_grid=256, rate=3.0)
+def test_half_grid_solver_reproduces_the_full_grid(spec, m_start, n_grid, rate):
+    # rates in units of 1/T0 that every level from M = 1 resolves; every level
+    # of the schedule and the stop rule must come out the same
+    cfg = ContinuousDrfConfig(m_start, max(m_start, 64), None, 1e-4, n_grid)
+    fast, ref = ContinuousDrfSolver(spec, cfg), _FullGridSolver(spec, cfg)
+    a, b = fast.solve(rate / spec.period), ref.solve(rate / spec.period)
+    assert a.converged == b.converged
+    assert [d for d, _, _ in a.iterates] == [d for d, _, _ in b.iterates]
+    for it_a, it_b in zip(a.iterates, b.iterates):
+        _assert_same_point(it_a[1:], it_b[1:], spec.avg_power)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["white_cs", "modulated_ma"]), period=st.integers(1, 64),
+       seed=st.integers(0, 2 ** 32 - 1), n_grid=st.integers(16, 300),
+       rates=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=4))
+def test_half_grid_discrete_waterfiller_reproduces_the_full_grid(kind, period, seed,
+                                                                 n_grid, rates):
+    rng = np.random.default_rng(seed)
+    if kind == "white_cs":
+        proc = white_cs(rng.uniform(0.1, 10.0, period))
+    else:
+        proc = modulated_ma(rng.uniform(0.1, 3.0, period), rng.uniform(-1.0, 1.0, 3))
+    fast = discrete_waterfiller(proc, n_grid)
+    ref = _full_grid_discrete_waterfiller(proc, n_grid)
+    for a, b in ((fast.solve(rate), ref.solve(rate)) for rate in rates):
+        _assert_same_point((a.theta, a.distortion), (b.theta, b.distortion), proc.avg_power)
+
+
+def _recorded_nodes(monkeypatch):
+    """phi arrays that ``PsdPcMatrix.__call__`` is evaluated at, in call order."""
+    seen = []
+    original = PsdPcMatrix.__call__
+
+    def recording(self, phi):
+        seen.append(np.atleast_1d(np.asarray(phi, dtype=float)).copy())
+        return original(self, phi)
+
+    monkeypatch.setattr(PsdPcMatrix, "__call__", recording)
+    return seen
+
+
+HALF_GRID_SOURCES = {
+    "am": lambda: am_cpsd(triangular_psd(1.0, 1.0), 0.45, 0.3),
+    "pam": lambda: pam_cpsd(triangular_psd(1.0, 1.0), raised_cosine_pulse(0.8, 0.3), 0.8),
+    "discrete": lambda: modulated_ma([1.0, 2.0, 0.5], [1.0, 0.4]),
+}
+
+
+# the AM and PAM breakpoints include phi = 0, which makes their odd grids
+# asymmetric; the discrete source has none, so its odd grid has a node at 0
+@pytest.mark.parametrize("source, n_grid", [("am", 2048), ("pam", 2048), ("discrete", 2048),
+                                            ("discrete", 255)])
+def test_fields_are_decomposed_on_the_non_negative_half(monkeypatch, source, n_grid):
+    spec = HALF_GRID_SOURCES[source]()
+    seen = _recorded_nodes(monkeypatch)
+    if source == "discrete":
+        assert even_half(phi_grid(n_grid, spec.phi_breakpoints)).size == ceil(n_grid / 2)
+        discrete_waterfiller(spec, n_grid).solve(1.0)
+        fields = 1
+    else:
+        assert even_half(phi_grid(n_grid, spec.phi_breakpoints())).size == ceil(n_grid / 2)
+        solver = ContinuousDrfSolver(spec, ContinuousDrfConfig(4, 16, None, 0.0, n_grid))
+        solver.solve(1.0)
+        fields = len(solver._fields)
+    nodes = np.concatenate(seen)
+    assert nodes.size == fields * ceil(n_grid / 2) and np.all(nodes >= 0.0)
+
+
+def test_asymmetric_grid_is_decomposed_whole(monkeypatch):
+    # an odd grid split at phi = 0 gives the extra node to the left half
+    spec = am_cpsd(triangular_psd(1.0, 1.0), 1.2, 0.3)
+    cfg = ContinuousDrfConfig(1, 16, None, 0.0, 257)
+    grid = phi_grid(257, spec.phi_breakpoints())
+    assert even_half(grid) is grid
+    seen = _recorded_nodes(monkeypatch)
+    solver = ContinuousDrfSolver(spec, cfg)
+    fast = solver.solve(2.0)
+    assert np.array_equal(np.concatenate(seen), np.tile(grid.nodes, len(solver._fields)))
+    ref = _FullGridSolver(spec, cfg).solve(2.0)
+    assert fast.iterates == ref.iterates and fast.point == ref.point
 
 
 # ---------------------------------------------------------------------------
