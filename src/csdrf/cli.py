@@ -29,7 +29,7 @@ from .spectra import (DiscreteCsProcess, PamCyclicSpectrum, PulseShape,
                       raised_cosine_psd, raised_cosine_pulse, rect_pulse,
                       stationary_cyclic, triangle_pulse, triangular_psd,
                       white_cs)
-from .waterfilling import (NotPositiveSemidefinite, WaterLevelUnderflow,
+from .waterfilling import (DECOMPOSITION_ERRORS, WaterLevelUnderflow,
                            hermitian_eigenvalues, stationary_waterfiller)
 
 CSV_HEADER = "rate_bits,distortion,theta,method,M,converged"
@@ -42,11 +42,6 @@ class ConfigError(Exception):
 class NumericFailure(RuntimeError):
     """A spectral or kernel decomposition failed while a curve was built or
     evaluated, or while ``spectra`` ran; the message names the method."""
-
-
-# what a decomposition raises: a matrix below the semidefinite floor, or an
-# eigensolver that did not converge
-DECOMPOSITION_ERRORS = (NotPositiveSemidefinite, np.linalg.LinAlgError)
 
 
 @dataclass
@@ -257,7 +252,10 @@ class Source:
     """One source of a scenario: its spectral model and the curves it offers.
 
     ``curves`` maps a method name to a builder. A builder runs once per curve
-    and returns ``rate -> (distortion, theta, M, converged)``. ``spec`` is the
+    and returns ``rate -> (distortion, theta, M, converged)``: ``_solved``
+    builds a per-rate solver, and ``_whole_curve`` (the refinement, the bounds
+    and the oracle) solves every configured rate when it is built and raises
+    a rate's failure when that rate is asked for. ``spec`` is the
     model that ``verify`` takes sigma^2 from (a CyclicSpectrum, or the
     DiscreteCsProcess in discrete time), ``matrix`` builds the polyphase
     matrix that ``spectra`` dumps, and ``tag`` suffixes the method labels of
@@ -282,16 +280,57 @@ def _solved(make_solve, m=0):
     return build
 
 
-def _whole_curve(sc, distortions, m=0):
-    """Builder for a bound that ``distortions(rates)`` gives at all rates at once; theta reads 0."""
+def _whole_curve(sc, curve):
+    """Builder for a curve that ``curve(rates)`` solves at every configured rate at once.
+
+    ``curve`` returns, per rate, (distortion, theta, M, converged) or the
+    exception that ended that rate, which ``point(rate)`` raises: the first
+    failure in rate order wins, as in a rate-by-rate solve. An exception that
+    ``curve`` raises ends the curve when it is built.
+    """
     def build():
+        table = dict(zip(sc.rates.tolist(), curve(sc.rates)))
+
+        def point(rate):
+            out = table[rate]
+            if isinstance(out, Exception):
+                raise out
+            return out
+        return point
+    return build
+
+
+def _bound(sc, distortions, m=0):
+    """Lower-bound curve from ``distortions(rates)``; theta reads 0. A rate
+    beyond the bracket of any profile ends the curve when it is built."""
+    def curve(rates):
         try:
-            values = distortions(sc.rates)
+            values = distortions(rates)
         except WaterLevelUnderflow as exc:
             raise WaterLevelUnderflow(f"lower_bound: {exc}") from exc
-        table = dict(zip(sc.rates.tolist(), values.tolist()))
-        return lambda rate: (table[rate], 0.0, m, True)
-    return build
+        return [(d, 0.0, m, True) for d in values.tolist()]
+    return _whole_curve(sc, curve)
+
+
+def _oracle(sc, make_filler, m=0):
+    """Oracle curve: the waterfiller ``make_filler()`` is built once per curve
+    and solved exactly at every rate in one call. A rate beyond its bracket
+    fails when it is reached, like the per-rate solve."""
+    def at(sw, rate):
+        try:
+            theta, dist = sw.solve_many(rate)
+        except WaterLevelUnderflow as exc:
+            return exc
+        return float(dist), float(theta), m, True
+
+    def curve(rates):
+        sw = make_filler()
+        try:
+            theta, dist = sw.solve_many(rates)
+        except WaterLevelUnderflow:
+            return [at(sw, rate) for rate in rates.tolist()]
+        return [(d, t, m, True) for d, t in zip(dist.tolist(), theta.tolist())]
+    return _whole_curve(sc, curve)
 
 
 def _stationary(sc, psd):
@@ -299,24 +338,24 @@ def _stationary(sc, psd):
 
 
 def _lower_bound(sc, spec):
-    return _whole_curve(sc, lambda rates: drf_mod.lower_bound_continuous(
+    return _bound(sc, lambda rates: drf_mod.lower_bound_continuous(
         spec, rates, sc.t_grid, sc.phi_grid))
 
 
 def _kernel_oracle(sc, spec):
-    return _solved(lambda: oracle_mod.kl_drf(oracle_mod.build_kernel(
-        spec, sc.oracle_periods * spec.period, sc.oracle_n)).solve)
+    return _oracle(sc, lambda: oracle_mod.kl_drf(oracle_mod.build_kernel(
+        spec, sc.oracle_periods * spec.period, sc.oracle_n)))
 
 
 def _refined(sc, spec):
-    """M-doubling refinement; the solver caches its fields across rates."""
-    solver = drf_mod.ContinuousDrfSolver(spec, drf_mod.ContinuousDrfConfig(
-        sc.m_start, sc.m_max, None, sc.convergence_tol, sc.phi_grid))
-
-    def point(rate):
-        res = solver.solve(rate)
-        return res.point.distortion, res.point.theta, res.iterates[-1][0], res.converged
-    return point
+    """M-doubling refinement of the whole curve, walked level by level."""
+    def curve(rates):
+        solver = drf_mod.ContinuousDrfSolver(spec, drf_mod.ContinuousDrfConfig(
+            sc.m_start, sc.m_max, None, sc.convergence_tol, sc.phi_grid))
+        return [res if isinstance(res, Exception) else
+                (res.point.distortion, res.point.theta, res.iterates[-1][0], res.converged)
+                for res in solver.solve_many(rates)]
+    return _whole_curve(sc, curve)
 
 
 def _stationary_sources(sc):
@@ -330,14 +369,14 @@ def _discrete_sources(sc):
     proc = make_discrete(sc)
     m = proc.period
 
-    def block_solve():
-        return oracle_mod.kl_drf(oracle_mod.BlockCovariance.from_process(proc, sc.oracle_n)).solve
+    def block_filler():
+        return oracle_mod.kl_drf(oracle_mod.BlockCovariance.from_process(proc, sc.oracle_n))
 
     return [Source(proc, {
         "drf": _solved(lambda: drf_mod.discrete_waterfiller(proc, sc.phi_grid).solve, m),
-        "lower_bound": _whole_curve(
+        "lower_bound": _bound(
             sc, lambda rates: drf_mod.lower_bound_discrete(proc, rates, sc.phi_grid), m),
-        "oracle": _solved(block_solve, m),
+        "oracle": _oracle(sc, block_filler, m),
     }, lambda: psd_pc_matrix_discrete(proc))]
 
 
@@ -347,7 +386,7 @@ def _am_sources(sc):
     if sc.f0 > 2.0 * base.support_radius:
         drf = _stationary(sc, base)     # the carrier clears the band: exactly the baseband curve
     else:
-        drf = partial(_refined, sc, spec)
+        drf = _refined(sc, spec)
     return [Source(spec, {
         "drf": drf,
         "baseband": _stationary(sc, base),

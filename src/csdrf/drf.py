@@ -21,8 +21,8 @@ from .quadrature import even_half, phi_grid
 from .spectra import (CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum,
                       PulseShape, StationaryPsd, am_cpsd, am_gaussian_psd,
                       wiener_pulse)
-from .waterfilling import (EigenField, RateDistortionPoint, ScalarWaterfiller,
-                           WaterLevelUnderflow, stationary_drf)
+from .waterfilling import (DECOMPOSITION_ERRORS, EigenField, RateDistortionPoint,
+                           ScalarWaterfiller, WaterLevelUnderflow, stationary_drf)
 
 
 class NonConvergedError(RuntimeError):
@@ -133,33 +133,46 @@ class ContinuousDrfResult:
 
 
 class ContinuousDrfSolver:
-    """Caches eigenvalue fields per resolution so rate sweeps reuse them.
+    """Refines continuous-time curves level by level over a cached field per resolution.
 
     The field at resolution M is the nonzero spectrum of the M x M polyphase
     matrix, taken from the folded alias matrix of side min(M, J) over the J
     aliases, or from the rank-one level for pulse-amplitude spectra.
 
-    ``solve`` builds a level only while the previous one is below the
+    ``solve_many`` walks the doubling schedule from ``m_start`` to ``m_max``
+    once for all of a curve's rates: at each level, every rate whose
+    refinement has not stopped takes its iterate, and a rate stops when its
+    Cauchy gap is strictly below ``convergence_tol * sigma^2``. A built
+    level's iterate is ``point_at(rate, dim)``, the exact water-level solve
+    (``ScalarWaterfiller.solve_many``) on the level's waterfiller. That
+    waterfiller, with its sorted breakpoint table, is built once per level
+    and kept in a one-entry cache, released before the next level's field is
+    assembled, so at most one table is alive. ``solve(rate)`` is
+    ``solve_many([rate])`` for one rate.
+
+    A level is built only while the rate's previous iterate is below the
     saturation dimension s (``polyphase.saturation_dim``). From M >= s on
     every nonzero alias has its own residue, so the field at 2M is the field
     at M with each eigenvalue doubled and weight 1/(2M): the rate at 2 theta
     equals the rate at theta and the distortion is unchanged. The next
     iterate is therefore (2M, 2 theta, D), derived from the previous one
-    without a matrix, a decomposition or a water-level solve. The doubling
-    schedule and the stop rule run as before; a derived gap is 0. Pulse-
-    amplitude spectra have no s and build every level. ``point_at`` always
-    builds its level.
+    without a matrix, a decomposition or a water-level solve; a derived gap
+    is 0. Pulse-amplitude spectra have no s and build every level.
+    ``point_at`` always builds its level.
 
-    A built level whose water-level bracket cannot reach the rate
-    (``WaterLevelUnderflow``) is skipped: it adds no iterate and no gap, and
-    the next level is built, since a level is derived only from the one just
-    before it. Only an underflow at the last level of the schedule raises.
+    A built level whose water-level bracket cannot reach a rate
+    (``WaterLevelUnderflow``) is skipped for that rate: it adds no iterate
+    and no gap, and the next level is built, since a level is derived only
+    from the one just before it. An underflow at the last level of the
+    schedule, or a failed decomposition, ends that rate's refinement:
+    ``solve_many`` returns the exception in the rate's place, and ``solve``
+    raises it.
 
     Every ``CyclicSpectrum`` is a real process, so each level's matrix at -phi
     is the conjugate of its matrix at phi, with the same eigenvalues: the
     fields are decomposed on ``even_half`` of the phi grid, the nodes
     phi >= 0 with mirrored weights added, or on the whole grid where its node
-    allocation is not mirror-symmetric. This holds for ``solve``,
+    allocation is not mirror-symmetric. This holds for ``solve_many``,
     ``point_at`` and every caller of either.
     """
 
@@ -170,54 +183,77 @@ class ContinuousDrfSolver:
         self._grid = even_half(phi_grid(self.cfg.n_grid, spec.phi_breakpoints()))
         self._fields: dict[int, EigenField] = {}
         self._saturation = saturation_dim(spec)
+        self._filler: tuple[int, ScalarWaterfiller] | None = None    # (dim, waterfiller)
 
     def eigen_field(self, dim: int) -> EigenField:
         if dim not in self._fields:
+            self._filler = None
             matrix = folded_alias_matrix(self.spec, dim)
             self._fields[dim] = EigenField.from_matrix(matrix, self._grid, 1.0 / dim)
         return self._fields[dim]
 
     def point_at(self, rate_bits_per_second: float, dim: int) -> RateDistortionPoint:
-        normalizer = 1.0 / (2.0 * self.spec.period)
-        return self.eigen_field(dim).waterfiller(normalizer).solve(rate_bits_per_second)
+        field = self.eigen_field(dim)
+        if self._filler is None or self._filler[0] != dim:
+            self._filler = (dim, field.waterfiller(1.0 / (2.0 * self.spec.period)))
+        theta, dist = self._filler[1].solve_many(rate_bits_per_second)
+        return RateDistortionPoint(float(theta), rate_bits_per_second, float(dist))
 
     def solve(self, rate_bits_per_second: float) -> ContinuousDrfResult:
+        (result,) = self.solve_many([rate_bits_per_second])
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def solve_many(self, rates_bits_per_second) -> list:
+        """The refined point at every rate, in order: a ``ContinuousDrfResult``,
+        or the exception that ended that rate's refinement."""
+        rates = np.asarray(rates_bits_per_second, dtype=float).ravel().tolist()
+        if not all(math.isfinite(r) and r >= 0.0 for r in rates):
+            raise ValueError("target rate must be finite and nonnegative")
         cfg = self.cfg
         dims = []
         dim = cfg.m_start
         while dim <= cfg.m_max:
             dims.append(dim)
             dim *= 2
-        iterates = []
-        gaps = []
-        converged = False
-        prev_d = None
+        tol = cfg.convergence_tol * max(self.sigma2, 1e-300)
+        iterates = [[] for _ in rates]          # (dim, theta, distortion) per rate
+        gaps = [[] for _ in rates]
+        outcome = [None] * len(rates)           # result or exception, once the rate stops
         for dim in dims:
-            if iterates and self._saturation is not None and iterates[-1][0] >= self._saturation:
-                theta, dist = 2.0 * iterates[-1][1], prev_d      # exact rescale of the last level
-            else:
-                try:
-                    pt = self.point_at(rate_bits_per_second, dim)
-                except WaterLevelUnderflow:
-                    if dim == dims[-1]:
-                        raise
-                    continue            # too coarse to carry the rate: no iterate, no gap
-                theta, dist = pt.theta, pt.distortion
-            iterates.append((dim, theta, dist))
-            if prev_d is not None:
-                gap = abs(dist - prev_d)
-                gaps.append(gap)
-                if gap < cfg.convergence_tol * max(self.sigma2, 1e-300):
-                    converged = True
-                    break
-            prev_d = dist
-        c = cfg.lipschitz_c
+            for i, rate in enumerate(rates):
+                if outcome[i] is not None:
+                    continue
+                its = iterates[i]
+                if its and self._saturation is not None and its[-1][0] >= self._saturation:
+                    theta, dist = 2.0 * its[-1][1], its[-1][2]   # exact rescale of the last level
+                else:
+                    try:
+                        pt = self.point_at(rate, dim)
+                    except WaterLevelUnderflow as exc:
+                        if dim == dims[-1]:
+                            outcome[i] = exc
+                        continue        # too coarse to carry the rate: no iterate, no gap
+                    except DECOMPOSITION_ERRORS as exc:
+                        outcome[i] = exc
+                        continue
+                    theta, dist = pt.theta, pt.distortion
+                its.append((dim, theta, dist))
+                if len(its) > 1:
+                    gaps[i].append(abs(dist - its[-2][2]))
+                    if gaps[i][-1] < tol:
+                        outcome[i] = self._result(rate, its, gaps[i], True)
+        return [out if out is not None else self._result(rate, its, gap, False)
+                for rate, its, gap, out in zip(rates, iterates, gaps, outcome)]
+
+    def _result(self, rate, iterates, gaps, converged) -> ContinuousDrfResult:
+        c = self.cfg.lipschitz_c
         weyl = () if c is None else tuple(4.0 * c * self.spec.period / d
                                           for d, _, _ in iterates)
         _, theta, dist = iterates[-1]
-        point = RateDistortionPoint(theta, rate_bits_per_second, dist)
-        return ContinuousDrfResult(point, tuple(iterates), converged,
-                                   tuple(gaps), weyl, self.sigma2)
+        return ContinuousDrfResult(RateDistortionPoint(theta, rate, dist), tuple(iterates),
+                                   converged, tuple(gaps), weyl, self.sigma2)
 
 
 def drf_cs_at_resolution(spec: CyclicSpectrum, rate_bits_per_second: float,

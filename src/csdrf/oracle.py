@@ -107,8 +107,8 @@ def _symmetric(values) -> np.ndarray:
 def kl_drf(source) -> ScalarWaterfiller:
     """Finite-window waterfiller from covariance eigenvalues.
 
-    The kernel or block is decomposed once; ``.solve(rate)`` then gives the
-    curve at any rate. For a KernelGrid the eigenvalues of the
+    The kernel or block is decomposed once; ``.solve_many(rates)`` then gives
+    the curve at any rates. For a KernelGrid the eigenvalues of the
     window-normalized operator are waterfilled with rate in bits per second,
     (1/(4T)) sum log2+. For a BlockCovariance the eigenvalues of C/N are
     waterfilled with rate in bits per symbol, (1/(2N)) sum log2+. Distortion

@@ -2,10 +2,14 @@
 
 A water level theta splits every spectral level lambda into a preserved part
 min(lambda, theta) charged to distortion and a coded part log+(lambda/theta)
-charged to rate. A geometric bisection inverts the monotone rate map one
-rate at a time; ``ScalarWaterfiller.solve_many`` inverts it exactly at many
-rates from the sorted levels. Integrals are computed in nats and rates
-reported in bits.
+charged to rate. ``ScalarWaterfiller.solve_many`` inverts the monotone rate
+map exactly from the sorted levels, at any number of rates; the continuous-
+time refinement, the per-component bounds and the ``verify`` oracle solve
+this way. ``ScalarWaterfiller.solve``, a geometric bisection one rate at a
+time, serves the scalar per-rate curves (stationary, discrete-time, PAM and
+sampled coding): the benchmark harness keeps every pass's output, so a much
+faster solve there would raise its peak memory (ROADMAP item 1). Integrals
+are computed in nats and rates reported in bits.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ MAX_BISECT = 200
 # relative size of the negative eigenvalues read as round-off and clipped to zero
 CLIP_SCALE = 1e-9
 
-# matrix entries per eigenvalue-field slice (4 MB complex, 2 MB real): a field is
-# assembled and decomposed at most SLICE_ENTRIES // side**2 phi nodes at a
+# matrix entries per eigenvalue-field slice (1 MB complex, 0.5 MB real): a field
+# is assembled and decomposed at most SLICE_ENTRIES // side**2 phi nodes at a
 # time, side being the matrix side (r for a folded alias matrix, not M)
-SLICE_ENTRIES = 2 ** 18
+SLICE_ENTRIES = 2 ** 16
 
 
 class WaterLevelUnderflow(RuntimeError):
@@ -48,6 +52,11 @@ class NotPositiveSemidefinite(ValueError):
     def __init__(self, message: str, index: int):
         super().__init__(message)
         self.index = index
+
+
+# what a decomposition raises: a matrix below the semidefinite floor, or an
+# eigensolver that did not converge
+DECOMPOSITION_ERRORS = (NotPositiveSemidefinite, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -96,6 +105,7 @@ class ScalarWaterfiller:
         self.level_max = float(self.levels.max(initial=0.0))
         # log2(level / level_max) <= 0; rate(theta) clips log_levels - log2(theta / level_max)
         self._log_levels = np.log2(self.levels / self.level_max)
+        self._table: _BreakpointTable | None = None
 
     def distortion(self, theta: float) -> float:
         return self.d_scale * float(self.weights @ np.minimum(self.levels, theta))
@@ -162,6 +172,9 @@ class ScalarWaterfiller:
         bracket raises ``WaterLevelUnderflow`` (within the edge's 1e-12 band,
         theta stays at the bracket edge). A zero-weight level adds nothing to
         rate or distortion and never stops theta from falling below it.
+
+        The sorted table is built on the first call and kept on the
+        waterfiller, so each further call costs one ``searchsorted``.
         """
         rates = np.asarray(rates, dtype=float)
         flat = rates.ravel()
@@ -169,15 +182,25 @@ class ScalarWaterfiller:
             raise ValueError("target rate must be finite and nonnegative")
         if not self.levels.size:
             return np.zeros(rates.shape), np.zeros(rates.shape)
+        table = self._table or self._build_table()
+        if np.any(flat > table.edge):
+            raise WaterLevelUnderflow(
+                f"target rate {flat[np.argmax(flat > table.edge)]} exceeds resolvable maximum "
+                f"{table.rate_lo} (water level underflow below {table.lo})")
+        k = np.maximum(np.searchsorted(table.breaks, flat, side="left"), 1)   # top k code
+        wk, lk = table.big_w[k - 1], table.big_l[k - 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xk = np.where(wk > 0.0, (lk - flat / self.r_scale) / wk, -np.inf)
+        theta = np.where(flat == 0.0, self.level_max,
+                         self.level_max * np.exp2(np.maximum(xk, -BRACKET_EXP)))
+        dist = np.where(flat == 0.0, table.tail[0], table.tail[k] + theta * wk)
+        return theta.reshape(rates.shape), (self.d_scale * dist).reshape(rates.shape)
+
+    def _build_table(self) -> _BreakpointTable:
         lo = self.level_max * 2.0 ** -BRACKET_EXP
         ratio = lo / self.level_max      # rate_lo is self.rate(lo), evaluated as it evaluates it
         rate_lo = math.inf if ratio <= 0.0 else self.r_scale * float(
             self.weights @ np.maximum(self._log_levels - math.log2(ratio), 0.0))
-        edge = rate_lo * (1.0 + 1e-12) + 1e-12
-        if np.any(flat > edge):
-            raise WaterLevelUnderflow(
-                f"target rate {flat[np.argmax(flat > edge)]} exceeds resolvable maximum {rate_lo} "
-                f"(water level underflow below {lo})")
         order = np.argsort(-self._log_levels, kind="stable")
         x, w = self._log_levels[order], self.weights[order]
         big_w = np.cumsum(w)                                  # W_k at index k - 1
@@ -186,14 +209,22 @@ class ScalarWaterfiller:
         # rate at theta = k-th largest level; every level above it codes
         breaks = np.maximum.accumulate(
             self.r_scale * np.append(0.0, big_l[:-1] - big_w[:-1] * x[1:]))
-        k = np.maximum(np.searchsorted(breaks, flat, side="left"), 1)   # top k code
-        wk, lk = big_w[k - 1], big_l[k - 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xk = np.where(wk > 0.0, (lk - flat / self.r_scale) / wk, -np.inf)
-        theta = np.where(flat == 0.0, self.level_max,
-                         self.level_max * np.exp2(np.maximum(xk, -BRACKET_EXP)))
-        dist = np.where(flat == 0.0, tail[0], tail[k] + theta * wk)
-        return theta.reshape(rates.shape), (self.d_scale * dist).reshape(rates.shape)
+        self._table = _BreakpointTable(lo, rate_lo, rate_lo * (1.0 + 1e-12) + 1e-12,
+                                       big_w, big_l, tail, breaks)
+        return self._table
+
+
+@dataclass(frozen=True, eq=False)
+class _BreakpointTable:
+    """What ``ScalarWaterfiller.solve_many`` keeps between calls."""
+
+    lo: float                # bracket edge, level_max * 2**-BRACKET_EXP
+    rate_lo: float           # rate at the bracket edge
+    edge: float              # largest rate solved; beyond it, WaterLevelUnderflow
+    big_w: np.ndarray
+    big_l: np.ndarray
+    tail: np.ndarray
+    breaks: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +258,14 @@ def hermitian_eigenvalues(mats: np.ndarray) -> np.ndarray:
     NotPositiveSemidefinite.
     """
     mats = np.asarray(mats)
-    if not np.iscomplexobj(mats):
+    # (A^H + A) / 2 in one buffer
+    if np.iscomplexobj(mats):
+        herm = np.swapaxes(mats, -1, -2).conj()
+        herm += mats
+    else:
         mats = mats.astype(float, copy=False)
-    herm = 0.5 * (mats + np.swapaxes(mats, -1, -2).conj())
+        herm = np.swapaxes(mats, -1, -2) + mats     # conj() of a real stack is a view of it
+    herm *= 0.5
     try:
         lam = np.linalg.eigvalsh(herm)
     except np.linalg.LinAlgError as exc:

@@ -577,3 +577,110 @@ def test_fig6_refinement_never_decomposes_beyond_its_alias_count(tmp_path, monke
     assert (aliases, nonzero) == (9, 5)
     # one slice per level: M = 4 (side 4) and M = 8 (side min(8, 9) = 8)
     assert widths == [4, 8] and max(widths) <= aliases
+
+
+# AM at f0 = f_B / 16 with the single level M = 1, which resolves at most
+# 3.75 bits per second: the rate 4 underflows at the last level of the schedule
+LAST_LEVEL_CFG = """
+[source]
+kind = am
+family = flat
+bandwidth = 1.0
+power = 1.0
+f0 = 0.0625
+
+[rates]
+min = 1.0
+max = 4.0
+count = 4
+spacing = linear
+
+[numerics]
+m_start = 1
+m_max = 1
+phi_grid = 256
+"""
+
+
+def _bisection_underflow(path):
+    """The message of a per-rate bisection at the last level, at rate 4."""
+    sc = load_scenario(path)
+    spec = csdrf.am_cpsd(csdrf.flat_psd(sc.bandwidth, sc.power), sc.f0, sc.phase)
+    solver = csdrf.ContinuousDrfSolver(spec, csdrf.ContinuousDrfConfig(
+        sc.m_start, sc.m_max, None, sc.convergence_tol, sc.phi_grid))
+    with pytest.raises(csdrf.WaterLevelUnderflow) as info:
+        solver.eigen_field(sc.m_max).waterfiller(1.0 / (2.0 * spec.period)).solve(4.0)
+    return str(info.value)
+
+
+def test_underflow_at_the_last_level_fails_at_its_rate(tmp_path, capsys):
+    # with every row allowed to be non-converged, the rates 1..3 pass and the
+    # rate 4 fails with the message of a rate-by-rate solve, in either order
+    for name, text in (("up", LAST_LEVEL_CFG),
+                       ("down", LAST_LEVEL_CFG.replace("min = 1.0", "min = 4.0")
+                        .replace("max = 4.0", "max = 1.0"))):
+        cfg = _write(tmp_path, f"{name}.ini", text)
+        expect = f"numeric failure: drf at rate 4.0: {_bisection_underflow(cfg)}\n"
+        out = str(tmp_path / f"{name}.csv")
+        assert main(["drf", "--config", cfg, "--out", out, "--allow-nonconverged"]) == 3
+        assert capsys.readouterr().err == expect
+        assert not Path(out).exists()
+    # the descending curve reaches rate 4 first, before any non-converged row
+    assert main(["drf", "--config", cfg, "--out", out]) == 3
+    assert capsys.readouterr().err == expect
+
+
+def test_nonconverged_earlier_rate_wins_over_a_later_underflow(tmp_path, capsys):
+    cfg = _write(tmp_path, "up.ini", LAST_LEVEL_CFG)
+    out = str(tmp_path / "up.csv")
+    assert main(["drf", "--config", cfg, "--out", out]) == 3
+    assert capsys.readouterr().err == "numeric failure: drf at rate 1.0 did not converge by M=1\n"
+    assert not Path(out).exists()
+
+
+def test_oracle_underflow_fails_at_its_rate(tmp_path, capsys):
+    # a 3-symbol block of white_cs(1, 4) resolves at most 59.33 bits per
+    # symbol, the spectral path 59.5: the oracle alone fails at 59.4, with the
+    # message of a rate-by-rate solve
+    cfg = _write(tmp_path, "o.ini", VERIFY_CFG.replace("min = 0.1", "min = 1.0")
+                 .replace("max = 8.0", "max = 59.4").replace("count = 6", "count = 3")
+                 + "\n[numerics]\noracle_n = 3\n")
+    block = csdrf.kl_drf(csdrf.oracle.BlockCovariance.from_process(csdrf.white_cs([1.0, 4.0]), 3))
+    with pytest.raises(csdrf.WaterLevelUnderflow) as info:
+        block.solve(59.4)
+    assert main(["verify", "--config", cfg]) == 3
+    out = capsys.readouterr()
+    assert out.err == f"numeric failure: oracle at rate 59.4: {info.value}\n" and out.out == ""
+
+
+def test_refined_curve_builds_one_waterfiller_per_built_level_and_never_bisects(
+        tmp_path, monkeypatch):
+    # f0 = 0.45 f_B: s = 7, so M = 4 and M = 8 are built and 16..64 derived;
+    # six rates share each built level's waterfiller and its exact solve
+    cfg = _write(tmp_path, "am.ini", AM_CFG.replace("f0 = 4.0", "f0 = 0.45")
+                 .replace("count = 4", "count = 6").replace("drf baseband", "drf")
+                 + "\n[numerics]\nphi_grid = 256\nconvergence_tol = 0\n")
+    init = csdrf.waterfilling.ScalarWaterfiller.__init__
+    built, fields = [], []
+    from_matrix = csdrf.waterfilling.EigenField.from_matrix
+
+    def recording(self, *args, **kwargs):
+        built.append(len(fields))
+        init(self, *args, **kwargs)
+
+    def recording_field(matrix, grid, d_scale=None):
+        fields.append(matrix.dim)
+        return from_matrix(matrix, grid, d_scale)
+
+    def forbidden(self, *args):
+        raise AssertionError("the refinement bisected")
+
+    monkeypatch.setattr(csdrf.waterfilling.ScalarWaterfiller, "__init__", recording)
+    monkeypatch.setattr(csdrf.waterfilling.ScalarWaterfiller, "solve", forbidden)
+    monkeypatch.setattr(csdrf.waterfilling.ScalarWaterfiller, "rate", forbidden)
+    monkeypatch.setattr(csdrf.waterfilling.EigenField, "from_matrix", recording_field)
+    out = str(tmp_path / "am.csv")
+    assert main(["drf", "--config", cfg, "--out", out, "--allow-nonconverged"]) == 0
+    assert [row["M"] for row in _read_rows(out)] == ["64"] * 6
+    # one waterfiller per built level, each built after its own field
+    assert fields == [4, 8] and built == [1, 2]

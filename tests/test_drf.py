@@ -346,6 +346,64 @@ def test_half_grid_solver_reproduces_the_full_grid(spec, m_start, n_grid, rate):
         _assert_same_point(it_a[1:], it_b[1:], spec.avg_power)
 
 
+# ---------------------------------------------------------------------------
+# the level-by-level walk
+# ---------------------------------------------------------------------------
+
+class _BisectingSolver(ContinuousDrfSolver):
+    """Reference: the same refinement, each built level solved by geometric
+    bisection on a waterfiller built for that one rate."""
+
+    def point_at(self, rate, dim):
+        return self.eigen_field(dim).waterfiller(1.0 / (2.0 * self.spec.period)).solve(rate)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_real_sources(), tol=st.sampled_from([0.0, 1e-4]), m_start=st.sampled_from([1, 4]),
+       rates=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=5))
+@example(spec=am_cpsd(flat_psd(1.0, 1.0), 0.0625), tol=1e-4, m_start=1,
+         rates=[64.0, 4.0, 1e4])       # 4 and 625 bits per second: skips M = 1; fails at M = 32
+def test_level_walk_matches_a_per_rate_bisection(spec, tol, m_start, rates):
+    # rates in units of 1/T0, some beyond what M = 1 resolves (the underflow
+    # skip) and some beyond the last level: same iterate dims, stop and
+    # failure as the rate-by-rate bisection, D within 1e-12 D + 1e-15 sigma^2
+    cfg = ContinuousDrfConfig(m_start, 32, None, tol, 128)
+    rates = [r / spec.period for r in rates]
+    walked = ContinuousDrfSolver(spec, cfg).solve_many(rates)
+    ref = _BisectingSolver(spec, cfg)
+    assert len(walked) == len(rates)
+    for rate, a in zip(rates, walked):
+        try:
+            b = ref.solve(rate)
+        except WaterLevelUnderflow as exc:
+            assert isinstance(a, WaterLevelUnderflow) and str(a) == str(exc)
+            continue
+        assert not isinstance(a, Exception), a
+        assert a.converged == b.converged and a.point.rate == rate
+        assert [d for d, _, _ in a.iterates] == [d for d, _, _ in b.iterates]
+        for it_a, it_b in zip(a.iterates, b.iterates):
+            _assert_same_point(it_a[1:], it_b[1:], spec.avg_power)
+
+
+def test_failed_level_ends_each_rate_that_builds_it(monkeypatch):
+    # the M = 8 field fails to decompose: every rate gets the exception in its
+    # place, and ``solve`` raises it
+    spec = am_cpsd(triangular_psd(1.0, 1.0), 0.45)
+    failure = csdrf.waterfilling.NotPositiveSemidefinite("eigenvalue below tolerance", 3)
+    from_matrix = EigenField.from_matrix
+
+    def failing(matrix, grid, d_scale=None):
+        if matrix.dim == 8:
+            raise failure
+        return from_matrix(matrix, grid, d_scale)
+
+    monkeypatch.setattr(EigenField, "from_matrix", failing)
+    solver = ContinuousDrfSolver(spec, ContinuousDrfConfig(4, 16, None, 1e-4, 128))
+    assert solver.solve_many([0.5, 2.0]) == [failure, failure]
+    with pytest.raises(type(failure)):
+        solver.solve(1.0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(kind=st.sampled_from(["white_cs", "modulated_ma"]), period=st.integers(1, 64),
        seed=st.integers(0, 2 ** 32 - 1), n_grid=st.integers(16, 300),

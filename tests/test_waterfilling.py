@@ -101,7 +101,7 @@ def test_field_is_built_in_slices_and_equals_the_one_shot_field():
     matrix, sizes = _recording(
         psd_pc_matrix_continuous(am_cpsd(triangular_psd(1.0, 1.0), 0.45, 0.3), 64))
     step = SLICE_ENTRIES // 64 ** 2
-    grid = phi_grid(2 * step + 37, matrix.phi_breakpoints)     # a partial third slice
+    grid = phi_grid(2 * step + step // 2, matrix.phi_breakpoints)     # a partial third slice
     field = EigenField.from_matrix(matrix, grid)
     assert max(sizes) <= step and sum(sizes) == grid.size and len(sizes) == 3
     np.testing.assert_array_equal(field.lam, hermitian_eigenvalues(matrix(grid.nodes)))
@@ -472,6 +472,19 @@ def test_exact_solve_names_the_first_rate_past_the_bracket():
         sw.solve(2.0 * edge_rate)
     assert str(many.value) == str(one.value)
 
+def test_exact_solve_keeps_its_table_and_gives_the_batch_result_one_rate_at_a_time():
+    rng = np.random.default_rng(5)
+    levels, weights = rng.exponential(size=300), rng.uniform(0.0, 1.0, 300)
+    rates = np.geomspace(1e-3, 40.0, 9)
+    batch = ScalarWaterfiller(levels, weights, 0.7, 0.3).solve_many(rates)
+    sw = ScalarWaterfiller(levels, weights, 0.7, 0.3)
+    singles = [sw.solve_many(rate) for rate in rates]
+    table = sw._table
+    sw.solve_many(rates)
+    assert sw._table is table                  # built once, on the first call
+    np.testing.assert_array_equal(np.array(singles).T, np.array(batch))
+
+
 
 # ---------------------------------------------------------------------------
 # real fields in real arithmetic
@@ -499,3 +512,20 @@ def test_am_field_reaches_eigvalsh_real_only_at_phase_zero(monkeypatch, phase, d
     as_complex = hermitian_eigenvalues(matrix(grid.nodes).astype(complex))
     assert dtypes[-1] == np.complex128
     np.testing.assert_allclose(field.lam, as_complex, rtol=0, atol=1e-13 * as_complex.max())
+
+
+@pytest.mark.parametrize("complex_stack", [False, True], ids=["real", "complex"])
+def test_symmetrization_is_bit_identical_and_leaves_the_input_alone(complex_stack):
+    # (A^H + A) / 2 formed in one buffer equals 0.5 * (A + A^H) bit for bit;
+    # a real stack's conj() is a view, so the sum must not add into the input
+    rng = np.random.default_rng(11)
+    mats = rng.normal(size=(40, 6, 6))
+    if complex_stack:
+        mats = mats + 1j * rng.normal(size=mats.shape)
+    mats = mats @ np.swapaxes(mats, -1, -2).conj() + 1e-10 * rng.normal(size=mats.shape)
+    for stack in (mats, np.swapaxes(mats, -1, -2)):
+        before = stack.copy()
+        ref = np.maximum(np.linalg.eigvalsh(0.5 * (stack + np.swapaxes(stack, -1, -2).conj())),
+                         0.0)
+        np.testing.assert_array_equal(hermitian_eigenvalues(stack), ref)
+        np.testing.assert_array_equal(stack, before)
