@@ -4,6 +4,12 @@ Everything here avoids the polyphase machinery on purpose: kernels come from
 covariance functions, eigenvalues from dense symmetric decompositions, and
 curves from the classical parametric form over those eigenvalues. Agreement
 with the spectral fast paths at desk scale is the package's main validation.
+
+Each step does only the work its structure needs, with the same result as the
+plain dense computation. A kernel is symmetrized once, when its grid is made.
+A discrete block is filled one diagonal at a time from the covariance table.
+A block whose nonzero entries leave it reducible is decomposed as its diagonal
+blocks, batched by size: a memoryless block is then its own sorted diagonal.
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ class KernelGrid:
 
     ``weight`` is the quadrature weight per cell divided by the window length
     2T, so values * weight is the matrix of the window-normalized integral
-    operator. ``fn`` optionally keeps the kernel callable for resampling: it
-    maps a 1-d time vector to the covariance matrix at those times.
+    operator. ``values`` are stored symmetrized, (K + K^T)/2, whatever the
+    caller passes. ``fn`` optionally keeps the kernel callable for resampling:
+    it maps a 1-d time vector to the covariance matrix at those times.
     """
 
     times: np.ndarray
@@ -32,14 +39,16 @@ class KernelGrid:
     half_width: float
     fn: object = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "values", _symmetric(self.values))
+
     @property
     def size(self) -> int:
         return self.times.size
 
     def operator_eigenvalues(self) -> np.ndarray:
         """Descending eigenvalues of the window-normalized operator."""
-        lam = np.linalg.eigvalsh(0.5 * (self.values + self.values.T))
-        return lam[::-1] * self.weight
+        return np.linalg.eigvalsh(self.values)[::-1] * self.weight
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,14 +63,23 @@ class BlockCovariance:
 
     @classmethod
     def from_process(cls, proc: DiscreteCsProcess, n: int) -> "BlockCovariance":
+        """Block of length n, filled one diagonal at a time from the table.
+
+        Entry (j+k, j) and its mirror (j, j+k) both hold the symmetrized
+        value 0.5 * (R[j, k] + R[j+k, -k]) of the covariance table R.
+        """
         if n < 1:
             raise ValueError(f"block length n must be at least 1, got {n!r}")
+        table = proc.cov_table
+        m, lmax = proc.period, proc.memory
         mat = np.zeros((n, n))
-        lmax = proc.memory
-        for lag in range(-lmax, lmax + 1):
-            for j in range(max(0, -lag), min(n, n - lag)):
-                mat[j + lag, j] = proc.cov(j, lag)
-        return cls(0.5 * (mat + mat.T))
+        flat = mat.reshape(-1)
+        for k in range(min(lmax, n - 1) + 1):
+            j = np.arange(n - k)
+            diag = 0.5 * (table[j % m, lmax + k] + table[(j + k) % m, lmax - k])
+            flat[k * n::n + 1] = diag
+            flat[k:(n - k) * n:n + 1] = diag
+        return cls(mat)
 
 
 def build_kernel(spec: CyclicSpectrum, t_half: float, n: int) -> KernelGrid:
@@ -81,8 +99,7 @@ def build_kernel(spec: CyclicSpectrum, t_half: float, n: int) -> KernelGrid:
         raise ValueError(f"window half-width {t_half} is not a multiple of the period {spec.period}")
     dt = 2.0 * t_half / n
     times = -t_half + dt * (np.arange(n) + 0.5)
-    return KernelGrid(times, _symmetric(spec.covariance(times)), 1.0 / n, t_half,
-                      spec.covariance)
+    return KernelGrid(times, spec.covariance(times), 1.0 / n, t_half, spec.covariance)
 
 
 def step_approximation(kernel: KernelGrid, steps_per_period: int, period: float) -> KernelGrid:
@@ -95,7 +112,7 @@ def step_approximation(kernel: KernelGrid, steps_per_period: int, period: float)
         raise ValueError("step approximation needs the kernel callable")
     h = period / steps_per_period
     stepped = np.floor(kernel.times / h) * h
-    return KernelGrid(kernel.times, _symmetric(kernel.fn(stepped)), kernel.weight,
+    return KernelGrid(kernel.times, kernel.fn(stepped), kernel.weight,
                       kernel.half_width, kernel.fn)
 
 
@@ -104,12 +121,41 @@ def _symmetric(values) -> np.ndarray:
     return 0.5 * (values + values.T)
 
 
+def _split_eigenvalues(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, decomposed block by block.
+
+    The matrix is cut before every index that no nonzero entry of its lower
+    triangle crosses, and its eigenvalues are those of the diagonal blocks
+    between cuts. Blocks of one size are decomposed as one batch; a block of
+    size one is its own eigenvalue. Without a cut the matrix is decomposed
+    whole.
+    """
+    n = mat.shape[0]
+    below = np.tril(mat != 0.0, -1)
+    lowest = np.where(below.any(axis=0), n - 1 - np.argmax(below[::-1], axis=0), np.arange(n))
+    cuts = np.flatnonzero(np.maximum.accumulate(lowest)[:-1] < np.arange(1, n)) + 1
+    if cuts.size == 0:
+        return np.linalg.eigvalsh(mat)
+    starts = np.concatenate(([0], cuts))
+    sizes = np.diff(np.append(starts, n))
+    parts = []
+    for size in np.unique(sizes):
+        first = starts[sizes == size]
+        if size == 1:
+            parts.append(mat[first, first])
+        else:
+            idx = first[:, None] + np.arange(size)
+            parts.append(np.linalg.eigvalsh(mat[idx[:, :, None], idx[:, None, :]]).reshape(-1))
+    return np.sort(np.concatenate(parts))
+
+
 def kl_drf(source) -> ScalarWaterfiller:
     """Finite-window waterfiller from covariance eigenvalues.
 
     The kernel or block is decomposed once; ``.solve_many(rates)`` then gives
-    the curve at any rates. For a KernelGrid the eigenvalues of the
-    window-normalized operator are waterfilled with rate in bits per second,
+    the curve at any rates; a block is decomposed as its irreducible diagonal
+    blocks, which have its eigenvalues. For a KernelGrid the eigenvalues of
+    the window-normalized operator are waterfilled with rate in bits per second,
     (1/(4T)) sum log2+. For a BlockCovariance the eigenvalues of C/N are
     waterfilled with rate in bits per symbol, (1/(2N)) sum log2+. Distortion
     is a plain eigenvalue sum in both cases because the normalization already
@@ -120,7 +166,7 @@ def kl_drf(source) -> ScalarWaterfiller:
         r_scale = 1.0 / (4.0 * source.half_width)
     elif isinstance(source, BlockCovariance):
         n = source.size
-        lam = _clip_eigenvalues(np.linalg.eigvalsh(source.matrix)[::-1] / n)
+        lam = _clip_eigenvalues(_split_eigenvalues(source.matrix)[::-1] / n)
         r_scale = 1.0 / (2.0 * n)
     else:
         raise TypeError(f"unsupported oracle source: {type(source)!r}")

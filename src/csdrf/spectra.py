@@ -382,35 +382,60 @@ class CyclicSpectrum:
 
     # -- lag-domain access ----------------------------------------------------
 
-    def cyclic_autocorr(self, n: int, tau):
-        """Harmonic-n cyclic autocorrelation (inverse transform of cpsd(n, .))."""
+    def cyclic_autocorr(self, n, tau):
+        """Harmonic-n cyclic autocorrelation (inverse transform of cpsd(n, .)).
+
+        ``n`` is one harmonic or a 1-d array of them; an array gives one
+        stacked row per harmonic, shaped n.shape + tau.shape. Without a closed
+        form, the transform runs on a Gauss grid whose exponential matrix is
+        built once, for every harmonic, over the distinct values of |tau|:
+        since cpsd(n, .) carries real weights, a negative lag is
+        conj(E @ conj(w * cpsd(n, .))) with the same matrix E.
+        """
+        if np.ndim(n) > 1:
+            raise ValueError(f"harmonics must be a scalar or a 1-d array, got shape "
+                             f"{np.shape(n)}")
+        harmonics = np.atleast_1d(n).tolist()
+        tau = np.asarray(tau, dtype=float)
+        out = np.empty((len(harmonics),) + tau.shape, dtype=complex)
         if self._cyclic_autocorr is not None:
-            return np.asarray(self._cyclic_autocorr(n, np.asarray(tau, dtype=float)),
-                              dtype=complex)
+            for row, h in zip(out, harmonics):
+                row[...] = self._cyclic_autocorr(h, tau)
+            return out if np.ndim(n) else out[0]
         self._require_finite("cyclic_autocorr")
         if self._quad_cache is None:
             r = self.freq_radius
             self._quad_cache = gauss_segments(-r, r, self.breakpoints, min_cells=128)
         nodes, weights = self._quad_cache
-        tau = np.asarray(tau, dtype=float)
-        kern = np.exp(TWO_PI * 1j * np.multiply.outer(tau, nodes))
-        return kern @ (weights * self.cpsd(n, nodes))
+        mag, where = np.unique(np.abs(tau), return_inverse=True)
+        where = where.reshape(-1)
+        negative = np.flatnonzero(tau.reshape(-1) < 0.0)
+        kern = np.exp(TWO_PI * 1j * np.multiply.outer(mag, nodes))
+        for row, h in zip(out.reshape(len(harmonics), -1), harmonics):
+            spectrum = weights * self.cpsd(h, nodes)
+            row[:] = (kern @ spectrum)[where]
+            if negative.size:
+                row[negative] = np.conj(kern @ np.conj(spectrum))[where[negative]]
+        return out if np.ndim(n) else out[0]
 
     def covariance(self, times):
         """Covariance matrix E[X(t_i) X(t_j)] at the times of a 1-d vector.
 
         Entry (i, j) is sum_n cyclic_autocorr(n, t_i - t_j) exp(2 pi i n t_j / T0).
-        Each harmonic's autocorrelation is evaluated once per distinct value
-        of t_i - t_j and gathered into the matrix, so the lag-domain work
-        grows with the number of distinct lags, not with n^2.
+        One ``cyclic_autocorr`` call evaluates every active harmonic at the
+        distinct values of t_i - t_j, and each harmonic's row is gathered into
+        the matrix, so the lag-domain work grows with the number of distinct
+        lags, not with n^2, and a quadrature transform builds its exponential
+        matrix once per kernel.
         """
         self._require_finite("covariance")
         t = _time_vector(times)
         lags, where = np.unique(np.subtract.outer(t, t), return_inverse=True)
         where = where.reshape(t.size, t.size)
+        rows = self.cyclic_autocorr(np.array(self.active_indices), lags)
         out = np.zeros((t.size, t.size), dtype=complex)
-        for n in self.active_indices:
-            out += self.cyclic_autocorr(n, lags)[where] * np.exp(TWO_PI * 1j * n * t / self.period)
+        for n, row in zip(self.active_indices, rows):
+            out += row[where] * np.exp(TWO_PI * 1j * n * t / self.period)
         return out.real
 
 
@@ -718,11 +743,16 @@ class DiscreteCsProcess:
         return np.asarray(self._tpsd_fn(int(n) % self.period, np.asarray(phi, dtype=float)),
                           dtype=complex)
 
-    def cov(self, n: int, k: int) -> float:
-        """Covariance E[X[n+k] X[n]]; zero beyond the stored memory."""
+    @property
+    def cov_table(self) -> np.ndarray:
+        """The table R[n, k] = E[X[n+k] X[n]], shaped (M, 2L+1) over lags -L..L."""
         if self._cov_table is None:
             raise ValueError("process was not built from a covariance table")
-        table = self._cov_table
+        return self._cov_table
+
+    def cov(self, n: int, k: int) -> float:
+        """Covariance E[X[n+k] X[n]]; zero beyond the stored memory."""
+        table = self.cov_table
         lmax = (table.shape[1] - 1) // 2
         if abs(k) > lmax:
             return 0.0

@@ -468,28 +468,44 @@ def test_verify_am_uses_phase_and_convergence(tmp_path, capsys):
 # expensive state is built once per curve
 # ---------------------------------------------------------------------------
 
-def _curve_cfg(tmp_path, kind, count):
-    text = (f"[source]\nkind = {kind}\n{TINY[kind]}\n"
+def _curve_cfg(tmp_path, kind, count, source=None):
+    text = (f"[source]\nkind = {kind}\n{source or TINY[kind]}\n"
             f"[rates]\nmin = 0.2\nmax = 2.0\ncount = {count}\nspacing = log\n\n"
             "[numerics]\nphi_grid = 128\nm_start = 4\nm_max = 8\n"
             "oracle_n = 48\noracle_periods = 2\nt_grid = 4\n")
-    return _write(tmp_path, f"{kind}-{count}.ini", text)
+    return _write(tmp_path, f"{kind}-{count}{'-own' if source else ''}.ini", text)
 
 
-@pytest.mark.parametrize("kind", ["stationary", "discrete-cs", "am", "pam"])
-def test_verify_decomposes_each_kernel_once(tmp_path, monkeypatch, capsys, kind):
+# a discrete source with memory: its block is irreducible and decomposed dense
+MODULATED_MA = "mod_scales = 1 0.5\nma_taps = 1 0.4\n"
+
+
+@pytest.mark.parametrize("kind, source, dense", [
+    ("stationary", None, 1), ("discrete-cs", None, 0), ("discrete-cs", MODULATED_MA, 1),
+    ("am", None, 1), ("pam", None, 1)],
+    ids=["stationary", "discrete-cs", "modulated-ma", "am", "pam"])
+def test_verify_decomposes_each_kernel_once(tmp_path, monkeypatch, capsys, kind, source, dense):
+    # one oracle decomposition per curve; the memoryless block splits into
+    # 1 x 1 blocks and makes no dense (48, 48) call, every other kernel one
+    kl_drf = csdrf.oracle.kl_drf
     eigvalsh = np.linalg.eigvalsh
-    oracle_shapes = []
+    decompositions, oracle_shapes = [], []
 
-    def recording(a, *args, **kwargs):
+    def recording_kl_drf(block):
+        decompositions.append(block)
+        return kl_drf(block)
+
+    def recording_eigvalsh(a, *args, **kwargs):
         if np.shape(a) == (48, 48):
             oracle_shapes.append(np.shape(a))
         return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    main(["verify", "--config", _curve_cfg(tmp_path, kind, 8), "--allow-nonconverged"])
+    monkeypatch.setattr(csdrf.oracle, "kl_drf", recording_kl_drf)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    main(["verify", "--config", _curve_cfg(tmp_path, kind, 8, source), "--allow-nonconverged"])
     assert capsys.readouterr().out.count("rate=") == 8
-    assert len(oracle_shapes) == 1
+    assert len(decompositions) == 1
+    assert len(oracle_shapes) == dense
 
 
 @pytest.mark.parametrize("kind", ["discrete-cs", "am", "pam"])

@@ -2,17 +2,18 @@ from math import ceil, floor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csdrf.cli import Scenario, _normalized_pam, make_base
-from csdrf.oracle import (BlockCovariance, KernelGrid, build_kernel, kl_drf,
-                          step_approximation, weyl_gap)
-from csdrf.spectra import (am_cpsd, flat_psd, ideal_interp_pulse, modulated_ma,
-                           pam_cpsd, raised_cosine_psd, raised_cosine_pulse,
+from csdrf.oracle import (BlockCovariance, KernelGrid, _split_eigenvalues, build_kernel,
+                          kl_drf, step_approximation, weyl_gap)
+from csdrf.quadrature import gauss_segments
+from csdrf.spectra import (DiscreteCsProcess, am_cpsd, flat_psd, ideal_interp_pulse,
+                           modulated_ma, pam_cpsd, raised_cosine_psd, raised_cosine_pulse,
                            rect_pulse, stationary_cyclic, triangle_pulse,
                            triangular_psd, white_cs)
-from csdrf.waterfilling import stationary_drf
+from csdrf.waterfilling import NotPositiveSemidefinite, _clip_eigenvalues, stationary_drf
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +184,65 @@ def test_generic_covariance_equals_the_broadcast_sum(name):
         np.testing.assert_array_equal(values, _outer(_broadcast_covariance, spec, times))
 
 
+def _assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+GENERATED_SOURCES = {
+    "am": lambda a, x: am_cpsd(triangular_psd(a, 1.0), a * (0.5 + 3.0 * x), 6.0 * x),
+    "stationary": lambda a, x: stationary_cyclic(raised_cosine_psd(a, 1.0), (0.2 + x) / a),
+    "pam-ideal": lambda a, x: pam_cpsd(flat_psd(a, 1.0), ideal_interp_pulse((0.2 + x) / a),
+                                       (0.2 + x) / a),
+    "pam-raised-cosine": lambda a, x: pam_cpsd(triangular_psd(a, 1.0),
+                                               raised_cosine_pulse((0.2 + x) / a, 0.1 + 0.9 * x),
+                                               (0.2 + x) / a),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(GENERATED_SOURCES)), bandwidth=st.floats(0.25, 4.0),
+       shape=st.floats(0.0, 1.0), periods=st.integers(1, 4), n=st.integers(2, 64),
+       steps=st.one_of(st.none(), st.integers(1, 8)))
+def test_covariance_equals_the_broadcast_sum_property(name, bandwidth, shape, periods, n, steps):
+    # plain and stepped times; every harmonic row of one stacked call equals
+    # its own scalar call
+    spec = GENERATED_SOURCES[name](bandwidth, shape)
+    times = build_kernel(spec, periods * spec.period, n).times
+    if steps is not None:
+        h = spec.period / steps
+        times = np.floor(times / h) * h
+    _assert_bitwise(spec.covariance(times),
+                    _broadcast_covariance(spec, times[:, None], times[None, :]))
+    harmonics = np.array(spec.active_indices + (max(spec.active_indices) + 1,))
+    lags = np.subtract.outer(times, times)
+    rows = spec.cyclic_autocorr(harmonics, lags)
+    assert rows.shape == harmonics.shape + lags.shape
+    for h, row in zip(harmonics.tolist(), rows):
+        _assert_bitwise(row, spec.cyclic_autocorr(h, lags))
+        if name.startswith("pam"):
+            ref = _signed_lag_transform(spec, h, lags)
+            np.testing.assert_allclose(row, ref, rtol=0.0, atol=1e-14 * max(np.abs(ref).max(), 1.0))
+
+
+def _signed_lag_transform(spec, n, tau):
+    """Gauss-grid inverse transform of cpsd(n, .) at every lag, sign included."""
+    nodes, weights = gauss_segments(-spec.freq_radius, spec.freq_radius, spec.breakpoints,
+                                    min_cells=128)
+    kern = np.exp(2.0 * np.pi * 1j * np.multiply.outer(tau, nodes))
+    return kern @ (weights * spec.cpsd(n, nodes))
+
+
+def test_cyclic_autocorr_takes_one_harmonic_or_a_vector_of_them():
+    spec = GENERIC_SOURCES["pam-ideal"]()
+    tau = np.array([[-0.3, 0.0], [0.3, 1.1]])
+    assert spec.cyclic_autocorr(0, tau).shape == tau.shape
+    assert spec.cyclic_autocorr(np.array([0]), tau).shape == (1,) + tau.shape
+    with pytest.raises(ValueError, match="1-d"):
+        spec.cyclic_autocorr(np.zeros((1, 1), dtype=int), tau)
+
+
 @pytest.mark.parametrize("name", ["pam-ideal", "pam-raised-cosine", "am"])
 def test_cyclic_autocorr_sees_only_the_distinct_lags(monkeypatch, name):
     spec = GENERIC_SOURCES[name]()
@@ -201,6 +261,104 @@ def test_cyclic_autocorr_sees_only_the_distinct_lags(monkeypatch, name):
         spec.covariance(times)
         distinct = np.unique(np.subtract.outer(times, times)).size
         assert sizes and max(sizes) <= distinct < times.size ** 2
+
+
+# ---------------------------------------------------------------------------
+# block assembly and the split decomposition
+# ---------------------------------------------------------------------------
+
+def _per_entry_block(proc, n):
+    """The block entry by entry from ``proc.cov``, then symmetrized."""
+    mat = np.zeros((n, n))
+    lmax = proc.memory
+    for lag in range(-lmax, lmax + 1):
+        for j in range(max(0, -lag), min(n, n - lag)):
+            mat[j + lag, j] = proc.cov(j, lag)
+    return 0.5 * (mat + mat.T)
+
+
+def _time_varying_ma(taps):
+    """Table of X[n] = sum_i taps[n mod M, i] W[n - i] with W unit white:
+    R[n, k] = sum_i taps[n+k, i+k] taps[n, i], consistent by construction."""
+    m, width = taps.shape
+    lmax = width - 1
+    table = np.zeros((m, 2 * lmax + 1))
+    for n in range(m):
+        for k in range(-lmax, lmax + 1):
+            for i in range(max(0, -k), min(width, width - k)):
+                table[n, lmax + k] += taps[(n + k) % m, i + k] * taps[n, i]
+    return DiscreteCsProcess.from_covariance(table)
+
+
+_unit = st.floats(-2.0, 2.0).map(lambda x: 0.0 if abs(x) < 0.2 else x)
+_processes = st.one_of(
+    st.lists(_unit.map(abs), min_size=1, max_size=5).map(white_cs),
+    st.builds(modulated_ma, st.lists(_unit, min_size=1, max_size=5),
+              st.lists(_unit, min_size=1, max_size=4)),
+    st.integers(1, 4).flatmap(lambda m: st.integers(1, 4).flatmap(
+        lambda w: st.lists(_unit, min_size=m * w, max_size=m * w).map(
+            lambda v: _time_varying_ma(np.reshape(v, (m, w)))))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(proc=_processes, extra=st.integers(0, 12))
+def test_block_fill_equals_the_per_entry_loop(proc, extra):
+    # lengths from 1 to past the memory, multiples of the period or not
+    for n in sorted({1, 2, proc.period, proc.memory + 1, 2 * proc.memory + extra + 1}):
+        _assert_bitwise(BlockCovariance.from_process(proc, n).matrix, _per_entry_block(proc, n))
+
+
+def test_block_of_a_process_without_a_table_is_refused():
+    proc = DiscreteCsProcess(2, lambda n, phi: np.ones_like(phi), 1.0)
+    with pytest.raises(ValueError) as entry:
+        proc.cov(0, 0)
+    with pytest.raises(ValueError) as block:
+        BlockCovariance.from_process(proc, 4)
+    assert str(block.value) == str(entry.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(variances=st.lists(_unit.map(abs), min_size=1, max_size=6), n=st.integers(1, 200))
+@example(variances=[0.3, 2.0, 0.0, 1.7], n=1024)
+def test_memoryless_block_is_its_sorted_diagonal(variances, n):
+    block = BlockCovariance.from_process(white_cs(variances), n)
+    _assert_bitwise(_split_eigenvalues(block.matrix), np.linalg.eigvalsh(block.matrix))
+    dense = _clip_eigenvalues(np.linalg.eigvalsh(block.matrix)[::-1] / n)
+    _assert_bitwise(kl_drf(block).levels, dense[dense > 0.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(scales=st.lists(_unit, min_size=2, max_size=6), zero=st.integers(0, 5),
+       taps=st.lists(_unit, min_size=1, max_size=4), n=st.integers(1, 60))
+def test_reducible_block_matches_the_dense_decomposition(scales, zero, taps, n):
+    scales[zero % len(scales)] = 0.0     # a zero scale cuts the band
+    matrix = BlockCovariance.from_process(modulated_ma(scales, taps), n).matrix
+    dense = np.linalg.eigvalsh(matrix)
+    np.testing.assert_allclose(_split_eigenvalues(matrix), dense, rtol=0.0,
+                               atol=1e-14 * max(np.abs(dense).max(), 1e-300))
+
+
+def test_split_block_decomposes_each_size_as_one_batch(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+    shapes = []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args: shapes.append(np.shape(a)) or eigvalsh(a, *args))
+    # period 3 with one zero scale: slots 1, 4 and 7 stand alone, and three
+    # blocks of 2 lie between them
+    matrix = BlockCovariance.from_process(modulated_ma([1.0, 0.0, 0.5], [1.0, 0.4]), 10).matrix
+    lam = _split_eigenvalues(matrix)
+    assert shapes == [(3, 2, 2)]
+    np.testing.assert_allclose(lam, eigvalsh(matrix), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.diag([1.0, -1.0, 2.0]),
+    np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]),
+])
+def test_block_with_a_negative_part_is_rejected(matrix):
+    with pytest.raises(NotPositiveSemidefinite):
+        kl_drf(BlockCovariance(matrix))
 
 
 # ---------------------------------------------------------------------------
