@@ -8,8 +8,9 @@ with the spectral fast paths at desk scale is the package's main validation.
 Each step does only the work its structure needs, with the same result as the
 plain dense computation. A kernel is symmetrized once, when its grid is made.
 A discrete block is filled one diagonal at a time from the covariance table.
-A block whose nonzero entries leave it reducible is decomposed as its diagonal
-blocks, batched by size: a memoryless block is then its own sorted diagonal.
+A diagonal block (a memoryless source) is its own sorted spectrum, which is
+what the dense decomposition returns for it bit for bit; any other block is
+decomposed dense.
 """
 
 from __future__ import annotations
@@ -121,41 +122,14 @@ def _symmetric(values) -> np.ndarray:
     return 0.5 * (values + values.T)
 
 
-def _split_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix, decomposed block by block.
-
-    The matrix is cut before every index that no nonzero entry of its lower
-    triangle crosses, and its eigenvalues are those of the diagonal blocks
-    between cuts. Blocks of one size are decomposed as one batch; a block of
-    size one is its own eigenvalue. Without a cut the matrix is decomposed
-    whole.
-    """
-    n = mat.shape[0]
-    below = np.tril(mat != 0.0, -1)
-    lowest = np.where(below.any(axis=0), n - 1 - np.argmax(below[::-1], axis=0), np.arange(n))
-    cuts = np.flatnonzero(np.maximum.accumulate(lowest)[:-1] < np.arange(1, n)) + 1
-    if cuts.size == 0:
-        return np.linalg.eigvalsh(mat)
-    starts = np.concatenate(([0], cuts))
-    sizes = np.diff(np.append(starts, n))
-    parts = []
-    for size in np.unique(sizes):
-        first = starts[sizes == size]
-        if size == 1:
-            parts.append(mat[first, first])
-        else:
-            idx = first[:, None] + np.arange(size)
-            parts.append(np.linalg.eigvalsh(mat[idx[:, :, None], idx[:, None, :]]).reshape(-1))
-    return np.sort(np.concatenate(parts))
-
-
 def kl_drf(source) -> ScalarWaterfiller:
     """Finite-window waterfiller from covariance eigenvalues.
 
     The kernel or block is decomposed once; ``.solve_many(rates)`` then gives
-    the curve at any rates; a block is decomposed as its irreducible diagonal
-    blocks, which have its eigenvalues. For a KernelGrid the eigenvalues of
-    the window-normalized operator are waterfilled with rate in bits per second,
+    the curve at any rates; a block with no nonzero entry off its diagonal is
+    its own sorted spectrum, the dense decomposition's bit for bit. For a
+    KernelGrid the eigenvalues of the window-normalized operator are
+    waterfilled with rate in bits per second,
     (1/(4T)) sum log2+. For a BlockCovariance the eigenvalues of C/N are
     waterfilled with rate in bits per symbol, (1/(2N)) sum log2+. Distortion
     is a plain eigenvalue sum in both cases because the normalization already
@@ -165,8 +139,12 @@ def kl_drf(source) -> ScalarWaterfiller:
         lam = _clip_eigenvalues(source.operator_eigenvalues())
         r_scale = 1.0 / (4.0 * source.half_width)
     elif isinstance(source, BlockCovariance):
-        n = source.size
-        lam = _clip_eigenvalues(_split_eigenvalues(source.matrix)[::-1] / n)
+        n, mat = source.size, source.matrix
+        if np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat)):
+            ascending = np.sort(np.diagonal(mat))
+        else:
+            ascending = np.linalg.eigvalsh(mat)
+        lam = _clip_eigenvalues(ascending[::-1] / n)
         r_scale = 1.0 / (2.0 * n)
     else:
         raise TypeError(f"unsupported oracle source: {type(source)!r}")

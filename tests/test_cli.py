@@ -485,8 +485,8 @@ MODULATED_MA = "mod_scales = 1 0.5\nma_taps = 1 0.4\n"
     ("am", None, 1), ("pam", None, 1)],
     ids=["stationary", "discrete-cs", "modulated-ma", "am", "pam"])
 def test_verify_decomposes_each_kernel_once(tmp_path, monkeypatch, capsys, kind, source, dense):
-    # one oracle decomposition per curve; the memoryless block splits into
-    # 1 x 1 blocks and makes no dense (48, 48) call, every other kernel one
+    # one oracle decomposition per curve; the memoryless block is diagonal
+    # and makes no dense (48, 48) call, every other kernel one
     kl_drf = csdrf.oracle.kl_drf
     eigvalsh = np.linalg.eigvalsh
     decompositions, oracle_shapes = [], []

@@ -1,4 +1,5 @@
 from math import ceil, floor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csdrf.cli import Scenario, _normalized_pam, make_base
-from csdrf.oracle import (BlockCovariance, KernelGrid, _split_eigenvalues, build_kernel,
-                          kl_drf, step_approximation, weyl_gap)
+from csdrf.oracle import (BlockCovariance, KernelGrid, build_kernel, kl_drf,
+                          step_approximation, weyl_gap)
 from csdrf.quadrature import gauss_segments
 from csdrf.spectra import (DiscreteCsProcess, am_cpsd, flat_psd, ideal_interp_pulse,
                            modulated_ma, pam_cpsd, raised_cosine_psd, raised_cosine_pulse,
@@ -264,7 +265,7 @@ def test_cyclic_autocorr_sees_only_the_distinct_lags(monkeypatch, name):
 
 
 # ---------------------------------------------------------------------------
-# block assembly and the split decomposition
+# block assembly and its decomposition
 # ---------------------------------------------------------------------------
 
 def _per_entry_block(proc, n):
@@ -318,38 +319,30 @@ def test_block_of_a_process_without_a_table_is_refused():
     assert str(block.value) == str(entry.value)
 
 
+def _dense_levels(matrix):
+    lam = _clip_eigenvalues(np.linalg.eigvalsh(matrix)[::-1] / matrix.shape[0])
+    return lam[lam > 0.0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(variances=st.lists(_unit.map(abs), min_size=1, max_size=6), n=st.integers(1, 200))
 @example(variances=[0.3, 2.0, 0.0, 1.7], n=1024)
 def test_memoryless_block_is_its_sorted_diagonal(variances, n):
     block = BlockCovariance.from_process(white_cs(variances), n)
-    _assert_bitwise(_split_eigenvalues(block.matrix), np.linalg.eigvalsh(block.matrix))
-    dense = _clip_eigenvalues(np.linalg.eigvalsh(block.matrix)[::-1] / n)
-    _assert_bitwise(kl_drf(block).levels, dense[dense > 0.0])
+    dense = _dense_levels(block.matrix)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        _assert_bitwise(kl_drf(block).levels, dense)
+    assert eigvalsh.call_count == 0
 
 
 @settings(max_examples=60, deadline=None)
 @given(scales=st.lists(_unit, min_size=2, max_size=6), zero=st.integers(0, 5),
        taps=st.lists(_unit, min_size=1, max_size=4), n=st.integers(1, 60))
-def test_reducible_block_matches_the_dense_decomposition(scales, zero, taps, n):
-    scales[zero % len(scales)] = 0.0     # a zero scale cuts the band
-    matrix = BlockCovariance.from_process(modulated_ma(scales, taps), n).matrix
-    dense = np.linalg.eigvalsh(matrix)
-    np.testing.assert_allclose(_split_eigenvalues(matrix), dense, rtol=0.0,
-                               atol=1e-14 * max(np.abs(dense).max(), 1e-300))
-
-
-def test_split_block_decomposes_each_size_as_one_batch(monkeypatch):
-    eigvalsh = np.linalg.eigvalsh
-    shapes = []
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda a, *args: shapes.append(np.shape(a)) or eigvalsh(a, *args))
-    # period 3 with one zero scale: slots 1, 4 and 7 stand alone, and three
-    # blocks of 2 lie between them
-    matrix = BlockCovariance.from_process(modulated_ma([1.0, 0.0, 0.5], [1.0, 0.4]), 10).matrix
-    lam = _split_eigenvalues(matrix)
-    assert shapes == [(3, 2, 2)]
-    np.testing.assert_allclose(lam, eigvalsh(matrix), rtol=0.0, atol=1e-15)
+def test_block_with_memory_is_decomposed_dense(scales, zero, taps, n):
+    # a zero scale makes the block reducible; it is still decomposed whole
+    scales[zero % len(scales)] = 0.0
+    block = BlockCovariance.from_process(modulated_ma(scales, taps), n)
+    _assert_bitwise(kl_drf(block).levels, _dense_levels(block.matrix))
 
 
 @pytest.mark.parametrize("matrix", [
