@@ -17,7 +17,7 @@ from .oracle import (BlockCovariance, KernelGrid, WeylGap, build_kernel,
 from .polyphase import (PsdPcMatrix, folded_alias_matrix, polyphase_component_psd,
                         psd_pc_matrix_continuous, psd_pc_matrix_discrete)
 from .quadrature import Grid, fold_breakpoints, phi_grid, segmented_midpoint
-from .spectra import (CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum,
+from .spectra import (AliasCountError, CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum,
                       PulseShape, StationaryPsd, TruncationError, am_cpsd,
                       am_gaussian_psd, average_power, flat_psd,
                       ideal_interp_pulse, modulated_ma, pam_cpsd,

@@ -23,8 +23,8 @@ from . import drf as drf_mod
 from . import oracle as oracle_mod
 from .polyphase import psd_pc_matrix_continuous, psd_pc_matrix_discrete
 from .quadrature import segmented_midpoint
-from .spectra import (DiscreteCsProcess, PamCyclicSpectrum, PulseShape,
-                      StationaryPsd, am_cpsd, am_gaussian_psd, flat_psd,
+from .spectra import (AliasCountError, DiscreteCsProcess, PamCyclicSpectrum,
+                      PulseShape, StationaryPsd, am_cpsd, am_gaussian_psd, flat_psd,
                       ideal_interp_pulse, modulated_ma, pam_cpsd,
                       raised_cosine_psd, raised_cosine_pulse, rect_pulse,
                       stationary_cyclic, triangle_pulse, triangular_psd,
@@ -214,9 +214,13 @@ def make_pulse(sc: Scenario, t_symbol: float) -> PulseShape:
 
 
 def make_discrete(sc: Scenario) -> DiscreteCsProcess:
-    if sc.mod_scales:
-        return modulated_ma(sc.mod_scales, sc.ma_taps)
-    return white_cs(sc.variances)
+    keys = "mod_scales and ma_taps" if sc.mod_scales else "variances"
+    try:
+        if sc.mod_scales:
+            return modulated_ma(sc.mod_scales, sc.ma_taps)
+        return white_cs(sc.variances)
+    except ValueError as exc:                  # e.g. a covariance that overflows
+        raise ConfigError(f"[source] {keys}: {exc}") from exc
 
 
 def _normalized_pam(sc: Scenario, base: StationaryPsd, fs: float) -> PamCyclicSpectrum:
@@ -251,13 +255,14 @@ def _scaled_pulse(pulse: PulseShape, gain: float) -> PulseShape:
 class Source:
     """One source of a scenario: its spectral model and the curves it offers.
 
-    ``curves`` maps a method name to a builder. A builder runs once per curve
-    and returns ``rate -> (distortion, theta, M, converged)``: ``_solved``
-    builds a per-rate solver, and ``_whole_curve`` (the refinement, the bounds
-    and the oracle) solves every configured rate when it is built and raises
-    a rate's failure when that rate is asked for. ``spec`` is the
-    model that ``verify`` takes sigma^2 from (a CyclicSpectrum, or the
-    DiscreteCsProcess in discrete time), ``matrix`` builds the polyphase
+    ``curves`` maps a method name to its curve, ``curve(rates)``, run once
+    per curve. It returns, for each configured rate in order, either
+    (distortion, theta, M, converged) or the exception that ended that rate;
+    ``_points`` raises a rate's exception when it reaches that rate, so the
+    first failure in rate order wins. An exception that ``curve`` itself
+    raises ends the whole curve (the bound's ``lower_bound: ...``). ``spec``
+    is the model that ``verify`` takes sigma^2 from (a CyclicSpectrum, or
+    the DiscreteCsProcess in discrete time), ``matrix`` builds the polyphase
     matrix that ``spectra`` dumps, and ``tag`` suffixes the method labels of
     a scenario with several sources.
     """
@@ -268,54 +273,39 @@ class Source:
     tag: str = ""
 
 
-def _solved(make_solve, m=0):
-    """Builder for a curve whose solver ``make_solve()`` is built once per curve."""
-    def build():
-        solve = make_solve()
-
-        def point(rate):
-            pt = solve(rate)
-            return pt.distortion, pt.theta, m, True
-        return point
-    return build
-
-
-def _whole_curve(sc, curve):
-    """Builder for a curve that ``curve(rates)`` solves at every configured rate at once.
-
-    ``curve`` returns, per rate, (distortion, theta, M, converged) or the
-    exception that ended that rate, which ``point(rate)`` raises: the first
-    failure in rate order wins, as in a rate-by-rate solve. An exception that
-    ``curve`` raises ends the curve when it is built.
-    """
-    def build():
-        table = dict(zip(sc.rates.tolist(), curve(sc.rates)))
-
-        def point(rate):
-            out = table[rate]
-            if isinstance(out, Exception):
-                raise out
-            return out
-        return point
-    return build
+def _solved(make_filler, m=0):
+    """Curve of the scalar waterfiller ``make_filler()``, built once per curve
+    and bisected at each rate; a rate beyond its bracket fails in its place."""
+    def curve(rates):
+        sw = make_filler()
+        out = []
+        for rate in rates.tolist():
+            try:
+                pt = sw.solve(rate)
+            except WaterLevelUnderflow as exc:
+                out.append(exc)
+            else:
+                out.append((pt.distortion, pt.theta, m, True))
+        return out
+    return curve
 
 
-def _bound(sc, distortions, m=0):
+def _bound(distortions, m=0):
     """Lower-bound curve from ``distortions(rates)``; theta reads 0. A rate
-    beyond the bracket of any profile ends the curve when it is built."""
+    beyond the bracket of any profile ends the whole curve."""
     def curve(rates):
         try:
             values = distortions(rates)
         except WaterLevelUnderflow as exc:
             raise WaterLevelUnderflow(f"lower_bound: {exc}") from exc
         return [(d, 0.0, m, True) for d in values.tolist()]
-    return _whole_curve(sc, curve)
+    return curve
 
 
-def _oracle(sc, make_filler, m=0):
+def _oracle(make_filler, m=0):
     """Oracle curve: the waterfiller ``make_filler()`` is built once per curve
     and solved exactly at every rate in one call. A rate beyond its bracket
-    fails when it is reached, like the per-rate solve."""
+    fails in its place, like the per-rate solve."""
     def at(sw, rate):
         try:
             theta, dist = sw.solve_many(rate)
@@ -330,20 +320,20 @@ def _oracle(sc, make_filler, m=0):
         except WaterLevelUnderflow:
             return [at(sw, rate) for rate in rates.tolist()]
         return [(d, t, m, True) for d, t in zip(dist.tolist(), theta.tolist())]
-    return _whole_curve(sc, curve)
+    return curve
 
 
 def _stationary(sc, psd):
-    return _solved(lambda: stationary_waterfiller(psd, sc.phi_grid).solve)
+    return _solved(lambda: stationary_waterfiller(psd, sc.phi_grid))
 
 
 def _lower_bound(sc, spec):
-    return _bound(sc, lambda rates: drf_mod.lower_bound_continuous(
+    return _bound(lambda rates: drf_mod.lower_bound_continuous(
         spec, rates, sc.t_grid, sc.phi_grid))
 
 
 def _kernel_oracle(sc, spec):
-    return _oracle(sc, lambda: oracle_mod.kl_drf(oracle_mod.build_kernel(
+    return _oracle(lambda: oracle_mod.kl_drf(oracle_mod.build_kernel(
         spec, sc.oracle_periods * spec.period, sc.oracle_n)))
 
 
@@ -355,7 +345,7 @@ def _refined(sc, spec):
         return [res if isinstance(res, Exception) else
                 (res.point.distortion, res.point.theta, res.iterates[-1][0], res.converged)
                 for res in solver.solve_many(rates)]
-    return _whole_curve(sc, curve)
+    return curve
 
 
 def _stationary_sources(sc):
@@ -373,10 +363,10 @@ def _discrete_sources(sc):
         return oracle_mod.kl_drf(oracle_mod.BlockCovariance.from_process(proc, sc.oracle_n))
 
     return [Source(proc, {
-        "drf": _solved(lambda: drf_mod.discrete_waterfiller(proc, sc.phi_grid).solve, m),
+        "drf": _solved(lambda: drf_mod.discrete_waterfiller(proc, sc.phi_grid), m),
         "lower_bound": _bound(
-            sc, lambda rates: drf_mod.lower_bound_discrete(proc, rates, sc.phi_grid), m),
-        "oracle": _oracle(sc, block_filler, m),
+            lambda rates: drf_mod.lower_bound_discrete(proc, rates, sc.phi_grid), m),
+        "oracle": _oracle(block_filler, m),
     }, lambda: psd_pc_matrix_discrete(proc))]
 
 
@@ -398,7 +388,7 @@ def _am_sources(sc):
 
 def _pam_source(sc, spec, tag):
     return Source(spec, {
-        "drf": _solved(lambda: drf_mod.pam_waterfiller(spec, sc.phi_grid).solve),
+        "drf": _solved(lambda: drf_mod.pam_waterfiller(spec, sc.phi_grid)),
         "lower_bound": _lower_bound(sc, spec),
         "oracle": _kernel_oracle(sc, spec),
     }, lambda: psd_pc_matrix_continuous(spec, sc.spectra_m), tag)
@@ -417,17 +407,19 @@ def _sampled_sources(sc):
     base = make_base(sc)
     fs = sc.sampling_rate
 
-    def coded():
-        """Built once per curve; theta is on the estimate's density, fs times the PAM level."""
+    def coded(rates):
+        """The MMSE plus the PAM curve; theta is on the estimate's density, fs
+        times the PAM level."""
         mmse, sw = drf_mod.sampled_coding(base, fs, sc.phi_grid)
-
-        def point(rate):
-            pt = sw.solve(rate)
-            return mmse + pt.distortion, fs * pt.theta, 0, True
-        return point
+        return [out if isinstance(out, Exception) else (mmse + out[0], fs * out[1], 0, True)
+                for out in _solved(lambda: sw)(rates)]
 
     return [Source(None, {"drf": coded, "baseband": _stationary(sc, base)})]
 
+
+# source kind -> the [source] key of its lattice rate, named with bandwidth
+# when the model refuses their ratio (spectra.MAX_ALIASES)
+RATE_KEYS = {"am": "f0", "pam": "symbol_rates", "sampled-coding": "sampling_rate"}
 
 # source kind -> the scenario's sources. A (kind, method) pair is supported
 # exactly when one of the sources offers the method; bound, verify and
@@ -450,29 +442,20 @@ def _row(rate, distortion, theta, method, m, converged):
     return f"{rate:.17g},{distortion:.17g},{theta:.17g},{method},{m},{flag}"
 
 
-def _curve(src, method):
-    """Build the ``method`` curve of ``src``, naming the method if a decomposition fails."""
+def _points(sc, src, method, allow_nonconverged):
+    """(rate, distortion, theta, M, converged) of the ``method`` curve of ``src``
+    at every configured rate. A rate beyond the bracket raises, naming the
+    method and rate; a failed decomposition raises, naming the method."""
     try:
-        return src.curves[method]()
+        outs = src.curves[method](sc.rates)
     except DECOMPOSITION_ERRORS as exc:
         raise NumericFailure(f"{method}: {exc}") from exc
-
-
-def _at(point, method, rate):
-    """``point(rate)``, naming the method and rate when the rate is beyond the
-    bracket, and the method when a decomposition fails."""
-    try:
-        return point(float(rate))
-    except WaterLevelUnderflow as exc:
-        raise WaterLevelUnderflow(f"{method} at rate {rate}: {exc}") from exc
-    except DECOMPOSITION_ERRORS as exc:
-        raise NumericFailure(f"{method}: {exc}") from exc
-
-
-def _points(sc, point, method, allow_nonconverged):
-    """(rate, distortion, theta, M, converged) at every configured rate."""
-    for rate in sc.rates:
-        d, theta, m, converged = _at(point, method, rate)
+    for rate, out in zip(sc.rates, outs):
+        if isinstance(out, WaterLevelUnderflow):
+            raise WaterLevelUnderflow(f"{method} at rate {rate}: {out}") from out
+        if isinstance(out, DECOMPOSITION_ERRORS):
+            raise NumericFailure(f"{method}: {out}") from out
+        d, theta, m, converged = out
         if not converged and not allow_nonconverged:
             raise drf_mod.NonConvergedError(
                 f"{method} at rate {rate} did not converge by M={sc.m_max}")
@@ -500,10 +483,9 @@ def drf_rows(sc: Scenario, allow_nonconverged: bool):
     for method in methods:
         for src in sources:
             if method in src.curves:
-                point = _curve(src, method)
                 rows += [_row(rate, d, theta, method + src.tag, m, ok)
                          for rate, d, theta, m, ok in
-                         _points(sc, point, method, allow_nonconverged)]
+                         _points(sc, src, method, allow_nonconverged)]
     return rows
 
 
@@ -512,9 +494,8 @@ def bound_rows(sc: Scenario):
     src = SOURCES[sc.kind](sc)[0]
     if "lower_bound" not in src.curves:
         raise _unavailable(sc, "bound")
-    point = _curve(src, "lower_bound")
     return [_row(rate, d, theta, "lower_bound", m, ok)
-            for rate, d, theta, m, ok in _points(sc, point, "lower_bound", False)]
+            for rate, d, theta, m, ok in _points(sc, src, "lower_bound", False)]
 
 
 def spectra_rows(sc: Scenario):
@@ -557,11 +538,10 @@ def verify_lines(sc: Scenario, allow_nonconverged: bool):
     if not {"drf", "oracle"} <= src.curves.keys():
         raise _unavailable(sc, "verify")
     sigma2 = src.spec.avg_power
-    oracle = _curve(src, "oracle")
     lines = []
     gaps = []
-    for rate, fast, *_ in _points(sc, _curve(src, "drf"), "drf", allow_nonconverged):
-        ref = _at(oracle, "oracle", rate)[0]
+    for (rate, fast, *_), (_, ref, *_) in zip(_points(sc, src, "drf", allow_nonconverged),
+                                             _points(sc, src, "oracle", allow_nonconverged)):
         diff = abs(fast - ref)
         scale = max(ref, 1e-9 * sigma2)
         # a zero-power source gives fast == ref == 0: no gap, not 0/0
@@ -627,6 +607,10 @@ def main(argv=None) -> int:
             print("verify OK")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except AliasCountError as exc:
+        print(f"config error: [source] bandwidth and {RATE_KEYS[sc.kind]}: {exc}",
+              file=sys.stderr)
         return 2
     except (drf_mod.NonConvergedError, WaterLevelUnderflow, NumericFailure) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -31,6 +31,26 @@ class TruncationError(RuntimeError):
     """An infinite spectral series could not be truncated within tolerance."""
 
 
+# Largest T0 times support radius that a model may have. A lattice fold or an
+# alias series over spacing 1/T0 sums about twice that many shifts at every
+# frequency, and the Wiener pulse folds a fold, so its cost grows as the
+# square; every built-in source at this bound runs each command in about a
+# second at the default grids (README "Numerical notes").
+MAX_ALIASES = 64.0
+
+
+class AliasCountError(ValueError):
+    """A model whose lattice folds would take more than ``MAX_ALIASES`` shifts."""
+
+
+def _check_aliases(what: str, period: float, radius: float) -> None:
+    """Refuse a finite ``radius`` whose folds over spacing 1/period exceed the bound."""
+    if isfinite(radius) and not period * radius <= MAX_ALIASES:
+        raise AliasCountError(
+            f"{what}: T0 times the support radius is {period * radius:.6g}, above "
+            f"MAX_ALIASES = {MAX_ALIASES:g}; its lattice folds would take too many shifts")
+
+
 def _lattice_fold(fn, f, radius: float, period: float) -> np.ndarray:
     """sum_l fn(f - l/period) for a function that vanishes outside |x| <= radius.
 
@@ -284,6 +304,7 @@ def wiener_pulse(base: StationaryPsd, fs: float) -> PulseShape:
     if not isfinite(f_b):
         raise ValueError("base must be band-limited (finite support_radius) for a Wiener pulse")
     t0 = 1.0 / fs
+    _check_aliases("wiener_pulse", t0, f_b)
 
     def fourier(f):
         num = base(f)
@@ -315,6 +336,7 @@ class CyclicSpectrum:
                  breakpoints=(), cyclic_autocorr=None, name=""):
         if period <= 0:
             raise ValueError("period must be positive")
+        _check_aliases(name or "cyclic spectrum", period, freq_radius)
         self.period = float(period)
         self._cpsd_fn = cpsd_fn
         self.active_indices = tuple(active_indices) if active_indices is not None else None
@@ -525,6 +547,7 @@ class PamCyclicSpectrum(CyclicSpectrum):
     def __init__(self, base: StationaryPsd, pulse: PulseShape, t_symbol: float):
         if t_symbol <= 0:
             raise ValueError("symbol time must be positive")
+        _check_aliases(f"pam({base.name})", t_symbol, base.support_radius)
         self.base = base
         self.pulse = pulse
         t0 = float(t_symbol)
@@ -774,6 +797,8 @@ class DiscreteCsProcess:
         table = np.asarray(table, dtype=float)
         if table.ndim != 2 or table.shape[1] % 2 != 1:
             raise ValueError("table must be (M, 2L+1) with lags -L..L")
+        if not np.all(np.isfinite(table)):
+            raise ValueError("covariance table must be finite")
         m, width = table.shape
         lmax = (width - 1) // 2
         for n in range(m):
@@ -815,12 +840,14 @@ def modulated_ma(scales, taps) -> DiscreteCsProcess:
     if c.ndim != 1 or h.ndim != 1:
         raise ValueError("scales and taps must be 1-d")
     m = c.size
-    rho = np.correlate(h, h, mode="full")    # lags -(L-1)..(L-1)
     lmax = h.size - 1
     table = np.zeros((m, 2 * lmax + 1))
-    for n in range(m):
-        for k in range(-lmax, lmax + 1):
-            table[n, k + lmax] = c[(n + k) % m] * c[n] * rho[k + lmax]
+    # a product that overflows is refused by from_covariance as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = np.correlate(h, h, mode="full")    # lags -(L-1)..(L-1)
+        for n in range(m):
+            for k in range(-lmax, lmax + 1):
+                table[n, k + lmax] = c[(n + k) % m] * c[n] * rho[k + lmax]
     return DiscreteCsProcess.from_covariance(table, name="modulated_ma")
 
 

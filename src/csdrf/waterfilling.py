@@ -6,9 +6,10 @@ charged to rate. ``ScalarWaterfiller.solve_many`` inverts the monotone rate
 map exactly from the sorted levels, at any number of rates; the continuous-
 time refinement, the per-component bounds and the ``verify`` oracle solve
 this way. ``ScalarWaterfiller.solve``, a geometric bisection one rate at a
-time, serves the scalar per-rate curves (stationary, discrete-time, PAM and
-sampled coding): the benchmark harness keeps every pass's output, so a much
-faster solve there would raise its peak memory (ROADMAP item 1). Integrals
+time, serves the scalar curves (stationary, discrete-time, PAM and sampled
+coding), which the CLI builds in one function, ``cli._solved``: the
+benchmark harness keeps every pass's output, so a much faster solve there
+would run more passes and raise its peak memory (ROADMAP item 1). Integrals
 are computed in nats and rates reported in bits.
 """
 
@@ -127,7 +128,11 @@ class ScalarWaterfiller:
 
         The rate map is continuous and non-increasing in theta, so bisection
         on log-theta converges; the bracket is run down to machine precision
-        rather than stopping at a rate tolerance.
+        rather than stopping at a rate tolerance. The bracket is held as
+        theta / 2**e, 2**e being the binade of ``level_max``: the power-of-two
+        scale is exact, so in the normal float range every step is the same
+        bit for bit, and a level near either end of the range neither
+        overflows ``lo * hi`` nor underflows ``lo`` to 0.
         """
         if not math.isfinite(target_rate) or target_rate < 0.0:
             raise ValueError("target rate must be finite and nonnegative")
@@ -135,22 +140,22 @@ class ScalarWaterfiller:
             return RateDistortionPoint(0.0, 0.0, 0.0)
         if target_rate == 0.0:
             return self.point(self.level_max)
-        lo = self.level_max * 2.0 ** -BRACKET_EXP
-        hi = self.level_max
-        rate_lo = self.rate(lo)
+        hi, e = math.frexp(self.level_max)
+        lo = math.ldexp(hi, -BRACKET_EXP)
+        rate_lo = self.rate(math.ldexp(lo, e))
         if target_rate > rate_lo * (1.0 + 1e-12) + 1e-12:
             raise WaterLevelUnderflow(
                 f"target rate {target_rate} exceeds resolvable maximum {rate_lo} "
-                f"(water level underflow below {lo})")
+                f"(water level underflow below {math.ldexp(lo, e)})")
         for _ in range(MAX_BISECT):
             mid = math.sqrt(lo * hi)
-            if self.rate(mid) >= target_rate:
+            if self.rate(math.ldexp(mid, e)) >= target_rate:
                 lo = mid
             else:
                 hi = mid
             if hi - lo <= 4e-16 * hi:
                 break
-        return self.point(math.sqrt(lo * hi))
+        return self.point(math.ldexp(math.sqrt(lo * hi), e))
 
     def solve_many(self, rates) -> tuple[np.ndarray, np.ndarray]:
         """(theta, distortion) at every target rate, shaped like ``rates``.

@@ -2,6 +2,7 @@ import csv
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -393,10 +394,14 @@ def _tiny(tmp_path, kind, methods, extra=""):
 
 @pytest.mark.parametrize("kind", sorted(SOURCES))
 def test_every_tabled_method_runs(tmp_path, kind):
-    sources = SOURCES[kind](load_scenario(_tiny(tmp_path, kind, "drf")))
+    sc = load_scenario(_tiny(tmp_path, kind, "drf"))
+    sources = SOURCES[kind](sc)
     methods = {m for src in sources for m in src.curves}
     assert methods == OFFERS[kind]
     for method in sorted(methods):
+        for src in sources:
+            if method in src.curves:
+                assert len(src.curves[method](sc.rates)) == len(sc.rates), method
         out = str(tmp_path / f"{method}.csv")
         assert main(["drf", "--config", _tiny(tmp_path, kind, method), "--out", out]) == 0, method
         rows = _read_rows(out)
@@ -667,6 +672,73 @@ def test_oracle_underflow_fails_at_its_rate(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == 3
     out = capsys.readouterr()
     assert out.err == f"numeric failure: oracle at rate 59.4: {info.value}\n" and out.out == ""
+
+
+def test_verify_fails_at_the_first_rate_that_any_curve_fails(tmp_path, capsys):
+    # the same block at 59.4 and 59.6: only the oracle fails at 59.4, both
+    # curves fail at 59.6. The oracle's failure at the earlier rate wins,
+    # whatever the drf curve does later
+    cfg = _write(tmp_path, "o.ini", VERIFY_CFG.replace("min = 0.1", "min = 59.4")
+                 .replace("max = 8.0", "max = 59.6").replace("count = 6", "count = 2")
+                 .replace("spacing = log", "spacing = linear")
+                 + "\n[numerics]\noracle_n = 3\n")
+    block = csdrf.kl_drf(csdrf.oracle.BlockCovariance.from_process(csdrf.white_cs([1.0, 4.0]), 3))
+    with pytest.raises(csdrf.WaterLevelUnderflow) as info:
+        block.solve(59.4)
+    assert main(["drf", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: drf at rate 59.6: ")
+    assert main(["verify", "--config", cfg]) == 3
+    out = capsys.readouterr()
+    assert out.err == f"numeric failure: oracle at rate 59.4: {info.value}\n" and out.out == ""
+
+
+# scenarios whose folds or alias series took unbounded time or memory before
+# the model refused a T0 times support radius above MAX_ALIASES
+EXTREME_RATIOS = [
+    ("am", "f0 = 1.2\nbandwidth = 1e300\n", "drf bound verify spectra", "f0"),
+    ("am", "f0 = 1.2\nbandwidth = 1e30\n", "drf", "f0"),
+    ("am", "f0 = 1e-30\n", "drf", "f0"),
+    ("am", "f0 = 1e-6\nbandwidth = 1\n", "drf", "f0"),
+    ("pam", "symbol_rates = 1e-300\n", "drf bound verify spectra", "symbol_rates"),
+    ("pam", "bandwidth = 1e300\n", "drf bound verify spectra", "symbol_rates"),
+    ("pam", "symbol_rates = 1e-30\n", "drf", "symbol_rates"),
+    ("sampled-coding", "sampling_rate = 1e-30\n", "drf", "sampling_rate"),
+    ("sampled-coding", "sampling_rate = 1e-300\n", "drf", "sampling_rate"),
+    ("sampled-coding", "bandwidth = 1e300\n", "drf", "sampling_rate"),
+    ("sampled-coding", "bandwidth = 1\nsampling_rate = 0.01\n", "drf", "sampling_rate"),
+    ("sampled-coding", "bandwidth = 1\nsampling_rate = 0.001\n", "drf", "sampling_rate"),
+]
+
+
+@pytest.mark.parametrize("kind, source, commands, key", EXTREME_RATIOS)
+def test_extreme_bandwidth_to_rate_ratio_is_a_config_error(tmp_path, capsys, kind, source,
+                                                            commands, key):
+    grid = "" if kind == "sampled-coding" else "[numerics]\nphi_grid = 64\n"
+    cfg = _write(tmp_path, "x.ini", f"[source]\nkind = {kind}\n{source}{grid}")
+    for command in commands.split():
+        start = time.perf_counter()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert time.perf_counter() - start < 2.0, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [source] bandwidth and {key}: ")
+        assert "MAX_ALIASES" in err and not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("kind, source", [
+    ("am", "family = triangular\nbandwidth = 63\nf0 = 1\n"),
+    ("pam", "family = triangular\nbandwidth = 64\nsymbol_rates = 1\npulse = ideal\n"),
+    ("sampled-coding", "family = triangular\nbandwidth = 64\nsampling_rate = 1\n"),
+])
+def test_sources_at_the_alias_bound_run(tmp_path, kind, source):
+    # T0 times the support radius is exactly MAX_ALIASES = 64; tiny grids,
+    # since the time this takes at the default grids is stated in the docs
+    assert csdrf.spectra.MAX_ALIASES == 64
+    cfg = _write(tmp_path, "x.ini", f"[source]\nkind = {kind}\n{source}{TINY_NUMERICS}")
+    commands = ("drf",) if kind == "sampled-coding" else ("drf", "bound", "verify", "spectra")
+    for command in commands:
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                     "--allow-nonconverged"])
+        assert code in (0, 3), command
 
 
 def test_refined_curve_builds_one_waterfiller_per_built_level_and_never_bisects(

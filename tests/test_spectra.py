@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from csdrf.spectra import (DiscreteCsProcess, StationaryPsd, TruncationError,
+from csdrf.spectra import (MAX_ALIASES, AliasCountError, CyclicSpectrum,
+                           DiscreteCsProcess, StationaryPsd, TruncationError,
                            am_cpsd, am_gaussian_psd, average_power, flat_psd,
                            ideal_interp_pulse, modulated_ma, pam_cpsd,
                            raised_cosine_psd, raised_cosine_pulse, rect_pulse,
@@ -354,3 +355,33 @@ def test_stationary_cyclic_reduces_to_base():
     np.testing.assert_allclose(spec.cpsd(0, f).real, base(f), atol=1e-15)
     assert np.all(spec.cpsd(1, f) == 0)
     assert average_power(spec) == pytest.approx(1.0, rel=1e-9)
+
+
+def test_from_covariance_rejects_a_table_that_overflowed():
+    with pytest.raises(ValueError, match="must be finite"):
+        modulated_ma([1e300, 1.0], [1.0])
+    with pytest.raises(ValueError, match="must be finite"):
+        DiscreteCsProcess.from_covariance([[np.nan]])
+
+
+# ---------------------------------------------------------------------------
+# the bound on lattice shifts
+# ---------------------------------------------------------------------------
+
+# per model kind: the model whose T0 times support radius is exactly r
+AT_RATIO = {
+    "am": lambda r: am_cpsd(flat_psd(r - 1.0, 1.0), 1.0),
+    "pam": lambda r: pam_cpsd(flat_psd(r, 1.0), rect_pulse(1.0), 1.0),
+    "wiener": lambda r: wiener_pulse(flat_psd(r, 1.0), 1.0),
+    "cyclic": lambda r: CyclicSpectrum(r, lambda n, f: np.zeros_like(f, dtype=complex),
+                                       (0,), 1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("build", sorted(AT_RATIO))
+def test_models_at_the_alias_bound_are_built_and_past_it_refused(build):
+    AT_RATIO[build](MAX_ALIASES)
+    for ratio in (np.nextafter(MAX_ALIASES, np.inf), 1e300):
+        with pytest.raises(AliasCountError, match="MAX_ALIASES"):
+            AT_RATIO[build](ratio)
+    assert issubclass(AliasCountError, ValueError)

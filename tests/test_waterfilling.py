@@ -420,6 +420,21 @@ def test_waterfiller_without_positive_levels_is_the_zero_curve():
     assert sw.rate(0.0) == 0.0 and sw.distortion(1.0) == 0.0
 
 
+@pytest.mark.parametrize("exp", [-990, 990])
+def test_bisection_is_exact_under_a_power_of_two_scale(exp):
+    # levels near either end of the float range: the bracket product lo * hi
+    # overflowed (theta = inf) and the bracket floor underflowed to 0
+    # (theta = D = 0) before the bracket was held in the binade of level_max
+    levels, weights = np.array([3.0, 1.7, 0.4, 0.05]), np.array([0.25, 0.25, 0.3, 0.2])
+    ref = ScalarWaterfiller(levels, weights, 1.0, 0.5)
+    scaled = ScalarWaterfiller(np.ldexp(levels, exp), weights, 1.0, 0.5)
+    for rate in (0.0, 0.3, 1.0, 4.0):
+        want, got = ref.solve(rate), scaled.solve(rate)
+        assert got.theta == math.ldexp(want.theta, exp)
+        assert got.distortion == math.ldexp(want.distortion, exp)
+        assert got.rate == want.rate
+
+
 def test_rate_at_a_water_level_below_the_float_range_is_infinite():
     sw = ScalarWaterfiller([1e300], [1.0], 1.0, 0.5)
     assert math.isinf(sw.rate(1e-300)) and math.isinf(sw.rate(-1.0))
