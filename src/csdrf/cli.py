@@ -14,7 +14,7 @@ import configparser
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -561,7 +561,10 @@ def _write_csv(path: str, lines):
             fh.write(line + "\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every ``main`` call
+    parses into a fresh namespace, so the calls share no state."""
     parser = argparse.ArgumentParser(
         prog="csdrf",
         description="Distortion-rate curves of cyclostationary Gaussian sources.")

@@ -70,11 +70,13 @@ def lower_bound_discrete(proc: DiscreteCsProcess, rates_bits_per_symbol,
 
     Returns the bound at every rate, shaped like ``rates_bits_per_symbol``.
     Each component's spectrum is folded once for the whole curve and solved
-    exactly at every rate by one ``ScalarWaterfiller.solve_many``.
+    exactly at every rate by one ``ScalarWaterfiller.solve_many``. A
+    component of a real process has a spectrum even in phi, so it is taken
+    on ``even_half`` of the grid, as in ``discrete_waterfiller``.
     """
     _require_positive_int("n_grid", n_grid)
     m = proc.period
-    grid = phi_grid(n_grid, proc.phi_breakpoints)
+    grid = even_half(phi_grid(n_grid, proc.phi_breakpoints))
     per_component_rates = m * np.asarray(rates_bits_per_symbol, dtype=float)
     total = np.zeros(per_component_rates.shape)
     for comp in range(m):
@@ -276,12 +278,14 @@ def lower_bound_continuous(spec: CyclicSpectrum, rates_bits_per_second,
     Returns the bound at every rate, shaped like ``rates_bits_per_second``.
     The ``n_t`` phase spectra come from one batched ``pc_psd`` call, which
     folds each harmonic once for the whole curve, and each phase is solved
-    exactly at every rate by one ``ScalarWaterfiller.solve_many``.
+    exactly at every rate by one ``ScalarWaterfiller.solve_many``. A phase
+    of a real process has a spectrum even in phi, so the phases are taken on
+    ``even_half`` of the grid, as in ``ContinuousDrfSolver``.
     """
     _require_positive_int("n_t", n_t)
     _require_positive_int("n_grid", n_grid)
     t0 = spec.period
-    grid = phi_grid(n_grid, spec.phi_breakpoints())
+    grid = even_half(phi_grid(n_grid, spec.phi_breakpoints()))
     normalizer = 1.0 / (2.0 * t0)
     rates = np.asarray(rates_bits_per_second, dtype=float)
     total = np.zeros(rates.shape)

@@ -1,16 +1,21 @@
 """Brute-force ground truth from finite-window covariance eigenvalues.
 
 Everything here avoids the polyphase machinery on purpose: kernels come from
-covariance functions, eigenvalues from dense symmetric decompositions, and
-curves from the classical parametric form over those eigenvalues. Agreement
-with the spectral fast paths at desk scale is the package's main validation.
+covariance functions, eigenvalues from symmetric decompositions, and curves
+from the classical parametric form over those eigenvalues. Agreement with the
+spectral fast paths at desk scale is the package's main validation.
 
-Each step does only the work its structure needs, with the same result as the
-plain dense computation. A kernel is symmetrized once, when its grid is made.
-A discrete block is filled one diagonal at a time from the covariance table.
-A diagonal block (a memoryless source) is its own sorted spectrum, which is
-what the dense decomposition returns for it bit for bit; any other block is
-decomposed dense.
+Each step does only the work its structure needs, with the result of the
+plain dense computation up to rounding. A kernel's grid times are a lattice,
+so its lags are the integer offsets k dt, k = -(n-1)..n-1, evaluated once
+each; a stepped kernel's times are a lattice of the step. A kernel is
+symmetrized once, when its grid is made. A PAM kernel with a time-windowed
+pulse is the product P R_U P^T of an n x s pulse matrix and an s x s symbol
+Toeplitz matrix: its nonzero eigenvalues are those of one s x s matrix, and
+the other n - s are exact zeros. A discrete block is filled one diagonal at a
+time from the covariance table. A diagonal block (a memoryless source) is its
+own sorted spectrum, which is what the dense decomposition returns for it bit
+for bit; any other kernel or block is decomposed dense.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ class KernelGrid:
     2T, so values * weight is the matrix of the window-normalized integral
     operator. ``values`` are stored symmetrized, (K + K^T)/2, whatever the
     caller passes. ``fn`` optionally keeps the kernel callable for resampling:
-    it maps a 1-d time vector to the covariance matrix at those times.
+    it maps a 1-d time vector and its lattice step to the covariance matrix at
+    those times. ``factor``, when set, is a pair (P, R) with R symmetric and
+    values = P R P^T up to rounding; the eigenvalues are then taken from it.
     """
 
     times: np.ndarray
@@ -39,6 +46,7 @@ class KernelGrid:
     weight: float
     half_width: float
     fn: object = None
+    factor: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", _symmetric(self.values))
@@ -48,8 +56,21 @@ class KernelGrid:
         return self.times.size
 
     def operator_eigenvalues(self) -> np.ndarray:
-        """Descending eigenvalues of the window-normalized operator."""
-        return np.linalg.eigvalsh(self.values)[::-1] * self.weight
+        """Descending eigenvalues of the window-normalized operator.
+
+        A factored kernel P R P^T is decomposed in symbol space: with the
+        reduced QR factorization P = Q Rp, the kernel is Q (Rp R Rp^T) Q^T,
+        so its nonzero eigenvalues are those of the k x k matrix Rp R Rp^T,
+        k = min(n, s) for s columns of P, and the other n - k are exact zeros.
+        """
+        if self.factor is None:
+            lam = np.linalg.eigvalsh(self.values)
+        else:
+            pulses, inner = self.factor
+            rp = np.linalg.qr(pulses, mode="r")
+            core = np.linalg.eigvalsh(_symmetric(rp @ inner @ rp.T))
+            lam = np.concatenate([np.zeros(self.size - core.size), core])
+        return lam[::-1] * self.weight
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +109,9 @@ def build_kernel(spec: CyclicSpectrum, t_half: float, n: int) -> KernelGrid:
 
     T must be a positive integer multiple of the period (keeps whole cycles
     in the window). The kernel is evaluated through the source's covariance
-    function, symmetrized, and paired with the 1/(2T) window normalization.
+    function at the lags k dt of the grid's lattice, symmetrized, and paired
+    with the 1/(2T) window normalization. A source with a covariance factor
+    (``covariance_factor``) builds the kernel from it and keeps it.
     """
     if n < 2:
         raise ValueError(f"need at least two grid points, got n = {n!r}")
@@ -100,20 +123,27 @@ def build_kernel(spec: CyclicSpectrum, t_half: float, n: int) -> KernelGrid:
         raise ValueError(f"window half-width {t_half} is not a multiple of the period {spec.period}")
     dt = 2.0 * t_half / n
     times = -t_half + dt * (np.arange(n) + 0.5)
-    return KernelGrid(times, spec.covariance(times), 1.0 / n, t_half, spec.covariance)
+    factor = spec.covariance_factor(times)
+    if factor is None:
+        values = spec.covariance(times, dt)
+    else:
+        pulses, inner = factor
+        values = pulses @ inner @ pulses.T
+    return KernelGrid(times, values, 1.0 / n, t_half, spec.covariance, factor)
 
 
 def step_approximation(kernel: KernelGrid, steps_per_period: int, period: float) -> KernelGrid:
     """Kernel held constant on cells of width period/steps_per_period.
 
     Both time arguments are floored to the step lattice before evaluating the
-    original kernel; requires the source kernel callable.
+    original kernel, whose lags are then multiples of the step; requires the
+    source kernel callable.
     """
     if kernel.fn is None:
         raise ValueError("step approximation needs the kernel callable")
     h = period / steps_per_period
     stepped = np.floor(kernel.times / h) * h
-    return KernelGrid(kernel.times, kernel.fn(stepped), kernel.weight,
+    return KernelGrid(kernel.times, kernel.fn(stepped, h), kernel.weight,
                       kernel.half_width, kernel.fn)
 
 
@@ -126,10 +156,11 @@ def kl_drf(source) -> ScalarWaterfiller:
     """Finite-window waterfiller from covariance eigenvalues.
 
     The kernel or block is decomposed once; ``.solve_many(rates)`` then gives
-    the curve at any rates; a block with no nonzero entry off its diagonal is
-    its own sorted spectrum, the dense decomposition's bit for bit. For a
-    KernelGrid the eigenvalues of the window-normalized operator are
-    waterfilled with rate in bits per second,
+    the curve at any rates; a factored kernel is decomposed in symbol space
+    (``KernelGrid.operator_eigenvalues``), and a block with no nonzero entry
+    off its diagonal is its own sorted spectrum, the dense decomposition's bit
+    for bit. For a KernelGrid the eigenvalues of the window-normalized
+    operator are waterfilled with rate in bits per second,
     (1/(4T)) sum log2+. For a BlockCovariance the eigenvalues of C/N are
     waterfilled with rate in bits per symbol, (1/(2N)) sum log2+. Distortion
     is a plain eigenvalue sum in both cases because the normalization already

@@ -440,19 +440,29 @@ class CyclicSpectrum:
                 row[negative] = np.conj(kern @ np.conj(spectrum))[where[negative]]
         return out if np.ndim(n) else out[0]
 
-    def covariance(self, times):
+    def covariance(self, times, step=None):
         """Covariance matrix E[X(t_i) X(t_j)] at the times of a 1-d vector.
 
         Entry (i, j) is sum_n cyclic_autocorr(n, t_i - t_j) exp(2 pi i n t_j / T0).
         One ``cyclic_autocorr`` call evaluates every active harmonic at the
-        distinct values of t_i - t_j, and each harmonic's row is gathered into
-        the matrix, so the lag-domain work grows with the number of distinct
-        lags, not with n^2, and a quadrature transform builds its exponential
-        matrix once per kernel.
+        distinct lags, and each harmonic's row is gathered into the matrix, so
+        the lag-domain work grows with the number of distinct lags, not with
+        n^2, and a quadrature transform builds its exponential matrix once per
+        kernel. Without ``step`` the lags are the distinct float differences
+        t_i - t_j. A ``step`` declares the times a lattice of that spacing,
+        t_i = t_0 + k_i step with integer k_i (within 1e-6 of a step): the
+        lags are then the integer offsets k step, k = -K..K for K = max k_i -
+        min k_i, and no difference of two times is taken.
         """
         self._require_finite("covariance")
         t = _time_vector(times)
-        lags, where = np.unique(np.subtract.outer(t, t), return_inverse=True)
+        if step is None:
+            lags, where = np.unique(np.subtract.outer(t, t), return_inverse=True)
+        else:
+            k = _lattice_offsets(t, step)
+            span = int(k.max() - k.min())
+            lags = step * np.arange(-span, span + 1)
+            where = np.subtract.outer(k, k) + span
         where = where.reshape(t.size, t.size)
         rows = self.cyclic_autocorr(np.array(self.active_indices), lags)
         out = np.zeros((t.size, t.size), dtype=complex)
@@ -460,12 +470,29 @@ class CyclicSpectrum:
             out += row[where] * np.exp(TWO_PI * 1j * n * t / self.period)
         return out.real
 
+    def covariance_factor(self, times):
+        """(P, R) with covariance P R P^T at the times and R symmetric, for
+        models whose covariance has such a finite factor; None here."""
+        return None
+
 
 def _time_vector(times) -> np.ndarray:
     t = np.asarray(times, dtype=float)
     if t.ndim != 1:
         raise ValueError(f"times must be a 1-d vector, got shape {t.shape}")
     return t
+
+
+def _lattice_offsets(t: np.ndarray, step: float) -> np.ndarray:
+    """Integer k_i with t_i = t_0 + k_i step; raises unless every time is
+    within 1e-6 of a step of its lattice point."""
+    if not (isfinite(step) and step > 0.0):
+        raise ValueError(f"lattice step must be finite and positive, got {step!r}")
+    offsets = (t - t[0]) / step
+    k = np.rint(offsets)
+    if np.any(np.abs(offsets - k) > 1e-6):
+        raise ValueError(f"times are not on a lattice of step {step!r}")
+    return k.astype(np.int64)
 
 
 def am_cpsd(base: StationaryPsd, f0: float, phase: float = 0.0) -> CyclicSpectrum:
@@ -682,24 +709,36 @@ class PamCyclicSpectrum(CyclicSpectrum):
     def phi_breakpoints(self):
         return fold_breakpoints(self._band_breaks, self.period)
 
-    def covariance(self, times):
-        """Covariance matrix P R_U P^T for pulses with a time window.
+    def covariance(self, times, step=None):
+        """Covariance matrix P R_U P^T for pulses with a time window
+        (``covariance_factor``); other pulses take the generic lag-domain path."""
+        factor = self.covariance_factor(times)
+        if factor is None:
+            return super().covariance(times, step)
+        pulses, toeplitz = factor
+        return pulses @ toeplitz @ pulses.T
 
-        P[i, b] = p(t_i - b T0) over every symbol b whose pulse window meets
-        the times, and R_U is the Toeplitz matrix of the base autocorrelation
-        at whole-symbol lags. Other pulses take the generic lag-domain path.
+    def covariance_factor(self, times):
+        """(P, R_U) for pulses with a time window, else None.
+
+        P[i, b] = p(t_i - b T0) over every symbol b whose pulse is nonzero at
+        some time, and R_U[b, c] = R_U(|b - c| T0) is the symmetric Toeplitz
+        matrix of the base autocorrelation at whole-symbol lags, so the
+        covariance is P R_U P^T and has rank at most the symbol count.
         """
         win = self.pulse.time_window
         if win is None or self.pulse.time_fn is None or self.base.autocorr is None:
-            return super().covariance(times)
+            return None
         t = _time_vector(times)
         t0 = self.period
         symbols = np.arange(floor((t.min() - win[1]) / t0) - 1,
                             ceil((t.max() - win[0]) / t0) + 2)
         pulses = self.pulse.time_fn(np.subtract.outer(t, symbols * t0))
-        r_u = self.base.autocorr(np.arange(1 - symbols.size, symbols.size) * t0).real
-        toeplitz = r_u[np.subtract.outer(symbols, symbols) + symbols.size - 1]
-        return pulses @ toeplitz @ pulses.T
+        reached = np.flatnonzero(pulses.any(axis=0))
+        symbols, pulses = symbols[reached], pulses[:, reached]
+        span = int(symbols[-1] - symbols[0]) if symbols.size else 0
+        r_u = self.base.autocorr(np.arange(span + 1) * t0).real
+        return pulses, r_u[np.abs(np.subtract.outer(symbols, symbols))]
 
 
 def pam_cpsd(base: StationaryPsd, pulse: PulseShape, t_symbol: float) -> PamCyclicSpectrum:

@@ -31,6 +31,9 @@ LOG2 = math.log(2.0)
 BRACKET_EXP = 120
 MAX_BISECT = 200
 
+# smallest normal float, 2**-1022: no water level is solved below it
+NORMAL_FLOOR = 2.0 ** -1022
+
 # relative size of the negative eigenvalues read as round-off and clipped to zero
 CLIP_SCALE = 1e-9
 
@@ -132,7 +135,9 @@ class ScalarWaterfiller:
         theta / 2**e, 2**e being the binade of ``level_max``: the power-of-two
         scale is exact, so in the normal float range every step is the same
         bit for bit, and a level near either end of the range neither
-        overflows ``lo * hi`` nor underflows ``lo`` to 0.
+        overflows ``lo * hi`` nor underflows ``lo`` to 0. A rate beyond the
+        lowest level solved (``_edge``) raises ``WaterLevelUnderflow``, so
+        every theta returned at a positive rate is a normal float.
         """
         if not math.isfinite(target_rate) or target_rate < 0.0:
             raise ValueError("target rate must be finite and nonnegative")
@@ -140,13 +145,13 @@ class ScalarWaterfiller:
             return RateDistortionPoint(0.0, 0.0, 0.0)
         if target_rate == 0.0:
             return self.point(self.level_max)
-        hi, e = math.frexp(self.level_max)
-        lo = math.ldexp(hi, -BRACKET_EXP)
-        rate_lo = self.rate(math.ldexp(lo, e))
+        theta_lo, rate_lo = self._edge()
         if target_rate > rate_lo * (1.0 + 1e-12) + 1e-12:
             raise WaterLevelUnderflow(
                 f"target rate {target_rate} exceeds resolvable maximum {rate_lo} "
-                f"(water level underflow below {math.ldexp(lo, e)})")
+                f"(water level underflow below {theta_lo})")
+        hi, e = math.frexp(self.level_max)
+        lo = math.ldexp(hi, -BRACKET_EXP)
         for _ in range(MAX_BISECT):
             mid = math.sqrt(lo * hi)
             if self.rate(math.ldexp(mid, e)) >= target_rate:
@@ -155,7 +160,20 @@ class ScalarWaterfiller:
                 hi = mid
             if hi - lo <= 4e-16 * hi:
                 break
-        return self.point(math.ldexp(math.sqrt(lo * hi), e))
+        return self.point(max(math.ldexp(math.sqrt(lo * hi), e), theta_lo))
+
+    def _edge(self) -> tuple[float, float]:
+        """(theta, rate) at the lowest water level solved.
+
+        That level is the bracket floor level_max 2^-BRACKET_EXP, raised to
+        ``NORMAL_FLOOR`` where the floor is not a normal float. The rate is
+        taken in the log domain, at x = log2(theta / level_max), so it needs
+        no theta that underflows; in the normal range x is -BRACKET_EXP
+        exactly, and the rate is ``rate`` at the floor bit for bit.
+        """
+        x = max(-BRACKET_EXP, math.log2(NORMAL_FLOOR) - math.log2(self.level_max))
+        rate = self.r_scale * float(self.weights @ np.maximum(self._log_levels - x, 0.0))
+        return max(self.level_max * 2.0 ** -BRACKET_EXP, NORMAL_FLOOR), rate
 
     def solve_many(self, rates) -> tuple[np.ndarray, np.ndarray]:
         """(theta, distortion) at every target rate, shaped like ``rates``.
@@ -173,9 +191,9 @@ class ScalarWaterfiller:
         the sum of w level over the remaining levels, taken from the small
         end. The rules of ``solve`` hold: a negative or non-finite rate
         raises ``ValueError``, rate 0 gives theta = level_max, no positive
-        level gives the zero curve, and a rate beyond the 2^-BRACKET_EXP
-        bracket raises ``WaterLevelUnderflow`` (within the edge's 1e-12 band,
-        theta stays at the bracket edge). A zero-weight level adds nothing to
+        level gives the zero curve, and a rate beyond the lowest level solved
+        (``_edge``) raises ``WaterLevelUnderflow`` (within the edge's 1e-12
+        band, theta stays at the edge). A zero-weight level adds nothing to
         rate or distortion and never stops theta from falling below it.
 
         The sorted table is built on the first call and kept on the
@@ -197,15 +215,12 @@ class ScalarWaterfiller:
         with np.errstate(divide="ignore", invalid="ignore"):
             xk = np.where(wk > 0.0, (lk - flat / self.r_scale) / wk, -np.inf)
         theta = np.where(flat == 0.0, self.level_max,
-                         self.level_max * np.exp2(np.maximum(xk, -BRACKET_EXP)))
+                         np.maximum(self.level_max * np.exp2(xk), table.lo))
         dist = np.where(flat == 0.0, table.tail[0], table.tail[k] + theta * wk)
         return theta.reshape(rates.shape), (self.d_scale * dist).reshape(rates.shape)
 
     def _build_table(self) -> _BreakpointTable:
-        lo = self.level_max * 2.0 ** -BRACKET_EXP
-        ratio = lo / self.level_max      # rate_lo is self.rate(lo), evaluated as it evaluates it
-        rate_lo = math.inf if ratio <= 0.0 else self.r_scale * float(
-            self.weights @ np.maximum(self._log_levels - math.log2(ratio), 0.0))
+        lo, rate_lo = self._edge()
         order = np.argsort(-self._log_levels, kind="stable")
         x, w = self._log_levels[order], self.weights[order]
         big_w = np.cumsum(w)                                  # W_k at index k - 1
@@ -223,8 +238,8 @@ class ScalarWaterfiller:
 class _BreakpointTable:
     """What ``ScalarWaterfiller.solve_many`` keeps between calls."""
 
-    lo: float                # bracket edge, level_max * 2**-BRACKET_EXP
-    rate_lo: float           # rate at the bracket edge
+    lo: float                # lowest water level solved (``ScalarWaterfiller._edge``)
+    rate_lo: float           # rate at that level
     edge: float              # largest rate solved; beyond it, WaterLevelUnderflow
     big_w: np.ndarray
     big_l: np.ndarray

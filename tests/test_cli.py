@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import csdrf
-from csdrf.cli import SOURCES, load_scenario, main
+from csdrf.cli import SOURCES, build_parser, load_scenario, main
 from csdrf.spectra import flat_psd, triangular_psd
 from csdrf.waterfilling import stationary_drf
 
@@ -469,6 +469,27 @@ def test_verify_am_uses_phase_and_convergence(tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+def test_successive_calls_share_the_parser_and_no_state(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; the options of one call reach
+    # neither a later call nor a later parse, whatever their commands
+    assert build_parser() is build_parser()
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "amp.ini", AM_PHASE_CFG)      # [output] path defaults to out.csv
+    for command in ("drf", "bound", "spectra", "verify"):
+        main([command, "--config", cfg, "--out", str(tmp_path / f"{command}.csv"),
+              "--allow-nonconverged"])
+    assert _read_rows(tmp_path / "drf.csv")[0]["converged"] == "false"
+    capsys.readouterr()
+    assert main(["spectra", "--config", cfg]) == 0
+    assert (tmp_path / "out.csv").read_text().startswith("phi,f,")
+    assert main(["verify", "--config", cfg]) == 3
+    assert "did not converge" in capsys.readouterr().err
+    for command in ("drf", "bound", "spectra", "verify"):
+        args = build_parser().parse_args([command, "--config", "b.ini"])
+        assert (args.command, args.config, args.out, args.allow_nonconverged) == (
+            command, "b.ini", None, False)
+
+
 # ---------------------------------------------------------------------------
 # expensive state is built once per curve
 # ---------------------------------------------------------------------------
@@ -487,11 +508,12 @@ MODULATED_MA = "mod_scales = 1 0.5\nma_taps = 1 0.4\n"
 
 @pytest.mark.parametrize("kind, source, dense", [
     ("stationary", None, 1), ("discrete-cs", None, 0), ("discrete-cs", MODULATED_MA, 1),
-    ("am", None, 1), ("pam", None, 1)],
+    ("am", None, 1), ("pam", None, 0)],
     ids=["stationary", "discrete-cs", "modulated-ma", "am", "pam"])
 def test_verify_decomposes_each_kernel_once(tmp_path, monkeypatch, capsys, kind, source, dense):
     # one oracle decomposition per curve; the memoryless block is diagonal
-    # and makes no dense (48, 48) call, every other kernel one
+    # and the triangle-pulse PAM kernel is decomposed in symbol space, so neither
+    # makes a dense (48, 48) call; every other kernel makes one
     kl_drf = csdrf.oracle.kl_drf
     eigvalsh = np.linalg.eigvalsh
     decompositions, oracle_shapes = [], []

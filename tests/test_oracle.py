@@ -1,3 +1,4 @@
+from functools import partial
 from math import ceil, floor
 from unittest import mock
 
@@ -114,12 +115,14 @@ def _pam_loop_covariance(spec, t, s):
     return out
 
 
-def _broadcast_covariance(spec, t, s):
-    """sum_n cyclic_autocorr(n, t - s) exp(2 pi i n s / T0) on the full broadcast grid."""
+def _broadcast_covariance(spec, t, s, lags=None):
+    """sum_n cyclic_autocorr(n, tau) exp(2 pi i n s / T0) on the full broadcast
+    grid, with tau = t - s unless the lags are given."""
     t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    tau = t - s if lags is None else lags
     out = np.zeros(t.shape, dtype=complex)
     for n in spec.active_indices:
-        out += spec.cyclic_autocorr(n, t - s) * np.exp(2.0 * np.pi * 1j * n * s / spec.period)
+        out += spec.cyclic_autocorr(n, tau) * np.exp(2.0 * np.pi * 1j * n * s / spec.period)
     return out.real
 
 
@@ -165,6 +168,29 @@ def test_factored_pam_kernel_property(family, bandwidth, power, pulse, normalize
     _assert_factored_matches_loop(spec, periods, n, steps)
 
 
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["flat", "triangular", "raised_cosine"]),
+       bandwidth=st.floats(0.25, 4.0), power=st.floats(0.1, 10.0),
+       pulse=st.sampled_from(["rect", "triangle"]), normalize=st.booleans(),
+       nyquist_share=st.floats(0.1, 2.0), periods=st.integers(1, 5), n=st.integers(2, 64))
+def test_symbol_space_eigenvalues_equal_the_dense_decomposition(
+        family, bandwidth, power, pulse, normalize, nyquist_share, periods, n):
+    # P R_U P^T = Q (Rp R_U Rp^T) Q^T: the s x s core carries the nonzero
+    # eigenvalues and the other n - s are exact zeros. Both decompositions are
+    # backward stable, so they agree within a small multiple of n eps lambda_max
+    # (the largest seen over 4000 draws was 1.1 n eps lambda_max)
+    spec = _pam(family, bandwidth, power, pulse, 2.0 * bandwidth * nyquist_share, normalize)
+    kern = build_kernel(spec, periods * spec.period, n)
+    symbols = kern.factor[0].shape[1]
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        fast = kern.operator_eigenvalues()
+    assert [np.shape(c.args[0]) for c in eigvalsh.call_args_list] == [(min(n, symbols),) * 2]
+    dense = np.linalg.eigvalsh(kern.values)[::-1] * kern.weight
+    assert fast.shape == (n,) and np.all(fast[min(n, symbols):] == 0.0)
+    tol = 4.0 * n * np.finfo(float).eps * np.abs(dense).max()
+    np.testing.assert_allclose(fast, dense, rtol=0.0, atol=tol)
+
+
 GENERIC_SOURCES = {
     "am": lambda: am_cpsd(triangular_psd(1.0, 1.5), 1.7, 0.4),
     "stationary": lambda: stationary_cyclic(raised_cosine_psd(0.8, 1.0), 0.7),
@@ -176,13 +202,19 @@ GENERIC_SOURCES = {
 
 @pytest.mark.parametrize("name", sorted(GENERIC_SOURCES))
 def test_generic_covariance_equals_the_broadcast_sum(name):
+    # the kernel's lags are the integer offsets of its grid, (i - j) dt, and
+    # the stepped kernel's are those of its cells, (c_i - c_j) h
     spec = GENERIC_SOURCES[name]()
     kern = build_kernel(spec, 3 * spec.period, 40)
     stepped = step_approximation(kern, 5, spec.period)
+    dt = 2.0 * kern.half_width / kern.size
     h = spec.period / 5
-    for values, times in ((kern.values, kern.times),
-                          (stepped.values, np.floor(kern.times / h) * h)):
-        np.testing.assert_array_equal(values, _outer(_broadcast_covariance, spec, times))
+    cells = np.floor(kern.times / h)
+    for values, times, offsets, step in ((kern.values, kern.times, np.arange(40), dt),
+                                         (stepped.values, cells * h, cells, h)):
+        lags = step * np.subtract.outer(offsets, offsets)
+        reference = partial(_broadcast_covariance, lags=lags)
+        np.testing.assert_array_equal(values, _outer(reference, spec, times))
 
 
 def _assert_bitwise(a, b):
@@ -262,6 +294,39 @@ def test_cyclic_autocorr_sees_only_the_distinct_lags(monkeypatch, name):
         spec.covariance(times)
         distinct = np.unique(np.subtract.outer(times, times)).size
         assert sizes and max(sizes) <= distinct < times.size ** 2
+
+
+@pytest.mark.parametrize("name", ["pam-ideal", "am"])
+def test_kernel_lags_are_the_integer_offsets_of_its_grid(monkeypatch, name):
+    # 2n - 1 lags k dt for the kernel, 2K + 1 lags k h for its stepped cells,
+    # not the distinct float differences of the times (579 at n = 96)
+    spec = GENERIC_SOURCES[name]()
+    original = spec.cyclic_autocorr
+    seen = []
+
+    def recording(n, tau):
+        seen.append(np.array(tau))
+        return original(n, tau)
+
+    monkeypatch.setattr(spec, "cyclic_autocorr", recording)
+    kern = build_kernel(spec, 4 * spec.period, 96)
+    dt = 2.0 * kern.half_width / kern.size
+    h = spec.period / 3
+    step_approximation(kern, 3, spec.period)
+    cells = np.floor(kern.times / h)
+    span = cells.max() - cells.min()
+    assert len(seen) == 2
+    _assert_bitwise(seen[0], dt * np.arange(-95, 96))
+    _assert_bitwise(seen[1], h * np.arange(-span, span + 1))
+
+
+def test_covariance_refuses_times_off_the_declared_lattice():
+    spec = GENERIC_SOURCES["am"]()
+    with pytest.raises(ValueError, match="not on a lattice of step 0.1"):
+        spec.covariance(np.array([0.0, 0.1, 0.25]), 0.1)
+    for step in (0.0, -0.1, np.nan):
+        with pytest.raises(ValueError, match="lattice step"):
+            spec.covariance(np.array([0.0, 0.1]), step)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from csdrf.polyphase import (PsdPcMatrix, folded_alias_matrix, psd_pc_matrix_con
 from csdrf.quadrature import phi_grid
 from csdrf.spectra import (am_cpsd, flat_psd, raised_cosine_psd,
                            triangular_psd, white_cs)
-from csdrf.waterfilling import (BRACKET_EXP, MAX_BISECT, SLICE_ENTRIES, EigenField,
+from csdrf.waterfilling import (BRACKET_EXP, MAX_BISECT, NORMAL_FLOOR, SLICE_ENTRIES, EigenField,
                                 NotPositiveSemidefinite, RateDistortionPoint,
                                 ScalarWaterfiller, WaterLevelUnderflow,
                                 discrete_stationary_drf, hermitian_eigenvalues,
@@ -438,6 +438,49 @@ def test_bisection_is_exact_under_a_power_of_two_scale(exp):
 def test_rate_at_a_water_level_below_the_float_range_is_infinite():
     sw = ScalarWaterfiller([1e300], [1.0], 1.0, 0.5)
     assert math.isinf(sw.rate(1e-300)) and math.isinf(sw.rate(-1.0))
+
+
+def test_levels_below_the_float_range_keep_their_underflow_edge():
+    # the bracket floor level_max 2^-120 underflows here; the edge is the
+    # rate at 2^-1022, taken in the log domain, and both solves refuse past it
+    sw = ScalarWaterfiller([1e-300, 5e-301], [1.0, 1.0], 1.0, 0.5)
+    edge = 0.5 * sum(math.log2(level / NORMAL_FLOOR) for level in (1e-300, 5e-301))
+    with pytest.raises(WaterLevelUnderflow) as one:
+        sw.solve(200.0)
+    with pytest.raises(WaterLevelUnderflow) as many:
+        sw.solve_many(200.0)
+    assert str(one.value) == str(many.value)
+    assert f"underflow below {NORMAL_FLOOR}" in str(one.value)
+    assert float(str(one.value).split("maximum ")[1].split()[0]) == pytest.approx(edge, rel=1e-12)
+    for rate in (0.5 * edge, edge, edge * (1.0 + 1e-13)):
+        pt = sw.solve(rate)
+        theta, dist = sw.solve_many(rate)
+        assert pt.theta >= NORMAL_FLOOR and theta >= NORMAL_FLOOR
+        assert theta == pytest.approx(pt.theta, rel=1e-9)
+        assert dist == pytest.approx(pt.distortion, rel=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exp=st.integers(-1060, -880), share=st.floats(0.0, 1.2))
+def test_every_water_level_solved_is_a_normal_float(exp, share):
+    # levels whose bracket floor falls below the normal floats: a positive
+    # rate up to the edge gives a normal theta from either solve (rate 0 gives
+    # level_max, subnormal itself below exp = -1023), and past it both raise
+    levels = np.ldexp(np.array([3.0, 1.7, 0.4, 0.05]), exp)
+    sw = ScalarWaterfiller(levels, [0.25, 0.25, 0.3, 0.2], 1.0, 0.5)
+    theta_lo, rate_lo = sw._edge()
+    assert theta_lo >= NORMAL_FLOOR
+    rate = share * rate_lo
+    assume(rate > 0.0)
+    if rate > rate_lo * (1.0 + 1e-12) + 1e-12:
+        with pytest.raises(WaterLevelUnderflow):
+            sw.solve(rate)
+        with pytest.raises(WaterLevelUnderflow):
+            sw.solve_many(rate)
+        return
+    pt = sw.solve(rate)
+    theta, _ = sw.solve_many(rate)
+    assert pt.theta >= NORMAL_FLOOR and theta >= NORMAL_FLOOR
 
 
 @pytest.mark.parametrize("levels, weights, d_scale, r_scale, name", [
