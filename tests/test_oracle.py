@@ -299,7 +299,8 @@ def test_cyclic_autocorr_sees_only_the_distinct_lags(monkeypatch, name):
 @pytest.mark.parametrize("name", ["pam-ideal", "am"])
 def test_kernel_lags_are_the_integer_offsets_of_its_grid(monkeypatch, name):
     # 2n - 1 lags k dt for the kernel, 2K + 1 lags k h for its stepped cells,
-    # not the distinct float differences of the times (579 at n = 96)
+    # not the distinct float differences of the times, which round apart for
+    # one grid offset
     spec = GENERIC_SOURCES[name]()
     original = spec.cyclic_autocorr
     seen = []
