@@ -561,10 +561,8 @@ def _write_csv(path: str, lines):
             fh.write(line + "\n")
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: every ``main`` call
-    parses into a fresh namespace, so the calls share no state."""
+    """A new argument parser for the ``csdrf`` command line."""
     parser = argparse.ArgumentParser(
         prog="csdrf",
         description="Distortion-rate curves of cyclostationary Gaussian sources.")
@@ -584,8 +582,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: every call parses
+    into a fresh namespace, so the calls share no state. Not for changing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         sc = load_scenario(args.config)
     except ConfigError as exc:

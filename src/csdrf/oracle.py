@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import CyclicSpectrum, DiscreteCsProcess
+from .spectra import CyclicSpectrum, DiscreteCsProcess, factor_product
 from .waterfilling import ScalarWaterfiller, _clip_eigenvalues
 
 
@@ -124,11 +124,7 @@ def build_kernel(spec: CyclicSpectrum, t_half: float, n: int) -> KernelGrid:
     dt = 2.0 * t_half / n
     times = -t_half + dt * (np.arange(n) + 0.5)
     factor = spec.covariance_factor(times)
-    if factor is None:
-        values = spec.covariance(times, dt)
-    else:
-        pulses, inner = factor
-        values = pulses @ inner @ pulses.T
+    values = spec.covariance(times, dt) if factor is None else factor_product(factor)
     return KernelGrid(times, values, 1.0 / n, t_half, spec.covariance, factor)
 
 

@@ -440,30 +440,24 @@ class CyclicSpectrum:
                 row[negative] = np.conj(kern @ np.conj(spectrum))[where[negative]]
         return out if np.ndim(n) else out[0]
 
-    def covariance(self, times, step=None):
-        """Covariance matrix E[X(t_i) X(t_j)] at the times of a 1-d vector.
+    def covariance(self, times, step):
+        """Covariance matrix E[X(t_i) X(t_j)] at times on a lattice of ``step``.
 
-        Entry (i, j) is sum_n cyclic_autocorr(n, t_i - t_j) exp(2 pi i n t_j / T0).
-        One ``cyclic_autocorr`` call evaluates every active harmonic at the
-        distinct lags, and each harmonic's row is gathered into the matrix, so
-        the lag-domain work grows with the number of distinct lags, not with
-        n^2, and a quadrature transform builds its exponential matrix once per
-        kernel. Without ``step`` the lags are the distinct float differences
-        t_i - t_j. A ``step`` declares the times a lattice of that spacing,
-        t_i = t_0 + k_i step with integer k_i (within 1e-6 of a step): the
-        lags are then the integer offsets k step, k = -K..K for K = max k_i -
-        min k_i, and no difference of two times is taken.
+        The times are t_i = t_0 + k_i step with integer k_i (within 1e-6 of a
+        step). Entry (i, j) is sum_n cyclic_autocorr(n, (k_i - k_j) step)
+        exp(2 pi i n t_j / T0): one ``cyclic_autocorr`` call evaluates every
+        active harmonic at the integer offsets k step, k = -K..K for
+        K = max k_i - min k_i, and each harmonic's row is gathered into the
+        matrix, so the lag-domain work grows with the 2K + 1 lags, not with
+        n^2, no difference of two times is taken, and a quadrature transform
+        builds its exponential matrix once per kernel.
         """
         self._require_finite("covariance")
         t = _time_vector(times)
-        if step is None:
-            lags, where = np.unique(np.subtract.outer(t, t), return_inverse=True)
-        else:
-            k = _lattice_offsets(t, step)
-            span = int(k.max() - k.min())
-            lags = step * np.arange(-span, span + 1)
-            where = np.subtract.outer(k, k) + span
-        where = where.reshape(t.size, t.size)
+        k = _lattice_offsets(t, step)
+        span = int(k.max() - k.min())
+        lags = step * np.arange(-span, span + 1)
+        where = np.subtract.outer(k, k) + span
         rows = self.cyclic_autocorr(np.array(self.active_indices), lags)
         out = np.zeros((t.size, t.size), dtype=complex)
         for n, row in zip(self.active_indices, rows):
@@ -474,6 +468,12 @@ class CyclicSpectrum:
         """(P, R) with covariance P R P^T at the times and R symmetric, for
         models whose covariance has such a finite factor; None here."""
         return None
+
+
+def factor_product(factor) -> np.ndarray:
+    """The matrix P R P^T of a covariance factor (P, R)."""
+    pulses, inner = factor
+    return pulses @ inner @ pulses.T
 
 
 def _time_vector(times) -> np.ndarray:
@@ -709,14 +709,14 @@ class PamCyclicSpectrum(CyclicSpectrum):
     def phi_breakpoints(self):
         return fold_breakpoints(self._band_breaks, self.period)
 
-    def covariance(self, times, step=None):
+    def covariance(self, times, step):
         """Covariance matrix P R_U P^T for pulses with a time window
-        (``covariance_factor``); other pulses take the generic lag-domain path."""
+        (``covariance_factor``), which needs no lattice; other pulses take the
+        generic lag-domain path."""
         factor = self.covariance_factor(times)
         if factor is None:
             return super().covariance(times, step)
-        pulses, toeplitz = factor
-        return pulses @ toeplitz @ pulses.T
+        return factor_product(factor)
 
     def covariance_factor(self, times):
         """(P, R_U) for pulses with a time window, else None.

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import csdrf
-from csdrf.cli import SOURCES, build_parser, load_scenario, main
+from csdrf.cli import SOURCES, _parser, build_parser, load_scenario, main
 from csdrf.spectra import flat_psd, triangular_psd
 from csdrf.waterfilling import stationary_drf
 
@@ -470,9 +470,11 @@ def test_verify_am_uses_phase_and_convergence(tmp_path, capsys):
 
 
 def test_successive_calls_share_the_parser_and_no_state(tmp_path, monkeypatch, capsys):
-    # the parser is built once per process; the options of one call reach
-    # neither a later call nor a later parse, whatever their commands
-    assert build_parser() is build_parser()
+    # main's parser is built once per process, build_parser's anew on each
+    # call; the options of one main call reach neither a later call nor a
+    # later parse, whatever their commands
+    assert _parser() is _parser()
+    assert build_parser() is not build_parser()
     monkeypatch.chdir(tmp_path)
     cfg = _write(tmp_path, "amp.ini", AM_PHASE_CFG)      # [output] path defaults to out.csv
     for command in ("drf", "bound", "spectra", "verify"):
@@ -485,7 +487,7 @@ def test_successive_calls_share_the_parser_and_no_state(tmp_path, monkeypatch, c
     assert main(["verify", "--config", cfg]) == 3
     assert "did not converge" in capsys.readouterr().err
     for command in ("drf", "bound", "spectra", "verify"):
-        args = build_parser().parse_args([command, "--config", "b.ini"])
+        args = _parser().parse_args([command, "--config", "b.ini"])
         assert (args.command, args.config, args.out, args.allow_nonconverged) == (
             command, "b.ini", None, False)
 
