@@ -139,7 +139,8 @@ class ContinuousDrfSolver:
 
     The field at resolution M is the nonzero spectrum of the M x M polyphase
     matrix, taken from the folded alias matrix of side min(M, J) over the J
-    aliases, or from the rank-one level for pulse-amplitude spectra.
+    aliases, decomposed on its live parity blocks, or from the rank-one level
+    for pulse-amplitude spectra.
 
     ``solve_many`` walks the doubling schedule from ``m_start`` to ``m_max``
     once for all of a curve's rates: at each level, every rate whose
@@ -305,9 +306,11 @@ def pam_waterfiller(spec: PamCyclicSpectrum, n_grid: int = 2048) -> ScalarWaterf
 
     The profile is the folded base spectrum times the aliased pulse energy;
     distortion carries a 1/T0 in front of the band integral so it stays in
-    power units per unit time.
+    power units per unit time. Both factors are even in f (a real base
+    density, a real pulse), so the profile is taken on ``even_half`` of the
+    band grid, as in ``stationary_waterfiller``.
     """
-    grid = spec.band_grid(n_grid)
+    grid = even_half(spec.band_grid(n_grid))
     levels = spec.shaped_profile(grid.nodes)
     return ScalarWaterfiller(levels, grid.weights,
                              d_scale=1.0 / spec.period, r_scale=0.5)

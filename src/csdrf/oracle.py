@@ -12,10 +12,11 @@ each; a stepped kernel's times are a lattice of the step. A kernel is
 symmetrized once, when its grid is made. A PAM kernel with a time-windowed
 pulse is the product P R_U P^T of an n x s pulse matrix and an s x s symbol
 Toeplitz matrix: its nonzero eigenvalues are those of one s x s matrix, and
-the other n - s are exact zeros. A discrete block is filled one diagonal at a
-time from the covariance table. A diagonal block (a memoryless source) is its
-own sorted spectrum, which is what the dense decomposition returns for it bit
-for bit; any other kernel or block is decomposed dense.
+the other n - s are exact zeros, and its dense n x n values are formed only
+when something reads them (``weyl_gap``). A discrete block is filled one
+diagonal at a time from the covariance table. A diagonal block (a memoryless
+source) is its own sorted spectrum, which is what the dense decomposition
+returns for it bit for bit; any other kernel or block is decomposed dense.
 """
 
 from __future__ import annotations
@@ -39,17 +40,28 @@ class KernelGrid:
     it maps a 1-d time vector and its lattice step to the covariance matrix at
     those times. ``factor``, when set, is a pair (P, R) with R symmetric and
     values = P R P^T up to rounding; the eigenvalues are then taken from it.
+    A factored kernel may be made without its dense values (pass None): they
+    are formed from the factor, and symmetrized, on their first read.
     """
 
     times: np.ndarray
-    values: np.ndarray
+    _values: np.ndarray | None
     weight: float
     half_width: float
     fn: object = None
     factor: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _symmetric(self.values))
+        if self._values is not None:
+            object.__setattr__(self, "_values", _symmetric(self._values))
+        elif self.factor is None:
+            raise ValueError("a kernel needs its values or its factor")
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            object.__setattr__(self, "_values", _symmetric(factor_product(self.factor)))
+        return self._values
 
     @property
     def size(self) -> int:
@@ -111,7 +123,8 @@ def build_kernel(spec: CyclicSpectrum, t_half: float, n: int) -> KernelGrid:
     in the window). The kernel is evaluated through the source's covariance
     function at the lags k dt of the grid's lattice, symmetrized, and paired
     with the 1/(2T) window normalization. A source with a covariance factor
-    (``covariance_factor``) builds the kernel from it and keeps it.
+    (``covariance_factor``) builds the kernel from it and keeps it; the dense
+    values, which ``kl_drf`` does not read, are formed only when read.
     """
     if n < 2:
         raise ValueError(f"need at least two grid points, got n = {n!r}")
@@ -124,7 +137,7 @@ def build_kernel(spec: CyclicSpectrum, t_half: float, n: int) -> KernelGrid:
     dt = 2.0 * t_half / n
     times = -t_half + dt * (np.arange(n) + 0.5)
     factor = spec.covariance_factor(times)
-    values = spec.covariance(times, dt) if factor is None else factor_product(factor)
+    values = spec.covariance(times, dt) if factor is None else None
     return KernelGrid(times, values, 1.0 / n, t_half, spec.covariance, factor)
 
 

@@ -11,7 +11,7 @@ entire rate-distortion content of the source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, floor, isfinite
+from math import ceil, floor, gcd, isfinite
 from typing import Callable
 
 import numpy as np
@@ -23,11 +23,19 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True, eq=False)
 class PsdPcMatrix:
-    """Hermitian spectral matrix field phi -> (dim x dim)."""
+    """Hermitian spectral matrix field phi -> (dim x dim).
+
+    ``blocks``, when set, is a tuple of index arrays, disjoint and ascending,
+    that holds every nonzero entry at every phi: entry (i, j) is zero unless
+    i and j lie in the same block. The eigenvalues are then those of the
+    blocks, plus one exact zero per index in no block. None means one block,
+    the whole matrix.
+    """
 
     dim: int
     _evaluate: Callable[[np.ndarray], np.ndarray]
     phi_breakpoints: tuple
+    blocks: tuple | None = None
 
     def __call__(self, phi) -> np.ndarray:
         """Evaluate the matrix at an array of phis; returns (n, dim, dim)."""
@@ -74,9 +82,10 @@ class _AliasSeries:
     A[m, j] = e^{2 pi i m (phi - j) / M} and S[k, k + n] = cpsd(n, (phi - k)/T0).
     The rows are the aliases k = -kmax..kmax, kmax = ceil(0.5 + T0 f_rad) + 1;
     the columns are every k + n over the active harmonics n. Only the aliases
-    |k| <= floor(T0 f_rad + 1/2) can be nonzero for phi in (-1/2, 1/2) (see
-    ``saturation_dim``); the outer rows stay in the series, since trimming
-    them would change the matrix side that the benchmark records.
+    with |k| - 1/2 < T0 f_rad can be nonzero for phi in (-1/2, 1/2) (see
+    ``saturation_dim``). The outer rows stay in the series, so a matrix keeps
+    its side; ``folded_alias_matrix`` marks them dead in its ``blocks``, and
+    they are skipped when the matrix is decomposed.
     """
 
     spec: CyclicSpectrum
@@ -100,9 +109,9 @@ class _AliasSeries:
         """Positions in ``aliases`` of the columns k + n of the row aliases k."""
         return slice(self.rows.start + n, self.rows.stop + n)
 
-    def blocks(self, phi: np.ndarray):
-        """(n, block) per active harmonic, one ``cpsd`` call each:
-        block[p, i] = cpsd(n, (phi_p - k_i)/T0) / T0 over the row aliases k_i."""
+    def harmonics(self, phi: np.ndarray):
+        """(n, values) per active harmonic, one ``cpsd`` call each:
+        values[p, i] = cpsd(n, (phi_p - k_i)/T0) / T0 over the row aliases k_i."""
         t0 = self.spec.period
         k = self.aliases[self.rows]
         f = ((phi[:, None] - k) / t0).ravel()
@@ -159,7 +168,7 @@ def psd_pc_matrix_continuous(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
         a = np.exp(TWO_PI * 1j * np.multiply.outer(phi / dim, idx))[:, None, :] * alias_phase
         a_conj = a.conj()
         w = np.zeros((phi.size, rows.stop - rows.start, dim), dtype=complex)   # w[p, k, r]
-        for n, s in series.blocks(phi):
+        for n, s in series.harmonics(phi):
             w += s[:, :, None] * a_conj[:, series.columns(n), :]
         return np.swapaxes(a[:, rows, :], 1, 2) @ w
 
@@ -182,6 +191,17 @@ def folded_alias_matrix(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
     A slice whose scattered ``cpsd`` values are all real (an AM source with
     phase 0, a stationary source) is returned as a real symmetric float64
     matrix; any other slice is complex Hermitian.
+
+    The matrix records its ``blocks``. Harmonic n couples aliases k and k + n,
+    and g, the gcd of the active harmonics (2 for AM, 0 for a stationary
+    source), divides every n; so aliases of different positions mod g never
+    meet. Once every live alias (|k| - 1/2 < T0 f_rad) has its own residue
+    (dim >= the live count), the classes of live aliases mod g are the
+    blocks; below that, aliases dim apart share a residue, and the classes are
+    taken mod gcd(g, dim), which is one class for AM at odd dim. A class is
+    the residues of its live aliases only: a residue that no live alias
+    reaches is a zero row and column, and in no block. The matrix itself is
+    unchanged by this; ``EigenField.from_matrix`` decomposes it block by block.
 
     Pulse-amplitude spectra give the rank-one case, a 1 x 1 matrix holding
     fold * sum_m |g_m|^2. An eigenvalue field of the result carries the
@@ -207,9 +227,21 @@ def folded_alias_matrix(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
     flat = np.concatenate([np.zeros(0, dtype=int)] +
                           [residue[i] * side + residue[i + n] for n, i in inside.items()])
 
+    # positions of the live aliases, |k| - 1/2 < T0 f_rad with k = position - kmax
+    live = pos[np.abs(pos - pos.size // 2) - 0.5 < spec.period * spec.freq_radius].tolist()
+    g = gcd(*spec.active_indices)
+    if len(live) > dim:             # aliases dim apart share a residue, and its block
+        g = gcd(g, dim)
+    classes: dict[int, set] = {}    # g = 0: harmonic 0 alone, every residue its own block
+    for p in live:
+        classes.setdefault(p % g if g else p, set()).add(p % dim)
+    blocks = tuple(np.array(sorted(c)) for c in classes.values())
+    if len(blocks) == 1 and blocks[0].size == side:
+        blocks = None
+
     def evaluate(phi):
         s = dim * np.concatenate([np.zeros((phi.size, 0))] +
-                                 [block[:, inside[n]] for n, block in series.blocks(phi)],
+                                 [values[:, inside[n]] for n, values in series.harmonics(phi)],
                                  axis=1)
         where = (np.arange(phi.size)[:, None] * side ** 2 + flat).ravel()
         size = phi.size * side ** 2
@@ -221,7 +253,7 @@ def folded_alias_matrix(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
             out.imag = np.bincount(where, s.imag.ravel(), size)
         return out.reshape(phi.size, side, side)
 
-    return PsdPcMatrix(side, evaluate, spec.phi_breakpoints())
+    return PsdPcMatrix(side, evaluate, spec.phi_breakpoints(), blocks)
 
 
 def polyphase_component_psd(proc: DiscreteCsProcess, m: int, phi) -> np.ndarray:

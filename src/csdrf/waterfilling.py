@@ -11,6 +11,13 @@ coding), which the CLI builds in one function, ``cli._solved``: the
 benchmark harness keeps every pass's output, so a much faster solve there
 would run more passes and raise its peak memory (ROADMAP item 1). Integrals
 are computed in nats and rates reported in bits.
+
+Every source solves at its smallest exact size. An eigenvalue field
+(``EigenField.from_matrix``) decomposes a matrix that records its blocks
+(``PsdPcMatrix.blocks``, the live parity blocks of an AM alias matrix) block
+by block, with exact zeros for the rows in no block. A real source's density
+is even in frequency, so ``stationary_waterfiller``, like the fields and the
+bounds, waterfills ``even_half`` of its grid.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polyphase import PsdPcMatrix
-from .quadrature import Grid, segmented_midpoint
+from .quadrature import Grid, even_half, segmented_midpoint
 from .spectra import StationaryPsd, TruncationError
 
 LOG2 = math.log(2.0)
@@ -295,6 +302,31 @@ def hermitian_eigenvalues(mats: np.ndarray) -> np.ndarray:
     return _clip_eigenvalues(lam)
 
 
+def _block_eigenvalues(mats: np.ndarray, blocks) -> np.ndarray:
+    """Ascending eigenvalues of each matrix of a stack, decomposed by ``blocks``
+    (``PsdPcMatrix.blocks``). A ``NotPositiveSemidefinite`` names the matrix's
+    position in the stack."""
+    if blocks is None:
+        return hermitian_eigenvalues(mats)
+    lam = np.zeros(mats.shape[:2])
+    by_size: dict[int, list] = {}
+    for block in blocks:
+        by_size.setdefault(block.size, []).append(block)
+    col = 0
+    for size, same in by_size.items():
+        idx = np.array(same)                                  # (blocks, size)
+        stack = mats[:, idx[:, :, None], idx[:, None, :]].reshape(-1, size, size)
+        try:
+            vals = hermitian_eigenvalues(stack)
+        except NotPositiveSemidefinite as exc:
+            raise NotPositiveSemidefinite(f"{exc} in a {size} x {size} block",
+                                          exc.index // len(same)) from exc
+        lam[:, col:col + idx.size] = vals.reshape(mats.shape[0], idx.size)
+        col += idx.size
+    lam.sort(axis=-1, kind="stable")    # the sort code ScalarWaterfiller already pages in
+    return lam
+
+
 @dataclass(frozen=True, eq=False)
 class EigenField:
     """Sorted nonnegative eigenvalues of a spectral matrix over a phi grid.
@@ -316,6 +348,13 @@ class EigenField:
         ``d_scale`` defaults to 1/matrix.dim, the weight of a full polyphase
         matrix. Each matrix is decomposed on its own, so the field does not
         depend on the slicing; only the peak memory does.
+
+        Each slice is assembled whole, as ``matrix(nodes)`` returns it. A
+        matrix with ``blocks`` is then decomposed block by block: the blocks
+        of one size are gathered from the slice into one stack and decomposed
+        in one ``hermitian_eigenvalues`` call, and every index in no block
+        gives an exact zero. The eigenvalues of a node are sorted ascending,
+        as the whole matrix's would be.
         """
         step = max(1, SLICE_ENTRIES // matrix.dim ** 2)
         parts = []
@@ -324,7 +363,7 @@ class EigenField:
             where = (f"nodes {start}..{start + nodes.size - 1} of the phi grid on "
                      f"[{grid.lo}, {grid.hi}], {grid.size} nodes")
             try:
-                parts.append(hermitian_eigenvalues(matrix(nodes)))
+                parts.append(_block_eigenvalues(matrix(nodes), matrix.blocks))
             except NotPositiveSemidefinite as exc:
                 node = start + exc.index
                 raise NotPositiveSemidefinite(
@@ -349,11 +388,18 @@ class EigenField:
 # ---------------------------------------------------------------------------
 
 def stationary_waterfiller(psd: StationaryPsd, n_grid: int = 2048) -> ScalarWaterfiller:
-    """Waterfiller over a stationary density on the physical frequency line."""
+    """Waterfiller over a stationary density on the physical frequency line.
+
+    The density is even (``StationaryPsd``), so it is taken on ``even_half``
+    of the grid on [-f_max, f_max]: the nodes f >= 0 with mirrored weights
+    added, half the levels of the whole grid and the same integrals up to
+    rounding. A grid whose node allocation is not mirror-symmetric (an odd
+    grid with a breakpoint at 0) is taken whole.
+    """
     if not math.isfinite(psd.support_radius):
         raise TruncationError("stationary waterfilling needs a finite support radius")
     r = psd.support_radius
-    grid = segmented_midpoint(-r, r, n_grid, psd.breakpoints)
+    grid = even_half(segmented_midpoint(-r, r, n_grid, psd.breakpoints))
     return ScalarWaterfiller(psd(grid.nodes), grid.weights, d_scale=1.0, r_scale=0.5)
 
 

@@ -597,9 +597,10 @@ def test_sampled_coding_builds_one_waterfiller_per_curve(tmp_path, monkeypatch):
 
 def test_fig6_refinement_never_decomposes_beyond_its_alias_count(tmp_path, monkeypatch):
     # fig6's source with every level of the schedule up to M = 64: the solver
-    # decomposes folded alias matrices, never the M x M polyphase matrix, and
-    # only the levels up to the first one at or above the s = 5 aliases that
-    # can be nonzero; M = 16, 32 and 64 are exact rescales of M = 8
+    # decomposes the live parity blocks of folded alias matrices, never the
+    # M x M polyphase matrix, and only the levels up to the first one at or
+    # above the s = 5 aliases that can be nonzero; M = 16, 32 and 64 are
+    # exact rescales of M = 8
     shipped = (Path(__file__).resolve().parent.parent / "configs" / "fig6.ini").read_text()
     assert "convergence_tol = 1e-4" in shipped
     cfg = _write(tmp_path, "fig6-all-levels.ini",
@@ -620,8 +621,10 @@ def test_fig6_refinement_never_decomposes_beyond_its_alias_count(tmp_path, monke
     assert main(["drf", "--config", cfg, "--out", out, "--allow-nonconverged"]) == 0
     assert {row["M"] for row in _read_rows(out) if row["method"] == "drf"} == {"64"}
     assert (aliases, nonzero) == (9, 5)
-    # one slice per level: M = 4 (side 4) and M = 8 (side min(8, 9) = 8)
-    assert widths == [4, 8] and max(widths) <= aliases
+    # one slice per level and one call per block size: M = 4 (side 4, the
+    # residues {0, 2} and {1, 3}) and M = 8 (side 8; the live aliases
+    # k = -2..2 sit on residues 2..6, split into {2, 4, 6} and {3, 5})
+    assert widths == [2, 3, 2] and max(widths) <= nonzero
 
 
 # AM at f0 = f_B / 16 with the single level M = 1, which resolves at most

@@ -11,18 +11,20 @@ from csdrf.drf import (ContinuousDrfConfig, ContinuousDrfSolver,
                        discrete_waterfiller, drf_am, drf_cs_at_resolution,
                        drf_cs_discrete, drf_pam,
                        lower_bound_continuous, lower_bound_discrete,
-                       sampled_coding, sampled_source_coding,
+                       pam_waterfiller, sampled_coding, sampled_source_coding,
                        upper_bound_gaussian_psd)
 from csdrf.polyphase import (PsdPcMatrix, psd_pc_matrix_continuous,
                              psd_pc_matrix_discrete)
-from csdrf.quadrature import even_half, phi_grid
-from csdrf.spectra import (DiscreteCsProcess, PamCyclicSpectrum, PulseShape, am_cpsd, flat_psd,
+from csdrf.quadrature import even_half, phi_grid, segmented_midpoint
+from csdrf.spectra import (DiscreteCsProcess, PamCyclicSpectrum, PulseShape, am_cpsd,
+                           am_gaussian_psd, flat_psd,
                            ideal_interp_pulse, modulated_ma, pam_cpsd,
                            raised_cosine_psd, raised_cosine_pulse, rect_pulse,
                            stationary_cyclic, triangle_pulse, triangular_psd,
                            white_cs, wiener_pulse)
-from csdrf.waterfilling import (EigenField, ScalarWaterfiller, WaterLevelUnderflow,
-                                discrete_stationary_drf, stationary_drf)
+from csdrf.waterfilling import (BRACKET_EXP, EigenField, ScalarWaterfiller,
+                                WaterLevelUnderflow, discrete_stationary_drf, stationary_drf,
+                                stationary_waterfiller)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +422,61 @@ def test_half_grid_discrete_waterfiller_reproduces_the_full_grid(kind, period, s
     ref = _full_grid_discrete_waterfiller(proc, n_grid)
     for a, b in ((fast.solve(rate), ref.solve(rate)) for rate in rates):
         _assert_same_point((a.theta, a.distortion), (b.theta, b.distortion), proc.avg_power)
+
+
+SCALAR_FAMILIES = {"flat": flat_psd, "triangular": triangular_psd,
+                   "raised_cosine": raised_cosine_psd}
+SCALAR_PULSES = {"rect": rect_pulse, "triangle": triangle_pulse, "ideal": ideal_interp_pulse,
+                 "raised_cosine": lambda t: raised_cosine_pulse(t, 0.3)}
+
+
+def _scalar_waterfillers(kind, base, ratio, n_grid):
+    """(waterfiller, whole-grid reference) of one scalar curve: the reference
+    takes every node of the grid the waterfiller halves."""
+    if kind in ("stationary", "upper_bound"):
+        psd = base if kind == "stationary" else am_gaussian_psd(base, ratio * base.support_radius)
+        r = psd.support_radius
+        grid = segmented_midpoint(-r, r, n_grid, psd.breakpoints)
+        whole = ScalarWaterfiller(psd(grid.nodes), grid.weights, d_scale=1.0, r_scale=0.5)
+        return stationary_waterfiller(psd, n_grid), whole
+    fs = ratio * base.support_radius
+    if kind == "sampled_coding":
+        spec, fast = _estimate(base, fs), sampled_coding(base, fs, n_grid)[1]
+    else:
+        spec = pam_cpsd(base, SCALAR_PULSES[kind](1.0 / fs), 1.0 / fs)
+        fast = pam_waterfiller(spec, n_grid)
+    grid = spec.band_grid(n_grid)
+    whole = ScalarWaterfiller(spec.shaped_profile(grid.nodes), grid.weights,
+                              d_scale=1.0 / spec.period, r_scale=0.5)
+    return fast, whole
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["stationary", "upper_bound", "sampled_coding", *SCALAR_PULSES]),
+       family=st.sampled_from(sorted(SCALAR_FAMILIES)), bandwidth=st.floats(0.25, 4.0),
+       power=st.floats(0.1, 10.0), ratio=st.floats(0.3, 2.5), n_grid=st.integers(2, 600),
+       shares=st.lists(st.floats(0.0, 0.95), min_size=1, max_size=4))
+@example(kind="stationary", family="triangular", bandwidth=1.0, power=1.0, ratio=1.0,
+         n_grid=301, shares=[0.5])       # odd, breakpoint at 0: the whole grid
+@example(kind="rect", family="flat", bandwidth=1.0, power=1.0, ratio=0.55,
+         n_grid=2, shares=[0.0, 0.9])
+def test_half_grid_scalar_waterfillers_reproduce_the_whole_grid(kind, family, bandwidth, power,
+                                                               ratio, n_grid, shares):
+    # ``ratio`` is the carrier (upper bound) or the symbol or sampling rate over f_B;
+    # the rates are shares of the largest rate the whole grid resolves
+    base = SCALAR_FAMILIES[family](bandwidth, power)
+    fast, whole = _scalar_waterfillers(kind, base, ratio, n_grid)
+    top = whole.rate(whole.level_max * 2.0 ** -BRACKET_EXP)
+    for rate in (share * top for share in shares):
+        a, b = fast.solve(rate), whole.solve(rate)
+        assert a.theta == pytest.approx(b.theta, rel=1e-12, abs=0.0)
+        assert a.distortion == pytest.approx(b.distortion, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n_grid, kept", [(2048, 1024), (2047, 2047)])
+def test_stationary_waterfiller_halves_a_mirror_symmetric_grid(n_grid, kept):
+    # the triangle's breakpoint at 0 makes an odd grid asymmetric: it stays whole
+    assert stationary_waterfiller(triangular_psd(1.0, 1.0), n_grid).levels.size == kept
 
 
 def _recorded_nodes(monkeypatch):

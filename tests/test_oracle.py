@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import csdrf.oracle
 from csdrf.cli import Scenario, _normalized_pam, make_base
 from csdrf.oracle import (BlockCovariance, KernelGrid, build_kernel, kl_drf,
                           step_approximation, weyl_gap)
@@ -189,6 +190,26 @@ def test_symbol_space_eigenvalues_equal_the_dense_decomposition(
     assert fast.shape == (n,) and np.all(fast[min(n, symbols):] == 0.0)
     tol = 4.0 * n * np.finfo(float).eps * np.abs(dense).max()
     np.testing.assert_allclose(fast, dense, rtol=0.0, atol=tol)
+
+
+def test_factored_kernel_forms_its_dense_values_on_first_read():
+    # kl_drf reads only the factor; the dense P R_U P^T is formed once, when
+    # something reads ``values``, with the bits of the symmetrized covariance
+    spec = _pam("triangular", 1.0, 1.0, "rect", 1.3, False)
+    with mock.patch("csdrf.oracle.factor_product",
+                    wraps=csdrf.oracle.factor_product) as product:
+        kern = build_kernel(spec, 4 * spec.period, 96)
+        kl_drf(kern)
+        assert product.call_count == 0
+        first, second = kern.values, kern.values
+        assert product.call_count == 1 and first is second
+    dense = spec.covariance(kern.times, 2.0 * kern.half_width / kern.size)
+    np.testing.assert_array_equal(first, 0.5 * (dense + dense.T))
+
+
+def test_kernel_without_values_or_factor_is_refused():
+    with pytest.raises(ValueError, match="values or its factor"):
+        KernelGrid(np.array([0.0, 1.0]), None, 0.5, 1.0)
 
 
 GENERIC_SOURCES = {

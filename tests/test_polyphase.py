@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from csdrf.polyphase import (TWO_PI, folded_alias_matrix, polyphase_component_psd,
                              psd_pc_matrix_continuous, psd_pc_matrix_discrete)
-from csdrf.quadrature import phi_grid
+from csdrf.quadrature import Grid, phi_grid
 from csdrf.spectra import (CyclicSpectrum, TruncationError, am_cpsd, flat_psd,
                            modulated_ma, pam_cpsd, raised_cosine_psd,
                            raised_cosine_pulse, rect_pulse, stationary_cyclic,
                            triangle_pulse, triangular_psd, white_cs)
-from csdrf.waterfilling import hermitian_eigenvalues
+from csdrf.waterfilling import EigenField, hermitian_eigenvalues
 
 
 def test_single_slot_matrix_is_the_spectrum_itself():
@@ -303,3 +303,72 @@ def test_folded_matrix_accepts_numpy_integers():
     phi = np.array([0.1, -0.3])
     np.testing.assert_array_equal(folded_alias_matrix(spec, np.int64(8))(phi),
                                   folded_alias_matrix(spec, 8)(phi))
+
+
+# ---------------------------------------------------------------------------
+# live parity blocks
+# ---------------------------------------------------------------------------
+
+def _coupled_residues(spec, dim):
+    """Residue sets of the connected live aliases, the reference for ``blocks``.
+
+    An alias k is live when |k| - 1/2 < T0 f_rad. Two live aliases are joined
+    when an active harmonic couples them (k' - k = n) or when they share a
+    residue (k' - k a multiple of dim); each connected set is reported as the
+    residues (k + kmax) mod dim of its aliases.
+    """
+    kmax = ceil(0.5 + spec.period * spec.freq_radius) + 1
+    live = [k for k in range(-kmax, kmax + 1)
+            if abs(k) - 0.5 < spec.period * spec.freq_radius]
+    parent = {k: k for k in live}
+
+    def root(k):
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    for a in live:
+        for b in live:
+            if b - a in spec.active_indices or (b - a) % dim == 0:
+                parent[root(a)] = root(b)
+    sets = {}
+    for k in live:
+        sets.setdefault(root(k), set()).add((k + kmax) % dim)
+    return sorted(sorted(s) for s in sets.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), bandwidth=st.floats(0.25, 4.0),
+       power=st.floats(0.1, 10.0), carrier=st.floats(0.05, 3.0),
+       phase=st.floats(0.0, 2.0 * np.pi), dim=st.integers(1, 64),
+       seed=st.integers(0, 2 ** 16))
+@example(family="triangular", bandwidth=1.0, power=1.0, carrier=0.1, phase=0.0,
+         dim=32, seed=0)                 # 23 live of 27 aliases, unfolded: blocks 12 and 11
+@example(family="triangular", bandwidth=1.0, power=1.0, carrier=1.2, phase=0.0,
+         dim=7, seed=0)                  # fig6 at an odd dim above its 5 live aliases
+@example(family="flat", bandwidth=1.0, power=1.0, carrier=0.3, phase=0.7,
+         dim=5, seed=1)                  # an odd dim below the live count: one block
+@example(family="flat", bandwidth=1.0, power=1.0, carrier=3.0, phase=0.0,
+         dim=64, seed=2)                 # alias 0 is live but zero: its block stays
+def test_block_field_is_the_spectrum_of_the_full_folded_matrix(
+        family, bandwidth, power, carrier, phase, dim, seed):
+    spec = am_cpsd(FAMILIES[family](bandwidth, power), carrier * bandwidth, phase)
+    matrix = folded_alias_matrix(spec, dim)
+    side = matrix.dim
+    blocks = matrix.blocks if matrix.blocks is not None else (np.arange(side),)
+    # the blocks are the connected live aliases: a merged or a dropped class fails here
+    assert sorted(b.tolist() for b in blocks) == _coupled_residues(spec, dim)
+    phi = np.random.default_rng(seed).uniform(-0.5, 0.5, 16)
+    mats = matrix(phi)
+    inside = np.zeros((side, side), dtype=bool)
+    for b in blocks:
+        inside[np.ix_(b, b)] = True
+    assert not np.any(mats[:, ~inside])            # every nonzero entry is in a block
+    field = EigenField.from_matrix(matrix, Grid(phi, np.ones(phi.size), -0.5, 0.5))
+    full = hermitian_eigenvalues(mats)
+    assert field.lam.shape == full.shape == (phi.size, side)
+    assert np.all(np.diff(field.lam, axis=1) >= 0.0)
+    tol = 4 * side * np.finfo(float).eps * full.max(axis=1, keepdims=True)
+    assert np.all(np.abs(field.lam - full) <= tol)
+    dead = side - sum(b.size for b in blocks)
+    assert np.all(field.lam[:, :dead] == 0.0)      # dead residues are exact zeros
