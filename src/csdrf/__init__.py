@@ -6,12 +6,9 @@ pulse-amplitude and amplitude-modulated structures and a covariance-kernel
 oracle for validation.
 """
 
-from .drf import (AmDrfResult, ContinuousDrfConfig, ContinuousDrfResult,
-                  ContinuousDrfSolver, NonConvergedError, discrete_waterfiller,
-                  drf_am, drf_cs_at_resolution, drf_cs_discrete, drf_pam,
-                  lower_bound_continuous, lower_bound_discrete,
-                  pam_waterfiller, sampled_coding, sampled_source_coding,
-                  upper_bound_gaussian_psd)
+from .drf import (ContinuousDrfConfig, ContinuousDrfResult, ContinuousDrfSolver,
+                  NonConvergedError, discrete_waterfiller, lower_bound_continuous,
+                  lower_bound_discrete, pam_waterfiller, sampled_coding)
 from .oracle import (BlockCovariance, KernelGrid, WeylGap, build_kernel,
                      kl_drf, step_approximation, weyl_gap)
 from .polyphase import (PsdPcMatrix, folded_alias_matrix, polyphase_component_psd,
@@ -27,7 +24,6 @@ from .spectra import (AliasCountError, CyclicSpectrum, DiscreteCsProcess, PamCyc
 from .waterfilling import (EigenField, NotPositiveSemidefinite,
                            RateDistortionPoint, ScalarWaterfiller,
                            WaterLevelUnderflow, discrete_stationary_drf,
-                           hermitian_eigenvalues, stationary_drf,
-                           stationary_waterfiller)
+                           hermitian_eigenvalues, stationary_waterfiller)
 
 __version__ = "0.1.0"

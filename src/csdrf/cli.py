@@ -469,16 +469,20 @@ def _unavailable(sc, command):
 def drf_rows(sc: Scenario, allow_nonconverged: bool):
     """Rows of the configured methods in order, one block per source offering each.
 
-    ``include_baseband`` appends ``baseband``. Raises on non-convergence
+    ``include_baseband`` appends ``baseband``. An empty method list and a
+    method no source offers are config errors. Raises on non-convergence
     unless allowed.
     """
     sources = SOURCES[sc.kind](sc)
     methods = sc.methods
     if sc.include_baseband and "baseband" not in methods:
         methods += ("baseband",)
+    if not methods:
+        raise ConfigError("[methods] methods lists no method")
     for method in methods:
         if not any(method in src.curves for src in sources):
-            raise ConfigError(f"method {method!r} is not available for {sc.kind}")
+            raise ConfigError(f"[methods] methods: method {method!r} is not available "
+                              f"for {sc.kind}")
     rows = []
     for method in methods:
         for src in sources:

@@ -1,10 +1,12 @@
 """Distortion-rate curves of cyclostationary sources and related bounds.
 
-This layer wires the spectral models into the waterfilling engine: exact
-discrete-time curves, continuous-time curves by intra-period refinement,
-closed forms for pulse-amplitude and amplitude-modulated structures, the
-per-component lower bounds, and the combined sampling plus source coding
-distortion.
+This layer wires the spectral models into the waterfilling engine. Each
+curve has one builder: ``discrete_waterfiller`` for discrete time,
+``ContinuousDrfSolver`` for the intra-period refinement in continuous time,
+``pam_waterfiller`` for the pulse-amplitude closed form and
+``sampled_coding`` for sampling followed by source coding; the scalar ones
+return a ``ScalarWaterfiller`` to solve at every rate of a curve. The
+per-component lower bounds take a whole curve's rates at once.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from .polyphase import (_require_positive_int, folded_alias_matrix,
                         saturation_dim)
 from .quadrature import even_half, phi_grid
 from .spectra import (CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum,
-                      PulseShape, StationaryPsd, am_cpsd, am_gaussian_psd,
-                      wiener_pulse)
+                      StationaryPsd, wiener_pulse)
 from .waterfilling import (DECOMPOSITION_ERRORS, EigenField, RateDistortionPoint,
-                           ScalarWaterfiller, WaterLevelUnderflow, stationary_drf)
+                           ScalarWaterfiller, WaterLevelUnderflow)
 
 
 class NonConvergedError(RuntimeError):
@@ -32,16 +33,6 @@ class NonConvergedError(RuntimeError):
 # ---------------------------------------------------------------------------
 # discrete time
 # ---------------------------------------------------------------------------
-
-def drf_cs_discrete(proc: DiscreteCsProcess, rate_bits_per_symbol: float,
-                    n_grid: int = 2048) -> RateDistortionPoint:
-    """Distortion-rate point of a discrete-time cyclostationary source.
-
-    Solves the common water level of ``discrete_waterfiller`` at the
-    requested per-symbol rate.
-    """
-    return discrete_waterfiller(proc, n_grid).solve(rate_bits_per_symbol)
-
 
 def discrete_waterfiller(proc: DiscreteCsProcess, n_grid: int = 2048) -> ScalarWaterfiller:
     """Waterfiller of a discrete-time cyclostationary source, rates per symbol.
@@ -259,13 +250,6 @@ class ContinuousDrfSolver:
                                    converged, tuple(gaps), weyl, self.sigma2)
 
 
-def drf_cs_at_resolution(spec: CyclicSpectrum, rate_bits_per_second: float,
-                         dim: int, n_grid: int = 2048) -> RateDistortionPoint:
-    """Single fixed-resolution evaluation of the continuous-time curve."""
-    cfg = ContinuousDrfConfig(m_start=dim, m_max=dim, n_grid=n_grid)
-    return ContinuousDrfSolver(spec, cfg).point_at(rate_bits_per_second, dim)
-
-
 def lower_bound_continuous(spec: CyclicSpectrum, rates_bits_per_second,
                            n_t: int = 64, n_grid: int = 2048) -> np.ndarray:
     """Phase-averaged per-component bound for a continuous-time source.
@@ -309,60 +293,18 @@ def pam_waterfiller(spec: PamCyclicSpectrum, n_grid: int = 2048) -> ScalarWaterf
     power units per unit time. Both factors are even in f (a real base
     density, a real pulse), so the profile is taken on ``even_half`` of the
     band grid, as in ``stationary_waterfiller``.
+
+    The polyphase matrix of the process is rank one at every frequency, so
+    no intra-period refinement is needed. The fixed-resolution curves of
+    ``ContinuousDrfSolver`` equal this one at every resolution M only for
+    the rectangular pulse; otherwise they approach it as M grows (for the
+    triangle pulse the relative gap is 1.25e-1, 3.1e-2 and 7.8e-3 at M = 4,
+    8 and 16, i.e. O(1/M^2)).
     """
     grid = even_half(spec.band_grid(n_grid))
     levels = spec.shaped_profile(grid.nodes)
     return ScalarWaterfiller(levels, grid.weights,
                              d_scale=1.0 / spec.period, r_scale=0.5)
-
-
-def drf_pam(base: StationaryPsd, pulse: PulseShape, t_symbol: float,
-            rate_bits_per_second: float, n_grid: int = 2048) -> RateDistortionPoint:
-    """Distortion-rate point of sum_n U(n T0) p(t - n T0).
-
-    The polyphase matrix of this process is rank one at every frequency, so
-    the curve reduces to scalar waterfilling over the shaped profile on
-    (-1/(2 T0), 1/(2 T0)); no intra-period refinement is needed. The
-    fixed-resolution curves equal this expression at every resolution M only
-    for the rectangular pulse; otherwise they approach it as M grows (for the
-    triangle pulse the relative gap is 1.25e-1, 3.1e-2 and 7.8e-3 at M = 4,
-    8 and 16, i.e. O(1/M^2)).
-    """
-    spec = PamCyclicSpectrum(base, pulse, t_symbol)
-    return pam_waterfiller(spec, n_grid).solve(rate_bits_per_second)
-
-
-# ---------------------------------------------------------------------------
-# amplitude modulation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AmDrfResult:
-    """Curve point of the modulated source, flagged exact when the carrier
-    clears twice the baseband bandwidth (the curve then equals the baseband
-    curve identically; this also covers the uniformly random carrier phase,
-    whose curve coincides with the deterministic-phase one)."""
-
-    point: RateDistortionPoint
-    exact: bool
-
-
-def drf_am(base: StationaryPsd, f0: float, rate_bits_per_second: float,
-           cfg: ContinuousDrfConfig | None = None, phase: float = 0.0) -> AmDrfResult:
-    """Distortion-rate point of sqrt(2) U(t) cos(2 pi f0 t + phase).
-
-    For f0 > 2 f_B the modulated curve equals the baseband curve exactly and
-    the stationary evaluation is returned. Otherwise the generic
-    continuous-time refinement runs on the modulated cyclic spectrum.
-    """
-    if not math.isfinite(base.support_radius):
-        raise ValueError("modulated-curve evaluation needs a band-limited base density")
-    if f0 > 2.0 * base.support_radius:
-        n_grid = cfg.n_grid if cfg is not None else 2048
-        return AmDrfResult(stationary_drf(base, rate_bits_per_second, n_grid), True)
-    spec = am_cpsd(base, f0, phase)
-    result = ContinuousDrfSolver(spec, cfg).solve(rate_bits_per_second)
-    return AmDrfResult(result.point, False)
 
 
 # ---------------------------------------------------------------------------
@@ -381,27 +323,3 @@ def sampled_coding(base: StationaryPsd, fs: float,
     spec = PamCyclicSpectrum(base, wiener_pulse(base, fs), 1.0 / fs)
     sw = pam_waterfiller(spec, n_grid)
     return max(base.total_power - sw.solve(0.0).distortion, 0.0), sw
-
-
-def sampled_source_coding(base: StationaryPsd, fs: float,
-                          rate_bits_per_second: float,
-                          n_grid: int = 2048) -> tuple[float, RateDistortionPoint]:
-    """Minimal distortion of sampling at fs followed by rate-limited coding.
-
-    The distortion splits into the estimation error plus the waterfilled
-    distortion of the estimate (``sampled_coding``). Returns (total
-    distortion, coding point), the point's theta on the estimate's density.
-    """
-    mmse, sw = sampled_coding(base, fs, n_grid)
-    pt = sw.solve(rate_bits_per_second)
-    return mmse + pt.distortion, RateDistortionPoint(fs * pt.theta, pt.rate, pt.distortion)
-
-
-def upper_bound_gaussian_psd(base: StationaryPsd, f0: float,
-                             rate_bits_per_second: float,
-                             n_grid: int = 2048) -> RateDistortionPoint:
-    """Curve of a Gaussian source with the modulated density 0.5 S(f-f0) + 0.5 S(f+f0).
-
-    Upper-bounds the modulated source's curve at every rate.
-    """
-    return stationary_drf(am_gaussian_psd(base, f0), rate_bits_per_second, n_grid)

@@ -403,17 +403,6 @@ def stationary_waterfiller(psd: StationaryPsd, n_grid: int = 2048) -> ScalarWate
     return ScalarWaterfiller(psd(grid.nodes), grid.weights, d_scale=1.0, r_scale=0.5)
 
 
-def stationary_drf(psd: StationaryPsd, target_rate: float,
-                   n_grid: int = 2048) -> RateDistortionPoint:
-    """Distortion-rate point of a stationary Gaussian source.
-
-    Classical reverse waterfilling over the density: D = integral of
-    min(S, theta), R = (1/2) integral of log2+(S/theta), rate in bits per
-    second.
-    """
-    return stationary_waterfiller(psd, n_grid).solve(target_rate)
-
-
 def discrete_stationary_drf(spectrum_fn, target_rate: float, n_grid: int = 2048,
                      breakpoints=()) -> RateDistortionPoint:
     """Scalar waterfilling of a discrete-time spectrum on [-1/2, 1/2].

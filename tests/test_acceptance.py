@@ -26,8 +26,9 @@ def test_ac1_oracle_equivalence_discrete():
     worst = 0.0
     proc2 = csdrf.white_cs([1.0, 4.0])
     oracle2 = csdrf.kl_drf(csdrf.BlockCovariance.from_process(proc2, 256))
+    fast2 = csdrf.discrete_waterfiller(proc2)
     for r in rates:
-        fast = csdrf.drf_cs_discrete(proc2, float(r)).distortion
+        fast = fast2.solve(float(r)).distortion
         ref = oracle2.solve(float(r)).distortion
         worst = max(worst, abs(fast - ref) / ref)
     assert worst <= 1e-3, f"alternating-variance oracle gap {worst:.2e}"
@@ -38,14 +39,15 @@ def test_ac1_oracle_equivalence_discrete():
     c = np.sort(0.6 + rng.random(3))
     proc3 = csdrf.modulated_ma([c[1], c[0], c[2]], [1.0, 0.3])
     oracle3 = csdrf.kl_drf(csdrf.BlockCovariance.from_process(proc3, 256))
+    fast3 = csdrf.discrete_waterfiller(proc3)
     worst3 = 0.0
     for r in rates:
-        fast = csdrf.drf_cs_discrete(proc3, float(r)).distortion
+        fast = fast3.solve(float(r)).distortion
         ref = oracle3.solve(float(r)).distortion
         worst3 = max(worst3, abs(fast - ref) / ref)
     assert worst3 <= 1e-3, f"random period-3 oracle gap {worst3:.2e}"
 
-    hand = csdrf.drf_cs_discrete(proc2, 0.5)
+    hand = fast2.solve(0.5)
     assert hand.distortion == pytest.approx(1.0, rel=1e-9)
 
     _report("AC1 oracle equivalence (N=256, 6 rates)",
@@ -66,15 +68,16 @@ def test_ac2_stationary_reduction():
     for name, (fn, breaks, power) in specs.items():
         proc = csdrf.DiscreteCsProcess(1, lambda n, phi, fn=fn: fn(phi).astype(complex),
                                        power, phi_breakpoints=breaks)
+        sw = csdrf.discrete_waterfiller(proc)
         for rate in (0.2, 1.0, 3.5):
-            fast = csdrf.drf_cs_discrete(proc, rate)
+            fast = sw.solve(rate)
             ref = csdrf.discrete_stationary_drf(fn, rate, breakpoints=breaks)
             assert fast.distortion == pytest.approx(ref.distortion, rel=1e-12), name
             assert fast.theta == pytest.approx(ref.theta, rel=1e-12), name
 
-    base = csdrf.flat_psd(1.0, 1.0)
+    flat = csdrf.stationary_waterfiller(csdrf.flat_psd(1.0, 1.0))
     for rb in (0.0, 1.0, 3.0):
-        pt = csdrf.stationary_drf(base, rb)
+        pt = flat.solve(rb)
         assert pt.distortion == pytest.approx(2.0 ** -rb, rel=1e-9)
 
     _report("AC2 stationary reduction (1e-12) and flat closed form (1e-9)")
@@ -98,11 +101,13 @@ def test_ac3_pam_rank_one_and_closed_form():
         worst_ratio = max(worst_ratio, float((lam[mask, -2] / top[mask]).max()))
     assert worst_ratio <= 1e-10, f"rank-one ratio {worst_ratio:.2e}"
 
+    closed = csdrf.pam_waterfiller(spec)
+    refined = csdrf.ContinuousDrfSolver(spec)
     worst_rel = 0.0
     for m in (4, 8, 16):
         for rate in (0.3, 1.0, 2.5):
-            a = csdrf.drf_pam(base, pulse, 0.8, rate).distortion
-            b = csdrf.drf_cs_at_resolution(spec, rate, m).distortion
+            a = closed.solve(rate).distortion
+            b = refined.point_at(rate, m).distortion
             worst_rel = max(worst_rel, abs(a - b) / a)
     assert worst_rel <= 1e-6, f"closed form vs refinement {worst_rel:.2e}"
 
@@ -118,27 +123,28 @@ def test_ac4_am_equality_and_upper_bound():
     base = csdrf.triangular_psd(1.0, 1.0)
     rates = np.geomspace(0.25, 4.0, 8)
 
+    # above the threshold the generic refinement agrees with the baseband
+    # curve at a fixed resolution (finer grid keeps the waterline-cell
+    # quadrature bias of the two independently gridded integrals below the
+    # tolerance)
     spec = csdrf.am_cpsd(base, 4.0)
+    baseband8 = csdrf.stationary_waterfiller(base, 8192)
+    refined8 = csdrf.ContinuousDrfSolver(spec, csdrf.ContinuousDrfConfig(n_grid=8192))
     worst = 0.0
     for r in rates:
-        am = csdrf.drf_am(base, 4.0, float(r))
-        ref = csdrf.stationary_drf(base, float(r))
-        assert am.exact
-        worst = max(worst, abs(am.point.distortion - ref.distortion) / ref.distortion)
-        # substantive check: the generic refinement agrees at a fixed
-        # resolution (finer grid keeps the waterline-cell quadrature bias of
-        # the two independently gridded integrals below the tolerance)
-        ref8 = csdrf.stationary_drf(base, float(r), 8192)
-        num = csdrf.drf_cs_at_resolution(spec, float(r), 8, n_grid=8192).distortion
+        ref8 = baseband8.solve(float(r))
+        num = refined8.point_at(float(r), 8).distortion
         worst = max(worst, abs(num - ref8.distortion) / ref8.distortion)
     assert worst <= 1e-6, f"baseband equality gap {worst:.2e}"
 
+    am = csdrf.ContinuousDrfSolver(csdrf.am_cpsd(base, 1.2))
+    upper = csdrf.stationary_waterfiller(csdrf.am_gaussian_psd(base, 1.2))
     margin = np.inf
     for r in rates:
-        am = csdrf.drf_am(base, 1.2, float(r))
-        ub = csdrf.upper_bound_gaussian_psd(base, 1.2, float(r))
-        assert am.point.distortion <= ub.distortion + 1e-9
-        margin = min(margin, ub.distortion - am.point.distortion)
+        d = am.solve(float(r)).point.distortion
+        ub = upper.solve(float(r))
+        assert d <= ub.distortion + 1e-9
+        margin = min(margin, ub.distortion - d)
 
     _report("AC4 modulated-curve equality (1e-6) and spectral upper bound",
             f"[equality gap {worst:.1e}, min bound margin {margin:.3f}]")
@@ -152,29 +158,31 @@ def test_ac5_lower_bounds():
     rates = np.geomspace(0.1, 8.0, 6)
 
     proc = csdrf.white_cs([1.0, 4.0])
+    sw = csdrf.discrete_waterfiller(proc)
     for r, lb in zip(rates, csdrf.lower_bound_discrete(proc, rates)):
-        drf = csdrf.drf_cs_discrete(proc, float(r)).distortion
+        drf = sw.solve(float(r)).distortion
         assert lb <= drf + 1e-12
     assert csdrf.lower_bound_discrete(proc, 0.0) == pytest.approx(
-        csdrf.drf_cs_discrete(proc, 0.0).distortion, rel=1e-9)
+        sw.solve(0.0).distortion, rel=1e-9)
 
     am = csdrf.am_cpsd(csdrf.triangular_psd(1.0, 1.0), 1.2)
     assert csdrf.lower_bound_continuous(am, 0.0) == pytest.approx(
         am.avg_power, rel=1e-9)
+    solver = csdrf.ContinuousDrfSolver(am)
     for r, lb in zip((0.3, 1.0, 2.5), csdrf.lower_bound_continuous(am, [0.3, 1.0, 2.5])):
-        drf = csdrf.drf_am(csdrf.triangular_psd(1.0, 1.0), 1.2, float(r)).point.distortion
+        drf = solver.solve(float(r)).point.distortion
         assert lb <= drf + 1e-9
 
     base = csdrf.flat_psd(1.0, 1.0)
     stair = csdrf.pam_cpsd(base, csdrf.rect_pulse(1.0), 1.0)
+    closed = csdrf.pam_waterfiller(stair)
     worst_eq = 0.0
     for r, lb in zip((0.3, 0.9, 1.8), csdrf.lower_bound_continuous(stair, [0.3, 0.9, 1.8])):
-        pt = csdrf.drf_pam(base, csdrf.rect_pulse(1.0), 1.0, float(r))
+        pt = closed.solve(float(r))
         worst_eq = max(worst_eq, abs(lb - pt.distortion) / pt.distortion)
     assert worst_eq <= 1e-6, f"staircase equality gap {worst_eq:.2e}"
 
-    gap20 = csdrf.drf_cs_discrete(proc, 20.0).distortion \
-        - csdrf.lower_bound_discrete(proc, 20.0)
+    gap20 = sw.solve(20.0).distortion - csdrf.lower_bound_discrete(proc, 20.0)
     assert abs(gap20) <= 1e-4 * proc.avg_power
 
     _report("AC5 lower bounds (sandwich, R=0 equality 1e-9, staircase 1e-6, "
@@ -226,15 +234,17 @@ def test_ac6_weyl_machinery_and_refinement():
 
 def test_ac7_combined_sampling_and_coding():
     base = csdrf.flat_psd(1.0, 1.0)
+    baseband = csdrf.stationary_waterfiller(base)
     for fs in (2.0, 2.5):
+        mmse, coder = csdrf.sampled_coding(base, fs)
         for r in (0.5, 1.0, 3.0):
-            total, _ = csdrf.sampled_source_coding(base, fs, float(r))
-            ref = csdrf.stationary_drf(base, float(r)).distortion
+            total = mmse + coder.solve(float(r)).distortion
+            ref = baseband.solve(float(r)).distortion
             assert total == pytest.approx(ref, rel=1e-9, abs=1e-12), (fs, r)
 
-    mmse, _ = csdrf.sampled_coding(base, 1.0)
+    mmse, coder = csdrf.sampled_coding(base, 1.0)
     assert mmse == pytest.approx(0.5, abs=1e-6)
-    total, _ = csdrf.sampled_source_coding(base, 1.0, 60.0)
+    total = mmse + coder.solve(60.0).distortion
     assert total - mmse <= 1e-9
 
     _report("AC7 combined sampling and coding (equalities at 1e-9, "

@@ -10,8 +10,9 @@ import pytest
 
 import csdrf
 from csdrf.cli import SOURCES, _parser, build_parser, load_scenario, main
+from csdrf.drf import sampled_coding
 from csdrf.spectra import flat_psd, triangular_psd
-from csdrf.waterfilling import stationary_drf
+from csdrf.waterfilling import stationary_waterfiller
 
 STATIONARY_CFG = """
 [source]
@@ -91,9 +92,9 @@ def test_rows_revalidate_against_api_exactly(tmp_path):
     cfg = _write(tmp_path, "s.ini", STATIONARY_CFG)
     out = str(tmp_path / "out.csv")
     assert main(["drf", "--config", cfg, "--out", out]) == 0
-    base = flat_psd(1.0, 1.0)
+    sw = stationary_waterfiller(flat_psd(1.0, 1.0), 2048)
     for row in _read_rows(out):
-        pt = stationary_drf(base, float(row["rate_bits"]), 2048)
+        pt = sw.solve(float(row["rate_bits"]))
         assert float(row["distortion"]) == pt.distortion
         assert float(row["theta"]) == pt.theta
 
@@ -343,6 +344,14 @@ methods = drf baseband
     # above the Nyquist rate the sampling costs nothing
     for rate, d in drf_d.items():
         assert d == pytest.approx(bb_d[rate], rel=1e-9)
+    # the rows are the MMSE plus the coded estimate's D, and theta is on the
+    # estimate's density: fs times the PAM level
+    fs = 2.0
+    mmse, sw = sampled_coding(flat_psd(1.0, 1.0), fs, 2048)
+    for row in (r for r in rows if r["method"] == "drf"):
+        pt = sw.solve(float(row["rate_bits"]))
+        assert float(row["distortion"]) == mmse + pt.distortion
+        assert float(row["theta"]) == fs * pt.theta
 
 
 def test_console_entry_point():
@@ -419,8 +428,21 @@ def test_every_tabled_method_runs(tmp_path, kind):
 def test_unsupported_method_is_a_config_error(tmp_path, capsys, kind, method):
     cfg = _tiny(tmp_path, kind, f"drf {method}")
     assert main(["drf", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-    assert repr(method) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert repr(method) in err and "[methods] methods" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_empty_method_list_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    cfg = _tiny(tmp_path, "am", "")
+    assert main(["drf", "--config", cfg, "--out", str(out)]) == 2
+    assert "[methods] methods" in capsys.readouterr().err
+    assert not out.exists()
+    # include_baseband alone still names a method
+    cfg = _tiny(tmp_path, "am", "", "include_baseband = true\n")
+    assert main(["drf", "--config", cfg, "--out", str(out)]) == 0
+    assert [r["method"] for r in _read_rows(str(out))] == ["baseband"] * 3
 
 
 def test_rows_follow_method_order(tmp_path):

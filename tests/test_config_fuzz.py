@@ -1,7 +1,7 @@
 """Config fuzzer: one bad or extreme value in one key never ends in a traceback.
 
 Each example takes a tiny scenario of one source kind, sets one [source],
-[rates] or [numerics] key to an edge value, and runs one command through
+[rates], [methods] or [numerics] key to an edge value, and runs one command through
 ``cli.main`` with every method the kind offers. It must exit 0, 2 or 3; on
 exit 2 the message names the key, or the command that the kind does not
 offer; the rows written on exit 0 are finite.
@@ -48,8 +48,9 @@ def test_every_kind_is_fuzzed():
 @st.composite
 def _keys(draw):
     kind = draw(st.sampled_from(sorted(KINDS)))
-    section = draw(st.sampled_from(["source", "rates", "numerics"]))
-    keys = {"source": KINDS[kind][0], "rates": tuple(RATES), "numerics": tuple(NUMERICS)}
+    section = draw(st.sampled_from(["source", "rates", "methods", "numerics"]))
+    keys = {"source": KINDS[kind][0], "rates": tuple(RATES), "methods": ("methods",),
+            "numerics": tuple(NUMERICS)}
     return kind, section, draw(st.sampled_from(keys[section]))
 
 
@@ -62,9 +63,11 @@ def _config(kind, section, key, value):
                    for name, keys in sections.items())
 
 
-# the scenarios that once ended in a traceback, a run that did not finish, or
-# a non-finite row: folds or alias series over too many lattice shifts, a
-# bisection bracket that overflowed, a covariance table that overflowed
+# the scenarios that once ended in a traceback, a run that did not finish, a
+# non-finite row or no row: folds or alias series over too many lattice
+# shifts, a bisection bracket that overflowed, a covariance table that
+# overflowed, an empty method list
+@example(case=("am", "methods", "methods"), command="drf", value="")
 @example(case=("am", "source", "bandwidth"), command="drf", value="1e300")
 @example(case=("am", "source", "bandwidth"), command="bound", value="1e300")
 @example(case=("am", "source", "f0"), command="verify", value="1e-300")

@@ -7,12 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csdrf.drf
+from csdrf.cli import SOURCES, Scenario
 from csdrf.drf import (ContinuousDrfConfig, ContinuousDrfSolver,
-                       discrete_waterfiller, drf_am, drf_cs_at_resolution,
-                       drf_cs_discrete, drf_pam,
-                       lower_bound_continuous, lower_bound_discrete,
-                       pam_waterfiller, sampled_coding, sampled_source_coding,
-                       upper_bound_gaussian_psd)
+                       discrete_waterfiller, lower_bound_continuous,
+                       lower_bound_discrete, pam_waterfiller, sampled_coding)
 from csdrf.polyphase import (PsdPcMatrix, psd_pc_matrix_continuous,
                              psd_pc_matrix_discrete)
 from csdrf.quadrature import even_half, phi_grid, segmented_midpoint
@@ -23,7 +21,7 @@ from csdrf.spectra import (DiscreteCsProcess, PamCyclicSpectrum, PulseShape, am_
                            stationary_cyclic, triangle_pulse, triangular_psd,
                            white_cs, wiener_pulse)
 from csdrf.waterfilling import (BRACKET_EXP, EigenField, ScalarWaterfiller,
-                                WaterLevelUnderflow, discrete_stationary_drf, stationary_drf,
+                                WaterLevelUnderflow, discrete_stationary_drf,
                                 stationary_waterfiller)
 
 
@@ -37,22 +35,23 @@ def test_single_slot_reduces_to_scalar_waterfilling():
     def spectrum(phi):
         return np.abs(1.0 + 0.6 * np.exp(-2j * np.pi * phi)) ** 2
 
+    sw = discrete_waterfiller(proc)
     for rate in (0.2, 1.0, 3.0):
-        fast = drf_cs_discrete(proc, rate)
+        fast = sw.solve(rate)
         ref = discrete_stationary_drf(spectrum, rate)
         assert fast.distortion == pytest.approx(ref.distortion, rel=1e-12)
 
 
 def test_alternating_hand_value():
     proc = white_cs([1.0, 4.0])
-    pt = drf_cs_discrete(proc, 0.5)
+    pt = discrete_waterfiller(proc).solve(0.5)
     assert pt.distortion == pytest.approx(1.0, rel=1e-9)
     assert pt.theta == pytest.approx(1.0, rel=1e-9)
 
 
 def test_zero_rate_is_average_power():
     proc = modulated_ma([0.9, 1.2, 0.7], [1.0, 0.3])
-    pt = drf_cs_discrete(proc, 0.0)
+    pt = discrete_waterfiller(proc).solve(0.0)
     assert pt.rate == 0.0
     assert pt.distortion == pytest.approx(proc.avg_power, rel=1e-12)
 
@@ -64,18 +63,20 @@ def test_zero_rate_is_average_power():
 def test_stationary_spec_constant_in_resolution():
     base = triangular_psd(1.0, 1.0)
     spec = stationary_cyclic(base, 0.5 / base.support_radius)
-    ref = stationary_drf(base, 1.0)
+    ref = stationary_waterfiller(base).solve(1.0)
+    solver = ContinuousDrfSolver(spec)
     for m in (1, 2, 4):
-        pt = drf_cs_at_resolution(spec, 1.0, m)
+        pt = solver.point_at(1.0, m)
         assert pt.distortion == pytest.approx(ref.distortion, rel=1e-9)
 
 
 def test_am_above_twice_bandwidth_matches_baseband_at_every_resolution():
     base = flat_psd(1.0, 1.0)
     spec = am_cpsd(base, 4.0)
-    ref = stationary_drf(base, 1.0)
+    ref = stationary_waterfiller(base).solve(1.0)
+    solver = ContinuousDrfSolver(spec)
     for m in (4, 8, 16):
-        pt = drf_cs_at_resolution(spec, 1.0, m)
+        pt = solver.point_at(1.0, m)
         assert pt.distortion == pytest.approx(ref.distortion, rel=1e-6)
 
 
@@ -83,10 +84,11 @@ def test_pam_matches_closed_form_at_every_resolution():
     base = triangular_psd(1.0, 1.0)
     pulse = raised_cosine_pulse(0.8, 0.3)
     spec = pam_cpsd(base, pulse, 0.8)
+    closed, solver = pam_waterfiller(spec), ContinuousDrfSolver(spec)
     for rate in (0.4, 1.5):
-        ref = drf_pam(base, pulse, 0.8, rate)
+        ref = closed.solve(rate)
         for m in (4, 8, 16):
-            pt = drf_cs_at_resolution(spec, rate, m)
+            pt = solver.point_at(rate, m)
             assert pt.distortion == pytest.approx(ref.distortion, rel=1e-6)
 
 
@@ -118,7 +120,7 @@ def test_levels_too_coarse_for_the_rate_are_skipped():
     # at R = 4 the schedule from M = 1 skips it and runs as the one from M = 2
     spec = am_cpsd(flat_psd(1.0, 1.0), 0.0625)
     with pytest.raises(WaterLevelUnderflow, match="resolvable maximum 3.75"):
-        drf_cs_at_resolution(spec, 4.0, 1)
+        ContinuousDrfSolver(spec).point_at(4.0, 1)
     a = ContinuousDrfSolver(spec, ContinuousDrfConfig(m_start=1)).solve(4.0)
     b = ContinuousDrfSolver(spec, ContinuousDrfConfig(m_start=2)).solve(4.0)
     assert a == b
@@ -540,11 +542,12 @@ def test_asymmetric_grid_is_decomposed_whole(monkeypatch):
 def test_super_nyquist_unit_gain_interpolation_equals_baseband():
     # |P| = T0 on the Nyquist band reconstructs the source with unit gain
     base = flat_psd(0.4, 1.0)
+    baseband = stationary_waterfiller(base)
     for t0 in (1.0, 0.7):
-        pulse = ideal_interp_pulse(t0)
+        sw = pam_waterfiller(pam_cpsd(base, ideal_interp_pulse(t0), t0))
         for rate in (0.5, 2.0):
-            pt = drf_pam(base, pulse, t0, rate)
-            ref = stationary_drf(base, rate)
+            pt = sw.solve(rate)
+            ref = baseband.solve(rate)
             assert pt.distortion == pytest.approx(ref.distortion, rel=1e-9)
 
 
@@ -558,16 +561,18 @@ def test_staircase_equals_sampled_sequence_curve():
     def sample_spectrum(phi):
         return spec.sampled_base_psd(phi / t0)
 
+    sw = pam_waterfiller(spec)
     for rate in (0.35, 1.0, 2.2):
-        pt = drf_pam(base, rect_pulse(t0), t0, rate)
+        pt = sw.solve(rate)
         ref = discrete_stationary_drf(sample_spectrum, rate * t0)
         assert pt.distortion == pytest.approx(ref.distortion, rel=1e-9)
 
 
 def test_zero_pulse_zero_distortion_at_any_rate():
     zero = PulseShape(lambda f: np.zeros_like(f, dtype=complex), 0.0, 0.1)
+    sw = pam_waterfiller(pam_cpsd(flat_psd(1.0, 1.0), zero, 1.0))
     for rate in (0.0, 1.0, 10.0):
-        pt = drf_pam(flat_psd(1.0, 1.0), zero, 1.0, rate)
+        pt = sw.solve(rate)
         assert pt.distortion == 0.0
 
 
@@ -576,27 +581,30 @@ def test_zero_pulse_zero_distortion_at_any_rate():
 # ---------------------------------------------------------------------------
 
 def test_am_exact_path_above_twice_bandwidth():
+    # the CLI's AM source takes the baseband curve once the carrier clears
+    # twice the bandwidth: no refinement (M = 0), the stationary curve's values
     base = triangular_psd(1.0, 1.0)
-    for rate in (0.3, 1.0, 4.0):
-        res = drf_am(base, 4.0, rate)
-        assert res.exact
-        ref = stationary_drf(base, rate)
-        assert res.point.distortion == pytest.approx(ref.distortion, rel=1e-12)
+    (src,) = SOURCES["am"](Scenario("am", family="triangular", f0=4.0))
+    rates = np.array([0.3, 1.0, 4.0])
+    baseband = stationary_waterfiller(base)
+    for rate, (d, _, m, converged) in zip(rates, src.curves["drf"](rates)):
+        assert m == 0 and converged
+        assert d == pytest.approx(baseband.solve(float(rate)).distortion, rel=1e-12)
 
 
 def test_am_zero_rate_power_preserved():
     base = triangular_psd(1.0, 1.0)
-    res = drf_am(base, 1.2, 0.0)
+    res = ContinuousDrfSolver(am_cpsd(base, 1.2)).solve(0.0)
     assert res.point.distortion == pytest.approx(1.0, rel=1e-9)
 
 
 def test_am_numeric_below_gaussian_psd_upper_bound():
     base = triangular_psd(1.0, 1.0)
+    am = ContinuousDrfSolver(am_cpsd(base, 1.2))
+    upper = stationary_waterfiller(am_gaussian_psd(base, 1.2))
     for rate in np.geomspace(0.25, 4.0, 8):
-        am = drf_am(base, 1.2, float(rate))
-        assert not am.exact
-        ub = upper_bound_gaussian_psd(base, 1.2, float(rate))
-        assert am.point.distortion <= ub.distortion + 1e-9
+        d = am.solve(float(rate)).point.distortion
+        assert d <= upper.solve(float(rate)).distortion + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -607,8 +615,9 @@ def test_discrete_bound_sandwich_and_endpoints():
     proc = white_cs([1.0, 4.0])
     assert lower_bound_discrete(proc, 0.0) == pytest.approx(2.5, rel=1e-9)
     rates = [0.25, 0.5, 1.0, 2.0]
+    sw = discrete_waterfiller(proc)
     for rate, lb in zip(rates, lower_bound_discrete(proc, rates)):
-        drf = drf_cs_discrete(proc, rate).distortion
+        drf = sw.solve(rate).distortion
         assert lb <= drf + 1e-12
     # hand value: each coordinate coded at 2 * 0.5 = 1 bit per own symbol
     lb = lower_bound_discrete(proc, 0.5)
@@ -617,7 +626,7 @@ def test_discrete_bound_sandwich_and_endpoints():
 
 def test_discrete_bound_tight_at_high_rate():
     proc = white_cs([1.0, 4.0])
-    gap = drf_cs_discrete(proc, 20.0).distortion - lower_bound_discrete(proc, 20.0)
+    gap = discrete_waterfiller(proc).solve(20.0).distortion - lower_bound_discrete(proc, 20.0)
     assert abs(gap) <= 1e-4 * proc.avg_power
 
 
@@ -625,9 +634,9 @@ def test_continuous_bound_zero_rate_and_am_ordering():
     spec = am_cpsd(triangular_psd(1.0, 1.0), 1.2)
     assert lower_bound_continuous(spec, 0.0) == pytest.approx(spec.avg_power, rel=1e-9)
     rates = [0.3, 1.0, 2.5]
+    solver = ContinuousDrfSolver(spec)
     for rate, lb in zip(rates, lower_bound_continuous(spec, rates)):
-        am = drf_am(triangular_psd(1.0, 1.0), 1.2, rate)
-        assert lb <= am.point.distortion + 1e-9
+        assert lb <= solver.solve(rate).point.distortion + 1e-9
 
 
 def test_staircase_bound_attains_the_curve():
@@ -635,8 +644,9 @@ def test_staircase_bound_attains_the_curve():
     base = flat_psd(1.0, 1.0)
     spec = pam_cpsd(base, rect_pulse(1.0), 1.0)
     rates = [0.3, 0.9, 1.8]
+    sw = pam_waterfiller(spec)
     for rate, lb in zip(rates, lower_bound_continuous(spec, rates)):
-        pt = drf_pam(base, rect_pulse(1.0), 1.0, rate)
+        pt = sw.solve(rate)
         assert lb == pytest.approx(pt.distortion, rel=1e-6)
 
 
@@ -803,32 +813,34 @@ def test_wiener_pam_equals_the_mmse_fold(family, bandwidth, power, ratio, rates)
     base = FAMILIES[family](bandwidth, power)
     fs = ratio * bandwidth
     grid = _estimate(base, fs).band_grid(512)
+    mmse, sw = sampled_coding(base, fs, 512)
     for rate in rates:
-        total, pt = sampled_source_coding(base, fs, rate * bandwidth, 512)
+        pt = sw.solve(rate * bandwidth)
         ref_total, ref_theta = _reference_sampled_coding(base, fs, rate * bandwidth, grid)
-        assert total == pytest.approx(ref_total, rel=1e-12, abs=0.0)
-        assert pt.theta == pytest.approx(ref_theta, rel=1e-12, abs=0.0)
+        assert mmse + pt.distortion == pytest.approx(ref_total, rel=1e-12, abs=0.0)
+        assert fs * pt.theta == pytest.approx(ref_theta, rel=1e-12, abs=0.0)
 
 
 def test_sampled_coding_super_nyquist_equals_baseband():
     base = flat_psd(1.0, 1.0)
+    baseband = stationary_waterfiller(base)
     for fs in (2.0, 3.1):
+        mmse, sw = sampled_coding(base, fs)
         for rate in (0.5, 1.0, 3.0):
-            total, _ = sampled_source_coding(base, fs, rate)
-            assert total == pytest.approx(stationary_drf(base, rate).distortion,
-                                          rel=1e-9, abs=1e-12)
+            assert mmse + sw.solve(rate).distortion == pytest.approx(
+                baseband.solve(rate).distortion, rel=1e-9, abs=1e-12)
 
 
 def test_sampled_coding_saturates_at_estimation_error():
     base = flat_psd(1.0, 1.0)
-    mmse, _ = sampled_coding(base, 1.0)
-    total, _ = sampled_source_coding(base, 1.0, 60.0)
+    mmse, sw = sampled_coding(base, 1.0)
+    total = mmse + sw.solve(60.0).distortion
     assert total - mmse <= 1e-9
 
 
 def test_sampled_coding_flat_overlap_value():
-    total, _ = sampled_source_coding(flat_psd(1.0, 1.0), 1.0, 1.0)
-    assert total == pytest.approx(0.5 + 0.5 * 0.25, rel=1e-9)
+    mmse, sw = sampled_coding(flat_psd(1.0, 1.0), 1.0)
+    assert mmse + sw.solve(1.0).distortion == pytest.approx(0.5 + 0.5 * 0.25, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -844,8 +856,9 @@ def test_monotone_information_content_in_symbol_rate():
         pulse = rect_pulse(t0)
         spec = pam_cpsd(base, pulse, t0)
         gain2 = base.total_power / spec.avg_power
-        curves.append(np.array([
-            gain2 * drf_pam(base, pulse, t0, float(r)).distortion for r in rates]))
-    curves.append(np.array([stationary_drf(base, float(r)).distortion for r in rates]))
+        sw = pam_waterfiller(spec)
+        curves.append(np.array([gain2 * sw.solve(float(r)).distortion for r in rates]))
+    baseband = stationary_waterfiller(base)
+    curves.append(np.array([baseband.solve(float(r)).distortion for r in rates]))
     for low, high in zip(curves, curves[1:]):
         assert np.all(low < high)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import csdrf.oracle
 from csdrf.cli import Scenario, _normalized_pam, make_base
+from csdrf.drf import pam_waterfiller
 from csdrf.oracle import (BlockCovariance, KernelGrid, build_kernel, kl_drf,
                           step_approximation, weyl_gap)
 from csdrf.quadrature import gauss_segments
@@ -16,7 +17,8 @@ from csdrf.spectra import (DiscreteCsProcess, am_cpsd, flat_psd, ideal_interp_pu
                            modulated_ma, pam_cpsd, raised_cosine_psd, raised_cosine_pulse,
                            rect_pulse, stationary_cyclic, triangle_pulse,
                            triangular_psd, white_cs)
-from csdrf.waterfilling import NotPositiveSemidefinite, _clip_eigenvalues, stationary_drf
+from csdrf.waterfilling import (NotPositiveSemidefinite, _clip_eigenvalues,
+                                stationary_waterfiller)
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +465,8 @@ def test_window_doubling_halves_the_gap():
     # the finite-window curve approaches the spectral value; the error
     # roughly halves per window doubling on band-limited sources
     base = flat_psd(1.0, 1.0)
-    cases = [
-        (stationary_cyclic(base, 0.25), stationary_drf(base, 1.0).distortion),
-        (am_cpsd(base, 4.0), stationary_drf(base, 1.0).distortion),
-    ]
+    baseband = stationary_waterfiller(base).solve(1.0).distortion
+    cases = [(stationary_cyclic(base, 0.25), baseband), (am_cpsd(base, 4.0), baseband)]
     for spec, ref in cases:
         gaps = []
         for periods, n in ((8, 256), (16, 512), (32, 1024)):
@@ -539,8 +539,8 @@ def test_staircase_oracle_agreement_all_families(family):
     base = family(1.0, 1.0)
     spec = pam_cpsd(base, rect_pulse(1.0), 1.0)
     oracle = kl_drf(build_kernel(spec, 8.0, 256))
-    from csdrf.drf import drf_pam
+    closed = pam_waterfiller(spec)
     for rate in np.geomspace(0.1, 2.0, 6):
-        fast = drf_pam(base, rect_pulse(1.0), 1.0, float(rate)).distortion
+        fast = closed.solve(float(rate)).distortion
         ref = oracle.solve(float(rate)).distortion
         assert fast == pytest.approx(ref, rel=1e-3)

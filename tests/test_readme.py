@@ -15,7 +15,8 @@ def test_library_quick_tour_runs():
     namespace = {}
     exec(compile(block, "README.md quick tour", "exec"), namespace)
     # the comments' claims hold
-    first = namespace["csdrf"].drf_cs_discrete(namespace["proc"], 0.5)
+    first = namespace["pt"]
     assert first.distortion == pytest.approx(1.0) and first.theta == pytest.approx(1.0)
-    assert len(namespace["lb"]) == 2 and namespace["res"].exact
+    assert len(namespace["lb"]) == 2 and namespace["res"].converged
+    assert namespace["res"].point.distortion <= namespace["ub"].distortion
     assert namespace["total"] == namespace["mmse"] + namespace["coder"].solve(1.0).distortion

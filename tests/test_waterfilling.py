@@ -14,7 +14,7 @@ from csdrf.waterfilling import (BRACKET_EXP, MAX_BISECT, NORMAL_FLOOR, SLICE_ENT
                                 NotPositiveSemidefinite, RateDistortionPoint,
                                 ScalarWaterfiller, WaterLevelUnderflow,
                                 discrete_stationary_drf, hermitian_eigenvalues,
-                                stationary_drf, stationary_waterfiller)
+                                stationary_waterfiller)
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +188,15 @@ def test_distortion_vanishes_for_small_theta_on_bounded_support():
 # ---------------------------------------------------------------------------
 
 def test_flat_band_continuous_closed_form():
-    base = flat_psd(1.0, 1.0)
+    sw = stationary_waterfiller(flat_psd(1.0, 1.0))
     for rate in (0.0, 1.0, 3.0):
-        pt = stationary_drf(base, rate)
+        pt = sw.solve(rate)
         assert pt.distortion == pytest.approx(2.0 ** -rate, rel=1e-9)
 
 
 def test_rate_zero_gives_total_power():
     base = triangular_psd(0.7, 1.3)
-    assert stationary_drf(base, 0.0).distortion == pytest.approx(1.3, rel=1e-12)
+    assert stationary_waterfiller(base).solve(0.0).distortion == pytest.approx(1.3, rel=1e-12)
 
 
 def test_triangular_matches_folded_discrete_evaluation():
@@ -204,7 +204,7 @@ def test_triangular_matches_folded_discrete_evaluation():
     # rate preserves the curve after converting rate per second to per symbol
     base = triangular_psd(1.0, 1.0)
     fs = 2.0
-    cont = stationary_drf(base, 1.0)
+    cont = stationary_waterfiller(base).solve(1.0)
 
     def folded(phi):
         return fs * base(fs * phi)     # single alias inside [-1/2, 1/2]
@@ -214,9 +214,9 @@ def test_triangular_matches_folded_discrete_evaluation():
 
 
 def test_solved_rate_hits_target():
-    base = raised_cosine_psd(1.0, 1.0)
+    sw = stationary_waterfiller(raised_cosine_psd(1.0, 1.0))
     for target in (0.3, 1.7, 12.0):
-        pt = stationary_drf(base, target)
+        pt = sw.solve(target)
         assert pt.rate == pytest.approx(target, rel=1e-9, abs=1e-9)
 
 
@@ -245,7 +245,8 @@ def test_diagonal_field_equals_average_of_scalar_evaluations():
 def test_curve_convexity():
     base = triangular_psd(1.0, 1.0)
     rates = np.linspace(0.0, 4.0, 15)
-    d = np.array([stationary_drf(base, r).distortion for r in rates])
+    sw = stationary_waterfiller(base)
+    d = np.array([sw.solve(r).distortion for r in rates])
     assert np.all(np.diff(d) <= 1e-9 * d[0])               # non-increasing
     assert np.all(np.diff(d, 2) >= -1e-9 * d[0])           # convex on the uniform grid
 
