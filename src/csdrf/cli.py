@@ -13,7 +13,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from typing import Callable
 
@@ -122,6 +122,13 @@ IN_RANGE = {"positive": lambda x: x > 0.0, "nonnegative": lambda x: x >= 0.0,
             "in (0, 1]": lambda x: 0.0 < x <= 1.0, "any": lambda x: True}
 
 
+# section -> the keys some source kind reads there; any other is a config error
+_KEYS = {"source": {"kind", "family", "pulse", "normalize_power", "include_baseband",
+                    "symbol_rate", *SOURCE_NUMBERS},
+         "rates": {"min", "max", "count", "spacing"}, "methods": {"methods"},
+         "numerics": set(NUMERICS), "output": {"path"}}
+
+
 def _check_source(key, value, bound):
     values = value if isinstance(value, tuple) else (value,)
     if not (values or key == "mod_scales") or \
@@ -132,13 +139,20 @@ def _check_source(key, value, bound):
 
 
 def load_scenario(path: str) -> Scenario:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no default section: [DEFAULT] is one more section that no kind reads
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         read = cp.read(path)
     except configparser.Error as exc:          # e.g. a duplicated key, named in the message
         raise ConfigError(str(exc)) from exc
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
+    for section in cp.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}]; expected one of {tuple(_KEYS)}")
+        for key in cp.options(section):
+            if key not in _KEYS[section]:
+                raise ConfigError(f"unknown key [{section}] {key}")
     if not cp.has_section("source"):
         raise ConfigError("missing required section [source]")
     kind = _get(cp, "source", "kind", str, required=True).strip()
@@ -154,6 +168,8 @@ def load_scenario(path: str) -> Scenario:
         value = _get(cp, "source", key, cast, getattr(sc, key))
         _check_source(key, value, bound)
         setattr(sc, key, value)
+    if len(set(sc.symbol_rates)) < len(sc.symbol_rates):
+        raise ConfigError(f"[source] symbol_rates repeats a rate, got {sc.symbol_rates!r}")
     if cp.has_option("source", "symbol_rate") and not cp.has_option("source", "symbol_rates"):
         single = _get(cp, "source", "symbol_rate", float)
         _check_source("symbol_rate", single, "positive")
@@ -224,27 +240,15 @@ def make_discrete(sc: Scenario) -> DiscreteCsProcess:
 
 
 def _normalized_pam(sc: Scenario, base: StationaryPsd, fs: float) -> PamCyclicSpectrum:
+    """PAM spectrum at symbol rate fs. ``normalize_power`` scales the symbols by g,
+    g^2 = P / A, P the base power and A the PAM power: the pulse scaled by g."""
     t0 = 1.0 / fs
     pulse = make_pulse(sc, t0)
     spec = pam_cpsd(base, pulse, t0)
     if sc.normalize_power and spec.avg_power > 0.0:
-        gain = float(np.sqrt(base.total_power / spec.avg_power))
-        spec = pam_cpsd(base, _scaled_pulse(pulse, gain), t0)
+        power = base.total_power
+        spec = pam_cpsd(make_base(replace(sc, power=power * (power / spec.avg_power))), pulse, t0)
     return spec
-
-
-def _scaled_pulse(pulse: PulseShape, gain: float) -> PulseShape:
-    def fourier(f):
-        return gain * pulse.fourier(f)
-
-    time_fn = None
-    if pulse.time_fn is not None:
-        def time_fn(t):
-            return gain * pulse.time_fn(t)
-
-    return PulseShape(fourier, gain * gain * pulse.energy, pulse.support_radius,
-                      time_fn, pulse.time_window, pulse.breakpoints,
-                      f"{pulse.name}*{gain:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +402,7 @@ def _pam_sources(sc):
     """One source per symbol rate, then the baseband source they are compared with."""
     base = make_base(sc)
     multi = len(sc.symbol_rates) > 1
-    sources = [_pam_source(sc, _normalized_pam(sc, base, fs), f":fs={fs:g}" if multi else "")
+    sources = [_pam_source(sc, _normalized_pam(sc, base, fs), f":fs={fs!r}" if multi else "")
                for fs in sc.symbol_rates]
     return sources + [Source(None, {"baseband": _stationary(sc, base)})]
 

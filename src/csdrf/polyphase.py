@@ -11,7 +11,7 @@ entire rate-distortion content of the source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, floor, gcd, isfinite
+from math import ceil, gcd, isfinite
 from typing import Callable
 
 import numpy as np
@@ -123,19 +123,20 @@ def saturation_dim(spec: CyclicSpectrum) -> int | None:
     """Resolution from which the nonzero polyphase spectrum only rescales.
 
     Alias k of S(phi) holds cpsd(., (phi - k)/T0), which vanishes for every
-    phi in (-1/2, 1/2) unless |k| - 1/2 < T0 f_rad; so at most
-    s = 2 floor(T0 f_rad + 1/2) + 1 consecutive aliases are nonzero. From
-    dim = s on they fall on distinct residues, and the nonzero eigenvalues of
-    the polyphase matrix are (dim/T0) eig S(phi): doubling dim doubles every
-    eigenvalue and changes nothing else. Returns s, or None where no such
-    resolution exists: a pulse-amplitude spectrum, whose rank-one level
-    depends on dim through the pulse samples, or a series that does not
-    truncate.
+    phi in (-1/2, 1/2) unless k is live, |k| - 1/2 < T0 f_rad; the
+    s = 2 ceil(T0 f_rad - 1/2) + 1 live aliases are consecutive (the float
+    T0 f_rad - 1/2 rounds only below 1/4, where the ceiling is 0 either way).
+    From dim = s on they fall on distinct residues, and the nonzero
+    eigenvalues of the polyphase matrix are (dim/T0) eig S(phi): doubling dim
+    doubles every eigenvalue and changes nothing else. Returns s, or None
+    where no such resolution exists: a pulse-amplitude spectrum, whose
+    rank-one level depends on dim through the pulse samples, or a series
+    that does not truncate.
     """
     if (hasattr(spec, "polyphase_factor") or spec.active_indices is None
             or not isfinite(spec.freq_radius)):
         return None
-    return 2 * floor(spec.period * spec.freq_radius + 0.5) + 1
+    return 2 * ceil(spec.period * spec.freq_radius - 0.5) + 1
 
 
 def psd_pc_matrix_continuous(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
@@ -227,8 +228,8 @@ def folded_alias_matrix(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
     flat = np.concatenate([np.zeros(0, dtype=int)] +
                           [residue[i] * side + residue[i + n] for n, i in inside.items()])
 
-    # positions of the live aliases, |k| - 1/2 < T0 f_rad with k = position - kmax
-    live = pos[np.abs(pos - pos.size // 2) - 0.5 < spec.period * spec.freq_radius].tolist()
+    # positions of the live aliases, |k| <= (s - 1)/2 with k = position - kmax
+    live = pos[np.abs(pos - pos.size // 2) <= saturation_dim(spec) // 2].tolist()
     g = gcd(*spec.active_indices)
     if len(live) > dim:             # aliases dim apart share a residue, and its block
         g = gcd(g, dim)

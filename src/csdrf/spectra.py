@@ -55,16 +55,14 @@ def _lattice_fold(fn, f, radius: float, period: float) -> np.ndarray:
     """sum_l fn(f - l/period) for a function that vanishes outside |x| <= radius.
 
     Every shift that can reach the support at some f is summed, in ascending
-    l. The folded base density, the aliased pulse energy and the Wiener pulse
-    all fold through here.
+    l; the sum is real or complex as ``fn`` is. The folded base density, the
+    aliased pulse energy, the Wiener pulse, the polyphase component spectra
+    and the pulse bank's gain all fold through here.
     """
     f = np.asarray(f, dtype=float)
-    out = np.zeros(f.shape, dtype=float)
     lo = floor((f.min() - radius) * period) - 1
     hi = ceil((f.max() + radius) * period) + 1
-    for l in range(lo, hi + 1):
-        out += fn(f - l / period)
-    return out
+    return sum(fn(f - l / period) for l in range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +386,10 @@ class CyclicSpectrum:
         self._require_finite("pc_psd")
         t = np.asarray(t, dtype=float)
         phi = np.asarray(phi, dtype=float)
-        kr = self.period * self.freq_radius
-        shifts = range(floor(phi.min() - kr), ceil(phi.max() + kr) + 1)
         out = np.zeros(t.shape + phi.shape)
         for n in self.active_indices:
-            fold = np.zeros(phi.shape, dtype=complex)
-            for k in shifts:
-                fold += self.cpsd(n, (phi - k) / self.period)
+            fold = _lattice_fold(lambda x: self.cpsd(n, x / self.period), phi,
+                                 self.period * self.freq_radius, 1.0)
             out += np.multiply.outer(np.exp(TWO_PI * 1j * n * t / self.period), fold).real
         return np.maximum(out / self.period, 0.0)
 
@@ -441,9 +436,10 @@ class CyclicSpectrum:
         return out if np.ndim(n) else out[0]
 
     def covariance(self, times, step):
-        """Covariance matrix E[X(t_i) X(t_j)] at times on a lattice of ``step``.
+        """Covariance matrix E[X(t_i) X(t_j)] at times on a lattice of ``step``;
+        a model with a ``covariance_factor`` gives its product P R P^T instead.
 
-        The times are t_i = t_0 + k_i step with integer k_i (within 1e-6 of a
+        Otherwise the times are t_i = t_0 + k_i step with integer k_i (within 1e-6 of a
         step). Entry (i, j) is sum_n cyclic_autocorr(n, (k_i - k_j) step)
         exp(2 pi i n t_j / T0): one ``cyclic_autocorr`` call evaluates every
         active harmonic at the integer offsets k step, k = -K..K for
@@ -452,6 +448,9 @@ class CyclicSpectrum:
         n^2, no difference of two times is taken, and a quadrature transform
         builds its exponential matrix once per kernel.
         """
+        factor = self.covariance_factor(times)
+        if factor is not None:
+            return factor_product(factor)
         self._require_finite("covariance")
         t = _time_vector(times)
         k = _lattice_offsets(t, step)
@@ -587,14 +586,8 @@ class PamCyclicSpectrum(CyclicSpectrum):
             active = None       # e.g. rectangular pulse: every harmonic carries energy
             radius = np.inf
 
-        breaks = set()
-        half = 0.5 / t0
-        for b in base.breakpoints:
-            breaks.update(fold_breakpoints([b], t0))
-        for b in pulse.breakpoints:
-            breaks.update(fold_breakpoints([b], t0))
-        band_breaks = tuple(sorted(x / t0 for x in breaks))  # physical f inside the band
-
+        # physical frequencies inside the band where an aliased copy kinks
+        band_breaks = [x / t0 for x in fold_breakpoints(base.breakpoints + pulse.breakpoints, t0)]
         super().__init__(
             period=t0,
             cpsd_fn=self._cpsd_impl,
@@ -604,7 +597,6 @@ class PamCyclicSpectrum(CyclicSpectrum):
             breakpoints=band_breaks,
             name=f"pam({base.name},{pulse.name})",
         )
-        self._band_breaks = band_breaks
         self.avg_power = self._integrate_profile() / t0
 
     # -- spectral building blocks --------------------------------------------
@@ -641,7 +633,7 @@ class PamCyclicSpectrum(CyclicSpectrum):
     def band_grid(self, n: int):
         """Quadrature grid on (-1/(2 T0), 1/(2 T0)) aligned to profile breakpoints."""
         half = 0.5 / self.period
-        return segmented_midpoint(-half, half, n, self._band_breaks)
+        return segmented_midpoint(-half, half, n, self.breakpoints)
 
     def _integrate_profile(self, n: int = 4096) -> float:
         g = self.band_grid(n)
@@ -672,14 +664,9 @@ class PamCyclicSpectrum(CyclicSpectrum):
                     out += w * np.exp(-TWO_PI * 1j * phi * a)
             return out
         if isfinite(self.pulse.support_radius):
-            fp = self.pulse.support_radius
-            out = np.zeros(phi.shape, dtype=complex)
-            lo = floor(phi.min() - fp * t0) - 1
-            hi = ceil(phi.max() + fp * t0) + 1
-            for l in range(lo, hi + 1):
-                x = phi + l
-                out += self.pulse.fourier(x / t0) * np.exp(TWO_PI * 1j * x * t / t0) / t0
-            return out
+            def alias(x):
+                return self.pulse.fourier(x / t0) * np.exp(TWO_PI * 1j * x * t / t0) / t0
+            return _lattice_fold(alias, phi, self.pulse.support_radius * t0, 1.0)
         raise TruncationError("synthesis_gain: pulse representable in neither domain")
 
     def polyphase_factor(self, dim: int, phi):
@@ -705,18 +692,6 @@ class PamCyclicSpectrum(CyclicSpectrum):
         gains = np.array([self.synthesis_gain(ti, phi) for ti in t.ravel()])
         power = (gains * gains.conj()).real.reshape(t.shape + phi.shape)
         return fold * power
-
-    def phi_breakpoints(self):
-        return fold_breakpoints(self._band_breaks, self.period)
-
-    def covariance(self, times, step):
-        """Covariance matrix P R_U P^T for pulses with a time window
-        (``covariance_factor``), which needs no lattice; other pulses take the
-        generic lag-domain path."""
-        factor = self.covariance_factor(times)
-        if factor is None:
-            return super().covariance(times, step)
-        return factor_product(factor)
 
     def covariance_factor(self, times):
         """(P, R_U) for pulses with a time window, else None.

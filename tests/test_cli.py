@@ -144,8 +144,8 @@ def test_config_error_names_the_key(tmp_path, capsys):
 
 
 def test_config_error_names_convergence_tol(tmp_path, capsys):
-    """Every bad [source], [rates] or [numerics] value and every parse error
-    exits 2 naming the key."""
+    """Every bad [source], [rates] or [numerics] value, every parse error and
+    every key or section that no kind reads exits 2 naming the key."""
     am = "[source]\nkind = am\nf0 = 1.2\n"
     numerics = [("convergence_tol", v) for v in ("-1", "nan", "inf")]
     numerics += [("oracle_tol", v) for v in ("nan", "-1", "inf")]
@@ -154,11 +154,17 @@ def test_config_error_names_convergence_tol(tmp_path, capsys):
                  ("spectra_m", "0"), ("spectra_points", "0")]
     cases = [(key, am + f"[numerics]\n{key} = {value}\n") for key, value in numerics]
     cases += [("oracle_tol", am + "[numerics]\noracle_tol = 1e-3\noracle_tol = 1e-2\n"),
-              ("path", am + "[output]\npath = out%.csv\n")]    # '%' starts an interpolation
+              ("path", am + "[output]\npath = out%.csv\n"),    # '%' starts an interpolation
+              ("[numerics] phi_gird", am + "[numerics]\nphi_gird = 16\n"),
+              ("[source] f_0", am + "f_0 = 1.5\n"), ("[output] pth", am + "[output]\npth = x\n"),
+              ("[rates] spaceing", am + "[rates]\nspaceing = log\n"),
+              ("[outputs]", am + "[outputs]\npath = x.csv\n"),
+              ("[DEFAULT]", am + "[DEFAULT]\npath = x.csv\n")]
     source = [("am", "f0", "0"), ("am", "f0", "nan"), ("am", "phase", "nan"),
               ("stationary", "bandwidth", "-1"), ("stationary", "bandwidth", "inf"),
               ("stationary", "power", "-1"), ("stationary", "power", "nan"),
-              ("pam", "symbol_rates", "0.5 0"), ("pam", "symbol_rate", "-1"),
+              ("pam", "symbol_rates", "0.5 0"), ("pam", "symbol_rates", "0.5 0.9 0.50"),
+              ("pam", "symbol_rate", "-1"),
               ("pam", "pulse_beta", "2"), ("sampled-coding", "sampling_rate", "0"),
               ("discrete-cs", "variances", "1 -1"), ("discrete-cs", "variances", ""),
               ("discrete-cs", "variances", "1 nan"),
@@ -456,6 +462,22 @@ def test_rows_follow_method_order(tmp_path):
     cfg = _tiny(tmp_path, "am", "drf", "include_baseband = true\n")
     assert main(["drf", "--config", cfg, "--out", out]) == 0
     assert [r["method"] for r in _read_rows(out)] == ["drf"] * 3 + ["baseband"] * 3
+
+
+def test_pam_labels_keep_every_digit_of_the_symbol_rate(tmp_path):
+    # six significant digits wrote both curves as drf:fs=0.123457
+    out = str(tmp_path / "p.csv")
+    pam = f"[source]\nkind = pam\n{TINY['pam']}{TINY_NUMERICS}"
+    cfg = _write(tmp_path, "p.ini", pam.replace("0.5 0.9", "0.1234567 0.1234568"))
+    assert main(["drf", "--config", cfg, "--out", out]) == 0
+    assert [r["method"] for r in _read_rows(out)] == \
+        ["drf:fs=0.1234567"] * 3 + ["drf:fs=0.1234568"] * 3
+
+
+def test_a_key_that_some_kind_reads_is_accepted_by_every_kind(tmp_path):
+    other = "pulse = rect\npulse_beta = 0.3\nsymbol_rate = 2\nnormalize_power = true\n"
+    cfg = _tiny(tmp_path, "stationary", "drf", other + "include_baseband = false\nf0 = 3\n")
+    assert main(["drf", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
 
 
 AM_PHASE_CFG = """

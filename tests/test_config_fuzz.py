@@ -4,7 +4,8 @@ Each example takes a tiny scenario of one source kind, sets one [source],
 [rates], [methods] or [numerics] key to an edge value, and runs one command through
 ``cli.main`` with every method the kind offers. It must exit 0, 2 or 3; on
 exit 2 the message names the key, or the command that the kind does not
-offer; the rows written on exit 0 are finite.
+offer; the rows written on exit 0 are finite. A misspelled key always
+exits 2, naming its section and itself.
 """
 
 import contextlib
@@ -39,6 +40,8 @@ RATES = {"min": "0.5", "max": "2.0", "count": "3", "spacing": "linear"}
 NUMERIC_DEFAULTS = {"phi_grid": "32", "m_start": "2", "m_max": "4", "oracle_n": "16",
                     "oracle_periods": "2", "t_grid": "4"}
 VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300", "x", "")
+# one misspelled key per section, which no kind reads: it must exit 2
+TYPOS = {"source": "bandwith", "rates": "cont", "methods": "method", "numerics": "phi_gird"}
 
 
 def test_every_kind_is_fuzzed():
@@ -51,7 +54,7 @@ def _keys(draw):
     section = draw(st.sampled_from(["source", "rates", "methods", "numerics"]))
     keys = {"source": KINDS[kind][0], "rates": tuple(RATES), "methods": ("methods",),
             "numerics": tuple(NUMERICS)}
-    return kind, section, draw(st.sampled_from(keys[section]))
+    return kind, section, draw(st.sampled_from(keys[section] + (TYPOS[section],)))
 
 
 def _config(kind, section, key, value):
@@ -79,6 +82,8 @@ def _config(kind, section, key, value):
 @example(case=("stationary", "source", "power"), command="drf", value="1e300")
 @example(case=("discrete-cs", "source", "variances"), command="drf", value="1e300")
 @example(case=("discrete-cs", "source", "mod_scales"), command="verify", value="1e300")
+# and one that exited 0 on the default grid, its typo ignored
+@example(case=("pam", "numerics", "phi_gird"), command="drf", value="16")
 @settings(max_examples=100, deadline=None)
 @given(case=_keys(), command=st.sampled_from(["drf", "bound", "verify"]),
        value=st.sampled_from(VALUES))
@@ -92,6 +97,8 @@ def test_one_bad_key_exits_cleanly(case, command, value):
             code = main([command, "--config", str(cfg), "--out", str(out)])
         err = stderr.getvalue()
         assert code in (0, 2, 3), err
+        if key == TYPOS[section]:
+            assert code == 2 and f"[{section}] {key}" in err, err
         if code == 2:
             assert key in err or f"{command} is not available" in err, err
         if code == 0 and command != "verify":

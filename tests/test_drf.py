@@ -11,8 +11,8 @@ from csdrf.cli import SOURCES, Scenario
 from csdrf.drf import (ContinuousDrfConfig, ContinuousDrfSolver,
                        discrete_waterfiller, lower_bound_continuous,
                        lower_bound_discrete, pam_waterfiller, sampled_coding)
-from csdrf.polyphase import (PsdPcMatrix, psd_pc_matrix_continuous,
-                             psd_pc_matrix_discrete)
+from csdrf.polyphase import (PsdPcMatrix, folded_alias_matrix, psd_pc_matrix_continuous,
+                             psd_pc_matrix_discrete, saturation_dim)
 from csdrf.quadrature import even_half, phi_grid, segmented_midpoint
 from csdrf.spectra import (DiscreteCsProcess, PamCyclicSpectrum, PulseShape, am_cpsd,
                            am_gaussian_psd, flat_psd,
@@ -224,6 +224,8 @@ def _assert_every_iterate_is_its_built_level(solver, rate):
          phase=0.0, rate=12.0)                 # the early-stop curve: s = 23, J = 27
 @example(kind="am", family="triangular", bandwidth=1.0, power=1.0, carrier=1.2,
          phase=0.3, rate=2.0)                  # fig6 with a complex slice: s = 5, J = 9
+@example(kind="am", family="flat", bandwidth=1.0, power=1.0, carrier=2.0,
+         phase=0.0, rate=1.0)                  # T0 f_rad + 1/2 = 2, an integer: s = 3
 def test_levels_past_the_alias_span_are_exact_rescales(
         kind, family, bandwidth, power, carrier, phase, rate):
     # AM carriers up to the narrowband threshold 2 f_B, and stationary sources
@@ -239,8 +241,9 @@ def test_levels_past_the_alias_span_are_exact_rescales(
     dims = [2 ** i for i in range(8)]
     assert [d for d, _, _ in res.iterates] == dims and not res.converged
     # built up to the first level at or above the s aliases that can be
-    # nonzero, derived past it: the comparison above covers derived levels
-    s = 2 * floor(spec.period * spec.freq_radius + 0.5) + 1
+    # nonzero (|k| - 1/2 < T0 f_rad), derived past it: the comparison above
+    # covers derived levels
+    s = 2 * ceil(spec.period * spec.freq_radius - 0.5) + 1
     assert built == [d for d in dims if d < 2 * s]
 
 
@@ -272,6 +275,22 @@ def test_am_builds_only_the_levels_up_to_saturation(monkeypatch):
     assert built == [4, 8]
     assert all(r.converged and [d for d, _, _ in r.iterates] == [4, 8, 16] for r in results)
     assert all(r.cauchy_gaps[0] > 1e-2 and r.cauchy_gaps[1] == 0.0 for r in results)
+
+
+def test_saturation_counts_the_live_aliases_on_the_boundary(monkeypatch):
+    # T0 f_rad + 1/2 = 3 is an integer: aliases +-3 reach the band only at its
+    # edges, so 5 aliases are live, not 7, and M = 12 is derived from M = 6
+    spec = am_cpsd(flat_psd(1.5, 1.0), 1.0)
+    assert saturation_dim(spec) == 5
+    assert [b.tolist() for b in folded_alias_matrix(spec, 8).blocks] == [[2, 4, 6], [3, 5]]
+    cfg = ContinuousDrfConfig(3, 12, None, 0.0, 256)
+    built, results = _built_levels(monkeypatch, spec, cfg, (0.5, 2.0))
+    assert built == [3, 6]
+    built_12 = ContinuousDrfSolver(spec, cfg)
+    for rate, res in zip((0.5, 2.0), results):
+        assert [d for d, _, _ in res.iterates] == [3, 6, 12]
+        pt = built_12.point_at(rate, 12)
+        np.testing.assert_allclose(res.iterates[-1][1:], (pt.theta, pt.distortion), rtol=1e-12)
 
 
 @pytest.mark.parametrize("pulse", [rect_pulse(0.8), triangle_pulse(0.8),
@@ -430,6 +449,28 @@ SCALAR_FAMILIES = {"flat": flat_psd, "triangular": triangular_psd,
                    "raised_cosine": raised_cosine_psd}
 SCALAR_PULSES = {"rect": rect_pulse, "triangle": triangle_pulse, "ideal": ideal_interp_pulse,
                  "raised_cosine": lambda t: raised_cosine_pulse(t, 0.3)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(sorted(SCALAR_FAMILIES)), bandwidth=st.floats(0.25, 4.0),
+       power=st.floats(0.1, 10.0), pulse=st.sampled_from(sorted(SCALAR_PULSES)),
+       nyquist_share=st.floats(0.1, 2.0))
+def test_normalize_power_scales_the_pam_curve(family, bandwidth, power, pulse, nyquist_share):
+    # normalize_power scales the symbols by g, g^2 = P / A: every level of the
+    # PAM profile, and so theta and D at every rate, scale by g^2
+    fs = 2.0 * bandwidth * nyquist_share
+    rates = fs * np.array([0.05, 0.5, 2.0])
+    spec, curve = {}, {}
+    for normalize in (False, True):
+        sc = Scenario(kind="pam", family=family, bandwidth=bandwidth, power=power,
+                      pulse=pulse, pulse_beta=0.3, symbol_rates=(fs,),
+                      normalize_power=normalize, phi_grid=256)
+        src = SOURCES["pam"](sc)[0]
+        spec[normalize] = src.spec
+        curve[normalize] = np.array([pt[:2] for pt in src.curves["drf"](rates)])
+    gain2 = power / spec[False].avg_power
+    np.testing.assert_allclose(spec[True].avg_power, power, rtol=1e-12)
+    np.testing.assert_allclose(curve[True], gain2 * curve[False], rtol=1e-12)
 
 
 def _scalar_waterfillers(kind, base, ratio, n_grid):
