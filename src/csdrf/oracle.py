@@ -8,7 +8,10 @@ spectral fast paths at desk scale is the package's main validation.
 Each step does only the work its structure needs, with the result of the
 plain dense computation up to rounding. A kernel's grid times are a lattice,
 so its lags are the integer offsets k dt, k = -(n-1)..n-1, evaluated once
-each; a stepped kernel's times are a lattice of the step. A kernel is
+each; a stepped kernel's times are a lattice of the step. The harmonics are
+summed into a real matrix, harmonic 0 as the real part of its lag row alone
+(its phase factor is exactly 1), bit for bit the real part of the complex
+sum (``CyclicSpectrum.covariance``). A kernel is
 symmetrized once, when its grid is made. A PAM kernel with a time-windowed
 pulse is the product P R_U P^T of an n x s pulse matrix and an s x s symbol
 Toeplitz matrix: its nonzero eigenvalues are those of one s x s matrix, and
@@ -16,7 +19,12 @@ the other n - s are exact zeros, and its dense n x n values are formed only
 when something reads them (``weyl_gap``). A discrete block is filled one
 diagonal at a time from the covariance table. A diagonal block (a memoryless
 source) is its own sorted spectrum, which is what the dense decomposition
-returns for it bit for bit; any other kernel or block is decomposed dense.
+returns for it bit for bit. A dense kernel of even size that equals its
+reversal J K J within REVERSAL_TOL n eps max |K| (a stationary kernel, AM at
+phase 0 or pi/2, PAM with an even pulse: the grid is symmetric about 0) is
+decomposed as an even and an odd half of size n/2, each eigenvalue within
+the Weyl bound ||K - J K J||_2 / 2 of the dense one; any other kernel or
+block is decomposed dense.
 """
 
 from __future__ import annotations
@@ -27,6 +35,12 @@ import numpy as np
 
 from .spectra import CyclicSpectrum, DiscreteCsProcess, factor_product
 from .waterfilling import ScalarWaterfiller, _clip_eigenvalues
+
+# A dense kernel of even size n is decomposed as two halves when
+# max |K - J K J| <= REVERSAL_TOL n eps max |K| (``_reversal_halves``).
+REVERSAL_TOL = 8.0
+# ``weyl_gap`` allows WEYL_ROUNDING n eps max(|K_a|, |K_b|) of rounding.
+WEYL_ROUNDING = 16.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,9 +88,24 @@ class KernelGrid:
         reduced QR factorization P = Q Rp, the kernel is Q (Rp R Rp^T) Q^T,
         so its nonzero eigenvalues are those of the k x k matrix Rp R Rp^T,
         k = min(n, s) for s columns of P, and the other n - k are exact zeros.
+
+        A dense kernel of even size n = 2m that commutes with the reversal J
+        (J K J = K within REVERSAL_TOL n eps max |K|) is decomposed as two
+        m x m halves. With A and B the top blocks of S = (K + J K J)/2, the
+        orthogonal change of basis to the even vectors [x; J x] and the odd
+        ones [x; -J x] makes S block diagonal with blocks A + B J and A - B J.
+        The eigenvalues returned are those of S; by Weyl's inequality each
+        is within ||K - J K J||_2 / 2 <= (n/2) max |K - J K J| of the
+        corresponding eigenvalue of K, which is at most (REVERSAL_TOL/2) n eps
+        max |K| after the 1/n window normalization. Any other dense kernel
+        is decomposed whole.
         """
         if self.factor is None:
-            lam = np.linalg.eigvalsh(self.values)
+            halves = _reversal_halves(self.values)
+            if halves is None:
+                lam = np.linalg.eigvalsh(self.values)
+            else:
+                lam = np.sort(np.concatenate([np.linalg.eigvalsh(h) for h in halves]))
         else:
             pulses, inner = self.factor
             rp = np.linalg.qr(pulses, mode="r")
@@ -156,6 +185,30 @@ def step_approximation(kernel: KernelGrid, steps_per_period: int, period: float)
                       kernel.half_width, kernel.fn)
 
 
+def _reversal_halves(values: np.ndarray):
+    """The even and odd halves A + B J and A - B J of a kernel that commutes
+    with the reversal J, or None.
+
+    Taken for an even size n when max |K - J K J| <= REVERSAL_TOL n eps
+    max |K|, the top blocks of K and J K J compared entry by entry (the
+    bottom blocks repeat them reversed). A and B are the top blocks of
+    S = (K + J K J)/2, whose eigenvalues are those of the two halves.
+    """
+    n = values.shape[0]
+    if n % 2:
+        return None
+    m = n // 2
+    top_left, mirror_left = values[:m, :m], values[m:, m:][::-1, ::-1]
+    top_right, mirror_right = values[:m, m:], values[m:, :m][::-1, ::-1]
+    tol = REVERSAL_TOL * n * np.finfo(float).eps * max(values.max(), -values.min())
+    if (np.abs(top_left - mirror_left).max() > tol
+            or np.abs(top_right - mirror_right).max() > tol):
+        return None
+    top = 0.5 * (top_left + mirror_left)
+    flip = 0.5 * (top_right + mirror_right)[:, ::-1]
+    return top + flip, top - flip
+
+
 def _symmetric(values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     return 0.5 * (values + values.T)
@@ -206,7 +259,10 @@ def weyl_gap(a: KernelGrid, b: KernelGrid) -> WeylGap:
     Eigenvalues are those of the window-normalized operators, sorted
     descending; for self-adjoint kernels the operator perturbation is
     controlled by the sup norm of the kernel difference, which the observed
-    gap must not exceed (up to rounding).
+    gap must not exceed up to rounding. The rounding allowed is
+    WEYL_ROUNDING n eps max(|K_a|, |K_b|), the scale of the two
+    decompositions' own errors (a reversal split included), so the check
+    keeps its meaning at any kernel power.
     """
     if a.size != b.size or not np.allclose(a.times, b.times, rtol=0.0, atol=1e-12):
         raise ValueError("kernel grids do not match")
@@ -217,6 +273,7 @@ def weyl_gap(a: KernelGrid, b: KernelGrid) -> WeylGap:
     per_rank = np.abs(la - lb)
     gap = float(per_rank.max())
     bound = 2.0 * float(np.abs(a.values - b.values).max())
-    if gap > bound + 1e-9:
+    scale = max(np.abs(a.values).max(), np.abs(b.values).max())
+    if gap > bound + WEYL_ROUNDING * a.size * np.finfo(float).eps * scale:
         raise AssertionError(f"eigenvalue gap {gap:.6e} exceeds sup-norm bound {bound:.6e}")
     return WeylGap(gap, bound, per_rank)

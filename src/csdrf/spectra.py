@@ -292,7 +292,8 @@ def wiener_pulse(base: StationaryPsd, fs: float) -> PulseShape:
 
     P(f) = S(f) / (fs sum_k S(f - k fs)), and 0 where the fold vanishes. Its
     support is that of S, and ``energy`` integrates |P|^2 on a grid pinned
-    to the lattice shifts of the base breakpoints, where P kinks.
+    to the lattice shifts of the base breakpoints, where P kinks: the fold of
+    the breakpoints (``fold_breakpoints``) onto [-f_B, f_B] in units of fs.
     ``breakpoints`` are the base's own: a fold over 1/fs maps the shifts
     onto the same points.
     """
@@ -309,8 +310,7 @@ def wiener_pulse(base: StationaryPsd, fs: float) -> PulseShape:
         den = fs * _lattice_fold(base, f, f_b, t0)
         return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0).astype(complex)
 
-    kinks = [b + k * fs for b in base.breakpoints
-             for k in range(ceil((-f_b - b) / fs), floor((f_b - b) / fs) + 1)]
+    kinks = [fs * x for x in fold_breakpoints(base.breakpoints, t0, -f_b * t0, f_b * t0)]
     grid = segmented_midpoint(-f_b, f_b, 4096, kinks)
     energy = float(grid.weights @ np.abs(fourier(grid.nodes)) ** 2)
     return PulseShape(fourier, energy, f_b, None, None, base.breakpoints,
@@ -440,13 +440,21 @@ class CyclicSpectrum:
         a model with a ``covariance_factor`` gives its product P R P^T instead.
 
         Otherwise the times are t_i = t_0 + k_i step with integer k_i (within 1e-6 of a
-        step). Entry (i, j) is sum_n cyclic_autocorr(n, (k_i - k_j) step)
+        step). Entry (i, j) is Re sum_n cyclic_autocorr(n, (k_i - k_j) step)
         exp(2 pi i n t_j / T0): one ``cyclic_autocorr`` call evaluates every
         active harmonic at the integer offsets k step, k = -K..K for
         K = max k_i - min k_i, and each harmonic's row is gathered into the
         matrix, so the lag-domain work grows with the 2K + 1 lags, not with
         n^2, no difference of two times is taken, and a quadrature transform
         builds its exponential matrix once per kernel.
+
+        The sum accumulates into a real matrix. Harmonic 0 adds the real part
+        of its row alone: its factor e^0 is exactly 1 + 0j, so this is the
+        real part of the complex product bit for bit. Every other harmonic
+        keeps numpy's complex product and adds its real part, because a
+        product spelled in real arithmetic rounds differently from numpy's
+        (fused) complex multiply. Complex addition is componentwise, so the
+        result is the real part of the complex sum bit for bit.
         """
         factor = self.covariance_factor(times)
         if factor is not None:
@@ -458,10 +466,15 @@ class CyclicSpectrum:
         lags = step * np.arange(-span, span + 1)
         where = np.subtract.outer(k, k) + span
         rows = self.cyclic_autocorr(np.array(self.active_indices), lags)
-        out = np.zeros((t.size, t.size), dtype=complex)
+        out = np.zeros((t.size, t.size))
         for n, row in zip(self.active_indices, rows):
-            out += row[where] * np.exp(TWO_PI * 1j * n * t / self.period)
-        return out.real
+            if n == 0:
+                out += row.real[where]
+            else:
+                term = row[where]
+                term *= np.exp(TWO_PI * 1j * n * t / self.period)
+                out += term.real
+        return out
 
     def covariance_factor(self, times):
         """(P, R) with covariance P R P^T at the times and R symmetric, for

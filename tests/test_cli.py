@@ -552,14 +552,16 @@ def _curve_cfg(tmp_path, kind, count, source=None):
 MODULATED_MA = "mod_scales = 1 0.5\nma_taps = 1 0.4\n"
 
 
-@pytest.mark.parametrize("kind, source, dense", [
-    ("stationary", None, 1), ("discrete-cs", None, 0), ("discrete-cs", MODULATED_MA, 1),
-    ("am", None, 1), ("pam", None, 0)],
+@pytest.mark.parametrize("kind, source, shapes", [
+    ("stationary", None, [(24, 24)] * 2), ("discrete-cs", None, []),
+    ("discrete-cs", MODULATED_MA, [(48, 48)]), ("am", None, [(24, 24)] * 2), ("pam", None, [])],
     ids=["stationary", "discrete-cs", "modulated-ma", "am", "pam"])
-def test_verify_decomposes_each_kernel_once(tmp_path, monkeypatch, capsys, kind, source, dense):
+def test_verify_decomposes_each_kernel_once(tmp_path, monkeypatch, capsys, kind, source, shapes):
     # one oracle decomposition per curve; the memoryless block is diagonal
-    # and the triangle-pulse PAM kernel is decomposed in symbol space, so neither
-    # makes a dense (48, 48) call; every other kernel makes one
+    # and the triangle-pulse PAM kernel is decomposed in symbol space, so
+    # neither makes a dense call; the stationary and phase-0 AM kernels equal
+    # their reversal J K J and are decomposed as two (24, 24) halves, and the
+    # modulated-MA block makes one dense (48, 48) call
     kl_drf = csdrf.oracle.kl_drf
     eigvalsh = np.linalg.eigvalsh
     decompositions, oracle_shapes = [], []
@@ -569,7 +571,7 @@ def test_verify_decomposes_each_kernel_once(tmp_path, monkeypatch, capsys, kind,
         return kl_drf(block)
 
     def recording_eigvalsh(a, *args, **kwargs):
-        if np.shape(a) == (48, 48):
+        if np.shape(a) in ((48, 48), (24, 24)):
             oracle_shapes.append(np.shape(a))
         return eigvalsh(a, *args, **kwargs)
 
@@ -578,7 +580,7 @@ def test_verify_decomposes_each_kernel_once(tmp_path, monkeypatch, capsys, kind,
     main(["verify", "--config", _curve_cfg(tmp_path, kind, 8, source), "--allow-nonconverged"])
     assert capsys.readouterr().out.count("rate=") == 8
     assert len(decompositions) == 1
-    assert len(oracle_shapes) == dense
+    assert oracle_shapes == shapes
 
 
 @pytest.mark.parametrize("kind", ["discrete-cs", "am", "pam"])

@@ -283,6 +283,47 @@ def test_covariance_equals_the_broadcast_sum_property(name, bandwidth, shape, pe
             np.testing.assert_allclose(row, ref, rtol=0.0, atol=1e-14 * max(np.abs(ref).max(), 1.0))
 
 
+REVERSAL_SOURCES = {
+    # name: (spectrum from bandwidth a and shape x, reversal-symmetric on a grid
+    # symmetric about 0)
+    "stationary": (GENERATED_SOURCES["stationary"], True),
+    "am-phase-0": (lambda a, x: am_cpsd(triangular_psd(a, 1.0), a * (0.5 + 3.0 * x), 0.0), True),
+    "am-phase-pi/2": (lambda a, x: am_cpsd(flat_psd(a, 1.0), a * (0.5 + 3.0 * x), np.pi / 2),
+                      True),
+    "am-random-phase": (lambda a, x: am_cpsd(triangular_psd(a, 1.0), a * (0.5 + 3.0 * x),
+                                             0.1 + (np.pi / 2 - 0.2) * x), False),
+    "pam-ideal": (GENERATED_SOURCES["pam-ideal"], True),
+    "pam-raised-cosine": (GENERATED_SOURCES["pam-raised-cosine"], True),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(REVERSAL_SOURCES)), bandwidth=st.floats(0.25, 4.0),
+       shape=st.floats(0.0, 1.0), periods=st.integers(1, 3), n=st.integers(24, 96))
+@example(name="am-random-phase", bandwidth=1.0, shape=0.2 / (np.pi / 2 - 0.2), periods=2, n=64)
+def test_reversal_split_is_taken_exactly_for_symmetric_kernels(name, bandwidth, shape, periods, n):
+    # the grid is symmetric about 0 with at least four points per period, so
+    # the kernel commutes with the reversal J exactly when the source is
+    # time-reversible about 0: stationary, AM at phase 0 or pi/2, PAM with an
+    # even pulse. An even-sized such kernel is decomposed as two n/2 halves;
+    # the eigenvalues are those of (K + J K J)/2, within the Weyl bound
+    # ||K - J K J||_2 / 2 of the dense ones, plus rounding
+    make, symmetric = REVERSAL_SOURCES[name]
+    spec = make(bandwidth, shape)
+    kern = build_kernel(spec, periods * spec.period, n)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        fast = kern.operator_eigenvalues()
+    split = symmetric and n % 2 == 0
+    shapes = [np.shape(c.args[0]) for c in eigvalsh.call_args_list]
+    assert shapes == ([(n // 2, n // 2)] * 2 if split else [(n, n)])
+    dense = np.linalg.eigvalsh(kern.values)[::-1] * kern.weight
+    mirror = kern.values[::-1, ::-1]
+    weyl = 0.5 * np.linalg.norm(kern.values - mirror, 2) * kern.weight
+    tol = weyl + 4.0 * n * np.finfo(float).eps * np.abs(dense).max()
+    assert fast.shape == (n,) and np.all(np.diff(fast) <= 0.0)
+    np.testing.assert_allclose(fast, dense, rtol=0.0, atol=tol)
+
+
 def _signed_lag_transform(spec, n, tau):
     """Gauss-grid inverse transform of cpsd(n, .) at every lag, sign included."""
     nodes, weights = gauss_segments(-spec.freq_radius, spec.freq_radius, spec.breakpoints,
@@ -516,6 +557,28 @@ def test_step_approximation_gap_shrinks_linearly():
         gaps.append(wg.gap)
     assert gaps[0] / gaps[1] >= 1.8
     assert gaps[1] / gaps[2] >= 1.8
+
+
+@pytest.mark.parametrize("power", [1e-12, 1e12])
+def test_weyl_gap_rounding_slack_scales_with_the_kernels(power):
+    # identical and stepped pairs pass at any power; an eigenvalue moved by
+    # 1e-6 of the largest fails even at power 1e-12, where an absolute slack
+    # of 1e-9 would have let it through
+    spec = am_cpsd(triangular_psd(1.0, power), 4.0)
+    kern = build_kernel(spec, 4 * spec.period, 128)
+    assert weyl_gap(kern, kern).gap == 0.0
+    wg = weyl_gap(kern, step_approximation(kern, 16, spec.period))
+    assert 0.0 < wg.gap <= wg.bound
+    honest = KernelGrid.operator_eigenvalues
+
+    def perturbed(self):
+        lam = honest(self)
+        return lam + 1e-6 * lam.max() * (self is not kern)
+
+    twin = KernelGrid(kern.times, kern.values, kern.weight, kern.half_width)
+    with mock.patch.object(KernelGrid, "operator_eigenvalues", perturbed):
+        with pytest.raises(AssertionError, match="exceeds"):
+            weyl_gap(kern, twin)
 
 
 def test_grid_mismatch_rejected():
