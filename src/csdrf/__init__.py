@@ -11,7 +11,7 @@ from .drf import (ContinuousDrfConfig, ContinuousDrfResult, ContinuousDrfSolver,
                   lower_bound_discrete, pam_waterfiller, sampled_coding)
 from .oracle import (BlockCovariance, KernelGrid, WeylGap, build_kernel,
                      kl_drf, step_approximation, weyl_gap)
-from .polyphase import (PsdPcMatrix, folded_alias_matrix, polyphase_component_psd,
+from .polyphase import (PsdPcMatrix, component_spectra, folded_alias_matrix,
                         psd_pc_matrix_continuous, psd_pc_matrix_discrete)
 from .quadrature import Grid, fold_breakpoints, phi_grid, segmented_midpoint
 from .spectra import (AliasCountError, CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum,

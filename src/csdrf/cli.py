@@ -364,7 +364,9 @@ def _discrete_sources(sc):
     m = proc.period
 
     def block_filler():
-        return oracle_mod.kl_drf(oracle_mod.BlockCovariance.from_process(proc, sc.oracle_n))
+        # whole periods only: a block cut mid-period has unequal slot counts
+        n = max(1, sc.oracle_n // m) * m
+        return oracle_mod.kl_drf(oracle_mod.BlockCovariance.from_process(proc, n))
 
     return [Source(proc, {
         "drf": _solved(lambda: drf_mod.discrete_waterfiller(proc, sc.phi_grid), m),

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyphase import (_require_positive_int, folded_alias_matrix,
-                        polyphase_component_psd, psd_pc_matrix_discrete,
-                        saturation_dim)
+from .polyphase import (_require_positive_int, component_spectra, folded_alias_matrix,
+                        psd_pc_matrix_discrete, saturation_dim)
 from .quadrature import even_half, phi_grid
 from .spectra import (CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum,
                       StationaryPsd, wiener_pulse)
@@ -60,8 +59,9 @@ def lower_bound_discrete(proc: DiscreteCsProcess, rates_bits_per_symbol,
     and asymptotically as the rate grows.
 
     Returns the bound at every rate, shaped like ``rates_bits_per_symbol``.
-    Each component's spectrum is folded once for the whole curve and solved
-    exactly at every rate by one ``ScalarWaterfiller.solve_many``. A
+    The component spectra are read from the table once for the whole curve
+    (``component_spectra``: R[m, 0] + 2 sum_{j >= 1} R[m, j M] cos(2 pi j phi))
+    and each is solved exactly at every rate by one ``solve_many``. A
     component of a real process has a spectrum even in phi, so it is taken
     on ``even_half`` of the grid, as in ``discrete_waterfiller``.
     """
@@ -70,8 +70,7 @@ def lower_bound_discrete(proc: DiscreteCsProcess, rates_bits_per_symbol,
     grid = even_half(phi_grid(n_grid, proc.phi_breakpoints))
     per_component_rates = m * np.asarray(rates_bits_per_symbol, dtype=float)
     total = np.zeros(per_component_rates.shape)
-    for comp in range(m):
-        levels = polyphase_component_psd(proc, comp, grid.nodes)
+    for levels in component_spectra(proc, grid.nodes).T:
         sw = ScalarWaterfiller(levels, grid.weights, d_scale=1.0, r_scale=0.5)
         total += sw.solve_many(per_component_rates)[1]
     return total / m

@@ -2,7 +2,7 @@
 
 Splitting a cyclostationary process into its per-phase subsequences yields a
 jointly stationary vector process. Its M x M cross-spectral matrix at each
-normalized frequency phi is assembled here, either from slot spectra
+normalized frequency phi is assembled here, either from the covariance table
 (discrete time) or from the cyclic spectral densities folded over the
 sampling lattice (continuous time). The eigenvalues of this matrix carry the
 entire rate-distortion content of the source.
@@ -46,26 +46,34 @@ class PsdPcMatrix:
 def psd_pc_matrix_discrete(proc: DiscreteCsProcess) -> PsdPcMatrix:
     """Polyphase matrix of a discrete-time process with period M.
 
-    Entry (m, r) at phi is (1/M) sum_{n=0}^{M-1} S_r((phi - n)/M)
-    e^{2 pi i (m - r)(phi - n)/M}, where S_r is the slot-r spectrum; the sum
-    over n folds the slot spectrum onto the decimated circle.
+    The components X[M n + m] are vector-stationary; their spectral matrix
+    is the block-Toeplitz symbol of the covariance table R,
+    S(phi)[m, r] = sum_j R[r, m - r - j M] e^{2 pi i j phi}, over the block
+    lags j with |m - r - j M| <= L, the memory. Every other entry is an
+    exact zero. A memoryless table gives a diagonal matrix whose ``blocks``
+    are singletons, so its field calls no eigensolver. A period-1 process
+    given by its density has that density as its 1 x 1 matrix.
     """
-    m_dim = proc.period
+    if proc.density is not None:
+        return PsdPcMatrix(1, lambda phi: np.asarray(proc.density(0, phi)).real[:, None, None],
+                           proc.phi_breakpoints)
+    m_dim, lmax, table = proc.period, proc.memory, proc.cov_table
+    idx = np.arange(m_dim)
+    span = (lmax + m_dim - 1) // m_dim
+    j = np.arange(-span, span + 1)
+    lag = idx[:, None] - idx - m_dim * j[:, None, None]          # lag[j, m, r]
+    coef = np.where(np.abs(lag) <= lmax, table[idx, np.clip(lag, -lmax, lmax) + lmax], 0.0)
+    coef = coef.reshape(j.size, -1)
+    blocks = tuple(idx[:, None]) if lmax == 0 else None
 
     def evaluate(phi):
-        npts = phi.size
-        out = np.zeros((npts, m_dim, m_dim), dtype=complex)
-        idx = np.arange(m_dim)
-        for n in range(m_dim):
-            x = (phi - n) / m_dim
-            a = np.exp(TWO_PI * 1j * np.multiply.outer(x, idx))   # a[p, m]
-            for r in range(m_dim):
-                s = proc.tpsd(r, x)
-                out[:, :, r] += (s * a[:, r].conj())[:, None] * a
-        out /= m_dim
-        return out
+        phase = np.exp(TWO_PI * 1j * np.multiply.outer(phi, j))
+        out = phase[:, :1] * coef[0]      # a loop, not a BLAS matmul: its buffers cost RSS
+        for k in range(1, j.size):
+            out += phase[:, k:k + 1] * coef[k]
+        return out.reshape(phi.size, m_dim, m_dim)
 
-    return PsdPcMatrix(m_dim, evaluate, tuple(proc.phi_breakpoints))
+    return PsdPcMatrix(m_dim, evaluate, proc.phi_breakpoints, blocks)
 
 
 def _require_positive_int(name: str, value) -> None:
@@ -257,16 +265,17 @@ def folded_alias_matrix(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
     return PsdPcMatrix(side, evaluate, spec.phi_breakpoints(), blocks)
 
 
-def polyphase_component_psd(proc: DiscreteCsProcess, m: int, phi) -> np.ndarray:
-    """Spectrum of the m-th polyphase subsequence X[M n + m] on the circle.
+def component_spectra(proc: DiscreteCsProcess, phi) -> np.ndarray:
+    """Spectra of the M polyphase components X[M n + m], shaped (phi.size, M).
 
-    This is the (m, m) diagonal entry of the polyphase matrix: the folded
-    slot-m spectrum (1/M) sum_n S_m((phi - n)/M). Real and nonnegative up to
-    rounding, which is clipped.
+    Column m is the diagonal entry (m, m) of ``psd_pc_matrix_discrete``,
+    R[m, 0] + 2 sum_{j >= 1} R[m, j M] cos(2 pi j phi) (a period-1 density
+    as given), clipped to nonnegative against rounding.
     """
-    m_dim = proc.period
-    phi = np.asarray(phi, dtype=float)
-    acc = np.zeros(phi.shape, dtype=complex)
-    for n in range(m_dim):
-        acc += proc.tpsd(m, (phi - n) / m_dim)
-    return np.maximum(acc.real / m_dim, 0.0)
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    if proc.density is not None:
+        return np.maximum(np.asarray(proc.density(0, phi)).real, 0.0)[:, None]
+    m_dim, lmax, table = proc.period, proc.memory, proc.cov_table
+    j = np.arange(1, lmax // m_dim + 1)
+    cosines = np.cos(TWO_PI * np.multiply.outer(phi, j))
+    return np.maximum(table[:, lmax] + 2.0 * cosines @ table[:, lmax + m_dim * j].T, 0.0)

@@ -765,33 +765,28 @@ def stationary_cyclic(base: StationaryPsd, period: float) -> CyclicSpectrum:
 class DiscreteCsProcess:
     """Discrete-time Gaussian process whose covariance is periodic in time.
 
-    ``tpsd(n, phi)`` is the slot-n spectrum, the transform of the covariance
-    sequence seen from time slot n. Slot spectra of processes with memory are
-    complex-valued in general; validity is enforced through the positive
-    semidefiniteness of the polyphase matrix they generate.
-
-    The process is real: its covariance is real, so every slot spectrum
-    satisfies tpsd(n, -phi) = conj(tpsd(n, phi)). The polyphase matrix at
-    -phi is then the conjugate of the matrix at phi, with the same
-    eigenvalues, and ``discrete_waterfiller`` decomposes only the half
-    phi >= 0 of its grid. A ``tpsd_fn`` without this symmetry is outside the
-    contract and gives a wrong curve.
+    The process is its real covariance table R[n, k] = E[X[n+k] X[n]], slots
+    n = 0..M-1 and lags -L..L (``from_covariance``); its polyphase matrix
+    (``psd_pc_matrix_discrete``) is read from the table, and its matrix at
+    -phi is the conjugate of the one at phi. A period-1 process may instead
+    be given by its real, even density on the circle, ``density(0, phi)``:
+    it has no table, so no oracle block. A table-less process of period
+    above 1 is refused, since one density does not determine its matrix.
     """
 
-    def __init__(self, period: int, tpsd_fn, avg_power: float, cov_table=None,
+    def __init__(self, period: int, density, avg_power: float, cov_table=None,
                  phi_breakpoints=(), name=""):
         if period < 1:
             raise ValueError("period must be a positive integer")
+        if cov_table is None and (period != 1 or density is None):
+            raise ValueError(f"a process of period {period} without a covariance table; "
+                             "only a period-1 process may be given by its density")
         self.period = int(period)
-        self._tpsd_fn = tpsd_fn
+        self.density = None if cov_table is not None else density
         self.avg_power = float(avg_power)
         self._cov_table = cov_table          # (M, 2L+1) lags -L..L, or None
         self.phi_breakpoints = tuple(phi_breakpoints)
         self.name = name
-
-    def tpsd(self, n: int, phi):
-        return np.asarray(self._tpsd_fn(int(n) % self.period, np.asarray(phi, dtype=float)),
-                          dtype=complex)
 
     @property
     def cov_table(self) -> np.ndarray:
@@ -810,16 +805,16 @@ class DiscreteCsProcess:
 
     @property
     def memory(self) -> int:
-        if self._cov_table is None:
-            return 0
-        return (self._cov_table.shape[1] - 1) // 2
+        """L, the largest lag of the table."""
+        return (self.cov_table.shape[1] - 1) // 2
 
     @classmethod
     def from_covariance(cls, table, name="") -> "DiscreteCsProcess":
         """Build from a covariance table R[n, k], n in 0..M-1, lags -L..L.
 
         Consistency R[n, -k] = R[(n-k) mod M, k] is required; it is what makes
-        the table the covariance of an actual process.
+        the table the covariance of an actual process. The power is the mean
+        slot variance.
         """
         table = np.asarray(table, dtype=float)
         if table.ndim != 2 or table.shape[1] % 2 != 1:
@@ -836,13 +831,8 @@ class DiscreteCsProcess:
                     raise ValueError(
                         f"covariance table inconsistent at n={n}, k={k}: "
                         f"R[n,-k]={lhs} vs R[n-k,k]={rhs}")
-        lags = np.arange(-lmax, lmax + 1)
-
-        def tpsd_fn(n, phi):
-            return table[n] @ np.exp(-TWO_PI * 1j * np.multiply.outer(lags, phi))
-
-        avg_power = float(np.mean(table[:, lmax]))
-        return cls(m, tpsd_fn, avg_power, cov_table=table, name=name or "from_covariance")
+        return cls(m, None, float(np.mean(table[:, lmax])), cov_table=table,
+                   name=name or "from_covariance")
 
 
 def white_cs(variances) -> DiscreteCsProcess:
@@ -885,9 +875,9 @@ def modulated_ma(scales, taps) -> DiscreteCsProcess:
 def average_power(spec) -> float:
     """Time-averaged power of a spectral description.
 
-    Continuous spectra integrate harmonic 0; discrete processes average the
-    integrals of the slot spectra over the circle (which are the slot
-    variances). Raises TruncationError when the integral cannot be truncated.
+    Continuous spectra integrate harmonic 0; a discrete process gives its
+    ``avg_power``, its table's mean slot variance. Raises TruncationError
+    when the integral cannot be truncated.
     """
     if isinstance(spec, PamCyclicSpectrum):
         return spec._integrate_profile() / spec.period
@@ -897,10 +887,7 @@ def average_power(spec) -> float:
                                         spec.breakpoints, min_cells=256)
         return float((weights @ spec.cpsd(0, nodes)).real)
     if isinstance(spec, DiscreteCsProcess):
-        grid = segmented_midpoint(-0.5, 0.5, 1024, spec.phi_breakpoints)
-        vals = [float((grid.weights @ spec.tpsd(n, grid.nodes)).real)
-                for n in range(spec.period)]
-        return float(np.mean(vals))
+        return spec.avg_power
     if isinstance(spec, StationaryPsd):
         return spec.total_power
     raise TypeError(f"unsupported spectral description: {type(spec)!r}")

@@ -304,8 +304,8 @@ def hermitian_eigenvalues(mats: np.ndarray) -> np.ndarray:
 
 def _block_eigenvalues(mats: np.ndarray, blocks) -> np.ndarray:
     """Ascending eigenvalues of each matrix of a stack, decomposed by ``blocks``
-    (``PsdPcMatrix.blocks``). A ``NotPositiveSemidefinite`` names the matrix's
-    position in the stack."""
+    (``PsdPcMatrix.blocks``); a size-1 block needs no eigensolver. A
+    ``NotPositiveSemidefinite`` names the matrix's position in the stack."""
     if blocks is None:
         return hermitian_eigenvalues(mats)
     lam = np.zeros(mats.shape[:2])
@@ -316,8 +316,9 @@ def _block_eigenvalues(mats: np.ndarray, blocks) -> np.ndarray:
     for size, same in by_size.items():
         idx = np.array(same)                                  # (blocks, size)
         stack = mats[:, idx[:, :, None], idx[:, None, :]].reshape(-1, size, size)
-        try:
-            vals = hermitian_eigenvalues(stack)
+        try:       # a 1 x 1 block's eigenvalue is its real entry, as eigvalsh returns it
+            vals = (hermitian_eigenvalues(stack) if size > 1
+                    else _clip_eigenvalues(stack.real[:, 0]))
         except NotPositiveSemidefinite as exc:
             raise NotPositiveSemidefinite(f"{exc} in a {size} x {size} block",
                                           exc.index // len(same)) from exc

@@ -230,7 +230,8 @@ def test_nonconverging_eigensolver_is_a_numeric_failure(tmp_path, capsys, monkey
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", failing)
-    cfg = _write(tmp_path, "d.ini", VERIFY_CFG)
+    # a source with memory: a white source's diagonal field calls no eigensolver
+    cfg = _write(tmp_path, "d.ini", VERIFY_CFG.replace("variances = 1 4\n", MODULATED_MA))
     out = tmp_path / "x.csv"
     assert main(["drf", "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -597,7 +598,7 @@ def test_bound_folds_each_profile_once_per_curve(tmp_path, monkeypatch, kind):
 
     record(csdrf.spectra.CyclicSpectrum, "pc_psd")
     record(csdrf.spectra.PamCyclicSpectrum, "pc_psd")
-    record(csdrf.drf, "polyphase_component_psd")
+    record(csdrf.drf, "component_spectra")
     counts = []
     for count in (2, 8):
         calls.clear()
@@ -732,37 +733,71 @@ def test_nonconverged_earlier_rate_wins_over_a_later_underflow(tmp_path, capsys)
     assert not Path(out).exists()
 
 
+# On a two-node grid the field of a period-1 MA source with taps (1, 0.5) is
+# one level, S(1/4) = 1.25, which resolves 60 bits per symbol; the eigenvalues
+# 1.25 - 0.71, 1.25 and 1.25 + 0.71 of its 3-symbol block resolve only 59.58
+ONE_LEVEL_CFG = """
+[source]
+kind = discrete-cs
+mod_scales = 1
+ma_taps = 1 0.5
+
+[rates]
+min = {lo}
+max = {hi}
+count = {count}
+spacing = linear
+
+[numerics]
+phi_grid = 2
+oracle_n = 3
+"""
+
+
+def _one_level_block():
+    return csdrf.kl_drf(csdrf.oracle.BlockCovariance.from_process(
+        csdrf.modulated_ma([1.0], [1.0, 0.5]), 3))
+
+
 def test_oracle_underflow_fails_at_its_rate(tmp_path, capsys):
-    # a 3-symbol block of white_cs(1, 4) resolves at most 59.33 bits per
-    # symbol, the spectral path 59.5: the oracle alone fails at 59.4, with the
-    # message of a rate-by-rate solve
-    cfg = _write(tmp_path, "o.ini", VERIFY_CFG.replace("min = 0.1", "min = 1.0")
-                 .replace("max = 8.0", "max = 59.4").replace("count = 6", "count = 3")
-                 + "\n[numerics]\noracle_n = 3\n")
-    block = csdrf.kl_drf(csdrf.oracle.BlockCovariance.from_process(csdrf.white_cs([1.0, 4.0]), 3))
+    # the oracle alone fails at 59.7, with the message of a rate-by-rate solve
+    cfg = _write(tmp_path, "o.ini", ONE_LEVEL_CFG.format(lo=1.0, hi=59.7, count=3))
     with pytest.raises(csdrf.WaterLevelUnderflow) as info:
-        block.solve(59.4)
+        _one_level_block().solve(59.7)
+    assert main(["drf", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
     assert main(["verify", "--config", cfg]) == 3
     out = capsys.readouterr()
-    assert out.err == f"numeric failure: oracle at rate 59.4: {info.value}\n" and out.out == ""
+    assert out.err == f"numeric failure: oracle at rate 59.7: {info.value}\n" and out.out == ""
 
 
 def test_verify_fails_at_the_first_rate_that_any_curve_fails(tmp_path, capsys):
-    # the same block at 59.4 and 59.6: only the oracle fails at 59.4, both
-    # curves fail at 59.6. The oracle's failure at the earlier rate wins,
+    # the same source at 59.7 and 60.1: only the oracle fails at 59.7, both
+    # curves fail at 60.1. The oracle's failure at the earlier rate wins,
     # whatever the drf curve does later
-    cfg = _write(tmp_path, "o.ini", VERIFY_CFG.replace("min = 0.1", "min = 59.4")
-                 .replace("max = 8.0", "max = 59.6").replace("count = 6", "count = 2")
-                 .replace("spacing = log", "spacing = linear")
-                 + "\n[numerics]\noracle_n = 3\n")
-    block = csdrf.kl_drf(csdrf.oracle.BlockCovariance.from_process(csdrf.white_cs([1.0, 4.0]), 3))
+    cfg = _write(tmp_path, "o.ini", ONE_LEVEL_CFG.format(lo=59.7, hi=60.1, count=2))
     with pytest.raises(csdrf.WaterLevelUnderflow) as info:
-        block.solve(59.4)
+        _one_level_block().solve(59.7)
     assert main(["drf", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
-    assert capsys.readouterr().err.startswith("numeric failure: drf at rate 59.6: ")
+    assert capsys.readouterr().err.startswith("numeric failure: drf at rate 60.1: ")
     assert main(["verify", "--config", cfg]) == 3
     out = capsys.readouterr()
-    assert out.err == f"numeric failure: oracle at rate 59.4: {info.value}\n" and out.out == ""
+    assert out.err == f"numeric failure: oracle at rate 59.7: {info.value}\n" and out.out == ""
+
+
+def test_discrete_oracle_takes_whole_periods(tmp_path, capsys, monkeypatch):
+    # oracle_n = 256 is not a multiple of the period 3: the block is 255
+    # symbols, whose slot counts are equal, so its D(0) is sigma^2 and the
+    # memoryless oracle is the fast path up to rounding
+    cfg = _write(tmp_path, "w.ini", VERIFY_CFG.replace("variances = 1 4", "variances = 1 4 2")
+                 + "\n[numerics]\noracle_n = 256\n")
+    sizes = []
+    from_process = csdrf.oracle.BlockCovariance.from_process
+    monkeypatch.setattr(csdrf.oracle.BlockCovariance, "from_process", staticmethod(
+        lambda proc, n: sizes.append(n) or from_process(proc, n)))
+    assert main(["verify", "--config", cfg]) == 0
+    assert sizes == [255]
+    gap = float(capsys.readouterr().out.split("max_rel_gap=")[1].split()[0])
+    assert gap < 1e-12
 
 
 # scenarios whose folds or alias series took unbounded time or memory before

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csdrf.drf
-from csdrf.cli import SOURCES, Scenario
+from csdrf.cli import SOURCES, Scenario, drf_rows, make_discrete
 from csdrf.drf import (ContinuousDrfConfig, ContinuousDrfSolver,
                        discrete_waterfiller, lower_bound_continuous,
                        lower_bound_discrete, pam_waterfiller, sampled_coding)
@@ -669,6 +669,41 @@ def test_discrete_bound_tight_at_high_rate():
     proc = white_cs([1.0, 4.0])
     gap = discrete_waterfiller(proc).solve(20.0).distortion - lower_bound_discrete(proc, 20.0)
     assert abs(gap) <= 1e-4 * proc.avg_power
+
+
+_symbol = st.floats(-3.0, 3.0).map(lambda x: 0.0 if abs(x) < 0.1 else x)
+_discrete_keys = st.one_of(
+    st.builds(lambda v: {"variances": tuple(v)},
+              st.lists(_symbol.map(abs), min_size=1, max_size=8)),
+    st.builds(lambda c, h: {"mod_scales": tuple(c), "ma_taps": tuple(h)},
+              st.lists(_symbol, min_size=1, max_size=8),
+              st.lists(_symbol, min_size=1, max_size=4)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=_discrete_keys, rates=st.lists(st.floats(0.0, 4.0), min_size=2, max_size=10))
+def test_discrete_rows_keep_the_papers_identities(keys, rates):
+    sc = Scenario("discrete-cs", methods=("drf", "lower_bound"),
+                  rates=np.array(sorted({0.0, *rates})), phi_grid=64, **keys)
+    rows = [row.split(",") for row in drf_rows(sc, False)]
+    d = {m: np.array([float(r[1]) for r in rows if r[3] == m]) for m in ("drf", "lower_bound")}
+    table = make_discrete(sc).cov_table
+    m, width = table.shape
+    sigma2 = float(np.mean(table[:, width // 2]))
+    # Rounding slack. Every level is at most ||S(phi)||_2 <= (2L + 1) max |R|,
+    # and a distortion sums at most n = M x 32 (half-grid nodes) weighted
+    # levels: the sum carries n eps of that bound, and each level its
+    # eigensolver's O(M eps) backward error. 16 covers both constants.
+    tol = 16 * m * 32 * np.finfo(float).eps * width * np.abs(table).max()
+    r = sc.rates
+    for curve in d.values():
+        assert abs(curve[0] - sigma2) <= tol                        # D(0) = sigma^2
+        assert np.all(np.diff(curve) <= tol)                        # non-increasing
+        # convex: slopes rise, compared cross-multiplied so close rates divide nothing
+        left, right = np.diff(curve)[:-1] * np.diff(r)[1:], np.diff(curve)[1:] * np.diff(r)[:-1]
+        assert np.all(left <= right + 2 * tol * (r[2:] - r[:-2]))
+    assert np.all(d["lower_bound"] <= d["drf"] + tol)
 
 
 def test_continuous_bound_zero_rate_and_am_ordering():

@@ -422,7 +422,11 @@ def test_block_fill_equals_the_per_entry_loop(proc, extra):
 
 
 def test_block_of_a_process_without_a_table_is_refused():
-    proc = DiscreteCsProcess(2, lambda n, phi: np.ones_like(phi), 1.0)
+    # above period 1 a process without a table is refused when it is built
+    with pytest.raises(ValueError, match="period 2 without a covariance table"):
+        DiscreteCsProcess(2, lambda n, phi: np.ones_like(phi), 1.0)
+    # a period-1 process given by its density has no block
+    proc = DiscreteCsProcess(1, lambda n, phi: np.ones_like(phi), 1.0)
     with pytest.raises(ValueError) as entry:
         proc.cov(0, 0)
     with pytest.raises(ValueError) as block:

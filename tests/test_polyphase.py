@@ -1,11 +1,12 @@
 from math import ceil
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csdrf.polyphase import (TWO_PI, folded_alias_matrix, polyphase_component_psd,
+from csdrf.polyphase import (TWO_PI, component_spectra, folded_alias_matrix,
                              psd_pc_matrix_continuous, psd_pc_matrix_discrete)
 from csdrf.quadrature import Grid, phi_grid
 from csdrf.spectra import (CyclicSpectrum, TruncationError, am_cpsd, flat_psd,
@@ -13,15 +14,17 @@ from csdrf.spectra import (CyclicSpectrum, TruncationError, am_cpsd, flat_psd,
                            raised_cosine_pulse, rect_pulse, stationary_cyclic,
                            triangle_pulse, triangular_psd, white_cs)
 from csdrf.waterfilling import EigenField, hermitian_eigenvalues
+from test_oracle import _time_varying_ma
 
 
 def test_single_slot_matrix_is_the_spectrum_itself():
+    # X = 1.3 Y, Y[n] = W[n] + 0.5 W[n-1]: S(phi) = 1.69 |1 + 0.5 e^{-2 pi i phi}|^2
     proc = modulated_ma([1.3], [1.0, 0.5])
     mat = psd_pc_matrix_discrete(proc)
     phi = np.linspace(-0.5, 0.5, 17)
     vals = mat(phi)
     assert vals.shape == (17, 1, 1)
-    np.testing.assert_allclose(vals[:, 0, 0], proc.tpsd(0, phi), atol=1e-14)
+    np.testing.assert_allclose(vals[:, 0, 0], 1.69 * (1.25 + np.cos(TWO_PI * phi)), atol=1e-14)
 
 
 def test_white_noise_diagonalizes_exactly():
@@ -202,9 +205,69 @@ def test_component_psd_is_matrix_diagonal():
     mat = psd_pc_matrix_discrete(proc)
     phi = np.linspace(-0.5, 0.5, 11)
     vals = mat(phi)
-    for m in range(3):
-        np.testing.assert_allclose(polyphase_component_psd(proc, m, phi),
-                                   vals[:, m, m].real, atol=1e-13)
+    np.testing.assert_allclose(component_spectra(proc, phi),
+                               np.diagonal(vals, axis1=1, axis2=2).real, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the block-Toeplitz symbol against the slot-spectrum fold
+# ---------------------------------------------------------------------------
+
+def _slot_spectrum_fold(proc, phi):
+    """Reference: entry (m, r) is (1/M) sum_{n<M} S_r((phi - n)/M)
+    e^{2 pi i (m - r)(phi - n)/M}, with the slot-r spectrum
+    S_r(x) = sum_k R[r, k] e^{-2 pi i k x}; the sum over n folds it onto the
+    decimated circle, and its off-class terms cancel only up to rounding."""
+    table, m_dim = proc.cov_table, proc.period
+    lags = np.arange(-proc.memory, proc.memory + 1)
+    idx = np.arange(m_dim)
+    out = np.zeros((phi.size, m_dim, m_dim), dtype=complex)
+    for n in range(m_dim):
+        x = (phi - n) / m_dim
+        a = np.exp(TWO_PI * 1j * np.multiply.outer(x, idx))   # a[p, m]
+        for r in range(m_dim):
+            s = table[r] @ np.exp(-TWO_PI * 1j * np.multiply.outer(lags, x))
+            out[:, :, r] += (s * a[:, r].conj())[:, None] * a
+    return out / m_dim
+
+
+_coef = st.floats(-2.0, 2.0).map(lambda x: 0.0 if abs(x) < 0.1 else x)
+_tables = st.integers(1, 64).flatmap(lambda m: st.one_of(
+    st.lists(_coef.map(abs), min_size=m, max_size=m).map(white_cs),
+    st.builds(modulated_ma, st.lists(_coef, min_size=m, max_size=m),
+              st.lists(_coef, min_size=1, max_size=4)),
+    st.integers(1, 3).flatmap(lambda w: st.lists(_coef, min_size=m * w, max_size=m * w).map(
+        lambda v: _time_varying_ma(np.reshape(v, (m, w))))),
+))
+
+
+@settings(max_examples=40, deadline=None)
+@given(proc=_tables, phi=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4))
+def test_symbol_matches_the_slot_spectrum_fold(proc, phi):
+    phi = np.array(phi)
+    got = psd_pc_matrix_discrete(proc)(phi)
+    ref = _slot_spectrum_fold(proc, phi)
+    scale = max(np.abs(ref).max(), 1e-300)
+    assert np.abs(got - ref).max() <= 1e-12 * scale
+    # no block lag reaches entry (m, r) when m - r is more than L from every multiple of M
+    m_dim = proc.period
+    d = np.subtract.outer(np.arange(m_dim), np.arange(m_dim)) % m_dim
+    zero = np.minimum(d, m_dim - d) > proc.memory
+    assert np.all(got[:, zero] == 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(variances=st.lists(_coef.map(abs), min_size=1, max_size=64), n=st.integers(1, 40))
+def test_memoryless_field_calls_no_eigensolver(variances, n):
+    proc = white_cs(variances)
+    matrix = psd_pc_matrix_discrete(proc)
+    assert [b.tolist() for b in matrix.blocks] == [[i] for i in range(proc.period)]
+    grid = phi_grid(n)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        field = EigenField.from_matrix(matrix, grid)
+    assert eigvalsh.call_count == 0
+    # what the eigensolver returns for the whole diagonal matrix, bit for bit
+    assert field.lam.tobytes() == hermitian_eigenvalues(matrix(grid.nodes)).tobytes()
 
 
 # ---------------------------------------------------------------------------
