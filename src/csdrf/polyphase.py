@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .quadrature import _require_positive_int
 from .spectra import CyclicSpectrum, DiscreteCsProcess, TruncationError
 
 TWO_PI = 2.0 * np.pi
@@ -74,12 +75,6 @@ def psd_pc_matrix_discrete(proc: DiscreteCsProcess) -> PsdPcMatrix:
         return out.reshape(phi.size, m_dim, m_dim)
 
     return PsdPcMatrix(m_dim, evaluate, proc.phi_breakpoints, blocks)
-
-
-def _require_positive_int(name: str, value) -> None:
-    """Reject anything but an integer of at least 1, naming the argument."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

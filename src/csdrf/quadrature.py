@@ -28,6 +28,12 @@ class Grid:
         return self.nodes.size
 
 
+def _require_positive_int(name: str, value) -> None:
+    """Reject anything but an integer of at least 1, naming the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def segmented_midpoint(lo: float, hi: float, n: int, breakpoints=()) -> Grid:
     """Composite midpoint rule with cell edges aligned to breakpoints.
 
@@ -35,9 +41,16 @@ def segmented_midpoint(lo: float, hi: float, n: int, breakpoints=()) -> Grid:
     a node budget proportional to its length (largest-remainder rounding,
     at least one node per segment). The allocation is deterministic, so the
     same inputs always yield the same grid.
+
+    Where the edges are mirror-symmetric about 0 (within the 1e-12 span
+    tolerance that also merges breakpoints), each mirrored pair of segments
+    gets the same count, so the grid is mirror-symmetric: leftover nodes go
+    to pairs two at a time in largest-remainder order, surplus nodes leave in
+    pairs, and a segment across 0 takes or gives up a single node. An odd n
+    with an edge at 0 cannot be mirrored and gets n - 1 nodes.
     """
-    lo = float(lo)
-    hi = float(hi)
+    lo, hi = float(lo), float(hi)
+    _require_positive_int("grid size", n)
     span = hi - lo
     if not span > 0.0:
         raise ValueError(f"empty interval [{lo}, {hi}]")
@@ -45,39 +58,38 @@ def segmented_midpoint(lo: float, hi: float, n: int, breakpoints=()) -> Grid:
 
     edges = [lo]
     for b in sorted(float(x) for x in breakpoints):
-        if b <= edges[-1] + tol or b >= hi - tol:
-            continue
-        edges.append(b)
+        if edges[-1] + tol < b < hi - tol:
+            edges.append(b)
     edges.append(hi)
     edges = np.asarray(edges)
     lengths = np.diff(edges)
     nseg = lengths.size
+    mirrored = np.all(np.abs(edges + edges[::-1]) <= tol)
 
-    n = max(int(n), nseg)
+    n = max(n, nseg)
     raw = n * lengths / span
+    if mirrored:        # a pair's lengths may differ in the last bits
+        raw = 0.5 * (raw + raw[::-1])
     counts = np.maximum(np.floor(raw).astype(int), 1)
     deficit = n - int(counts.sum())
     if deficit > 0:
         frac = raw - np.floor(raw)
-        for i in np.argsort(-frac, kind="stable"):
-            if deficit == 0:
-                break
-            counts[i] += 1
-            deficit -= 1
-    while deficit < 0:
+        order = np.argsort(-frac, kind="stable")
+        if mirrored:    # the left segment of each pair, and its mirror
+            left = order[2 * order < nseg - 1][:deficit // 2]
+            counts[left] += 1
+            counts[nseg - 1 - left] += 1
+        else:
+            counts[order[:deficit]] += 1
+    while counts.sum() > n and counts.max() > 1:
         i = int(np.argmax(counts))
-        if counts[i] <= 1:
-            break
-        counts[i] -= 1
-        deficit += 1
+        counts[list({i, nseg - 1 - i} if mirrored else {i})] -= 1
+    if mirrored and nseg % 2 and counts.sum() < n:
+        counts[nseg // 2] += 1      # the segment across 0 takes the odd node
 
-    nodes = []
-    weights = []
-    for a, length, c in zip(edges[:-1], lengths, counts):
-        h = length / c
-        nodes.append(a + h * (np.arange(c) + 0.5))
-        weights.append(np.full(c, h))
-    return Grid(np.concatenate(nodes), np.concatenate(weights), lo, hi)
+    h = lengths / counts
+    nodes = [a + w * (np.arange(c) + 0.5) for a, w, c in zip(edges[:-1], h, counts)]
+    return Grid(np.concatenate(nodes), np.repeat(h, counts), lo, hi)
 
 
 def phi_grid(n: int, breakpoints=()) -> Grid:
@@ -85,26 +97,21 @@ def phi_grid(n: int, breakpoints=()) -> Grid:
     return segmented_midpoint(-0.5, 0.5, n, breakpoints)
 
 
-def even_half(grid: Grid) -> Grid:
-    """Non-negative half of a mirror-symmetric grid, integrating even functions.
+def half_grid(radius: float, n: int, breakpoints=()) -> Grid:
+    """Non-negative half of the grid on [-radius, radius], for even integrands.
 
-    A grid is mirror-symmetric when its nodes equal their negated reverse
-    within 1e-12 of its span and its weights equal their reverse within 1e-12
-    relative. For such a grid the integral of an even function is the sum over
-    the nodes phi >= 0 with each mirrored pair's weights added; the middle node
-    of an odd grid keeps its own weight (and is read as |phi|, since it may sit
-    a rounding error below 0). Any other grid is returned unchanged, so a
-    caller integrates over it whole.
+    The breakpoints are folded to +-|b|, so the grid is mirror-symmetric
+    (``segmented_midpoint``), and the integral of an even function over it is
+    the sum over its nodes phi >= 0 with each mirrored pair's weights added.
+    The middle node of an odd grid keeps its own weight, and is read as
+    |phi|, since it may sit a rounding error below 0.
     """
+    grid = segmented_midpoint(-radius, radius, n,
+                              [s * abs(float(b)) for b in breakpoints for s in (-1.0, 1.0)])
     nodes, weights = grid.nodes, grid.weights
-    n = nodes.size
-    if not (np.all(np.abs(nodes + nodes[::-1]) <= 1e-12 * (grid.hi - grid.lo))
-            and np.all(np.abs(weights - weights[::-1])
-                       <= 1e-12 * np.maximum(weights, weights[::-1]))):
-        return grid
-    half = n // 2
+    half = nodes.size // 2
     paired = weights[half:] + weights[::-1][half:]
-    if n % 2:
+    if nodes.size % 2:
         paired[0] = weights[half]
     return Grid(np.abs(nodes[half:]), paired, 0.0, grid.hi)
 

@@ -17,7 +17,7 @@ Every source solves at its smallest exact size. An eigenvalue field
 (``PsdPcMatrix.blocks``, the live parity blocks of an AM alias matrix) block
 by block, with exact zeros for the rows in no block. A real source's density
 is even in frequency, so ``stationary_waterfiller``, like the fields and the
-bounds, waterfills ``even_half`` of its grid.
+bounds, waterfills the half of a mirrored grid (``quadrature.half_grid``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polyphase import PsdPcMatrix
-from .quadrature import Grid, even_half, segmented_midpoint
+from .quadrature import Grid, half_grid, segmented_midpoint
 from .spectra import StationaryPsd, TruncationError
 
 LOG2 = math.log(2.0)
@@ -391,16 +391,15 @@ class EigenField:
 def stationary_waterfiller(psd: StationaryPsd, n_grid: int = 2048) -> ScalarWaterfiller:
     """Waterfiller over a stationary density on the physical frequency line.
 
-    The density is even (``StationaryPsd``), so it is taken on ``even_half``
-    of the grid on [-f_max, f_max]: the nodes f >= 0 with mirrored weights
-    added, half the levels of the whole grid and the same integrals up to
-    rounding. A grid whose node allocation is not mirror-symmetric (an odd
-    grid with a breakpoint at 0) is taken whole.
+    The density is even (``StationaryPsd``), so it is taken on ``half_grid``
+    on [-f_max, f_max]: the nodes f >= 0 of the mirror-symmetric grid with
+    mirrored weights added, half the levels of the whole grid and the same
+    integrals up to rounding.
     """
     if not math.isfinite(psd.support_radius):
         raise TruncationError("stationary waterfilling needs a finite support radius")
     r = psd.support_radius
-    grid = even_half(segmented_midpoint(-r, r, n_grid, psd.breakpoints))
+    grid = half_grid(r, n_grid, psd.breakpoints)
     return ScalarWaterfiller(psd(grid.nodes), grid.weights, d_scale=1.0, r_scale=0.5)
 
 

@@ -13,7 +13,7 @@ from csdrf.drf import (ContinuousDrfConfig, ContinuousDrfSolver,
                        lower_bound_discrete, pam_waterfiller, sampled_coding)
 from csdrf.polyphase import (PsdPcMatrix, folded_alias_matrix, psd_pc_matrix_continuous,
                              psd_pc_matrix_discrete, saturation_dim)
-from csdrf.quadrature import even_half, phi_grid, segmented_midpoint
+from csdrf.quadrature import half_grid, phi_grid, segmented_midpoint
 from csdrf.spectra import (DiscreteCsProcess, PamCyclicSpectrum, PulseShape, am_cpsd,
                            am_gaussian_psd, flat_psd,
                            ideal_interp_pulse, modulated_ma, pam_cpsd,
@@ -500,7 +500,7 @@ def _scalar_waterfillers(kind, base, ratio, n_grid):
        power=st.floats(0.1, 10.0), ratio=st.floats(0.3, 2.5), n_grid=st.integers(2, 600),
        shares=st.lists(st.floats(0.0, 0.95), min_size=1, max_size=4))
 @example(kind="stationary", family="triangular", bandwidth=1.0, power=1.0, ratio=1.0,
-         n_grid=301, shares=[0.5])       # odd, breakpoint at 0: the whole grid
+         n_grid=301, shares=[0.5])       # odd, breakpoint at 0: 300 nodes, halved
 @example(kind="rect", family="flat", bandwidth=1.0, power=1.0, ratio=0.55,
          n_grid=2, shares=[0.0, 0.9])
 def test_half_grid_scalar_waterfillers_reproduce_the_whole_grid(kind, family, bandwidth, power,
@@ -516,9 +516,9 @@ def test_half_grid_scalar_waterfillers_reproduce_the_whole_grid(kind, family, ba
         assert a.distortion == pytest.approx(b.distortion, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("n_grid, kept", [(2048, 1024), (2047, 2047)])
+@pytest.mark.parametrize("n_grid, kept", [(2048, 1024), (2047, 1023)])
 def test_stationary_waterfiller_halves_a_mirror_symmetric_grid(n_grid, kept):
-    # the triangle's breakpoint at 0 makes an odd grid asymmetric: it stays whole
+    # the triangle's breakpoint at 0 gives an odd grid one node less, so it is mirrored
     assert stationary_waterfiller(triangular_psd(1.0, 1.0), n_grid).levels.size == kept
 
 
@@ -542,38 +542,42 @@ HALF_GRID_SOURCES = {
 }
 
 
-# the AM and PAM breakpoints include phi = 0, which makes their odd grids
-# asymmetric; the discrete source has none, so its odd grid has a node at 0
-@pytest.mark.parametrize("source, n_grid", [("am", 2048), ("pam", 2048), ("discrete", 2048),
-                                            ("discrete", 255)])
-def test_fields_are_decomposed_on_the_non_negative_half(monkeypatch, source, n_grid):
+# the AM and PAM breakpoints include phi = 0, so their odd grids get one node
+# less; the discrete source has none, so its odd grid has a node at 0
+@pytest.mark.parametrize("source, n_grid, half", [("am", 2048, 1024), ("am", 2047, 1023),
+                                                  ("pam", 2048, 1024), ("discrete", 2048, 1024),
+                                                  ("discrete", 255, 128)])
+def test_fields_are_decomposed_on_the_non_negative_half(monkeypatch, source, n_grid, half):
     spec = HALF_GRID_SOURCES[source]()
     seen = _recorded_nodes(monkeypatch)
     if source == "discrete":
-        assert even_half(phi_grid(n_grid, spec.phi_breakpoints)).size == ceil(n_grid / 2)
+        assert half_grid(0.5, n_grid, spec.phi_breakpoints).size == half
         discrete_waterfiller(spec, n_grid).solve(1.0)
         fields = 1
     else:
-        assert even_half(phi_grid(n_grid, spec.phi_breakpoints())).size == ceil(n_grid / 2)
+        assert half_grid(0.5, n_grid, spec.phi_breakpoints()).size == half
         solver = ContinuousDrfSolver(spec, ContinuousDrfConfig(4, 16, None, 0.0, n_grid))
         solver.solve(1.0)
         fields = len(solver._fields)
     nodes = np.concatenate(seen)
-    assert nodes.size == fields * ceil(n_grid / 2) and np.all(nodes >= 0.0)
+    assert nodes.size == fields * half and np.all(nodes >= 0.0)
 
 
-def test_asymmetric_grid_is_decomposed_whole(monkeypatch):
-    # an odd grid split at phi = 0 gives the extra node to the left half
+def test_odd_grid_split_at_zero_is_halved(monkeypatch):
+    # 257 nodes split at phi = 0 cannot be mirrored: the grid has 256, and the
+    # fields are decomposed on its 128 nodes phi > 0, within rounding of the whole grid
     spec = am_cpsd(triangular_psd(1.0, 1.0), 1.2, 0.3)
     cfg = ContinuousDrfConfig(1, 16, None, 0.0, 257)
-    grid = phi_grid(257, spec.phi_breakpoints())
-    assert even_half(grid) is grid
+    grid = half_grid(0.5, 257, spec.phi_breakpoints())
+    assert grid.size == 128 and np.all(grid.nodes > 0.0)
     seen = _recorded_nodes(monkeypatch)
     solver = ContinuousDrfSolver(spec, cfg)
     fast = solver.solve(2.0)
     assert np.array_equal(np.concatenate(seen), np.tile(grid.nodes, len(solver._fields)))
     ref = _FullGridSolver(spec, cfg).solve(2.0)
-    assert fast.iterates == ref.iterates and fast.point == ref.point
+    assert [d for d, _, _ in fast.iterates] == [d for d, _, _ in ref.iterates]
+    for it_a, it_b in zip(fast.iterates, ref.iterates):
+        _assert_same_point(it_a[1:], it_b[1:], spec.avg_power)
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +778,7 @@ def test_half_grid_bound_reproduces_the_full_grid(name, seed, shape, n_grid, rat
         bound, kwargs = lower_bound_continuous, {"n_t": 8}
         rates = [rate / src.period for rate in rates]
     fast = bound(src, rates, n_grid=n_grid, **kwargs)
-    with mock.patch.object(csdrf.drf, "even_half", lambda grid: grid):
+    with mock.patch.object(csdrf.drf, "half_grid", lambda r, n, b: segmented_midpoint(-r, r, n, b)):
         ref = bound(src, rates, n_grid=n_grid, **kwargs)
     np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=0.0)
 
@@ -786,15 +790,33 @@ def test_continuous_bound_t_grid_refinement():
     assert abs(a - b) <= 1e-6 * max(a, 1e-12)
 
 
-@pytest.mark.parametrize("value", [0, -3, 2.5])
-@pytest.mark.parametrize("bound, source, name", [
-    (lower_bound_continuous, lambda: am_cpsd(triangular_psd(1.0, 1.0), 1.2), "n_t"),
-    (lower_bound_continuous, lambda: am_cpsd(triangular_psd(1.0, 1.0), 1.2), "n_grid"),
-    (lower_bound_discrete, lambda: white_cs([1.0, 4.0]), "n_grid"),
+def _am():
+    return am_cpsd(triangular_psd(1.0, 1.0), 1.2)
+
+
+# every grid builder checks its size where the grid is built
+@pytest.mark.parametrize("value", [0, -3, 2.5, True])
+@pytest.mark.parametrize("build, name", [
+    pytest.param(lambda v: lower_bound_continuous(_am(), [0.5, 1.0], n_t=v), "n_t", id="n_t"),
+    pytest.param(lambda v: lower_bound_continuous(_am(), [0.5, 1.0], n_grid=v), "grid size",
+                 id="lower_bound_continuous"),
+    pytest.param(lambda v: lower_bound_discrete(white_cs([1.0, 4.0]), [0.5, 1.0], n_grid=v),
+                 "grid size", id="lower_bound_discrete"),
+    pytest.param(lambda v: stationary_waterfiller(triangular_psd(1.0, 1.0), v), "grid size",
+                 id="stationary_waterfiller"),
+    pytest.param(lambda v: pam_waterfiller(pam_cpsd(flat_psd(1.0, 1.0), rect_pulse(0.8), 0.8), v),
+                 "grid size", id="pam_waterfiller"),
+    pytest.param(lambda v: discrete_waterfiller(white_cs([1.0, 4.0]), v), "grid size",
+                 id="discrete_waterfiller"),
+    pytest.param(lambda v: sampled_coding(triangular_psd(1.0, 1.0), 1.5, v), "grid size",
+                 id="sampled_coding"),
+    pytest.param(lambda v: discrete_stationary_drf(np.ones_like, 1.0, v), "grid size",
+                 id="discrete_stationary_drf"),
+    pytest.param(phi_grid, "grid size", id="phi_grid"),
 ])
-def test_bounds_reject_grid_sizes_that_are_not_positive_integers(bound, source, name, value):
+def test_bounds_reject_grid_sizes_that_are_not_positive_integers(build, name, value):
     with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
-        bound(source(), [0.5, 1.0], **{name: value})
+        build(value)
 
 
 # ---------------------------------------------------------------------------
