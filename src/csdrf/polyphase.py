@@ -4,8 +4,10 @@ Splitting a cyclostationary process into its per-phase subsequences yields a
 jointly stationary vector process. Its M x M cross-spectral matrix at each
 normalized frequency phi is assembled here, either from the covariance table
 (discrete time) or from the cyclic spectral densities folded over the
-sampling lattice (continuous time). The eigenvalues of this matrix carry the
-entire rate-distortion content of the source.
+sampling lattice (continuous time). In continuous time the alias series is
+summed once, into the residue-folded matrix (``folded_alias_matrix``); the
+full M x M matrix is that matrix seen in a DFT basis. The eigenvalues of
+this matrix carry the entire rate-distortion content of the source.
 """
 
 from __future__ import annotations
@@ -82,18 +84,17 @@ class _AliasSeries:
     """Truncated alias series of a harmonic-limited continuous-time spectrum.
 
     At resolution M the polyphase matrix is (1/T0) A S A^H with
-    A[m, j] = e^{2 pi i m (phi - j) / M} and S[k, k + n] = cpsd(n, (phi - k)/T0).
-    The rows are the aliases k = -kmax..kmax, kmax = ceil(0.5 + T0 f_rad) + 1;
-    the columns are every k + n over the active harmonics n. Only the aliases
-    with |k| - 1/2 < T0 f_rad can be nonzero for phi in (-1/2, 1/2) (see
-    ``saturation_dim``). The outer rows stay in the series, so a matrix keeps
-    its side; ``folded_alias_matrix`` marks them dead in its ``blocks``, and
-    they are skipped when the matrix is decomposed.
+    A[m, k] = e^{2 pi i m (phi - k) / M} and S[k, k + n] = cpsd(n, (phi - k)/T0)
+    over the aliases k = -kmax..kmax, kmax = ceil(0.5 + T0 f_rad) + 1, and the
+    active harmonics n. Only the aliases with |k| - 1/2 < T0 f_rad can be
+    nonzero for phi in (-1/2, 1/2) (see ``saturation_dim``). The outer aliases
+    stay in the series, so a matrix keeps its side; ``folded_alias_matrix``
+    marks them dead in its ``blocks``, and they are skipped when the matrix is
+    decomposed.
     """
 
     spec: CyclicSpectrum
-    aliases: np.ndarray      # column aliases j, consecutive and ascending
-    rows: slice              # the row aliases k inside ``aliases``
+    aliases: np.ndarray      # k = -kmax..kmax, consecutive and ascending
 
     @classmethod
     def of(cls, spec: CyclicSpectrum, caller: str) -> "_AliasSeries":
@@ -102,24 +103,15 @@ class _AliasSeries:
                 f"{caller}: harmonic/alias series does not truncate "
                 "for this spectrum; achieved tail bound is unbounded")
         kmax = ceil(0.5 + spec.period * spec.freq_radius) + 1
-        # column aliases j = k + n cover -kmax + min(n, 0) .. kmax + max(n, 0)
-        j_lo = min(min(spec.active_indices, default=0), 0)
-        j_hi = max(max(spec.active_indices, default=0), 0)
-        aliases = np.arange(-kmax + j_lo, kmax + j_hi + 1)
-        return cls(spec, aliases, slice(-j_lo, -j_lo + 2 * kmax + 1))
-
-    def columns(self, n: int) -> slice:
-        """Positions in ``aliases`` of the columns k + n of the row aliases k."""
-        return slice(self.rows.start + n, self.rows.stop + n)
+        return cls(spec, np.arange(-kmax, kmax + 1))
 
     def harmonics(self, phi: np.ndarray):
         """(n, values) per active harmonic, one ``cpsd`` call each:
-        values[p, i] = cpsd(n, (phi_p - k_i)/T0) / T0 over the row aliases k_i."""
+        values[p, i] = cpsd(n, (phi_p - k_i)/T0) / T0 over the aliases k_i."""
         t0 = self.spec.period
-        k = self.aliases[self.rows]
-        f = ((phi[:, None] - k) / t0).ravel()
+        f = ((phi[:, None] - self.aliases) / t0).ravel()
         for n in self.spec.active_indices:
-            yield n, self.spec.cpsd(n, f).reshape(phi.size, k.size) / t0
+            yield n, self.spec.cpsd(n, f).reshape(phi.size, self.aliases.size) / t0
 
 
 def saturation_dim(spec: CyclicSpectrum) -> int | None:
@@ -146,12 +138,13 @@ def psd_pc_matrix_continuous(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
     """Polyphase matrix of a continuous-time process at intra-period resolution dim.
 
     Entry (m, r) at phi is (1/T0) sum_k sum_n cpsd(n, (phi - k)/T0)
-    e^{2 pi i (n r + (m - r)(phi - k)) / dim}. With
-    A[m, j] = e^{2 pi i m (phi - j) / dim} over the column aliases j = k + n,
-    the double series regroups into one batched product (1/T0) A_k W, where
-    W[k, r] = sum_n cpsd(n, (phi - k)/T0) conj(A[r, k + n]) and A_k keeps the
-    alias columns k = -kmax..kmax. Spectra that expose an exact rank-one
-    factorization (pulse-amplitude structure) bypass the series.
+    e^{2 pi i (n r + (m - r)(phi - k)) / dim}, that is (1/T0) A S A^H in the
+    alias series of ``folded_alias_matrix``. There A = V(phi) E, where E maps
+    alias k to its residue and V[m, rho] = e^{2 pi i m (phi - (rho - kmax)) / dim}
+    (column rho holds the residue counted from -kmax), so the matrix is the
+    folded one in this basis, V(phi) folded(phi) V(phi)^H / dim. Spectra that
+    expose an exact rank-one factorization (pulse-amplitude structure) bypass
+    the series.
     """
     _require_positive_int("dim", dim)
 
@@ -162,19 +155,14 @@ def psd_pc_matrix_continuous(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
 
         return PsdPcMatrix(dim, evaluate, spec.phi_breakpoints())
 
-    series = _AliasSeries.of(spec, "psd_pc_matrix_continuous")
-    rows = series.rows
+    kmax = -_AliasSeries.of(spec, "psd_pc_matrix_continuous").aliases[0]
+    folded = folded_alias_matrix(spec, dim)
     idx = np.arange(dim)
-    alias_phase = np.exp(-TWO_PI * 1j * np.multiply.outer(series.aliases, idx) / dim)  # (j, m)
+    shift = np.exp(-TWO_PI * 1j * np.multiply.outer(idx, np.arange(folded.dim) - kmax) / dim)
 
     def evaluate(phi):
-        # a[p, j, m] = A[m, j] at phi_p, split as e^{2 pi i m phi/dim} e^{-2 pi i m j/dim}
-        a = np.exp(TWO_PI * 1j * np.multiply.outer(phi / dim, idx))[:, None, :] * alias_phase
-        a_conj = a.conj()
-        w = np.zeros((phi.size, rows.stop - rows.start, dim), dtype=complex)   # w[p, k, r]
-        for n, s in series.harmonics(phi):
-            w += s[:, :, None] * a_conj[:, series.columns(n), :]
-        return np.swapaxes(a[:, rows, :], 1, 2) @ w
+        v = np.exp(TWO_PI * 1j * np.multiply.outer(phi / dim, idx))[:, :, None] * shift
+        return v @ folded(phi) @ np.swapaxes(v.conj(), 1, 2) / dim
 
     return PsdPcMatrix(dim, evaluate, spec.phi_breakpoints())
 
@@ -221,7 +209,7 @@ def folded_alias_matrix(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
         return PsdPcMatrix(1, evaluate, spec.phi_breakpoints())
 
     series = _AliasSeries.of(spec, "folded_alias_matrix")
-    pos = np.arange(series.rows.stop - series.rows.start)      # alias k sits at k + kmax
+    pos = np.arange(series.aliases.size)      # alias k sits at k + kmax
     side = min(dim, pos.size)
     # residues counted from -kmax, (k + kmax) mod dim, fill 0..side-1; they
     # differ from k mod dim by a shift, a diagonal unitary similarity

@@ -328,6 +328,10 @@ class CyclicSpectrum:
     active harmonic set and the frequency support radius control how the
     infinite folding sums are truncated; both are exact for the built-in
     constructors (truncation only drops terms that are identically zero).
+    A real process has a Hermitian cyclic spectrum,
+    cpsd(-n, f) = conj(cpsd(n, f + n/T0)); the polyphase builders rely on it
+    to drop alias columns beyond the truncated rows, so a custom ``cpsd_fn``
+    must satisfy it.
     """
 
     def __init__(self, period, cpsd_fn, active_indices, freq_radius, avg_power,

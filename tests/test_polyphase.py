@@ -146,14 +146,21 @@ def test_factored_am_matrix_matches_double_sum(center):
         _assert_matches_double_sum(spec, dim, phi)
 
 
-def test_factored_stationary_and_one_sided_matrices_match_double_sum():
+def test_factored_stationary_and_shifted_harmonic_matrices_match_double_sum():
     phi = np.random.default_rng(3).uniform(-0.5, 0.5, 40)
     base = triangular_psd(1.0, 1.0)
-    # a one-sided harmonic set: the column aliases reach k + 3 but never below k
-    one_sided = CyclicSpectrum(
-        0.7, lambda n, f: (1.0 + 0.25 * n) * np.exp(0.4j * n) * base(f), (0, 3),
-        base.support_radius, 1.0, base.breakpoints)
-    for spec in (stationary_cyclic(base, 0.4), one_sided):
+    t0, shift = 0.7, 3 / 0.7
+
+    def cpsd(n, f):
+        # the Hermitian partner of harmonic 3 lies on the band shifted to -3/T0
+        if n == -3:
+            return np.conj(cpsd(3, f + shift))
+        return (1.0 + 0.25 * n) * np.exp(0.4j * n) * base(f)
+
+    # harmonics (-3, 0, 3): the column aliases reach k - 3 and k + 3
+    shifted = CyclicSpectrum(t0, cpsd, (-3, 0, 3), base.support_radius + shift, 1.0,
+                             base.breakpoints + tuple(b - shift for b in base.breakpoints))
+    for spec in (stationary_cyclic(base, 0.4), shifted):
         for dim in (1, 3, 8):
             _assert_matches_double_sum(spec, dim, phi)
 
@@ -171,7 +178,7 @@ def test_staircase_matrix_works_through_factor_route():
 
     generic = CyclicSpectrum(1.0, lambda n, f: np.zeros_like(f, dtype=complex),
                              None, np.inf, 1.0)
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match="psd_pc_matrix_continuous"):
         psd_pc_matrix_continuous(generic, 4)
 
 
@@ -289,13 +296,20 @@ def _magnitude(spec):
 
 
 def _assert_folded_field_is_the_nonzero_spectrum(spec, dim, phi):
-    full = hermitian_eigenvalues(psd_pc_matrix_continuous(spec, dim)(phi))
+    ref = _double_sum_matrix(spec, dim, phi)
+    full = np.linalg.eigvalsh(ref)    # ungated: a reference that cancels to round-off
     folded = hermitian_eigenvalues(folded_alias_matrix(spec, dim)(phi))
     side = min(dim, _alias_count(spec))
     assert folded.shape == (phi.size, side)
-    # round-off scales with the summands, not with the eigenvalues they cancel
-    # to: the largest row sum of the |cpsd| fold bounds both
-    scale = 1e-13 * folded_alias_matrix(_magnitude(spec), dim)(phi).sum(axis=-1).max()
+    # round-off scales with the summands, not with the entries or eigenvalues
+    # they cancel to. The |cpsd| fold bounds both: an entry of the double sum
+    # has 1/dim of its total in absolute terms, an eigenvalue its largest row sum
+    magnitude = folded_alias_matrix(_magnitude(spec), dim)(phi)
+    terms = magnitude.sum(axis=(-2, -1)).max() / dim
+    # the full matrix is the folded one in a DFT basis: entry by entry the double sum
+    np.testing.assert_allclose(psd_pc_matrix_continuous(spec, dim)(phi), ref, rtol=0,
+                               atol=1e-13 * terms)
+    scale = 1e-13 * magnitude.sum(axis=-1).max()
     np.testing.assert_allclose(folded, full[:, dim - side:], rtol=0, atol=scale)
     assert np.all(full[:, :dim - side] <= scale)      # the rest is round-off
 
