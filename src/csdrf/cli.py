@@ -364,9 +364,10 @@ def _discrete_sources(sc):
     m = proc.period
 
     def block_filler():
-        # whole periods only: a block cut mid-period has unequal slot counts
+        # whole periods, wrapped onto a circle: block-circulant, so the
+        # oracle decomposes P small M x M matrices
         n = max(1, sc.oracle_n // m) * m
-        return oracle_mod.kl_drf(oracle_mod.BlockCovariance.from_process(proc, n))
+        return oracle_mod.kl_drf(oracle_mod.PeriodizedBlock.from_process(proc, n))
 
     return [Source(proc, {
         "drf": _solved(lambda: drf_mod.discrete_waterfiller(proc, sc.phi_grid), m),

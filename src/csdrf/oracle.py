@@ -16,15 +16,23 @@ symmetrized once, when its grid is made. A PAM kernel with a time-windowed
 pulse is the product P R_U P^T of an n x s pulse matrix and an s x s symbol
 Toeplitz matrix: its nonzero eigenvalues are those of one s x s matrix, and
 the other n - s are exact zeros, and its dense n x n values are formed only
-when something reads them (``weyl_gap``). A discrete block is filled one
-diagonal at a time from the covariance table. A diagonal block (a memoryless
-source) is its own sorted spectrum, which is what the dense decomposition
-returns for it bit for bit. A dense kernel of even size that equals its
-reversal J K J within REVERSAL_TOL n eps max |K| (a stationary kernel, AM at
-phase 0 or pi/2, PAM with an even pulse: the grid is symmetric about 0) is
-decomposed as an even and an odd half of size n/2, each eigenvalue within
-the Weyl bound ||K - J K J||_2 / 2 of the dense one; any other kernel or
-block is decomposed dense.
+when something reads them (``weyl_gap``). A dense kernel of even size that
+equals its reversal J K J within REVERSAL_TOL n eps max |K| (a stationary
+kernel, AM at phase 0 or pi/2, PAM with an even pulse: the grid is symmetric
+about 0) is decomposed as an even and an odd half of size n/2, each
+eigenvalue within the Weyl bound ||K - J K J||_2 / 2 of the dense one; any
+other kernel is decomposed dense.
+
+A discrete source has two windows, both read from its covariance table. The
+plain block (``BlockCovariance``) is the covariance of n consecutive symbols,
+filled one diagonal at a time and decomposed dense. The periodized block
+(``PeriodizedBlock``) wraps P whole periods onto a circle: it has no window
+edge, and it is block-circulant, so a DFT over the period index, the
+paper's orthogonalization over polyphase components done in the time
+domain, splits it into P Hermitian M x M matrices, and only its first block
+row is stored. Either block, when diagonal (a memoryless source), is its
+own sorted spectrum, which is what the dense decomposition returns for it
+bit for bit.
 """
 
 from __future__ import annotations
@@ -144,6 +152,68 @@ class BlockCovariance:
             flat[k:(n - k) * n:n + 1] = diag
         return cls(mat)
 
+    def _ascending_eigenvalues(self) -> np.ndarray:
+        """A diagonal block is its own sorted spectrum, bit for bit what the
+        dense decomposition returns; any other block is decomposed dense."""
+        mat = self.matrix
+        if np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat)):
+            return np.sort(np.diagonal(mat))
+        return np.linalg.eigvalsh(mat)
+
+
+@dataclass(frozen=True, eq=False)
+class PeriodizedBlock:
+    """Covariance of P whole periods of a discrete process wrapped onto a
+    circle of n = P M symbols, kept as its first block row.
+
+    The wrapped matrix C[s, t] = sum_w E[X[s + w n] X[t]] is block-circulant
+    with M x M blocks, so ``blocks`` (P, M, M) holds all of it: block q is
+    B_q[a, b] = sum over j = q (mod P) of R[b, j M + a - b].
+    """
+
+    blocks: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.blocks.shape[0] * self.blocks.shape[1]
+
+    @classmethod
+    def from_process(cls, proc: DiscreteCsProcess, n: int) -> "PeriodizedBlock":
+        """Block of n symbols, n a positive multiple of the period, read from
+        the covariance table R (zero beyond the memory L). Each block lag j
+        reaches the entries whose lag j M + a - b is within L; when n < 2L + 1
+        several lags wrap onto one block and are summed there.
+        """
+        m, lmax = proc.period, proc.memory
+        if n < 1 or n % m:
+            raise ValueError(f"periodized block length n must be a positive multiple "
+                             f"of the period {m}, got {n!r}")
+        table = proc.cov_table
+        periods = n // m
+        blocks = np.zeros((periods, m, m))
+        a, b = np.arange(m)[:, None], np.arange(m)[None, :]
+        reach = (lmax + m - 1) // m
+        for j in range(-reach, reach + 1):
+            lag = j * m + a - b
+            live = np.abs(lag) <= lmax
+            blocks[j % periods] += np.where(live, table[b, np.clip(lag, -lmax, lmax) + lmax], 0.0)
+        return cls(blocks)
+
+    def _ascending_eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of the P Hermitian M x M matrices
+        sum_q B_q exp(-2 pi i q k / P), k = 0..P-1: one DFT over the period
+        axis and one batched decomposition. A block row whose only nonzero
+        block is a diagonal B_0 (a memoryless source) is its diagonal
+        repeated P times, sorted, with no decomposition.
+        """
+        blocks = self.blocks
+        diagonal = np.diagonal(blocks[0])
+        if np.count_nonzero(blocks) == np.count_nonzero(diagonal):
+            return np.sort(np.tile(diagonal, blocks.shape[0]))
+        spectra = np.fft.fft(blocks, axis=0)
+        spectra = 0.5 * (spectra + spectra.conj().transpose(0, 2, 1))
+        return np.sort(np.linalg.eigvalsh(spectra), axis=None)
+
 
 def build_kernel(spec: CyclicSpectrum, t_half: float, n: int) -> KernelGrid:
     """Covariance kernel of a continuous-time source on a [-T, T] grid.
@@ -219,25 +289,22 @@ def kl_drf(source) -> ScalarWaterfiller:
 
     The kernel or block is decomposed once; ``.solve_many(rates)`` then gives
     the curve at any rates; a factored kernel is decomposed in symbol space
-    (``KernelGrid.operator_eigenvalues``), and a block with no nonzero entry
-    off its diagonal is its own sorted spectrum, the dense decomposition's bit
-    for bit. For a KernelGrid the eigenvalues of the window-normalized
-    operator are waterfilled with rate in bits per second,
-    (1/(4T)) sum log2+. For a BlockCovariance the eigenvalues of C/N are
-    waterfilled with rate in bits per symbol, (1/(2N)) sum log2+. Distortion
-    is a plain eigenvalue sum in both cases because the normalization already
-    sits inside the eigenvalues.
+    (``KernelGrid.operator_eigenvalues``), a periodized block as its P
+    M x M DFT matrices, and a block with no nonzero entry off its diagonal
+    is its own sorted spectrum, the dense decomposition's bit for bit. For a
+    KernelGrid the eigenvalues of the window-normalized operator are
+    waterfilled with rate in bits per second, (1/(4T)) sum log2+. For a
+    BlockCovariance or a PeriodizedBlock of N symbols the eigenvalues of C/N
+    are waterfilled with rate in bits per symbol, (1/(2N)) sum log2+.
+    Distortion is a plain eigenvalue sum in every case because the
+    normalization already sits inside the eigenvalues.
     """
     if isinstance(source, KernelGrid):
         lam = _clip_eigenvalues(source.operator_eigenvalues())
         r_scale = 1.0 / (4.0 * source.half_width)
-    elif isinstance(source, BlockCovariance):
-        n, mat = source.size, source.matrix
-        if np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat)):
-            ascending = np.sort(np.diagonal(mat))
-        else:
-            ascending = np.linalg.eigvalsh(mat)
-        lam = _clip_eigenvalues(ascending[::-1] / n)
+    elif isinstance(source, (BlockCovariance, PeriodizedBlock)):
+        n = source.size
+        lam = _clip_eigenvalues(source._ascending_eigenvalues()[::-1] / n)
         r_scale = 1.0 / (2.0 * n)
     else:
         raise TypeError(f"unsupported oracle source: {type(source)!r}")

@@ -47,11 +47,24 @@ def test_ac1_oracle_equivalence_discrete():
         worst3 = max(worst3, abs(fast - ref) / ref)
     assert worst3 <= 1e-3, f"random period-3 oracle gap {worst3:.2e}"
 
+    # the same process periodized over 85 whole periods has no window edge,
+    # so it needs no ordering of the scales
+    worst_p = 0.0
+    for scales in ([c[1], c[0], c[2]], c):
+        proc = csdrf.modulated_ma(scales, [1.0, 0.3])
+        oracle = csdrf.kl_drf(csdrf.oracle.PeriodizedBlock.from_process(proc, 255))
+        fast = csdrf.discrete_waterfiller(proc)
+        for r in rates:
+            ref = oracle.solve(float(r)).distortion
+            worst_p = max(worst_p, abs(fast.solve(float(r)).distortion - ref) / ref)
+    assert worst_p <= 1e-6, f"periodized period-3 oracle gap {worst_p:.2e}"
+
     hand = fast2.solve(0.5)
     assert hand.distortion == pytest.approx(1.0, rel=1e-9)
 
     _report("AC1 oracle equivalence (N=256, 6 rates)",
-            f"[max rel gaps: M=2 {worst:.2e}, M=3 {worst3:.2e}]")
+            f"[max rel gaps: M=2 {worst:.2e}, M=3 {worst3:.2e}, "
+            f"M=3 periodized N=255 {worst_p:.2e}]")
 
 
 # ---------------------------------------------------------------------------

@@ -549,20 +549,22 @@ def _curve_cfg(tmp_path, kind, count, source=None):
     return _write(tmp_path, f"{kind}-{count}{'-own' if source else ''}.ini", text)
 
 
-# a discrete source with memory: its block is irreducible and decomposed dense
+# a discrete source with memory: its periodized block is decomposed as P
+# small matrices, one per frequency of the period index
 MODULATED_MA = "mod_scales = 1 0.5\nma_taps = 1 0.4\n"
 
 
 @pytest.mark.parametrize("kind, source, shapes", [
     ("stationary", None, [(24, 24)] * 2), ("discrete-cs", None, []),
-    ("discrete-cs", MODULATED_MA, [(48, 48)]), ("am", None, [(24, 24)] * 2), ("pam", None, [])],
+    ("discrete-cs", MODULATED_MA, [(24, 2, 2)]), ("am", None, [(24, 24)] * 2), ("pam", None, [])],
     ids=["stationary", "discrete-cs", "modulated-ma", "am", "pam"])
 def test_verify_decomposes_each_kernel_once(tmp_path, monkeypatch, capsys, kind, source, shapes):
     # one oracle decomposition per curve; the memoryless block is diagonal
     # and the triangle-pulse PAM kernel is decomposed in symbol space, so
     # neither makes a dense call; the stationary and phase-0 AM kernels equal
     # their reversal J K J and are decomposed as two (24, 24) halves, and the
-    # modulated-MA block makes one dense (48, 48) call
+    # modulated-MA block of 24 periods makes no dense call but one batched
+    # call on 24 blocks of size 2 x 2
     kl_drf = csdrf.oracle.kl_drf
     eigvalsh = np.linalg.eigvalsh
     decompositions, oracle_shapes = [], []
@@ -572,7 +574,7 @@ def test_verify_decomposes_each_kernel_once(tmp_path, monkeypatch, capsys, kind,
         return kl_drf(block)
 
     def recording_eigvalsh(a, *args, **kwargs):
-        if np.shape(a) in ((48, 48), (24, 24)):
+        if np.shape(a) in ((48, 48), (24, 24), (24, 2, 2)):
             oracle_shapes.append(np.shape(a))
         return eigvalsh(a, *args, **kwargs)
 
@@ -735,7 +737,7 @@ def test_nonconverged_earlier_rate_wins_over_a_later_underflow(tmp_path, capsys)
 
 # On a two-node grid the field of a period-1 MA source with taps (1, 0.5) is
 # one level, S(1/4) = 1.25, which resolves 60 bits per symbol; the eigenvalues
-# 1.25 - 0.71, 1.25 and 1.25 + 0.71 of its 3-symbol block resolve only 59.58
+# 2.25, 0.75 and 0.75 of its periodized 3-symbol block resolve only 59.47
 ONE_LEVEL_CFG = """
 [source]
 kind = discrete-cs
@@ -755,7 +757,7 @@ oracle_n = 3
 
 
 def _one_level_block():
-    return csdrf.kl_drf(csdrf.oracle.BlockCovariance.from_process(
+    return csdrf.kl_drf(csdrf.oracle.PeriodizedBlock.from_process(
         csdrf.modulated_ma([1.0], [1.0, 0.5]), 3))
 
 
@@ -791,8 +793,8 @@ def test_discrete_oracle_takes_whole_periods(tmp_path, capsys, monkeypatch):
     cfg = _write(tmp_path, "w.ini", VERIFY_CFG.replace("variances = 1 4", "variances = 1 4 2")
                  + "\n[numerics]\noracle_n = 256\n")
     sizes = []
-    from_process = csdrf.oracle.BlockCovariance.from_process
-    monkeypatch.setattr(csdrf.oracle.BlockCovariance, "from_process", staticmethod(
+    from_process = csdrf.oracle.PeriodizedBlock.from_process
+    monkeypatch.setattr(csdrf.oracle.PeriodizedBlock, "from_process", staticmethod(
         lambda proc, n: sizes.append(n) or from_process(proc, n)))
     assert main(["verify", "--config", cfg]) == 0
     assert sizes == [255]

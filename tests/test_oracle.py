@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 from math import ceil, floor
 from unittest import mock
@@ -8,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csdrf.oracle
-from csdrf.cli import Scenario, _normalized_pam, make_base
+from csdrf.cli import Scenario, _normalized_pam, main, make_base
 from csdrf.drf import pam_waterfiller
-from csdrf.oracle import (BlockCovariance, KernelGrid, build_kernel, kl_drf,
-                          step_approximation, weyl_gap)
+from csdrf.oracle import (BlockCovariance, KernelGrid, PeriodizedBlock, build_kernel,
+                          kl_drf, step_approximation, weyl_gap)
 from csdrf.quadrature import gauss_segments
 from csdrf.spectra import (DiscreteCsProcess, am_cpsd, flat_psd, ideal_interp_pulse,
                            modulated_ma, pam_cpsd, raised_cosine_psd, raised_cosine_pulse,
@@ -467,6 +468,118 @@ def test_block_with_memory_is_decomposed_dense(scales, zero, taps, n):
 def test_block_with_a_negative_part_is_rejected(matrix):
     with pytest.raises(NotPositiveSemidefinite):
         kl_drf(BlockCovariance(matrix))
+
+
+# ---------------------------------------------------------------------------
+# periodized blocks: whole periods on a circle, block-circulant
+# ---------------------------------------------------------------------------
+
+def _per_entry_wrapped(proc, n):
+    """The n x n wrapped block entry by entry: every lag of every column is
+    added at its row modulo n, so lags that wrap onto one entry are summed."""
+    mat = np.zeros((n, n))
+    lmax = proc.memory
+    for t in range(n):
+        for lag in range(-lmax, lmax + 1):
+            mat[(t + lag) % n, t] += proc.cov(t, lag)
+    return 0.5 * (mat + mat.T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(proc=_processes, periods=st.integers(1, 12))
+@example(proc=modulated_ma([1.0], [0.5, -0.8, 0.3, 0.9]), periods=2)
+@example(proc=modulated_ma([1.3, 0.7], [0.5, 0.8, 0.3, 0.2, 0.9]), periods=4)
+def test_periodized_block_equals_the_wrapped_dense_matrix(proc, periods):
+    # m = 1 and n < 2L + 1 included: the lags that wrap onto one block are summed
+    n = periods * proc.period
+    dense = np.linalg.eigvalsh(_per_entry_wrapped(proc, n))
+    block = PeriodizedBlock.from_process(proc, n)
+    assert block.blocks.shape == (periods, proc.period, proc.period)
+    lam = block._ascending_eigenvalues()
+    assert np.abs(lam - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(variances=st.lists(_unit.map(abs), min_size=1, max_size=6), periods=st.integers(1, 100))
+@example(variances=[0.3, 2.0, 0.0, 1.7], periods=256)
+def test_memoryless_periodized_block_is_the_plain_blocks_levels(variances, periods):
+    proc = white_cs(variances)
+    n = periods * proc.period
+    plain = kl_drf(BlockCovariance.from_process(proc, n)).levels
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
+        _assert_bitwise(kl_drf(PeriodizedBlock.from_process(proc, n)).levels, plain)
+    assert eigvalsh.call_count == 0
+
+
+@pytest.mark.parametrize("n", [0, 5, -3])
+def test_periodized_block_takes_whole_periods(n):
+    with pytest.raises(ValueError, match="positive multiple of the period 3"):
+        PeriodizedBlock.from_process(white_cs([1.0, 2.0, 3.0]), n)
+
+
+# the cross-check workload's period-3 modulated MA source at seed 1
+MODULATED_MA_3 = """
+[source]
+kind = discrete-cs
+mod_scales = 1.859751 1.884272 1.019848
+ma_taps = 0.901714 0.833481 0.90797
+
+[rates]
+min = 0.1
+max = 4.0
+count = 8
+spacing = log
+
+[numerics]
+oracle_n = {n}
+"""
+
+
+def _verify_gap(tmp_path, capsys, n):
+    cfg = tmp_path / f"mma3-{n}.ini"
+    cfg.write_text(MODULATED_MA_3.format(n=n))
+    code = main(["verify", "--config", str(cfg)])
+    gap = float(capsys.readouterr().out.split("max_rel_gap=")[1].split()[0])
+    return code, gap
+
+
+def test_periodized_oracle_makes_no_dense_block(tmp_path, capsys):
+    # a dense 8190 x 8190 block alone would take 537 MB
+    tracemalloc.start()
+    try:
+        code, gap = _verify_gap(tmp_path, capsys, 8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and gap < 1e-6
+    assert peak < 6e6
+
+
+def test_periodized_oracle_converges_as_the_window_doubles(tmp_path, capsys):
+    gaps = [_verify_gap(tmp_path, capsys, n) for n in (96, 192, 384, 768, 1536)]
+    assert all(code == 0 for code, _ in gaps)
+    gaps = [gap for _, gap in gaps]
+    assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
+    assert gaps[3] <= 1e-4 and gaps[4] <= 1e-6
+
+
+def test_periodized_oracle_still_checks_the_fast_path(tmp_path, capsys, monkeypatch):
+    # the fast path alone sees slot 0 scaled by 1.01: verify must fail
+    assert _verify_gap(tmp_path, capsys, 768)[0] == 0
+    waterfiller = csdrf.drf.discrete_waterfiller
+
+    def scaled(proc, *args):
+        table, lmax = proc.cov_table, proc.memory
+        scale = np.ones(proc.period)
+        scale[0] = 1.01
+        rows = np.arange(proc.period)[:, None]
+        lags = np.arange(-lmax, lmax + 1)[None, :]
+        return waterfiller(DiscreteCsProcess.from_covariance(
+            table * scale[rows] * scale[(rows + lags) % proc.period]), *args)
+
+    monkeypatch.setattr(csdrf.drf, "discrete_waterfiller", scaled)
+    code, gap = _verify_gap(tmp_path, capsys, 768)
+    assert code == 3 and gap > 1e-3
 
 
 # ---------------------------------------------------------------------------
