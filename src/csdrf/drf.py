@@ -6,7 +6,8 @@ curve has one builder: ``discrete_waterfiller`` for discrete time,
 ``pam_waterfiller`` for the pulse-amplitude closed form and
 ``sampled_coding`` for sampling followed by source coding; the scalar ones
 return a ``ScalarWaterfiller`` to solve at every rate of a curve. The
-per-component lower bounds take a whole curve's rates at once.
+per-component lower bounds take a whole curve's rates at once, solving their
+component or phase spectra a block at a time (``waterfilling.stacked_solve``).
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import numpy as np
 from .polyphase import (component_spectra, folded_alias_matrix, psd_pc_matrix_discrete,
                         saturation_dim)
 # phi_grid is not called here: the benchmark's tracer test rebinds this name
-from .quadrature import _require_positive_int, half_grid, phi_grid  # noqa: F401
-from .spectra import (CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum,
-                      StationaryPsd, wiener_pulse)
+from .quadrature import _require_positive_int, gauss_segments, half_grid, phi_grid  # noqa: F401
+from .spectra import (CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum, StationaryPsd,
+                      row_blocks, wiener_pulse)
 from .waterfilling import (DECOMPOSITION_ERRORS, EigenField, RateDistortionPoint,
-                           ScalarWaterfiller, WaterLevelUnderflow)
+                           ScalarWaterfiller, WaterLevelUnderflow, stacked_solve)
 
 
 class NonConvergedError(RuntimeError):
@@ -60,20 +61,29 @@ def lower_bound_discrete(proc: DiscreteCsProcess, rates_bits_per_symbol,
     and asymptotically as the rate grows.
 
     Returns the bound at every rate, shaped like ``rates_bits_per_symbol``.
-    The component spectra are read from the table once for the whole curve
-    (``component_spectra``: R[m, 0] + 2 sum_{j >= 1} R[m, j M] cos(2 pi j phi))
-    and each is solved exactly at every rate by one ``solve_many``. A
-    component of a real process has a spectrum even in phi, so it is taken
-    on ``half_grid``, as in ``discrete_waterfiller``.
+    The component spectra are read from the table (``component_spectra``:
+    R[m, 0] + 2 sum_{j >= 1} R[m, j M] cos(2 pi j phi)) one block of
+    components at a time (``row_blocks``), and each block is solved exactly
+    at every rate by one ``stacked_solve``; the components' distortions are
+    summed in component order, whatever the blocks. A component of a real
+    process has a spectrum even in phi, so it is taken on ``half_grid``, as
+    in ``discrete_waterfiller``.
     """
     m = proc.period
     grid = half_grid(0.5, n_grid, proc.phi_breakpoints)
     per_component_rates = m * np.asarray(rates_bits_per_symbol, dtype=float)
-    total = np.zeros(per_component_rates.shape)
-    for levels in component_spectra(proc, grid.nodes).T:
-        sw = ScalarWaterfiller(levels, grid.weights, d_scale=1.0, r_scale=0.5)
-        total += sw.solve_many(per_component_rates)[1]
-    return total / m
+    blocks = (component_spectra(proc, grid.nodes, rows).T for rows in row_blocks(m, grid.size))
+    return _summed_distortions(blocks, grid.weights, per_component_rates, 0.5) / m
+
+
+def _summed_distortions(blocks, weights, rates: np.ndarray, r_scale: float) -> np.ndarray:
+    """Sum over every row of every block of level rows of the row's distortion
+    at each rate, in row order, by one ``stacked_solve`` per block."""
+    total = np.zeros(rates.shape)
+    for levels in blocks:
+        for dist in stacked_solve(levels, weights, rates, r_scale)[1]:
+            total += dist
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -254,28 +264,33 @@ def lower_bound_continuous(spec: CyclicSpectrum, rates_bits_per_second,
 
     For each phase t the component spectrum is the folded time-varying
     spectrum; it is waterfilled at the full code rate (1/(2 T0) normalizer),
-    and the resulting distortions are averaged over one period by the
-    midpoint rule. Equality holds exactly when a single component determines
-    all others.
+    and the resulting distortions are averaged over one period. Equality
+    holds exactly when a single component determines all others.
+
+    The average takes two Gauss-Legendre nodes on each of ceil(n_t / 2)
+    equal cells of [0, T0), so an odd ``n_t`` takes one node more; the
+    weights are equal. For a pulse inside one symbol the phase-t component
+    is U(a T0) p(t), so the phase curves are p(t)^2 times one curve and the
+    bound is the mean of p(t)^2 times it: the rule is exact where p(t)^2 is
+    piecewise cubic with its kinks on cell edges (a rect or triangle pulse
+    of one symbol), and D(0) = sigma^2 to rounding.
 
     Returns the bound at every rate, shaped like ``rates_bits_per_second``.
-    The ``n_t`` phase spectra come from one batched ``pc_psd`` call, which
-    folds each harmonic once for the whole curve, and each phase is solved
-    exactly at every rate by one ``ScalarWaterfiller.solve_many``. A phase
-    of a real process has a spectrum even in phi, so the phases are taken on
-    ``half_grid``, as in ``ContinuousDrfSolver``.
+    Each harmonic is folded once for the whole curve (``phase_spectra``);
+    the phase spectra are built from those folds one block of phases at a
+    time (``row_blocks``), and each block is solved exactly at every rate by
+    one ``stacked_solve``, the phases' distortions summed in phase order. A
+    phase of a real process has a spectrum even in phi, so the phases are
+    taken on ``half_grid``, as in ``ContinuousDrfSolver``.
     """
     _require_positive_int("n_t", n_t)
     t0 = spec.period
     grid = half_grid(0.5, n_grid, spec.phi_breakpoints())
-    normalizer = 1.0 / (2.0 * t0)
     rates = np.asarray(rates_bits_per_second, dtype=float)
-    total = np.zeros(rates.shape)
-    phases = (np.arange(n_t) + 0.5) * t0 / n_t
-    for levels in spec.pc_psd(phases, grid.nodes):
-        sw = ScalarWaterfiller(levels, grid.weights, d_scale=1.0, r_scale=normalizer)
-        total += sw.solve_many(rates)[1]
-    return total / n_t
+    phases, _ = gauss_segments(0.0, t0, (), min_cells=(n_t + 1) // 2, order=2)
+    profiles = spec.phase_spectra(grid.nodes)
+    blocks = (profiles(phases[rows]) for rows in row_blocks(phases.size, grid.size))
+    return _summed_distortions(blocks, grid.weights, rates, 1.0 / (2.0 * t0)) / phases.size
 
 
 # ---------------------------------------------------------------------------

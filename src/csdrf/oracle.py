@@ -280,8 +280,11 @@ def _reversal_halves(values: np.ndarray):
 
 
 def _symmetric(values) -> np.ndarray:
+    """(K + K^T) / 2, formed in one new buffer."""
     values = np.asarray(values, dtype=float)
-    return 0.5 * (values + values.T)
+    out = values + values.T
+    out *= 0.5
+    return out
 
 
 def kl_drf(source) -> ScalarWaterfiller:

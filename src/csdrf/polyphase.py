@@ -248,8 +248,9 @@ def folded_alias_matrix(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
     return PsdPcMatrix(side, evaluate, spec.phi_breakpoints(), blocks)
 
 
-def component_spectra(proc: DiscreteCsProcess, phi) -> np.ndarray:
-    """Spectra of the M polyphase components X[M n + m], shaped (phi.size, M).
+def component_spectra(proc: DiscreteCsProcess, phi, components=slice(None)) -> np.ndarray:
+    """Spectra of the polyphase components X[M n + m], shaped (phi.size, M),
+    or of the ``components`` (a slice of 0..M-1) only.
 
     Column m is the diagonal entry (m, m) of ``psd_pc_matrix_discrete``,
     R[m, 0] + 2 sum_{j >= 1} R[m, j M] cos(2 pi j phi) (a period-1 density
@@ -257,8 +258,8 @@ def component_spectra(proc: DiscreteCsProcess, phi) -> np.ndarray:
     """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     if proc.density is not None:
-        return np.maximum(np.asarray(proc.density(0, phi)).real, 0.0)[:, None]
-    m_dim, lmax, table = proc.period, proc.memory, proc.cov_table
+        return np.maximum(np.asarray(proc.density(0, phi)).real, 0.0)[:, None][:, components]
+    m_dim, lmax, table = proc.period, proc.memory, proc.cov_table[components]
     j = np.arange(1, lmax // m_dim + 1)
     cosines = np.cos(TWO_PI * np.multiply.outer(phi, j))
     return np.maximum(table[:, lmax] + 2.0 * cosines @ table[:, lmax + m_dim * j].T, 0.0)

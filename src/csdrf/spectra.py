@@ -26,6 +26,32 @@ from .quadrature import fold_breakpoints, gauss_segments, segmented_midpoint
 
 TWO_PI = 2.0 * np.pi
 
+# entries of the largest temporary that a stacked step builds at once: a
+# block of the bounds' level rows and of their stacked solve, of a kernel's
+# rows, or of a quadrature transform's lags. 2^13 float64 values are 64 kB,
+# well below the allocator's mmap threshold, so a block's buffers are reused
+# rather than mapped and faulted in again on every call.
+BLOCK_ENTRIES = 2 ** 13
+
+
+def row_blocks(rows: int, width: int):
+    """Slices that split ``rows`` rows of ``width`` entries into blocks of about
+    ``BLOCK_ENTRIES`` entries, each of at least two rows unless ``rows`` is 1.
+
+    A matrix product with a single row runs another BLAS routine (a dot
+    product) than the same row inside a larger product, and rounds
+    differently; with no lone row in a block, every row of a blocked product
+    is the row of the whole product bit for bit.
+    """
+    step = max(2, BLOCK_ENTRIES // max(width, 1))
+    start = 0
+    while start < rows:
+        stop = start + step
+        if stop >= rows - 1:        # the last block takes a lone last row
+            stop = rows
+        yield slice(start, stop)
+        start = stop
+
 
 class TruncationError(RuntimeError):
     """An infinite spectral series could not be truncated within tolerance."""
@@ -381,21 +407,34 @@ class CyclicSpectrum:
 
         Folds the time-varying spectrum over the sampling lattice 1/period:
         Re sum_n e^{2 pi i n t / T0} F_n(phi) / T0, where F_n(phi) is
-        cpsd(n, .) summed over the lattice shifts (phi - k) / T0. Each F_n is
-        folded once, whatever the number of phases; ``t`` may be an array,
-        and the result has shape t.shape + phi.shape. Every phase is summed
-        elementwise, so a phase's row does not depend on the others. The
-        fold is real and nonnegative up to rounding.
+        cpsd(n, .) summed over the lattice shifts (phi - k) / T0. ``t`` may
+        be an array, and the result has shape t.shape + phi.shape; it is
+        ``phase_spectra(phi)(t)``. The fold is real and nonnegative up to
+        rounding.
+        """
+        return self.phase_spectra(phi)(t)
+
+    def phase_spectra(self, phi):
+        """The function t -> ``pc_psd(t, phi)``, with each F_n folded once,
+        here, for every phase it is then called at.
+
+        Every phase is summed elementwise, in the order of the harmonics, so a
+        phase's row depends neither on the other phases of a call nor on how
+        the phases are split between calls.
         """
         self._require_finite("pc_psd")
-        t = np.asarray(t, dtype=float)
         phi = np.asarray(phi, dtype=float)
-        out = np.zeros(t.shape + phi.shape)
-        for n in self.active_indices:
-            fold = _lattice_fold(lambda x: self.cpsd(n, x / self.period), phi,
-                                 self.period * self.freq_radius, 1.0)
-            out += np.multiply.outer(np.exp(TWO_PI * 1j * n * t / self.period), fold).real
-        return np.maximum(out / self.period, 0.0)
+        folds = [(n, _lattice_fold(lambda x: self.cpsd(n, x / self.period), phi,
+                                   self.period * self.freq_radius, 1.0))
+                 for n in self.active_indices]
+
+        def at(t):
+            t = np.asarray(t, dtype=float)
+            out = np.zeros(t.shape + phi.shape)
+            for n, fold in folds:
+                out += np.multiply.outer(np.exp(TWO_PI * 1j * n * t / self.period), fold).real
+            return np.maximum(out / self.period, 0.0)
+        return at
 
     def phi_breakpoints(self):
         """Physical breakpoints folded onto the normalized circle."""
@@ -408,10 +447,13 @@ class CyclicSpectrum:
 
         ``n`` is one harmonic or a 1-d array of them; an array gives one
         stacked row per harmonic, shaped n.shape + tau.shape. Without a closed
-        form, the transform runs on a Gauss grid whose exponential matrix is
-        built once, for every harmonic, over the distinct values of |tau|:
-        since cpsd(n, .) carries real weights, a negative lag is
-        conj(E @ conj(w * cpsd(n, .))) with the same matrix E.
+        form, the transform runs on a Gauss grid whose exponential matrix E
+        is built over the distinct values of |tau|, one block of them at a
+        time (``row_blocks``), each block once for every harmonic: since
+        cpsd(n, .) carries real weights, a negative lag is
+        conj(E @ conj(w * cpsd(n, .))) with the same matrix E. Each lag's
+        value is one row of a matrix product, which no block holds alone, so
+        it does not depend on the blocks.
         """
         if np.ndim(n) > 1:
             raise ValueError(f"harmonics must be a scalar or a 1-d array, got shape "
@@ -431,12 +473,21 @@ class CyclicSpectrum:
         mag, where = np.unique(np.abs(tau), return_inverse=True)
         where = where.reshape(-1)
         negative = np.flatnonzero(tau.reshape(-1) < 0.0)
-        kern = np.exp(TWO_PI * 1j * np.multiply.outer(mag, nodes))
-        for row, h in zip(out.reshape(len(harmonics), -1), harmonics):
-            spectrum = weights * self.cpsd(h, nodes)
-            row[:] = (kern @ spectrum)[where]
+        spectra = [weights * self.cpsd(h, nodes) for h in harmonics]
+        # the transform at each distinct |tau|, and its conjugate form for
+        # the negative lags, one block of lags of E at a time
+        pos = np.empty((len(harmonics), mag.size), dtype=complex)
+        neg = np.empty((len(harmonics), mag.size if negative.size else 0), dtype=complex)
+        for lags in row_blocks(mag.size, nodes.size):
+            kern = np.exp(TWO_PI * 1j * np.multiply.outer(mag[lags], nodes))
+            for i, spectrum in enumerate(spectra):
+                pos[i, lags] = kern @ spectrum
+                if negative.size:
+                    neg[i, lags] = np.conj(kern @ np.conj(spectrum))
+        for row, p, q in zip(out.reshape(len(harmonics), -1), pos, neg):
+            row[:] = p[where]
             if negative.size:
-                row[negative] = np.conj(kern @ np.conj(spectrum))[where[negative]]
+                row[negative] = q[where[negative]]
         return out if np.ndim(n) else out[0]
 
     def covariance(self, times, step):
@@ -450,7 +501,9 @@ class CyclicSpectrum:
         K = max k_i - min k_i, and each harmonic's row is gathered into the
         matrix, so the lag-domain work grows with the 2K + 1 lags, not with
         n^2, no difference of two times is taken, and a quadrature transform
-        builds its exponential matrix once per kernel.
+        builds its exponential matrix once per kernel. The matrix is gathered
+        and summed one block of rows at a time (``row_blocks``), so no n x n
+        temporary is made beside it.
 
         The sum accumulates into a real matrix. Harmonic 0 adds the real part
         of its row alone: its factor e^0 is exactly 1 + 0j, so this is the
@@ -468,16 +521,20 @@ class CyclicSpectrum:
         k = _lattice_offsets(t, step)
         span = int(k.max() - k.min())
         lags = step * np.arange(-span, span + 1)
-        where = np.subtract.outer(k, k) + span
         rows = self.cyclic_autocorr(np.array(self.active_indices), lags)
+        factors = [None if n == 0 else np.exp(TWO_PI * 1j * n * t / self.period)
+                   for n in self.active_indices]
         out = np.zeros((t.size, t.size))
-        for n, row in zip(self.active_indices, rows):
-            if n == 0:
-                out += row.real[where]
-            else:
-                term = row[where]
-                term *= np.exp(TWO_PI * 1j * n * t / self.period)
-                out += term.real
+        for part in row_blocks(t.size, t.size):
+            block = out[part]
+            where = np.subtract.outer(k[part], k) + span
+            for row, factor in zip(rows, factors):
+                if factor is None:
+                    block += row.real[where]
+                else:
+                    term = row[where]
+                    term *= factor
+                    block += term.real
         return out
 
     def covariance_factor(self, times):
@@ -666,21 +723,28 @@ class PamCyclicSpectrum(CyclicSpectrum):
 
     # -- polyphase structure ----------------------------------------------------
 
-    def synthesis_gain(self, t: float, phi):
-        """Gain g(t, phi) = sum_a p(a T0 + t) e^{-2 pi i phi a} of the pulse bank."""
+    def synthesis_gain(self, t, phi):
+        """Gain g(t, phi) = sum_a p(a T0 + t) e^{-2 pi i phi a} of the pulse
+        bank, shaped t.shape + phi.shape. The phases of an array ``t`` are
+        taken at once, each row as a scalar ``t`` gives it: a pulse sample
+        outside a phase's window adds an exact zero to its row.
+        """
+        t = np.asarray(t, dtype=float)
         phi = np.asarray(phi, dtype=float)
         t0 = self.period
         win = self.pulse.time_window
         if win is not None and self.pulse.time_fn is not None:
-            a_lo = ceil((win[0] - t) / t0 - 1e-12)
-            a_hi = floor((win[1] - t) / t0 + 1e-12)
-            out = np.zeros(phi.shape, dtype=complex)
-            for a in range(a_lo, a_hi + 1):
-                w = float(self.pulse.time_fn(a * t0 + t))
-                if w != 0.0:
-                    out += w * np.exp(-TWO_PI * 1j * phi * a)
+            a_lo = np.ceil((win[0] - t) / t0 - 1e-12)
+            a_hi = np.floor((win[1] - t) / t0 + 1e-12)
+            out = np.zeros(t.shape + phi.shape, dtype=complex)
+            for a in range(int(a_lo.min(initial=0.0)), int(a_hi.max(initial=-1.0)) + 1):
+                w = np.where((a_lo <= a) & (a <= a_hi), self.pulse.time_fn(a * t0 + t), 0.0)
+                if np.any(w != 0.0):
+                    out += np.multiply.outer(w, np.exp(-TWO_PI * 1j * phi * a))
             return out
         if isfinite(self.pulse.support_radius):
+            t = t[..., None] if t.ndim else t
+
             def alias(x):
                 return self.pulse.fourier(x / t0) * np.exp(TWO_PI * 1j * x * t / t0) / t0
             return _lattice_fold(alias, phi, self.pulse.support_radius * t0, 1.0)
@@ -695,20 +759,19 @@ class PamCyclicSpectrum(CyclicSpectrum):
         """
         phi = np.asarray(phi, dtype=float)
         fold = self.sampled_base_psd(phi / self.period)
-        g = np.empty(phi.shape + (dim,), dtype=complex)
-        for m in range(dim):
-            g[..., m] = self.synthesis_gain(m * self.period / dim, phi)
-        return fold, g
+        g = self.synthesis_gain(np.arange(dim) * self.period / dim, phi)
+        return fold, np.ascontiguousarray(np.moveaxis(g, 0, -1))
 
-    def pc_psd(self, t, phi):
-        """Phase-t component spectrum fold * |g(t, phi)|^2, the fold taken
-        once for every phase in ``t``; shaped t.shape + phi.shape."""
-        t = np.asarray(t, dtype=float)
+    def phase_spectra(self, phi):
+        """The function t -> ``pc_psd(t, phi)``, fold * |g(t, phi)|^2: the fold
+        is taken once, here, and each call's gains at once for all its phases."""
         phi = np.asarray(phi, dtype=float)
         fold = self.sampled_base_psd(phi / self.period)
-        gains = np.array([self.synthesis_gain(ti, phi) for ti in t.ravel()])
-        power = (gains * gains.conj()).real.reshape(t.shape + phi.shape)
-        return fold * power
+
+        def at(t):
+            gains = self.synthesis_gain(t, phi)
+            return fold * (gains * gains.conj()).real
+        return at
 
     def covariance_factor(self, times):
         """(P, R_U) for pulses with a time window, else None.

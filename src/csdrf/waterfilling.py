@@ -2,10 +2,13 @@
 
 A water level theta splits every spectral level lambda into a preserved part
 min(lambda, theta) charged to distortion and a coded part log+(lambda/theta)
-charged to rate. ``ScalarWaterfiller.solve_many`` inverts the monotone rate
-map exactly from the sorted levels, at any number of rates; the continuous-
-time refinement, the per-component bounds and the ``verify`` oracle solve
-this way. ``ScalarWaterfiller.solve``, a geometric bisection one rate at a
+charged to rate. ``stacked_solve`` inverts the monotone rate map exactly
+from the sorted levels, for a (P, n) stack of level rows with shared weights
+at any number of rates, taking ``spectra.BLOCK_ENTRIES`` levels at a time
+(``spectra.row_blocks``); the per-component bounds solve their phases or
+components this way. ``ScalarWaterfiller.solve_many`` is its one-row case,
+and the continuous-time refinement and the ``verify`` oracle solve through
+it. ``ScalarWaterfiller.solve``, a geometric bisection one rate at a
 time, serves the scalar curves (stationary, discrete-time, PAM and sampled
 coding), which the CLI builds in one function, ``cli._solved``: the
 benchmark harness keeps every pass's output, so a much faster solve there
@@ -29,7 +32,7 @@ import numpy as np
 
 from .polyphase import PsdPcMatrix
 from .quadrature import Grid, half_grid, segmented_midpoint
-from .spectra import StationaryPsd, TruncationError
+from .spectra import StationaryPsd, TruncationError, row_blocks
 
 LOG2 = math.log(2.0)
 
@@ -101,13 +104,7 @@ class ScalarWaterfiller:
         weights = np.asarray(weights, dtype=float).ravel()
         if levels.shape != weights.shape:
             raise ValueError("levels and weights must have matching shapes")
-        if not np.all(np.isfinite(levels)):
-            raise ValueError("levels must be finite")
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
-            raise ValueError("weights must be finite and nonnegative")
-        for name, scale in (("d_scale", d_scale), ("r_scale", r_scale)):
-            if not (math.isfinite(scale) and scale > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {scale!r}")
+        _check_inputs(levels, weights, d_scale, r_scale)
         kept = levels > 0.0
         self.levels = levels[kept]
         self.weights = weights[kept]
@@ -170,24 +167,16 @@ class ScalarWaterfiller:
         return self.point(max(math.ldexp(math.sqrt(lo * hi), e), theta_lo))
 
     def _edge(self) -> tuple[float, float]:
-        """(theta, rate) at the lowest water level solved.
-
-        That level is the bracket floor level_max 2^-BRACKET_EXP, raised to
-        ``NORMAL_FLOOR`` where the floor is not a normal float. The rate is
-        taken in the log domain, at x = log2(theta / level_max), so it needs
-        no theta that underflows; in the normal range x is -BRACKET_EXP
-        exactly, and the rate is ``rate`` at the floor bit for bit.
-        """
-        x = max(-BRACKET_EXP, math.log2(NORMAL_FLOOR) - math.log2(self.level_max))
-        rate = self.r_scale * float(self.weights @ np.maximum(self._log_levels - x, 0.0))
-        return max(self.level_max * 2.0 ** -BRACKET_EXP, NORMAL_FLOOR), rate
+        """(theta, rate) at the lowest water level solved: the module's ``_edge``."""
+        return _edge(self._log_levels, self.weights, self.level_max, self.r_scale)
 
     def solve_many(self, rates) -> tuple[np.ndarray, np.ndarray]:
         """(theta, distortion) at every target rate, shaped like ``rates``.
 
-        The exact solve: with the levels sorted descending, the rate map is
-        linear in x = log2(theta / level_max) between breakpoints. Above the
-        (k+1)-th largest level only the top k levels code, and
+        The exact solve, the one-row case of ``stacked_solve``: with the
+        levels sorted descending, the rate map is linear in
+        x = log2(theta / level_max) between breakpoints. Above the (k+1)-th
+        largest level only the top k levels code, and
 
             rate = r_scale * (L_k - W_k x)
 
@@ -207,51 +196,178 @@ class ScalarWaterfiller:
         waterfiller, so each further call costs one ``searchsorted``.
         """
         rates = np.asarray(rates, dtype=float)
-        flat = rates.ravel()
-        if not np.all(np.isfinite(flat)) or np.any(flat < 0.0):
-            raise ValueError("target rate must be finite and nonnegative")
+        flat = _checked_rates(rates)
         if not self.levels.size:
             return np.zeros(rates.shape), np.zeros(rates.shape)
         table = self._table or self._build_table()
-        if np.any(flat > table.edge):
-            raise WaterLevelUnderflow(
-                f"target rate {flat[np.argmax(flat > table.edge)]} exceeds resolvable maximum "
-                f"{table.rate_lo} (water level underflow below {table.lo})")
-        k = np.maximum(np.searchsorted(table.breaks, flat, side="left"), 1)   # top k code
-        wk, lk = table.big_w[k - 1], table.big_l[k - 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xk = np.where(wk > 0.0, (lk - flat / self.r_scale) / wk, -np.inf)
-        theta = np.where(flat == 0.0, self.level_max,
-                         np.maximum(self.level_max * np.exp2(xk), table.lo))
-        dist = np.where(flat == 0.0, table.tail[0], table.tail[k] + theta * wk)
+        table.check(flat)
+        theta, dist = table.solve(flat)
         return theta.reshape(rates.shape), (self.d_scale * dist).reshape(rates.shape)
 
     def _build_table(self) -> _BreakpointTable:
-        lo, rate_lo = self._edge()
-        order = np.argsort(-self._log_levels, kind="stable")
-        x, w = self._log_levels[order], self.weights[order]
-        big_w = np.cumsum(w)                                  # W_k at index k - 1
-        big_l = np.cumsum(w * x)                              # L_k at index k - 1
-        tail = np.append(np.cumsum((w * self.levels[order])[::-1])[::-1], 0.0)
-        # rate at theta = k-th largest level; every level above it codes
-        breaks = np.maximum.accumulate(
-            self.r_scale * np.append(0.0, big_l[:-1] - big_w[:-1] * x[1:]))
-        self._table = _BreakpointTable(lo, rate_lo, rate_lo * (1.0 + 1e-12) + 1e-12,
-                                       big_w, big_l, tail, breaks)
+        self._table = _BreakpointTable.build(self.levels[None, :], self.weights, self.r_scale,
+                                             self._log_levels[None, :])
         return self._table
+
+
+def _check_inputs(levels, weights, d_scale: float, r_scale: float) -> None:
+    if not np.all(np.isfinite(levels)):
+        raise ValueError("levels must be finite")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+        raise ValueError("weights must be finite and nonnegative")
+    for name, scale in (("d_scale", d_scale), ("r_scale", r_scale)):
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {scale!r}")
+
+
+def _checked_rates(rates: np.ndarray) -> np.ndarray:
+    flat = rates.ravel()
+    if not np.all(np.isfinite(flat)) or np.any(flat < 0.0):
+        raise ValueError("target rate must be finite and nonnegative")
+    return flat
+
+
+def _edge(log_levels, weights, level_max: float, r_scale: float) -> tuple[float, float]:
+    """(theta, rate) at the lowest water level solved for the positive levels
+    whose log2(level / level_max) are ``log_levels``.
+
+    That level is the bracket floor level_max 2^-BRACKET_EXP, raised to
+    ``NORMAL_FLOOR`` where the floor is not a normal float. The rate is
+    taken in the log domain, at x = log2(theta / level_max), so it needs
+    no theta that underflows; in the normal range x is -BRACKET_EXP
+    exactly, and the rate is ``ScalarWaterfiller.rate`` at the floor bit for
+    bit.
+    """
+    x = max(-BRACKET_EXP, math.log2(NORMAL_FLOOR) - math.log2(level_max))
+    rate = r_scale * float(weights @ np.maximum(log_levels - x, 0.0))
+    return max(level_max * 2.0 ** -BRACKET_EXP, NORMAL_FLOOR), rate
+
+
+def stacked_solve(levels, weights, rates, r_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, distortion) of every row of a (P, n) stack of level rows with
+    shared weights, at every target rate: each shaped (P,) + rates.shape.
+
+    Row p is ``ScalarWaterfiller(levels[p], weights, 1.0,
+    r_scale).solve_many(rates)`` bit for bit: each row is sorted stably,
+    summed cumulatively along the row in the same order, and searched at
+    every rate, a row's levels at or below zero sorting after its positive
+    ones with weight zero, which leaves every sum over the positive ones
+    unchanged. The rows are taken a block at a time (``row_blocks``), so no
+    temporary grows with P. A non-finite level or an invalid rate or scale
+    raises ``ValueError``; a rate beyond a row's lowest water level raises
+    the ``WaterLevelUnderflow`` of the first such row, naming its first such
+    rate, as that row's own solve would.
+    """
+    levels = np.ascontiguousarray(levels, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if levels.ndim != 2 or weights.shape != levels.shape[1:]:
+        raise ValueError(f"levels must be (P, n) and weights (n,), got shapes "
+                         f"{levels.shape} and {weights.shape}")
+    _check_inputs(levels, weights, 1.0, r_scale)
+    r_scale = float(r_scale)
+    rates = np.asarray(rates, dtype=float)
+    flat = _checked_rates(rates)
+    theta = np.zeros((levels.shape[0], flat.size))
+    dist = np.zeros((levels.shape[0], flat.size))
+    for rows in row_blocks(levels.shape[0] if levels.shape[1] else 0, levels.shape[1]):
+        table = _BreakpointTable.build(levels[rows], weights, r_scale)
+        table.check(flat)
+        theta[rows], dist[rows] = table.solve(flat)
+    return (theta.reshape(levels.shape[:1] + rates.shape),
+            dist.reshape(levels.shape[:1] + rates.shape))
 
 
 @dataclass(frozen=True, eq=False)
 class _BreakpointTable:
-    """What ``ScalarWaterfiller.solve_many`` keeps between calls."""
+    """The exact solve's sorted breakpoints of P level rows, n levels each;
+    the (P, n) sums are kept flat, row after row.
 
-    lo: float                # lowest water level solved (``ScalarWaterfiller._edge``)
-    rate_lo: float           # rate at that level
-    edge: float              # largest rate solved; beyond it, WaterLevelUnderflow
-    big_w: np.ndarray
-    big_l: np.ndarray
-    tail: np.ndarray
-    breaks: np.ndarray
+    A row with no positive level solves to the zero curve; its edge is
+    infinite, and its sums are never read.
+    """
+
+    r_scale: float
+    level_max: np.ndarray    # (P, 1) largest level of each row
+    lo: np.ndarray           # (P, 1) lowest water level solved (``_edge``)
+    rate_lo: np.ndarray      # (P,) rate at that level
+    edge: np.ndarray         # (P, 1) largest rate solved; beyond it, WaterLevelUnderflow
+    big_w: np.ndarray        # W_k at w_at[row] + k
+    big_l: np.ndarray        # L_k at w_at[row] + k
+    tail: np.ndarray         # tail_k at tail_at[row] + k
+    breaks: np.ndarray       # (P, n) rate at theta = the k-th largest level
+    w_at: np.ndarray         # (P, 1) row * n - 1
+    tail_at: np.ndarray      # (P, 1) row * (n + 1)
+    dead: np.ndarray         # rows with no positive level
+
+    @classmethod
+    def build(cls, levels: np.ndarray, weights: np.ndarray, r_scale: float,
+              log_levels: np.ndarray | None = None) -> "_BreakpointTable":
+        """Table of a C-contiguous (P, n) stack; ``log_levels``, when given,
+        are its log2(level / level_max), the row maximum."""
+        p, n = levels.shape
+        full = bool(levels.min(initial=1.0) > 0.0)
+        kept = None if full else levels > 0.0
+        level_max = levels.max(axis=1, initial=0.0)
+        live = level_max > 0.0
+        if log_levels is None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_levels = np.log2(levels / np.where(live, level_max, 1.0)[:, None])
+        # a level at or below zero sorts last (NaN) and is summed with weight
+        # 0: the sums stop growing there, and its breakpoint repeats the last
+        # one, so a rate past the last level still finds W and L of every
+        # positive level
+        order = np.argsort(-log_levels if full else np.where(kept, -log_levels, np.nan),
+                           axis=1, kind="stable")
+        w = weights[order]
+        at = order if p == 1 else order + n * np.arange(p)[:, None]   # flat positions
+        x, lev = log_levels.ravel()[at], levels.ravel()[at]
+        if not full:
+            kept = kept.ravel()[at]
+            x, w, lev = np.where(kept, x, 0.0), np.where(kept, w, 0.0), np.where(kept, lev, 0.0)
+        big_w = np.cumsum(w, axis=1)
+        big_l = np.cumsum(w * x, axis=1)
+        tail = np.zeros((p, n + 1))
+        tail[:, :n] = np.cumsum((w * lev)[:, ::-1], axis=1)[:, ::-1]
+        breaks = np.empty((p, n))
+        breaks[:, 0] = 0.0
+        breaks[:, 1:] = r_scale * (big_l[:, :-1] - big_w[:, :-1] * x[:, 1:])
+        np.maximum.accumulate(breaks, axis=1, out=breaks)
+        edges = [(NORMAL_FLOOR, 0.0)] * p
+        for row, top in enumerate(level_max.tolist()):
+            if top > 0.0:
+                keep = slice(None) if full else levels[row] > 0.0
+                edges[row] = _edge(log_levels[row][keep], weights[keep], top, r_scale)
+        lo, rate_lo = np.array(edges).T
+        edge = np.where(live, rate_lo * (1.0 + 1e-12) + 1e-12, np.inf)
+        rows = np.arange(p)[:, None]
+        return cls(r_scale, level_max[:, None], lo[:, None], rate_lo, edge[:, None],
+                   big_w.ravel(), big_l.ravel(), tail.ravel(), breaks, n * rows - 1,
+                   (n + 1) * rows, np.flatnonzero(~live))
+
+    def check(self, rates: np.ndarray) -> None:
+        """Raise ``WaterLevelUnderflow`` at the first row with a rate beyond
+        its edge, naming that row's first such rate."""
+        over = rates > self.edge
+        if over.any():
+            row = int(np.argmax(over.any(axis=1)))
+            raise WaterLevelUnderflow(
+                f"target rate {rates[np.argmax(over[row])]} exceeds resolvable maximum "
+                f"{float(self.rate_lo[row])} (water level underflow below "
+                f"{float(self.lo[row, 0])})")
+
+    def solve(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, sum of w min(level, theta)) of every row at every rate
+        (checked), each (P, rates.size)."""
+        k = np.maximum([b.searchsorted(rates, side="left") for b in self.breaks], 1)  # top k code
+        wk, lk = self.big_w[k + self.w_at], self.big_l[k + self.w_at]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xk = np.where(wk > 0.0, (lk - rates / self.r_scale) / wk, -np.inf)
+        theta = np.where(rates == 0.0, self.level_max,
+                         np.maximum(self.level_max * np.exp2(xk), self.lo))
+        dist = np.where(rates == 0.0, self.tail[self.tail_at],
+                        self.tail[k + self.tail_at] + theta * wk)
+        theta[self.dead], dist[self.dead] = 0.0, 0.0
+        return theta, dist
 
 
 # ---------------------------------------------------------------------------

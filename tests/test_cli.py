@@ -598,8 +598,10 @@ def test_bound_folds_each_profile_once_per_curve(tmp_path, monkeypatch, kind):
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, recording)
 
-    record(csdrf.spectra.CyclicSpectrum, "pc_psd")
-    record(csdrf.spectra.PamCyclicSpectrum, "pc_psd")
+    # the continuous bounds fold their harmonics in ``phase_spectra``, once per
+    # curve, and evaluate the phases from those folds block by block
+    record(csdrf.spectra.CyclicSpectrum, "phase_spectra")
+    record(csdrf.spectra.PamCyclicSpectrum, "phase_spectra")
     record(csdrf.drf, "component_spectra")
     counts = []
     for count in (2, 8):

@@ -1,4 +1,6 @@
+import tracemalloc
 from math import ceil, floor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csdrf.drf
-from csdrf.cli import SOURCES, Scenario, drf_rows, make_discrete
+import csdrf.spectra
+from csdrf.cli import (SOURCES, Scenario, _normalized_pam, drf_rows, load_scenario, make_base,
+                       make_discrete)
 from csdrf.drf import (ContinuousDrfConfig, ContinuousDrfSolver,
                        discrete_waterfiller, lower_bound_continuous,
                        lower_bound_discrete, pam_waterfiller, sampled_coding)
@@ -788,6 +792,92 @@ def test_continuous_bound_t_grid_refinement():
     a = lower_bound_continuous(spec, 1.0, n_t=64)
     b = lower_bound_continuous(spec, 1.0, n_t=128)
     assert abs(a - b) <= 1e-6 * max(a, 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_BOUND_SOURCES)), seed=st.integers(0, 2 ** 16),
+       shape=st.floats(0.0, 1.0), n_grid=st.integers(2, 300), n_t=st.integers(1, 24),
+       rates=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=6), block=st.integers(1, 3))
+def test_bound_in_blocks_of_rows_equals_the_bound_in_one_block(name, seed, shape, n_grid, n_t,
+                                                              rates, block):
+    # blocks of 1 to 3 phase or component rows (a lone row joins its
+    # neighbour), against one block holding every row: bit for bit
+    src = _BOUND_SOURCES[name](np.random.default_rng(seed), shape)
+    if isinstance(src, DiscreteCsProcess):
+        bound, kwargs, bps = lower_bound_discrete, {}, src.phi_breakpoints
+    else:
+        bound, kwargs, bps = lower_bound_continuous, {"n_t": n_t}, src.phi_breakpoints()
+        rates = [rate / src.period for rate in rates]
+    width = half_grid(0.5, n_grid, bps).size
+    with mock.patch.object(csdrf.spectra, "BLOCK_ENTRIES", 2 ** 40):
+        whole = bound(src, rates, n_grid=n_grid, **kwargs)
+    with mock.patch.object(csdrf.spectra, "BLOCK_ENTRIES", block * width):
+        blocked = bound(src, rates, n_grid=n_grid, **kwargs)
+    assert blocked.tobytes() == whole.tobytes()
+
+
+def _fig4_sources():
+    sc = load_scenario(str(Path(__file__).resolve().parents[1] / "configs" / "fig4.ini"))
+    base = make_base(sc)
+    return sc, [_normalized_pam(sc, base, fs) for fs in sc.symbol_rates]
+
+
+def test_continuous_bound_is_the_power_at_rate_zero_on_fig4():
+    # a pulse inside one symbol makes the phase-t component U(a T0) p(t): the
+    # bound is the mean of p(t)^2, here the parabola 3 (1 - 2t/T0)^2, times
+    # one curve. Two Gauss nodes per t cell integrate it exactly, where the
+    # midpoint rule read 1 - 1/64^2 of every row.
+    sc, sources = _fig4_sources()
+    for spec in sources:
+        d = lower_bound_continuous(spec, [0.0, 1.0, 3.0], sc.t_grid, sc.phi_grid)
+        assert abs(d[0] - spec.avg_power) <= 1e-12 * spec.avg_power
+    # symbol rate 0.25 (T0 = 4): the flat base leaves white samples, so a
+    # rate of R bits per second, 4 R bits per symbol, gives D = 2^(-8 R)
+    assert sc.symbol_rates[0] == 0.25
+    d = lower_bound_continuous(sources[0], [1.0, 3.0], sc.t_grid, sc.phi_grid)
+    np.testing.assert_allclose(d, [2.0 ** -8, 2.0 ** -24], rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pulse=st.sampled_from([rect_pulse, triangle_pulse]),
+       family=st.sampled_from([flat_psd, triangular_psd]), bandwidth=st.floats(0.2, 2.0),
+       t_symbol=st.floats(0.3, 3.0), n_t=st.integers(1, 64), n_grid=st.integers(16, 600))
+def test_continuous_bound_is_the_power_at_rate_zero_on_one_symbol_pulses(
+        pulse, family, bandwidth, t_symbol, n_t, n_grid):
+    # |p(t)|^2 is 1 or a parabola over the period, and the folded base density
+    # is piecewise linear with its kinks pinned to the phi grid: both rules
+    # are exact, so D(0) = sigma^2 to rounding
+    spec = pam_cpsd(family(bandwidth, 1.0), pulse(t_symbol), t_symbol)
+    d0 = lower_bound_continuous(spec, 0.0, n_t=n_t, n_grid=n_grid)
+    assert abs(d0 - spec.avg_power) <= 1e-12 * spec.avg_power
+
+
+@pytest.mark.parametrize("n_t", [1, 7, 63])
+def test_an_odd_phase_count_takes_the_next_even_count(n_t):
+    # two Gauss nodes on each of ceil(n_t / 2) cells
+    spec = pam_cpsd(flat_psd(1.0, 1.0), triangle_pulse(0.8), 0.8)
+    rates = [0.0, 0.5, 2.0]
+    odd = lower_bound_continuous(spec, rates, n_t=n_t, n_grid=256)
+    assert odd.tobytes() == lower_bound_continuous(spec, rates, n_t=n_t + 1, n_grid=256).tobytes()
+
+
+@pytest.mark.parametrize("spec", [am_cpsd(triangular_psd(1.0, 1.0), 1.2, 0.3),
+                                  pam_cpsd(raised_cosine_psd(1.0, 1.0), triangle_pulse(0.8), 0.8)],
+                         ids=["am", "pam-triangle"])
+def test_continuous_bound_memory_does_not_grow_with_the_phase_count(spec):
+    # the phases are folded, built and solved a block at a time, so the peak
+    # is set by one block of profiles, not by t_grid
+    rates = np.linspace(0.0, 4.0, 100)
+    peaks = []
+    for n_t in (64, 1024):
+        lower_bound_continuous(spec, rates, n_t=n_t)
+        tracemalloc.start()
+        try:
+            lower_bound_continuous(spec, rates, n_t=n_t)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def _am():

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csdrf.oracle
+import csdrf.spectra
 from csdrf.cli import Scenario, _normalized_pam, main, make_base
 from csdrf.drf import pam_waterfiller
 from csdrf.oracle import (BlockCovariance, KernelGrid, PeriodizedBlock, build_kernel,
@@ -282,6 +283,57 @@ def test_covariance_equals_the_broadcast_sum_property(name, bandwidth, shape, pe
         if name.startswith("pam"):
             ref = _signed_lag_transform(spec, h, lags)
             np.testing.assert_allclose(row, ref, rtol=0.0, atol=1e-14 * max(np.abs(ref).max(), 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(GENERATED_SOURCES)), bandwidth=st.floats(0.25, 4.0),
+       shape=st.floats(0.0, 1.0), periods=st.integers(1, 4), n=st.integers(2, 300),
+       steps=st.one_of(st.none(), st.integers(1, 8)), block=st.integers(1, 3),
+       tau=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=40))
+@example(name="pam-ideal", bandwidth=1.0, shape=0.0, periods=1, n=2, steps=8, block=1,
+         tau=[-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+def test_kernel_rows_and_transform_lags_in_blocks_equal_one_block(name, bandwidth, shape,
+                                                                 periods, n, steps, block, tau):
+    # the covariance in blocks of 1 to 3 rows of the kernel, and the
+    # quadrature transform in blocks of 1 to 3 lags (a lone row joins its
+    # neighbour), against one block holding all of either: bit for bit
+    spec = GENERATED_SOURCES[name](bandwidth, shape)
+    times = build_kernel(spec, periods * spec.period, n).times
+    step = 2.0 * periods * spec.period / n
+    if steps is not None:
+        step = spec.period / steps
+        times = np.floor(times / step) * step
+    harmonics = np.array(spec.active_indices)
+    nodes = gauss_segments(-spec.freq_radius, spec.freq_radius, spec.breakpoints,
+                           min_cells=128)[0]
+    with mock.patch.object(csdrf.spectra, "BLOCK_ENTRIES", 2 ** 40):
+        whole = spec.covariance(times, step), spec.cyclic_autocorr(harmonics, np.array(tau))
+    with mock.patch.object(csdrf.spectra, "BLOCK_ENTRIES", block * n):
+        rows = spec.covariance(times, step)
+    with mock.patch.object(csdrf.spectra, "BLOCK_ENTRIES", block * nodes.size):
+        lags = spec.cyclic_autocorr(harmonics, np.array(tau))
+    _assert_bitwise(rows, whole[0])
+    _assert_bitwise(lags, whole[1])
+
+
+@pytest.mark.parametrize("spec", [am_cpsd(triangular_psd(1.0, 1.0), 1.2, 0.3),
+                                  stationary_cyclic(raised_cosine_psd(1.0, 1.0), 0.7),
+                                  pam_cpsd(flat_psd(1.0, 1.0), ideal_interp_pulse(0.8), 0.8)],
+                         ids=["am", "stationary", "pam-ideal"])
+def test_kernel_oracle_peak_is_two_kernels(spec):
+    # the n x n kernel is gathered a block of rows at a time and symmetrized
+    # into one new buffer, so the build and its decomposition hold the kernel
+    # and its symmetrized copy (tracemalloc sees numpy's buffers, not
+    # LAPACK's workspace); summed whole, the generic kernel peaked at 6 such
+    # arrays, the stationary one at 3
+    n = 1024
+    tracemalloc.start()
+    try:
+        kl_drf(build_kernel(spec, 4 * spec.period, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n * n, peak / (8 * n * n)
 
 
 REVERSAL_SOURCES = {

@@ -1,20 +1,22 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import csdrf.spectra
 from csdrf.polyphase import (PsdPcMatrix, folded_alias_matrix, psd_pc_matrix_continuous,
                              psd_pc_matrix_discrete)
 from csdrf.quadrature import phi_grid
-from csdrf.spectra import (am_cpsd, flat_psd, raised_cosine_psd,
+from csdrf.spectra import (am_cpsd, flat_psd, raised_cosine_psd, row_blocks,
                            triangular_psd, white_cs)
 from csdrf.waterfilling import (BRACKET_EXP, MAX_BISECT, NORMAL_FLOOR, SLICE_ENTRIES, EigenField,
                                 NotPositiveSemidefinite, RateDistortionPoint,
                                 ScalarWaterfiller, WaterLevelUnderflow,
                                 discrete_stationary_drf, hermitian_eigenvalues,
-                                stationary_waterfiller)
+                                stacked_solve, stationary_waterfiller)
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +545,117 @@ def test_exact_solve_keeps_its_table_and_gives_the_batch_result_one_rate_at_a_ti
     assert sw._table is table                  # built once, on the first call
     np.testing.assert_array_equal(np.array(singles).T, np.array(batch))
 
+
+
+# ---------------------------------------------------------------------------
+# the stacked exact solve
+# ---------------------------------------------------------------------------
+
+def _blocks_of(rows, width):
+    """``BLOCK_ENTRIES`` patched so that a block holds ``rows`` rows of ``width``."""
+    return mock.patch.object(csdrf.spectra, "BLOCK_ENTRIES", rows * width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(0, 40), width=st.integers(1, 50), entries=st.integers(0, 400))
+def test_row_blocks_take_every_row_once_and_never_a_lone_row(rows, width, entries):
+    with mock.patch.object(csdrf.spectra, "BLOCK_ENTRIES", entries):
+        blocks = list(row_blocks(rows, width))
+    step = max(2, entries // width)
+    assert [i for b in blocks for i in range(rows)[b]] == list(range(rows))
+    for b in blocks:
+        size = len(range(rows)[b])
+        assert (size >= 2 or rows == 1) and size <= step + 1
+
+
+# rows drawn from a few values, so that rows hold ties, zeros, negative
+# levels, and sometimes nothing positive at all
+_stack_level = st.one_of(st.sampled_from([0.0, -0.5, 1.0, 2.0, 0.25]),
+                         st.floats(-12.0, 3.0).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def _stacks(draw):
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.one_of(st.lists(_stack_level, min_size=n, max_size=n),
+                                   st.just([0.0] * n)), min_size=1, max_size=9))
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+                            min_size=n, max_size=n))
+    return np.array(rows), np.array(weights)
+
+
+def _per_row(levels, weights, rates, r_scale):
+    """Each row's own ``solve_many``, or the message of the first row that underflows."""
+    out = []
+    for row in levels:
+        try:
+            out.append(ScalarWaterfiller(row, weights, 1.0, r_scale).solve_many(rates))
+        except WaterLevelUnderflow as exc:
+            return str(exc)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=_stacks(), r_scale=st.floats(1e-2, 1e2),
+       rates=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 40.0)), min_size=1, max_size=6),
+       block=st.integers(1, 3))
+@example(stack=(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [0.0, -1.0]]), np.array([1.0, 0.0])),
+         r_scale=0.5, rates=[0.0, 0.5, 3.0], block=1)
+def test_stacked_solve_is_each_rows_exact_solve_bit_for_bit(stack, r_scale, rates, block):
+    # blocks of 1 to 3 rows (a lone row joins its neighbour), so that every
+    # stack of more than three rows spans several blocks
+    levels, weights = stack
+    want = _per_row(levels, weights, rates, r_scale)
+    with _blocks_of(block, levels.shape[1]):
+        if isinstance(want, str):
+            with pytest.raises(WaterLevelUnderflow) as got:
+                stacked_solve(levels, weights, rates, r_scale)
+            assert str(got.value) == want
+            return
+        theta, dist = stacked_solve(levels, weights, rates, r_scale)
+    assert theta.shape == dist.shape == (levels.shape[0], len(rates))
+    for row_theta, row_dist, (t, d) in zip(theta, dist, want):
+        assert row_theta.tobytes() == t.tobytes() and row_dist.tobytes() == d.tobytes()
+
+
+def test_stacked_solve_names_the_first_row_and_rate_past_the_bracket():
+    # rows 3 and 4 both underflow, in the second block of two; row 3 first,
+    # at its second rate
+    # (a row of one positive level resolves 60 bits, of two about 120)
+    levels = np.array([[1.0, 2.0], [4.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.5, 0.0]])
+    weights = np.array([1.0, 1.0])
+    edge = 0.5 * BRACKET_EXP                 # one level of weight 1, r_scale 0.5
+    rates = [0.5 * edge, 1.5 * edge, 1.6 * edge]
+    with pytest.raises(WaterLevelUnderflow) as want:
+        ScalarWaterfiller(levels[3], weights, 1.0, 0.5).solve_many(rates)
+    with pytest.raises(WaterLevelUnderflow) as later:
+        ScalarWaterfiller(levels[4], weights, 1.0, 0.5).solve_many(rates)
+    assert f"target rate {1.5 * edge} " in str(want.value) and str(later.value) != str(want.value)
+    with _blocks_of(2, 2), pytest.raises(WaterLevelUnderflow) as got:
+        stacked_solve(levels, weights, rates, 0.5)
+    assert str(got.value) == str(want.value)
+
+
+def test_stacked_solve_keeps_the_rate_shape_and_checks_its_inputs():
+    levels = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+    theta, dist = stacked_solve(levels, [1.0, 1.0, 1.0], np.full((2, 3), 0.4), 0.5)
+    assert theta.shape == dist.shape == (2, 2, 3)
+    np.testing.assert_array_equal(theta[1], 0.0)
+    np.testing.assert_array_equal(dist[1], 0.0)
+    for empty in (np.zeros((0, 3)), np.zeros((2, 0))):         # no rows, rows of no level
+        theta, dist = stacked_solve(empty, np.ones(empty.shape[1]), [0.0, 0.5], 0.5)
+        assert theta.shape == dist.shape == (empty.shape[0], 2)
+        assert not theta.any() and not dist.any()
+    for bad, name in (((levels[0], [1.0, 1.0, 1.0]), "levels must be"),
+                      ((levels, [1.0, 1.0]), "levels must be"),
+                      ((levels * np.nan, [1.0, 1.0, 1.0]), "levels must be finite"),
+                      ((levels, [1.0, -1.0, 1.0]), "weights")):
+        with pytest.raises(ValueError, match=name):
+            stacked_solve(*bad, [0.5], 0.5)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        stacked_solve(levels, [1.0, 1.0, 1.0], [0.5, -1.0], 0.5)
+    with pytest.raises(ValueError, match="r_scale"):
+        stacked_solve(levels, [1.0, 1.0, 1.0], [0.5], 0.0)
 
 
 # ---------------------------------------------------------------------------
