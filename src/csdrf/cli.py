@@ -129,6 +129,10 @@ _KEYS = {"source": {"kind", "family", "pulse", "normalize_power", "include_baseb
          "numerics": set(NUMERICS), "output": {"path"}}
 
 
+# the most entries of an array a key may size: numpy's intp.max bytes, 16 (complex) each
+_MAX_ENTRIES = np.iinfo(np.intp).max // 16
+
+
 def _check_source(key, value, bound):
     values = value if isinstance(value, tuple) else (value,)
     if not (values or key == "mod_scales") or \
@@ -180,8 +184,9 @@ def load_scenario(path: str) -> Scenario:
         rmax = _get(cp, "rates", "max", float, 8.0)
         count = _get(cp, "rates", "count", int, 6)
         spacing = _get(cp, "rates", "spacing", str, "log").strip()
-        if count < 1:
-            raise ConfigError("[rates] count must be at least 1")
+        if not 1 <= count <= _MAX_ENTRIES:
+            raise ConfigError(f"[rates] count must be at least 1 and at most {_MAX_ENTRIES}, "
+                              f"got {count}")
         for key, value in (("min", rmin), ("max", rmax)):
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"[rates] {key} must be finite and nonnegative, got {value!r}")
@@ -202,6 +207,11 @@ def load_scenario(path: str) -> Scenario:
             raise ConfigError(f"[numerics] {key} must be finite and at least {least}, "
                               f"got {value!r}")
         setattr(sc, key, value)
+    for key, entries in (("phi_grid", sc.phi_grid), ("t_grid", sc.t_grid),
+                         ("spectra_points", sc.spectra_points), ("oracle_n", sc.oracle_n ** 2),
+                         ("spectra_m", sc.spectra_points * sc.spectra_m ** 2)):
+        if entries > _MAX_ENTRIES:
+            raise ConfigError(f"[numerics] {key} sizes an array beyond {_MAX_ENTRIES} entries")
     if sc.m_max < sc.m_start:
         raise ConfigError(f"[numerics] m_max must be at least m_start = {sc.m_start}, "
                           f"got {sc.m_max}")
@@ -260,15 +270,14 @@ class Source:
     """One source of a scenario: its spectral model and the curves it offers.
 
     ``curves`` maps a method name to its curve, ``curve(rates)``, run once
-    per curve. It returns, for each configured rate in order, either
-    (distortion, theta, M, converged) or the exception that ended that rate;
-    ``_points`` raises a rate's exception when it reaches that rate, so the
-    first failure in rate order wins. An exception that ``curve`` itself
-    raises ends the whole curve (the bound's ``lower_bound: ...``). ``spec``
-    is the model that ``verify`` takes sigma^2 from (a CyclicSpectrum, or
-    the DiscreteCsProcess in discrete time), ``matrix`` builds the polyphase
-    matrix that ``spectra`` dumps, and ``tag`` suffixes the method labels of
-    a scenario with several sources.
+    per curve. It returns (points, failure): the (distortion, theta, M,
+    converged) of the leading configured rates, and the exception at the next
+    rate or None, which ``_points`` raises when the rows reach it. An
+    exception that ``curve`` raises ends the whole curve (the lower bounds).
+    ``spec`` is the model that ``verify`` takes sigma^2 from (a
+    CyclicSpectrum, or the DiscreteCsProcess in discrete time), ``matrix``
+    builds the polyphase matrix that ``spectra`` dumps, and ``tag`` suffixes
+    the method labels of a scenario with several sources.
     """
 
     spec: object
@@ -279,51 +288,38 @@ class Source:
 
 def _solved(make_filler, m=0):
     """Curve of the scalar waterfiller ``make_filler()``, built once per curve
-    and bisected at each rate; a rate beyond its bracket fails in its place."""
+    and bisected at each rate up to the first beyond its bracket."""
     def curve(rates):
         sw = make_filler()
-        out = []
+        points = []
         for rate in rates.tolist():
             try:
                 pt = sw.solve(rate)
             except WaterLevelUnderflow as exc:
-                out.append(exc)
-            else:
-                out.append((pt.distortion, pt.theta, m, True))
-        return out
+                return points, exc
+            points.append((pt.distortion, pt.theta, m, True))
+        return points, None
     return curve
 
 
 def _bound(distortions, m=0):
     """Lower-bound curve from ``distortions(rates)``; theta reads 0. A rate
-    beyond the bracket of any profile ends the whole curve."""
+    beyond the bracket of any profile raises, ending the whole curve."""
     def curve(rates):
-        try:
-            values = distortions(rates)
-        except WaterLevelUnderflow as exc:
-            raise WaterLevelUnderflow(f"lower_bound: {exc}") from exc
-        return [(d, 0.0, m, True) for d in values.tolist()]
+        return [(d, 0.0, m, True) for d in distortions(rates).tolist()], None
     return curve
 
 
 def _oracle(make_filler, m=0):
-    """Oracle curve: the waterfiller ``make_filler()`` is built once per curve
-    and solved exactly at every rate in one call. A rate beyond its bracket
-    fails in its place, like the per-rate solve."""
-    def at(sw, rate):
-        try:
-            theta, dist = sw.solve_many(rate)
-        except WaterLevelUnderflow as exc:
-            return exc
-        return float(dist), float(theta), m, True
-
+    """Oracle curve: ``make_filler()``, built once per curve, solved exactly at
+    every rate in one call, and past its bracket once more up to that rate."""
     def curve(rates):
         sw = make_filler()
         try:
-            theta, dist = sw.solve_many(rates)
-        except WaterLevelUnderflow:
-            return [at(sw, rate) for rate in rates.tolist()]
-        return [(d, t, m, True) for d, t in zip(dist.tolist(), theta.tolist())]
+            (theta, dist), failure = sw.solve_many(rates), None
+        except WaterLevelUnderflow as exc:
+            (theta, dist), failure = sw.solve_many(rates[:exc.index]), exc
+        return [(d, t, m, True) for d, t in zip(dist.tolist(), theta.tolist())], failure
     return curve
 
 
@@ -346,9 +342,13 @@ def _refined(sc, spec):
     def curve(rates):
         solver = drf_mod.ContinuousDrfSolver(spec, drf_mod.ContinuousDrfConfig(
             sc.m_start, sc.m_max, None, sc.convergence_tol, sc.phi_grid))
-        return [res if isinstance(res, Exception) else
-                (res.point.distortion, res.point.theta, res.iterates[-1][0], res.converged)
-                for res in solver.solve_many(rates)]
+        points = []
+        for res in solver.solve_many(rates):
+            if isinstance(res, Exception):
+                return points, res
+            points.append((res.point.distortion, res.point.theta, res.iterates[-1][0],
+                           res.converged))
+        return points, None
     return curve
 
 
@@ -418,8 +418,8 @@ def _sampled_sources(sc):
         """The MMSE plus the PAM curve; theta is on the estimate's density, fs
         times the PAM level."""
         mmse, sw = drf_mod.sampled_coding(base, fs, sc.phi_grid)
-        return [out if isinstance(out, Exception) else (mmse + out[0], fs * out[1], 0, True)
-                for out in _solved(lambda: sw)(rates)]
+        points, failure = _solved(lambda: sw)(rates)
+        return [(mmse + d, fs * theta, 0, True) for d, theta, *_ in points], failure
 
     return [Source(None, {"drf": coded, "baseband": _stationary(sc, base)})]
 
@@ -451,22 +451,22 @@ def _row(rate, distortion, theta, method, m, converged):
 
 def _points(sc, src, method, allow_nonconverged):
     """(rate, distortion, theta, M, converged) of the ``method`` curve of ``src``
-    at every configured rate. A rate beyond the bracket raises, naming the
-    method and rate; a failed decomposition raises, naming the method."""
+    at its leading rates, then its failure, raised here and nowhere else: named
+    by the method, and by the rate too for a rate beyond the bracket."""
     try:
-        outs = src.curves[method](sc.rates)
-    except DECOMPOSITION_ERRORS as exc:
-        raise NumericFailure(f"{method}: {exc}") from exc
-    for rate, out in zip(sc.rates, outs):
-        if isinstance(out, WaterLevelUnderflow):
-            raise WaterLevelUnderflow(f"{method} at rate {rate}: {out}") from out
-        if isinstance(out, DECOMPOSITION_ERRORS):
-            raise NumericFailure(f"{method}: {out}") from out
-        d, theta, m, converged = out
+        points, failure = src.curves[method](sc.rates)
+        at = "" if failure is None else f" at rate {sc.rates[len(points)]}"
+    except (WaterLevelUnderflow, *DECOMPOSITION_ERRORS) as exc:
+        points, failure, at = [], exc, ""
+    for rate, (d, theta, m, converged) in zip(sc.rates, points):
         if not converged and not allow_nonconverged:
             raise drf_mod.NonConvergedError(
                 f"{method} at rate {rate} did not converge by M={sc.m_max}")
         yield rate, d, theta, m, converged
+    if isinstance(failure, WaterLevelUnderflow):
+        raise WaterLevelUnderflow(f"{method}{at}: {failure}") from failure
+    if failure is not None:
+        raise NumericFailure(f"{method}: {failure}") from failure
 
 
 def _unavailable(sc, command):
@@ -549,8 +549,7 @@ def verify_lines(sc: Scenario, allow_nonconverged: bool):
     if not {"drf", "oracle"} <= src.curves.keys():
         raise _unavailable(sc, "verify")
     sigma2 = src.spec.avg_power
-    lines = []
-    gaps = []
+    lines, gaps = [], []
     for (rate, fast, *_), (_, ref, *_) in zip(_points(sc, src, "drf", allow_nonconverged),
                                              _points(sc, src, "oracle", allow_nonconverged)):
         diff = abs(fast - ref)
@@ -604,11 +603,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         sc = load_scenario(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out = args.out or sc.out_path
-    try:
+        out = args.out or sc.out_path
         if args.command == "drf":
             _write_csv(out, [CSV_HEADER, *drf_rows(sc, args.allow_nonconverged)])
         elif args.command == "bound":
@@ -631,7 +626,7 @@ def main(argv=None) -> int:
         print(f"config error: [source] bandwidth and {RATE_KEYS[sc.kind]}: {exc}",
               file=sys.stderr)
         return 2
-    except (drf_mod.NonConvergedError, WaterLevelUnderflow, NumericFailure) as exc:
+    except (drf_mod.NonConvergedError, WaterLevelUnderflow, NumericFailure, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     return 0

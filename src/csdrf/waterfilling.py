@@ -54,7 +54,12 @@ SLICE_ENTRIES = 2 ** 16
 
 
 class WaterLevelUnderflow(RuntimeError):
-    """Requested rate exceeds what the bisection bracket can resolve."""
+    """Requested rate exceeds what the bisection bracket can resolve; ``index``
+    is that rate's flat position among the rates of an exact solve, else None."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class NotPositiveSemidefinite(ValueError):
@@ -256,7 +261,7 @@ def stacked_solve(levels, weights, rates, r_scale: float) -> tuple[np.ndarray, n
     temporary grows with P. A non-finite level or an invalid rate or scale
     raises ``ValueError``; a rate beyond a row's lowest water level raises
     the ``WaterLevelUnderflow`` of the first such row, naming its first such
-    rate, as that row's own solve would.
+    rate and its flat position (``index``), as that row's own solve would.
     """
     levels = np.ascontiguousarray(levels, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -346,14 +351,14 @@ class _BreakpointTable:
 
     def check(self, rates: np.ndarray) -> None:
         """Raise ``WaterLevelUnderflow`` at the first row with a rate beyond
-        its edge, naming that row's first such rate."""
+        its edge, naming that row's first such rate and its ``index``."""
         over = rates > self.edge
         if over.any():
-            row = int(np.argmax(over.any(axis=1)))
+            row, at = divmod(int(np.argmax(over)), rates.size)   # first in row-major order
             raise WaterLevelUnderflow(
-                f"target rate {rates[np.argmax(over[row])]} exceeds resolvable maximum "
+                f"target rate {rates[at]} exceeds resolvable maximum "
                 f"{float(self.rate_lo[row])} (water level underflow below "
-                f"{float(self.lo[row, 0])})")
+                f"{float(self.lo[row, 0])})", at)
 
     def solve(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(theta, sum of w min(level, theta)) of every row at every rate

@@ -1,12 +1,18 @@
+import contextlib
 import csv
+import io
 import math
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import csdrf
 from csdrf.cli import SOURCES, _parser, build_parser, load_scenario, main
@@ -417,7 +423,8 @@ def test_every_tabled_method_runs(tmp_path, kind):
     for method in sorted(methods):
         for src in sources:
             if method in src.curves:
-                assert len(src.curves[method](sc.rates)) == len(sc.rates), method
+                points, failure = src.curves[method](sc.rates)
+                assert failure is None and len(points) == len(sc.rates), method
         out = str(tmp_path / f"{method}.csv")
         assert main(["drf", "--config", _tiny(tmp_path, kind, method), "--out", out]) == 0, method
         rows = _read_rows(out)
@@ -786,6 +793,112 @@ def test_verify_fails_at_the_first_rate_that_any_curve_fails(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == 3
     out = capsys.readouterr()
     assert out.err == f"numeric failure: oracle at rate 59.7: {info.value}\n" and out.out == ""
+
+
+def _first_underflow(solve, rates):
+    """(position, exception) of the first of ``rates`` that ``solve`` refuses."""
+    for i, rate in enumerate(rates):
+        try:
+            solve(rate)
+        except csdrf.WaterLevelUnderflow as exc:
+            return i, exc
+    raise AssertionError("no rate past the edge")
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.floats(50.0, 59.4), hi=st.floats(60.05, 62.0), count=st.integers(2, 12),
+       descending=st.booleans())
+@example(lo=59.0, hi=61.0, count=5, descending=False)     # the oracle fails first, at 59.5
+@example(lo=59.0, hi=61.0, count=2, descending=False)     # both fail first at 61
+def test_each_curve_stops_at_its_first_rate_past_an_edge(lo, hi, count, descending):
+    # linear grids over both edges of the one-level source, either way round.
+    # Each curve returns the points of the rates before its first rate past
+    # its edge, in configured order, and that rate's failure; drf, bound and
+    # verify exit 3 with the message of a rate-by-rate solve, and verify with
+    # whichever of its curves fails first, drf at a rate past both edges
+    proc = csdrf.modulated_ma([1.0], [1.0, 0.5])
+    lo, hi = (hi, lo) if descending else (lo, hi)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write(Path(tmp), "o.ini", ONE_LEVEL_CFG.format(lo=lo, hi=hi, count=count))
+        out = str(Path(tmp) / "x.csv")
+        sc = load_scenario(cfg)
+        rates = sc.rates
+        at = {"drf": _first_underflow(csdrf.discrete_waterfiller(proc, 2).solve, rates),
+              "oracle": _first_underflow(_one_level_block().solve, rates)}
+        edges = {"drf": 60.0, "oracle": 60.0 - math.log2(3.0) / 3.0}
+        (src,) = SOURCES["discrete-cs"](sc)
+        for method, solve in (("drf", "solve"), ("oracle", "solve_many")):
+            i, exc = at[method]
+            assert rates[i] > edges[method] >= rates[:i].max(initial=0.0), method
+            with mock.patch.object(csdrf.ScalarWaterfiller, solve, autospec=True,
+                                   side_effect=getattr(csdrf.ScalarWaterfiller, solve)) as spy:
+                points, failure = src.curves[method](rates)
+            assert len(points) == i and str(failure) == str(exc), method
+            # the bisection stops at the failing rate; the exact solve makes
+            # one call more, on the rates before it
+            solved = [np.size(call.args[1]) for call in spy.call_args_list]
+            assert solved == ([1] * (i + 1) if method == "drf" else [rates.size, i]), method
+        i_bound, _ = _first_underflow(lambda r: csdrf.lower_bound_discrete(proc, r, 2), rates)
+        with pytest.raises(csdrf.WaterLevelUnderflow) as bound:
+            csdrf.lower_bound_discrete(proc, rates, 2)
+        assert f"target rate {rates[i_bound]} " in str(bound.value)
+        want = {method: f"numeric failure: {method} at rate {rates[i]}: {exc}\n"
+                for method, (i, exc) in at.items()}
+        assert _run(["drf", "--config", cfg, "--out", out]) == (3, "", want["drf"])
+        assert _run(["bound", "--config", cfg, "--out", out]) == \
+            (3, "", f"numeric failure: lower_bound: {bound.value}\n")
+        first = "drf" if at["drf"][0] <= at["oracle"][0] else "oracle"
+        assert _run(["verify", "--config", cfg]) == (3, "", want[first])
+        assert not Path(out).exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("rates", "count", 10 ** 19), ("numerics", "phi_grid", 10 ** 19),
+    ("numerics", "t_grid", 10 ** 19), ("numerics", "spectra_points", 10 ** 19),
+    ("numerics", "oracle_n", 10 ** 19), ("numerics", "spectra_m", 10 ** 19),
+    ("numerics", "oracle_n", 10 ** 9),          # an n x n kernel of 1e18 entries
+    ("numerics", "spectra_m", 10 ** 8),         # 512 matrices of 1e16 entries
+])
+def test_a_key_that_sizes_an_array_beyond_numpy_is_a_config_error(tmp_path, capsys, section,
+                                                                   key, value):
+    # refused before any array is made: no size here is ever allocated
+    text = (STATIONARY_CFG.replace("count = 5", f"count = {value}") if key == "count"
+            else STATIONARY_CFG + f"\n[numerics]\n{key} = {value}\n")
+    cfg = _write(tmp_path, "big.ini", text)
+    out = tmp_path / "out.csv"
+    for command in ("drf", "bound", "verify", "spectra"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: [{section}] {key} ") and "576460752303423487" in err
+    assert not out.exists()
+    # the bound is on the entries: a side of 1e8 is a kernel of 1e16 entries
+    assert load_scenario(_write(tmp_path, "n.ini", STATIONARY_CFG + "\n[numerics]\n"
+                                "oracle_n = 100000000\n")).oracle_n == 10 ** 8
+
+
+@pytest.mark.parametrize("where", ["load_scenario", "stationary_waterfiller"])
+def test_an_allocation_that_fails_is_a_numeric_failure(tmp_path, capsys, monkeypatch, where):
+    # the message numpy gives when the machine cannot hold an array
+    message = ("Unable to allocate 72.8 TiB for an array with shape (10000000000000,) "
+               "and data type float64")
+
+    def refuse(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(csdrf.cli, where, refuse)
+    cfg = _write(tmp_path, "s.ini", STATIONARY_CFG)
+    out = tmp_path / "out.csv"
+    assert main(["drf", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"numeric failure: {message}\n"
+    assert not out.exists()
 
 
 def test_discrete_oracle_takes_whole_periods(tmp_path, capsys, monkeypatch):

@@ -39,7 +39,8 @@ RATES = {"min": "0.5", "max": "2.0", "count": "3", "spacing": "linear"}
 # grids small enough for a few milliseconds per call
 NUMERIC_DEFAULTS = {"phi_grid": "32", "m_start": "2", "m_max": "4", "oracle_n": "16",
                     "oracle_periods": "2", "t_grid": "4"}
-VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300", "x", "")
+# 10**19: above numpy's index range as a size, an integer past int64 as a value
+VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300", "x", "", str(10 ** 19))
 # one misspelled key per section, which no kind reads: it must exit 2
 TYPOS = {"source": "bandwith", "rates": "cont", "methods": "method", "numerics": "phi_gird"}
 

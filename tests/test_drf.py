@@ -471,7 +471,9 @@ def test_normalize_power_scales_the_pam_curve(family, bandwidth, power, pulse, n
                       normalize_power=normalize, phi_grid=256)
         src = SOURCES["pam"](sc)[0]
         spec[normalize] = src.spec
-        curve[normalize] = np.array([pt[:2] for pt in src.curves["drf"](rates)])
+        points, failure = src.curves["drf"](rates)
+        assert failure is None
+        curve[normalize] = np.array([pt[:2] for pt in points])
     gain2 = power / spec[False].avg_power
     np.testing.assert_allclose(spec[True].avg_power, power, rtol=1e-12)
     np.testing.assert_allclose(curve[True], gain2 * curve[False], rtol=1e-12)
@@ -636,7 +638,9 @@ def test_am_exact_path_above_twice_bandwidth():
     (src,) = SOURCES["am"](Scenario("am", family="triangular", f0=4.0))
     rates = np.array([0.3, 1.0, 4.0])
     baseband = stationary_waterfiller(base)
-    for rate, (d, _, m, converged) in zip(rates, src.curves["drf"](rates)):
+    points, failure = src.curves["drf"](rates)
+    assert failure is None and len(points) == rates.size
+    for rate, (d, _, m, converged) in zip(rates, points):
         assert m == 0 and converged
         assert d == pytest.approx(baseband.solve(float(rate)).distortion, rel=1e-12)
 

@@ -533,6 +533,28 @@ def test_exact_solve_names_the_first_rate_past_the_bracket():
         sw.solve(2.0 * edge_rate)
     assert str(many.value) == str(one.value)
 
+@pytest.mark.parametrize("rates, index", [
+    (1.5, 0),                                   # a 0-d rate
+    ([0.5, 1.5, 1.6], 1),
+    ([1.6, 0.5, 1.5], 0),
+    ([[0.5, 0.9], [1.6, 1.5]], 2),              # flat (C) order
+])
+def test_underflow_index_is_the_flat_position_of_the_first_rate_past_the_edge(rates, index):
+    # in units of the edge of one level of weight 1 at r_scale 0.5; the
+    # stack's rows 0 and 2 resolve about twice that, so row 1 fails
+    rates = 0.5 * BRACKET_EXP * np.asarray(rates)
+    levels, weights = np.array([[1.0, 2.0], [1.0, 0.0], [4.0, 1.0]]), np.array([1.0, 1.0])
+    with pytest.raises(WaterLevelUnderflow) as one_row:
+        ScalarWaterfiller([1.0], [1.0], 1.0, 0.5).solve_many(rates)
+    with pytest.raises(WaterLevelUnderflow) as stack:
+        stacked_solve(levels, weights, rates, 0.5)
+    for exc in (one_row.value, stack.value):
+        assert exc.index == index and f"target rate {rates.flat[index]} " in str(exc)
+    with pytest.raises(WaterLevelUnderflow) as bisection:
+        ScalarWaterfiller([1.0], [1.0], 1.0, 0.5).solve(float(rates.flat[index]))
+    assert bisection.value.index is None
+
+
 def test_exact_solve_keeps_its_table_and_gives_the_batch_result_one_rate_at_a_time():
     rng = np.random.default_rng(5)
     levels, weights = rng.exponential(size=300), rng.uniform(0.0, 1.0, 300)
