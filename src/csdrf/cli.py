@@ -334,7 +334,7 @@ def _lower_bound(sc, spec):
 
 def _kernel_oracle(sc, spec):
     return _oracle(lambda: oracle_mod.kl_drf(oracle_mod.build_kernel(
-        spec, sc.oracle_periods * spec.period, sc.oracle_n)))
+        spec, sc.oracle_periods, sc.oracle_n)))
 
 
 def _refined(sc, spec):

@@ -169,7 +169,8 @@ class ContinuousDrfSolver:
     from the one just before it. An underflow at the last level of the
     schedule, or a failed decomposition, ends that rate's refinement:
     ``solve_many`` returns the exception in the rate's place, and ``solve``
-    raises it.
+    raises it. A level that fails to decompose is built once; every later
+    rate that reaches it gets the same exception.
 
     Every ``CyclicSpectrum`` is a real process, so each level's matrix at -phi
     is the conjugate of its matrix at phi, with the same eigenvalues: the
@@ -183,7 +184,7 @@ class ContinuousDrfSolver:
         self.cfg = cfg or ContinuousDrfConfig()
         self.sigma2 = spec.avg_power
         self._grid = half_grid(0.5, self.cfg.n_grid, spec.phi_breakpoints())
-        self._fields: dict[int, EigenField] = {}
+        self._fields: dict[int, EigenField | Exception] = {}
         self._saturation = saturation_dim(spec)
         self._filler: tuple[int, ScalarWaterfiller] | None = None    # (dim, waterfiller)
 
@@ -191,8 +192,14 @@ class ContinuousDrfSolver:
         if dim not in self._fields:
             self._filler = None
             matrix = folded_alias_matrix(self.spec, dim)
-            self._fields[dim] = EigenField.from_matrix(matrix, self._grid, 1.0 / dim)
-        return self._fields[dim]
+            try:
+                self._fields[dim] = EigenField.from_matrix(matrix, self._grid, 1.0 / dim)
+            except DECOMPOSITION_ERRORS as exc:
+                self._fields[dim] = exc
+        field = self._fields[dim]
+        if isinstance(field, Exception):
+            raise field
+        return field
 
     def point_at(self, rate_bits_per_second: float, dim: int) -> RateDistortionPoint:
         field = self.eigen_field(dim)

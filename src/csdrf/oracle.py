@@ -23,6 +23,10 @@ about 0) is decomposed as an even and an odd half of size n/2, each
 eigenvalue within the Weyl bound ||K - J K J||_2 / 2 of the dense one; any
 other kernel is decomposed dense.
 
+Each window owns its normalization: ``operator_eigenvalues()`` of the
+window-normalized operator and the rate unit ``r_scale``, 1/(4T) bits per
+second over [-T, T] or 1/(2N) bits per symbol over N symbols.
+
 A discrete source has two windows, both read from its covariance table. The
 plain block (``BlockCovariance``) is the covariance of n consecutive symbols,
 filled one diagonal at a time and decomposed dense. The periodized block
@@ -41,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import _require_positive_int
 from .spectra import CyclicSpectrum, DiscreteCsProcess, factor_product
 from .waterfilling import ScalarWaterfiller, _clip_eigenvalues
 
@@ -58,9 +63,7 @@ class KernelGrid:
     ``weight`` is the quadrature weight per cell divided by the window length
     2T, so values * weight is the matrix of the window-normalized integral
     operator. ``values`` are stored symmetrized, (K + K^T)/2, whatever the
-    caller passes. ``fn`` optionally keeps the kernel callable for resampling:
-    it maps a 1-d time vector and its lattice step to the covariance matrix at
-    those times. ``factor``, when set, is a pair (P, R) with R symmetric and
+    caller passes. ``factor``, when set, is a pair (P, R) with R symmetric and
     values = P R P^T up to rounding; the eigenvalues are then taken from it.
     A factored kernel may be made without its dense values (pass None): they
     are formed from the factor, and symmetrized, on their first read.
@@ -70,7 +73,6 @@ class KernelGrid:
     _values: np.ndarray | None
     weight: float
     half_width: float
-    fn: object = None
     factor: tuple | None = None
 
     def __post_init__(self):
@@ -88,6 +90,11 @@ class KernelGrid:
     @property
     def size(self) -> int:
         return self.times.size
+
+    @property
+    def r_scale(self) -> float:
+        """Bits per second: 1/(4T) per waterfilled log2+ unit."""
+        return 1.0 / (4.0 * self.half_width)
 
     def operator_eigenvalues(self) -> np.ndarray:
         """Descending eigenvalues of the window-normalized operator.
@@ -132,6 +139,11 @@ class BlockCovariance:
     def size(self) -> int:
         return self.matrix.shape[0]
 
+    @property
+    def r_scale(self) -> float:
+        """Bits per symbol: 1/(2N) per waterfilled log2+ unit."""
+        return 1.0 / (2.0 * self.size)
+
     @classmethod
     def from_process(cls, proc: DiscreteCsProcess, n: int) -> "BlockCovariance":
         """Block of length n, filled one diagonal at a time from the table.
@@ -152,13 +164,14 @@ class BlockCovariance:
             flat[k:(n - k) * n:n + 1] = diag
         return cls(mat)
 
-    def _ascending_eigenvalues(self) -> np.ndarray:
-        """A diagonal block is its own sorted spectrum, bit for bit what the
-        dense decomposition returns; any other block is decomposed dense."""
+    def operator_eigenvalues(self) -> np.ndarray:
+        """Descending eigenvalues of C/N. A diagonal block is its own sorted
+        spectrum, bit for bit what the dense decomposition returns; any other
+        block is decomposed dense."""
         mat = self.matrix
         if np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat)):
-            return np.sort(np.diagonal(mat))
-        return np.linalg.eigvalsh(mat)
+            return np.sort(np.diagonal(mat))[::-1] / self.size
+        return np.linalg.eigvalsh(mat)[::-1] / self.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,6 +189,8 @@ class PeriodizedBlock:
     @property
     def size(self) -> int:
         return self.blocks.shape[0] * self.blocks.shape[1]
+
+    r_scale = BlockCovariance.r_scale       # bits per symbol, 1/(2N)
 
     @classmethod
     def from_process(cls, proc: DiscreteCsProcess, n: int) -> "PeriodizedBlock":
@@ -199,60 +214,54 @@ class PeriodizedBlock:
             blocks[j % periods] += np.where(live, table[b, np.clip(lag, -lmax, lmax) + lmax], 0.0)
         return cls(blocks)
 
-    def _ascending_eigenvalues(self) -> np.ndarray:
-        """The eigenvalues of the P Hermitian M x M matrices
-        sum_q B_q exp(-2 pi i q k / P), k = 0..P-1: one DFT over the period
-        axis and one batched decomposition. A block row whose only nonzero
-        block is a diagonal B_0 (a memoryless source) is its diagonal
+    def operator_eigenvalues(self) -> np.ndarray:
+        """Descending eigenvalues of C/N, those of the P Hermitian M x M
+        matrices sum_q B_q exp(-2 pi i q k / P), k = 0..P-1: one DFT over the
+        period axis and one batched decomposition. A block row whose only
+        nonzero block is a diagonal B_0 (a memoryless source) is its diagonal
         repeated P times, sorted, with no decomposition.
         """
         blocks = self.blocks
         diagonal = np.diagonal(blocks[0])
         if np.count_nonzero(blocks) == np.count_nonzero(diagonal):
-            return np.sort(np.tile(diagonal, blocks.shape[0]))
+            return np.sort(np.tile(diagonal, blocks.shape[0]))[::-1] / self.size
         spectra = np.fft.fft(blocks, axis=0)
         spectra = 0.5 * (spectra + spectra.conj().transpose(0, 2, 1))
-        return np.sort(np.linalg.eigvalsh(spectra), axis=None)
+        return np.sort(np.linalg.eigvalsh(spectra), axis=None)[::-1] / self.size
 
 
-def build_kernel(spec: CyclicSpectrum, t_half: float, n: int) -> KernelGrid:
-    """Covariance kernel of a continuous-time source on a [-T, T] grid.
+def build_kernel(spec: CyclicSpectrum, periods: int, n: int) -> KernelGrid:
+    """Covariance kernel of a continuous-time source on a [-T, T] grid of
+    whole periods, T = periods T0 for a positive integer ``periods``.
 
-    T must be a positive integer multiple of the period (keeps whole cycles
-    in the window). The kernel is evaluated through the source's covariance
-    function at the lags k dt of the grid's lattice, symmetrized, and paired
-    with the 1/(2T) window normalization. A source with a covariance factor
+    The kernel is evaluated through the source's covariance function at the
+    lags k dt of the grid's lattice, symmetrized, and paired with the 1/(2T)
+    window normalization. A source with a covariance factor
     (``covariance_factor``) builds the kernel from it and keeps it; the dense
     values, which ``kl_drf`` does not read, are formed only when read.
     """
     if n < 2:
         raise ValueError(f"need at least two grid points, got n = {n!r}")
-    if not (np.isfinite(t_half) and t_half > 0.0):
-        raise ValueError(f"window half-width t_half must be finite and positive, "
-                         f"got {t_half!r}")
-    cycles = t_half / spec.period
-    if abs(cycles - round(cycles)) > 1e-9 * max(1.0, cycles):
-        raise ValueError(f"window half-width {t_half} is not a multiple of the period {spec.period}")
+    _require_positive_int("periods", periods)
+    t_half = periods * spec.period
     dt = 2.0 * t_half / n
     times = -t_half + dt * (np.arange(n) + 0.5)
     factor = spec.covariance_factor(times)
     values = spec.covariance(times, dt) if factor is None else None
-    return KernelGrid(times, values, 1.0 / n, t_half, spec.covariance, factor)
+    return KernelGrid(times, values, 1.0 / n, t_half, factor)
 
 
-def step_approximation(kernel: KernelGrid, steps_per_period: int, period: float) -> KernelGrid:
-    """Kernel held constant on cells of width period/steps_per_period.
+def step_approximation(spec: CyclicSpectrum, kernel: KernelGrid,
+                       steps_per_period: int) -> KernelGrid:
+    """``spec``'s ``kernel`` held constant on cells of width T0/steps_per_period.
 
     Both time arguments are floored to the step lattice before evaluating the
-    original kernel, whose lags are then multiples of the step; requires the
-    source kernel callable.
+    source's covariance, whose lags are then multiples of the step.
     """
-    if kernel.fn is None:
-        raise ValueError("step approximation needs the kernel callable")
-    h = period / steps_per_period
+    h = spec.period / steps_per_period
     stepped = np.floor(kernel.times / h) * h
-    return KernelGrid(kernel.times, kernel.fn(stepped, h), kernel.weight,
-                      kernel.half_width, kernel.fn)
+    return KernelGrid(kernel.times, spec.covariance(stepped, h), kernel.weight,
+                      kernel.half_width)
 
 
 def _reversal_halves(values: np.ndarray):
@@ -287,31 +296,17 @@ def _symmetric(values) -> np.ndarray:
     return out
 
 
-def kl_drf(source) -> ScalarWaterfiller:
+def kl_drf(window) -> ScalarWaterfiller:
     """Finite-window waterfiller from covariance eigenvalues.
 
-    The kernel or block is decomposed once; ``.solve_many(rates)`` then gives
-    the curve at any rates; a factored kernel is decomposed in symbol space
-    (``KernelGrid.operator_eigenvalues``), a periodized block as its P
-    M x M DFT matrices, and a block with no nonzero entry off its diagonal
-    is its own sorted spectrum, the dense decomposition's bit for bit. For a
-    KernelGrid the eigenvalues of the window-normalized operator are
-    waterfilled with rate in bits per second, (1/(4T)) sum log2+. For a
-    BlockCovariance or a PeriodizedBlock of N symbols the eigenvalues of C/N
-    are waterfilled with rate in bits per symbol, (1/(2N)) sum log2+.
-    Distortion is a plain eigenvalue sum in every case because the
+    The window (``KernelGrid``, ``BlockCovariance`` or ``PeriodizedBlock``)
+    is decomposed once (``operator_eigenvalues``); ``.solve_many(rates)``
+    then gives the curve at any rates, in the window's rate unit
+    (``r_scale``). Distortion is a plain eigenvalue sum because the
     normalization already sits inside the eigenvalues.
     """
-    if isinstance(source, KernelGrid):
-        lam = _clip_eigenvalues(source.operator_eigenvalues())
-        r_scale = 1.0 / (4.0 * source.half_width)
-    elif isinstance(source, (BlockCovariance, PeriodizedBlock)):
-        n = source.size
-        lam = _clip_eigenvalues(source._ascending_eigenvalues()[::-1] / n)
-        r_scale = 1.0 / (2.0 * n)
-    else:
-        raise TypeError(f"unsupported oracle source: {type(source)!r}")
-    return ScalarWaterfiller(lam, np.ones_like(lam), d_scale=1.0, r_scale=r_scale)
+    lam = _clip_eigenvalues(window.operator_eigenvalues())
+    return ScalarWaterfiller(lam, np.ones_like(lam), d_scale=1.0, r_scale=window.r_scale)
 
 
 @dataclass(frozen=True)

@@ -583,9 +583,7 @@ def am_cpsd(base: StationaryPsd, f0: float, phase: float = 0.0) -> CyclicSpectru
             return 0.5 * (base(f + f0) + base(f - f0)).astype(complex)
         if n == 2:
             return 0.5 * base(f - f0) * np.exp(2j * phase)
-        if n == -2:
-            return 0.5 * base(f + f0) * np.exp(-2j * phase)
-        return np.zeros_like(np.asarray(f, dtype=float), dtype=complex)
+        return 0.5 * base(f + f0) * np.exp(-2j * phase)     # n == -2
 
     cyc_ac = None
     if base.autocorr is not None:
@@ -807,10 +805,8 @@ def stationary_cyclic(base: StationaryPsd, period: float) -> CyclicSpectrum:
     Only harmonic 0 is active; useful for reduction checks, since every
     polyphase quantity then collapses to the folded stationary density.
     """
-    def cpsd_fn(n, f):
-        if n == 0:
-            return base(f).astype(complex)
-        return np.zeros_like(np.asarray(f, dtype=float), dtype=complex)
+    def cpsd_fn(n, f):      # n == 0, the only active harmonic
+        return base(f).astype(complex)
 
     cyc_ac = None
     if base.autocorr is not None:

@@ -210,8 +210,7 @@ class ScalarWaterfiller:
         return theta.reshape(rates.shape), (self.d_scale * dist).reshape(rates.shape)
 
     def _build_table(self) -> _BreakpointTable:
-        self._table = _BreakpointTable.build(self.levels[None, :], self.weights, self.r_scale,
-                                             self._log_levels[None, :])
+        self._table = _BreakpointTable.build(self.levels[None, :], self.weights, self.r_scale)
         return self._table
 
 
@@ -305,18 +304,15 @@ class _BreakpointTable:
     dead: np.ndarray         # rows with no positive level
 
     @classmethod
-    def build(cls, levels: np.ndarray, weights: np.ndarray, r_scale: float,
-              log_levels: np.ndarray | None = None) -> "_BreakpointTable":
-        """Table of a C-contiguous (P, n) stack; ``log_levels``, when given,
-        are its log2(level / level_max), the row maximum."""
+    def build(cls, levels: np.ndarray, weights: np.ndarray, r_scale: float) -> "_BreakpointTable":
+        """Table of a C-contiguous (P, n) stack."""
         p, n = levels.shape
         full = bool(levels.min(initial=1.0) > 0.0)
         kept = None if full else levels > 0.0
         level_max = levels.max(axis=1, initial=0.0)
         live = level_max > 0.0
-        if log_levels is None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_levels = np.log2(levels / np.where(live, level_max, 1.0)[:, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_levels = np.log2(levels / np.where(live, level_max, 1.0)[:, None])
         # a level at or below zero sorts last (NaN) and is summed with weight
         # 0: the sums stop growing there, and its breakpoint repeats the last
         # one, so a rate past the last level still finds W and L of every
@@ -324,7 +320,7 @@ class _BreakpointTable:
         order = np.argsort(-log_levels if full else np.where(kept, -log_levels, np.nan),
                            axis=1, kind="stable")
         w = weights[order]
-        at = order if p == 1 else order + n * np.arange(p)[:, None]   # flat positions
+        at = order + n * np.arange(p)[:, None]      # flat positions
         x, lev = log_levels.ravel()[at], levels.ravel()[at]
         if not full:
             kept = kept.ravel()[at]

@@ -210,10 +210,10 @@ def test_ac5_lower_bounds():
 def test_ac6_weyl_machinery_and_refinement():
     base = csdrf.triangular_psd(1.0, 1.0)
     am_spec = csdrf.am_cpsd(base, 4.0)
-    kern = csdrf.build_kernel(am_spec, 4 * am_spec.period, 1280)
+    kern = csdrf.build_kernel(am_spec, 4, 1280)
     gaps = []
     for m in (16, 32, 64):
-        stepped = csdrf.step_approximation(kern, m, am_spec.period)
+        stepped = csdrf.step_approximation(am_spec, kern, m)
         wg = csdrf.weyl_gap(kern, stepped)      # raises if the bound fails
         assert wg.gap <= wg.bound
         gaps.append(wg.gap)

@@ -593,6 +593,37 @@ def test_verify_decomposes_each_kernel_once(tmp_path, monkeypatch, capsys, kind,
     assert oracle_shapes == shapes
 
 
+# AM at a phase other than 0 and pi/2: the kernel does not commute with the
+# reversal, so it is decomposed whole
+AM_OFF_REVERSAL_CFG = """
+[source]
+kind = am
+family = triangular
+bandwidth = 1.0
+power = 1.0
+f0 = 2.5
+phase = 0.3
+"""
+
+
+def test_verify_decomposes_an_am_kernel_off_the_reversal_dense(tmp_path, monkeypatch, capsys):
+    # default numerics: one dense (256, 256) call; the plain window's edge
+    # bias may exceed oracle_tol, so verify may exit 3 (ROADMAP item 4)
+    eigvalsh = np.linalg.eigvalsh
+    kernel_shapes = []
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        if np.ndim(a) == 2 and np.shape(a)[0] >= 128:
+            kernel_shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    code = main(["verify", "--config", _write(tmp_path, "am-phase.ini", AM_OFF_REVERSAL_CFG)])
+    assert code in (0, 3)
+    assert kernel_shapes == [(256, 256)]
+    assert "max_rel_gap=" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("kind", ["discrete-cs", "am", "pam"])
 def test_bound_folds_each_profile_once_per_curve(tmp_path, monkeypatch, kind):
     calls = []

@@ -432,6 +432,29 @@ def test_failed_level_ends_each_rate_that_builds_it(monkeypatch):
         solver.solve(1.0)
 
 
+def test_a_level_that_fails_to_decompose_is_built_once(monkeypatch):
+    # harmonics +-2 cancel harmonic 0 here, and the M = 2 field, zero up to
+    # round-off, fails the clip (ROADMAP item 13): that level is assembled
+    # and decomposed once, and all six rates get its exception
+    spec = am_cpsd(flat_psd(1.979, 1.0), 0.657, np.pi / 2)
+    dims = []
+    from_matrix = EigenField.from_matrix
+
+    def recording(matrix, grid, d_scale=None):
+        dims.append(matrix.dim)
+        return from_matrix(matrix, grid, d_scale)
+
+    monkeypatch.setattr(EigenField, "from_matrix", recording)
+    solver = ContinuousDrfSolver(spec, ContinuousDrfConfig(1, 64))
+    results = solver.solve_many(np.geomspace(0.5, 4.0, 6))
+    assert dims == [1, 2]
+    assert isinstance(results[0], csdrf.waterfilling.NotPositiveSemidefinite)
+    assert all(res is results[0] for res in results)
+    with pytest.raises(type(results[0])):
+        solver.solve(1.0)
+    assert dims == [1, 2]
+
+
 @settings(max_examples=30, deadline=None)
 @given(kind=st.sampled_from(["white_cs", "modulated_ma"]), period=st.integers(1, 64),
        seed=st.integers(0, 2 ** 32 - 1), n_grid=st.integers(16, 300),

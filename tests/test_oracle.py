@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import csdrf.oracle
 import csdrf.spectra
 from csdrf.cli import Scenario, _normalized_pam, main, make_base
-from csdrf.drf import pam_waterfiller
+from csdrf.drf import discrete_waterfiller, pam_waterfiller
 from csdrf.oracle import (BlockCovariance, KernelGrid, PeriodizedBlock, build_kernel,
                           kl_drf, step_approximation, weyl_gap)
 from csdrf.quadrature import gauss_segments
@@ -29,7 +29,7 @@ from csdrf.waterfilling import (NotPositiveSemidefinite, _clip_eigenvalues,
 
 def test_stationary_kernel_is_toeplitz():
     spec = stationary_cyclic(triangular_psd(1.0, 1.0), 0.5)
-    kern = build_kernel(spec, 2.0, 64)
+    kern = build_kernel(spec, 4, 64)
     vals = kern.values
     for off in (1, 5, 17):
         diag = np.diagonal(vals, offset=off)
@@ -41,7 +41,7 @@ def test_am_kernel_matches_direct_product_form():
     base = flat_psd(1.0, 1.0)
     f0 = 4.0
     spec = am_cpsd(base, f0, 0.0)
-    kern = build_kernel(spec, 8 * spec.period, 128)
+    kern = build_kernel(spec, 8, 128)
     t = kern.times
     direct = 2.0 * np.cos(2 * np.pi * f0 * t)[:, None] * \
         np.cos(2 * np.pi * f0 * t)[None, :] * base.autocorr(t[:, None] - t[None, :])
@@ -55,7 +55,7 @@ def test_am_kernel_with_phase():
     base = triangular_psd(1.0, 1.0)
     f0, phase = 2.0, 0.6
     spec = am_cpsd(base, f0, phase)
-    kern = build_kernel(spec, 4 * spec.period, 64)
+    kern = build_kernel(spec, 4, 64)
     t = kern.times
     direct = 2.0 * np.cos(2 * np.pi * f0 * t + phase)[:, None] * \
         np.cos(2 * np.pi * f0 * t + phase)[None, :] * base.autocorr(t[:, None] - t[None, :])
@@ -65,7 +65,7 @@ def test_am_kernel_with_phase():
 def test_pam_rect_kernel_is_block_constant():
     base = flat_psd(1.0, 1.0)
     spec = pam_cpsd(base, rect_pulse(1.0), 1.0)
-    kern = build_kernel(spec, 4.0, 128)     # 16 points per symbol cell
+    kern = build_kernel(spec, 4, 128)       # 16 points per symbol cell
     cell = np.floor(kern.times).astype(int)
     for ci in (-4, -1, 2):
         for cj in (-4, 0, 3):
@@ -79,11 +79,11 @@ def test_window_must_cover_whole_periods():
         build_kernel(spec, 1.1, 64)
 
 
-def test_window_half_width_must_be_finite_and_positive():
+def test_window_periods_must_be_a_positive_integer():
     spec = am_cpsd(flat_psd(1.0, 1.0), 4.0)
-    for t_half in (0.0, -2.0 * spec.period, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="t_half"):
-            build_kernel(spec, t_half, 64)
+    for periods in (0, -2, 1.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="periods must be a positive integer"):
+            build_kernel(spec, periods, 64)
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -143,8 +143,8 @@ def _pam(family, bandwidth, power, pulse, symbol_rate, normalize):
 
 
 def _assert_factored_matches_loop(spec, periods, n, steps):
-    kern = build_kernel(spec, periods * spec.period, n)
-    stepped = step_approximation(kern, steps, spec.period)
+    kern = build_kernel(spec, periods, n)
+    stepped = step_approximation(spec, kern, steps)
     h = spec.period / steps
     for values, times in ((kern.values, kern.times),
                           (stepped.values, np.floor(kern.times / h) * h)):
@@ -183,7 +183,7 @@ def test_symbol_space_eigenvalues_equal_the_dense_decomposition(
     # backward stable, so they agree within a small multiple of n eps lambda_max
     # (the largest seen over 4000 draws was 1.1 n eps lambda_max)
     spec = _pam(family, bandwidth, power, pulse, 2.0 * bandwidth * nyquist_share, normalize)
-    kern = build_kernel(spec, periods * spec.period, n)
+    kern = build_kernel(spec, periods, n)
     symbols = kern.factor[0].shape[1]
     with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
         fast = kern.operator_eigenvalues()
@@ -200,7 +200,7 @@ def test_factored_kernel_forms_its_dense_values_on_first_read():
     spec = _pam("triangular", 1.0, 1.0, "rect", 1.3, False)
     with mock.patch("csdrf.oracle.factor_product",
                     wraps=csdrf.oracle.factor_product) as product:
-        kern = build_kernel(spec, 4 * spec.period, 96)
+        kern = build_kernel(spec, 4, 96)
         kl_drf(kern)
         assert product.call_count == 0
         first, second = kern.values, kern.values
@@ -228,8 +228,8 @@ def test_generic_covariance_equals_the_broadcast_sum(name):
     # the kernel's lags are the integer offsets of its grid, (i - j) dt, and
     # the stepped kernel's are those of its cells, (c_i - c_j) h
     spec = GENERIC_SOURCES[name]()
-    kern = build_kernel(spec, 3 * spec.period, 40)
-    stepped = step_approximation(kern, 5, spec.period)
+    kern = build_kernel(spec, 3, 40)
+    stepped = step_approximation(spec, kern, 5)
     dt = 2.0 * kern.half_width / kern.size
     h = spec.period / 5
     cells = np.floor(kern.times / h)
@@ -265,7 +265,7 @@ def test_covariance_equals_the_broadcast_sum_property(name, bandwidth, shape, pe
     # plain and stepped times, each at the integer offsets of its lattice;
     # every harmonic row of one stacked call equals its own scalar call
     spec = GENERATED_SOURCES[name](bandwidth, shape)
-    kern = build_kernel(spec, periods * spec.period, n)
+    kern = build_kernel(spec, periods, n)
     times, offsets, step = kern.times, np.arange(n), 2.0 * kern.half_width / n
     if steps is not None:
         step = spec.period / steps
@@ -298,7 +298,7 @@ def test_kernel_rows_and_transform_lags_in_blocks_equal_one_block(name, bandwidt
     # quadrature transform in blocks of 1 to 3 lags (a lone row joins its
     # neighbour), against one block holding all of either: bit for bit
     spec = GENERATED_SOURCES[name](bandwidth, shape)
-    times = build_kernel(spec, periods * spec.period, n).times
+    times = build_kernel(spec, periods, n).times
     step = 2.0 * periods * spec.period / n
     if steps is not None:
         step = spec.period / steps
@@ -329,7 +329,7 @@ def test_kernel_oracle_peak_is_two_kernels(spec):
     n = 1024
     tracemalloc.start()
     try:
-        kl_drf(build_kernel(spec, 4 * spec.period, n))
+        kl_drf(build_kernel(spec, 4, n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -363,7 +363,7 @@ def test_reversal_split_is_taken_exactly_for_symmetric_kernels(name, bandwidth, 
     # ||K - J K J||_2 / 2 of the dense ones, plus rounding
     make, symmetric = REVERSAL_SOURCES[name]
     spec = make(bandwidth, shape)
-    kern = build_kernel(spec, periods * spec.period, n)
+    kern = build_kernel(spec, periods, n)
     with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
         fast = kern.operator_eigenvalues()
     split = symmetric and n % 2 == 0
@@ -408,10 +408,10 @@ def test_kernel_lags_are_the_integer_offsets_of_its_grid(monkeypatch, name):
         return original(n, tau)
 
     monkeypatch.setattr(spec, "cyclic_autocorr", recording)
-    kern = build_kernel(spec, 4 * spec.period, 96)
+    kern = build_kernel(spec, 4, 96)
     dt = 2.0 * kern.half_width / kern.size
     h = spec.period / 3
-    step_approximation(kern, 3, spec.period)
+    step_approximation(spec, kern, 3)
     cells = np.floor(kern.times / h)
     span = cells.max() - cells.min()
     assert len(seen) == 2
@@ -544,10 +544,10 @@ def _per_entry_wrapped(proc, n):
 def test_periodized_block_equals_the_wrapped_dense_matrix(proc, periods):
     # m = 1 and n < 2L + 1 included: the lags that wrap onto one block are summed
     n = periods * proc.period
-    dense = np.linalg.eigvalsh(_per_entry_wrapped(proc, n))
+    dense = np.linalg.eigvalsh(_per_entry_wrapped(proc, n))[::-1] / n
     block = PeriodizedBlock.from_process(proc, n)
     assert block.blocks.shape == (periods, proc.period, proc.period)
-    lam = block._ascending_eigenvalues()
+    lam = block.operator_eigenvalues()
     assert np.abs(lam - dense).max() <= 1e-14 * np.abs(dense).max()
 
 
@@ -634,6 +634,22 @@ def test_periodized_oracle_still_checks_the_fast_path(tmp_path, capsys, monkeypa
     assert code == 3 and gap > 1e-3
 
 
+def test_plain_window_richardson_limit_is_an_independent_reference():
+    # the periodized block is the fast path's own symbol on a uniform grid;
+    # the plain window converges to the DRF at O(1/n) through its edges, so
+    # one Richardson step 2 D(n) - D(n/2) leaves O(1/n^2) against the step
+    # |D(n) - D(n/2)| = O(1/n). The fast path must sit within 8/n steps of
+    # the limit (0.57/n seen); one table slot scaled by 1.01 misses by 12
+    proc = modulated_ma([1.0, 0.5, 2.0], [1.0, 0.6, 0.3])
+    rates = np.array([0.25, 1.0, 4.0])
+    n = 768
+    full, half = (kl_drf(BlockCovariance.from_process(proc, k)).solve_many(rates)[1]
+                  for k in (n, n // 2))
+    limit, step = 2.0 * full - half, np.abs(full - half)
+    fast = discrete_waterfiller(proc, 2 ** 16).solve_many(rates)[1]
+    assert np.all(np.abs(fast - limit) <= 8.0 / n * step), np.abs(fast - limit) / step
+
+
 # ---------------------------------------------------------------------------
 # finite-window curves
 # ---------------------------------------------------------------------------
@@ -663,7 +679,7 @@ def test_block_covariance_layout():
 
 def test_trace_identity_continuous():
     spec = am_cpsd(triangular_psd(1.0, 1.0), 2.0)
-    kern = build_kernel(spec, 4 * spec.period, 200)
+    kern = build_kernel(spec, 4, 200)
     lam = kern.operator_eigenvalues()
     windowed_power = np.mean(np.diag(kern.values))
     assert lam.sum() == pytest.approx(windowed_power, rel=1e-8)
@@ -678,7 +694,7 @@ def test_window_doubling_halves_the_gap():
     for spec, ref in cases:
         gaps = []
         for periods, n in ((8, 256), (16, 512), (32, 1024)):
-            kern = build_kernel(spec, periods * spec.period, n)
+            kern = build_kernel(spec, periods, n)
             gaps.append(abs(kl_drf(kern).solve(1.0).distortion - ref))
         assert gaps[1] <= 0.65 * gaps[0]
         assert gaps[2] <= 0.65 * gaps[1]
@@ -697,7 +713,7 @@ def test_negative_definite_block_rejected():
 
 def _am_kernel(n=640, periods=4):
     spec = am_cpsd(triangular_psd(1.0, 1.0), 4.0)
-    return spec, build_kernel(spec, periods * spec.period, n)
+    return spec, build_kernel(spec, periods, n)
 
 
 def test_identical_kernels_zero_gap():
@@ -720,7 +736,7 @@ def test_step_approximation_gap_shrinks_linearly():
     spec, kern = _am_kernel(n=1280)
     gaps = []
     for m in (16, 32, 64):
-        stepped = step_approximation(kern, m, spec.period)
+        stepped = step_approximation(spec, kern, m)
         wg = weyl_gap(kern, stepped)     # raises if the bound is violated
         assert wg.gap <= wg.bound
         gaps.append(wg.gap)
@@ -734,9 +750,9 @@ def test_weyl_gap_rounding_slack_scales_with_the_kernels(power):
     # 1e-6 of the largest fails even at power 1e-12, where an absolute slack
     # of 1e-9 would have let it through
     spec = am_cpsd(triangular_psd(1.0, power), 4.0)
-    kern = build_kernel(spec, 4 * spec.period, 128)
+    kern = build_kernel(spec, 4, 128)
     assert weyl_gap(kern, kern).gap == 0.0
-    wg = weyl_gap(kern, step_approximation(kern, 16, spec.period))
+    wg = weyl_gap(kern, step_approximation(spec, kern, 16))
     assert 0.0 < wg.gap <= wg.bound
     honest = KernelGrid.operator_eigenvalues
 
@@ -768,7 +784,7 @@ def test_staircase_oracle_agreement_all_families(family):
     # curve has no truncation bias
     base = family(1.0, 1.0)
     spec = pam_cpsd(base, rect_pulse(1.0), 1.0)
-    oracle = kl_drf(build_kernel(spec, 8.0, 256))
+    oracle = kl_drf(build_kernel(spec, 8, 256))
     closed = pam_waterfiller(spec)
     for rate in np.geomspace(0.1, 2.0, 6):
         fast = closed.solve(float(rate)).distortion
