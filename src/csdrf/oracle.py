@@ -11,8 +11,9 @@ so its lags are the integer offsets k dt, k = -(n-1)..n-1, evaluated once
 each; a stepped kernel's times are a lattice of the step. The harmonics are
 summed into a real matrix, harmonic 0 as the real part of its lag row alone
 (its phase factor is exactly 1), bit for bit the real part of the complex
-sum (``CyclicSpectrum.covariance``). A kernel is
-symmetrized once, when its grid is made. A PAM kernel with a time-windowed
+sum (``CyclicSpectrum.covariance``). A kernel is symmetrized once, in the
+buffer it was built in, so a built kernel and its decomposition hold one
+n x n array. A PAM kernel with a time-windowed
 pulse is the product P R_U P^T of an n x s pulse matrix and an s x s symbol
 Toeplitz matrix: its nonzero eigenvalues are those of one s x s matrix, and
 the other n - s are exact zeros, and its dense n x n values are formed only
@@ -46,11 +47,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import _require_positive_int
-from .spectra import CyclicSpectrum, DiscreteCsProcess, factor_product
+from .spectra import CyclicSpectrum, DiscreteCsProcess, factor_product, row_blocks
 from .waterfilling import ScalarWaterfiller, _clip_eigenvalues
 
 # A dense kernel of even size n is decomposed as two halves when
-# max |K - J K J| <= REVERSAL_TOL n eps max |K| (``_reversal_halves``).
+# max |K - J K J| <= REVERSAL_TOL n eps max |K| (``_commutes_with_reversal``).
 REVERSAL_TOL = 8.0
 # ``weyl_gap`` allows WEYL_ROUNDING n eps max(|K_a|, |K_b|) of rounding.
 WEYL_ROUNDING = 16.0
@@ -62,9 +63,11 @@ class KernelGrid:
 
     ``weight`` is the quadrature weight per cell divided by the window length
     2T, so values * weight is the matrix of the window-normalized integral
-    operator. ``values`` are stored symmetrized, (K + K^T)/2, whatever the
-    caller passes. ``factor``, when set, is a pair (P, R) with R symmetric and
-    values = P R P^T up to rounding; the eigenvalues are then taken from it.
+    operator. ``values`` are stored symmetrized, whatever the caller passes:
+    an exactly symmetric array as given, any other as (K + K^T)/2 in a new
+    buffer, so a caller's array is never changed. ``factor``, when set, is a
+    pair (P, R) with R symmetric and values = P R P^T up to rounding; the
+    eigenvalues are then taken from it.
     A factored kernel may be made without its dense values (pass None): they
     are formed from the factor, and symmetrized, on their first read.
     """
@@ -77,14 +80,17 @@ class KernelGrid:
 
     def __post_init__(self):
         if self._values is not None:
-            object.__setattr__(self, "_values", _symmetric(self._values))
+            values = np.asarray(self._values, dtype=float)
+            if not _is_symmetric(values):
+                values = _symmetrize(values.copy())
+            object.__setattr__(self, "_values", values)
         elif self.factor is None:
             raise ValueError("a kernel needs its values or its factor")
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            object.__setattr__(self, "_values", _symmetric(factor_product(self.factor)))
+            object.__setattr__(self, "_values", _symmetrize(factor_product(self.factor)))
         return self._values
 
     @property
@@ -108,7 +114,8 @@ class KernelGrid:
         (J K J = K within REVERSAL_TOL n eps max |K|) is decomposed as two
         m x m halves. With A and B the top blocks of S = (K + J K J)/2, the
         orthogonal change of basis to the even vectors [x; J x] and the odd
-        ones [x; -J x] makes S block diagonal with blocks A + B J and A - B J.
+        ones [x; -J x] makes S block diagonal with blocks A + B J and A - B J,
+        formed one after the other in one m x m buffer.
         The eigenvalues returned are those of S; by Weyl's inequality each
         is within ||K - J K J||_2 / 2 <= (n/2) max |K - J K J| of the
         corresponding eigenvalue of K, which is at most (REVERSAL_TOL/2) n eps
@@ -116,15 +123,14 @@ class KernelGrid:
         is decomposed whole.
         """
         if self.factor is None:
-            halves = _reversal_halves(self.values)
-            if halves is None:
-                lam = np.linalg.eigvalsh(self.values)
+            if _commutes_with_reversal(self.values):
+                lam = _reversal_eigenvalues(self.values)
             else:
-                lam = np.sort(np.concatenate([np.linalg.eigvalsh(h) for h in halves]))
+                lam = np.linalg.eigvalsh(self.values)
         else:
             pulses, inner = self.factor
             rp = np.linalg.qr(pulses, mode="r")
-            core = np.linalg.eigvalsh(_symmetric(rp @ inner @ rp.T))
+            core = np.linalg.eigvalsh(_symmetrize(rp @ inner @ rp.T))
             lam = np.concatenate([np.zeros(self.size - core.size), core])
         return lam[::-1] * self.weight
 
@@ -235,8 +241,8 @@ def build_kernel(spec: CyclicSpectrum, periods: int, n: int) -> KernelGrid:
     whole periods, T = periods T0 for a positive integer ``periods``.
 
     The kernel is evaluated through the source's covariance function at the
-    lags k dt of the grid's lattice, symmetrized, and paired with the 1/(2T)
-    window normalization. A source with a covariance factor
+    lags k dt of the grid's lattice, symmetrized in that buffer, and paired
+    with the 1/(2T) window normalization. A source with a covariance factor
     (``covariance_factor``) builds the kernel from it and keeps it; the dense
     values, which ``kl_drf`` does not read, are formed only when read.
     """
@@ -247,7 +253,7 @@ def build_kernel(spec: CyclicSpectrum, periods: int, n: int) -> KernelGrid:
     dt = 2.0 * t_half / n
     times = -t_half + dt * (np.arange(n) + 0.5)
     factor = spec.covariance_factor(times)
-    values = spec.covariance(times, dt) if factor is None else None
+    values = _symmetrize(spec.covariance(times, dt)) if factor is None else None
     return KernelGrid(times, values, 1.0 / n, t_half, factor)
 
 
@@ -260,40 +266,70 @@ def step_approximation(spec: CyclicSpectrum, kernel: KernelGrid,
     """
     h = spec.period / steps_per_period
     stepped = np.floor(kernel.times / h) * h
-    return KernelGrid(kernel.times, spec.covariance(stepped, h), kernel.weight,
+    return KernelGrid(kernel.times, _symmetrize(spec.covariance(stepped, h)), kernel.weight,
                       kernel.half_width)
 
 
-def _reversal_halves(values: np.ndarray):
-    """The even and odd halves A + B J and A - B J of a kernel that commutes
-    with the reversal J, or None.
+def _commutes_with_reversal(values: np.ndarray) -> bool:
+    """Whether a kernel of even size n equals its reversal J K J within
+    REVERSAL_TOL n eps max |K|.
 
-    Taken for an even size n when max |K - J K J| <= REVERSAL_TOL n eps
-    max |K|, the top blocks of K and J K J compared entry by entry (the
-    bottom blocks repeat them reversed). A and B are the top blocks of
-    S = (K + J K J)/2, whose eigenvalues are those of the two halves.
+    The top rows of K and of J K J are compared entry by entry, a block of
+    rows at a time (``row_blocks``); the bottom rows repeat them reversed.
     """
     n = values.shape[0]
     if n % 2:
-        return None
-    m = n // 2
-    top_left, mirror_left = values[:m, :m], values[m:, m:][::-1, ::-1]
-    top_right, mirror_right = values[:m, m:], values[m:, :m][::-1, ::-1]
+        return False
+    mirror = values[::-1, ::-1]
     tol = REVERSAL_TOL * n * np.finfo(float).eps * max(values.max(), -values.min())
-    if (np.abs(top_left - mirror_left).max() > tol
-            or np.abs(top_right - mirror_right).max() > tol):
-        return None
-    top = 0.5 * (top_left + mirror_left)
-    flip = 0.5 * (top_right + mirror_right)[:, ::-1]
-    return top + flip, top - flip
+    return not any(np.abs(values[rows] - mirror[rows]).max() > tol
+                   for rows in row_blocks(n // 2, n))
 
 
-def _symmetric(values) -> np.ndarray:
-    """(K + K^T) / 2, formed in one new buffer."""
-    values = np.asarray(values, dtype=float)
-    out = values + values.T
-    out *= 0.5
-    return out
+def _reversal_eigenvalues(values: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of S = (K + J K J)/2 for a kernel of even size
+    n = 2m: those of its even half A + B J and its odd half A - B J, A and B
+    being the top blocks of S.
+
+    The halves are formed in turn in one m x m buffer, a block of rows at a
+    time, and each is decomposed before the next overwrites it.
+    """
+    n = values.shape[0]
+    m = n // 2
+    mirror = values[::-1, ::-1]
+    half = np.empty((m, m))
+    lam = []
+    for combine in (np.add, np.subtract):
+        for rows in row_blocks(m, n):
+            top = 0.5 * (values[rows] + mirror[rows])    # rows of [A | B]
+            combine(top[:, :m], top[:, m:][:, ::-1], out=half[rows])
+        lam.append(np.linalg.eigvalsh(half))
+    return np.sort(np.concatenate(lam))
+
+
+def _is_symmetric(values: np.ndarray) -> bool:
+    """Whether a square array equals its transpose exactly, compared a block
+    of rows against its mirror block of columns at a time (``row_blocks``)."""
+    n = values.shape[0]
+    return all(np.array_equal(values[rows, rows.start:], values[rows.start:, rows].T)
+               for rows in row_blocks(n, n))
+
+
+def _symmetrize(values: np.ndarray) -> np.ndarray:
+    """A square float array overwritten with (K + K^T) / 2, and returned.
+
+    Entry (i, j) and its mirror both get (K[i, j] + K[j, i]) * 0.5, the sum
+    formed whole bit for bit. A block of rows from the diagonal on is summed
+    with its mirror block of columns (``row_blocks``); no earlier block has
+    written either, so the only temporary is one block.
+    """
+    n = values.shape[0]
+    for rows in row_blocks(n, n):
+        block = values[rows, rows.start:] + values[rows.start:, rows].T
+        block *= 0.5
+        values[rows, rows.start:] = block
+        values[rows.start:, rows] = block.T
+    return values
 
 
 def kl_drf(window) -> ScalarWaterfiller:

@@ -33,12 +33,18 @@ class PsdPcMatrix:
     i and j lie in the same block. The eigenvalues are then those of the
     blocks, plus one exact zero per index in no block. None means one block,
     the whole matrix.
+
+    ``node_entries`` is the number of array entries that evaluating one phi
+    makes, its assembly's temporaries and the dim x dim result together;
+    None counts the result alone, dim**2. ``EigenField.from_matrix`` sizes
+    its slices by it.
     """
 
     dim: int
     _evaluate: Callable[[np.ndarray], np.ndarray]
     phi_breakpoints: tuple
     blocks: tuple | None = None
+    node_entries: int | None = None
 
     def __call__(self, phi) -> np.ndarray:
         """Evaluate the matrix at an array of phis; returns (n, dim, dim)."""
@@ -55,7 +61,8 @@ def psd_pc_matrix_discrete(proc: DiscreteCsProcess) -> PsdPcMatrix:
     lags j with |m - r - j M| <= L, the memory. Every other entry is an
     exact zero. A memoryless table gives a diagonal matrix whose ``blocks``
     are singletons, so its field calls no eigensolver. A period-1 process
-    given by its density has that density as its 1 x 1 matrix.
+    given by its density has that density as its 1 x 1 matrix. One phi's
+    assembly makes its phase factors, the matrix and one product term.
     """
     if proc.density is not None:
         return PsdPcMatrix(1, lambda phi: np.asarray(proc.density(0, phi)).real[:, None, None],
@@ -76,7 +83,7 @@ def psd_pc_matrix_discrete(proc: DiscreteCsProcess) -> PsdPcMatrix:
             out += phase[:, k:k + 1] * coef[k]
         return out.reshape(phi.size, m_dim, m_dim)
 
-    return PsdPcMatrix(m_dim, evaluate, proc.phi_breakpoints, blocks)
+    return PsdPcMatrix(m_dim, evaluate, proc.phi_breakpoints, blocks, j.size + 2 * m_dim ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,6 +205,13 @@ def folded_alias_matrix(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
     Pulse-amplitude spectra give the rank-one case, a 1 x 1 matrix holding
     fold * sum_m |g_m|^2. An eigenvalue field of the result carries the
     distortion weight 1/dim, not one over its own side.
+
+    The matrix reports its ``node_entries``. One phi of the alias series
+    makes J cpsd values per active harmonic, one scatter position and one
+    ``bincount`` weight per scattered entry, and the side x side result: at
+    J = 27 and three harmonics the assembly outweighs a 4 x 4 matrix
+    fifteen times. One phi of the rank-one case makes dim gains and their
+    squared magnitudes.
     """
     _require_positive_int("dim", dim)
 
@@ -206,7 +220,7 @@ def folded_alias_matrix(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
             fold, g = spec.polyphase_factor(dim, phi)
             return (fold * (g * g.conj()).real.sum(axis=-1))[:, None, None]
 
-        return PsdPcMatrix(1, evaluate, spec.phi_breakpoints())
+        return PsdPcMatrix(1, evaluate, spec.phi_breakpoints(), node_entries=2 * dim + 1)
 
     series = _AliasSeries.of(spec, "folded_alias_matrix")
     pos = np.arange(series.aliases.size)      # alias k sits at k + kmax
@@ -245,7 +259,8 @@ def folded_alias_matrix(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
             out.imag = np.bincount(where, s.imag.ravel(), size)
         return out.reshape(phi.size, side, side)
 
-    return PsdPcMatrix(side, evaluate, spec.phi_breakpoints(), blocks)
+    entries = series.aliases.size * len(spec.active_indices) + 2 * flat.size + side ** 2
+    return PsdPcMatrix(side, evaluate, spec.phi_breakpoints(), blocks, entries)
 
 
 def component_spectra(proc: DiscreteCsProcess, phi, components=slice(None)) -> np.ndarray:

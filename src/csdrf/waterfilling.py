@@ -47,9 +47,10 @@ NORMAL_FLOOR = 2.0 ** -1022
 # relative size of the negative eigenvalues read as round-off and clipped to zero
 CLIP_SCALE = 1e-9
 
-# matrix entries per eigenvalue-field slice (1 MB complex, 0.5 MB real): a field
-# is assembled and decomposed at most SLICE_ENTRIES // side**2 phi nodes at a
-# time, side being the matrix side (r for a folded alias matrix, not M)
+# array entries per eigenvalue-field slice (1 MB complex, 0.5 MB real), the
+# assembly's temporaries included: a field is assembled and decomposed at most
+# SLICE_ENTRIES // node_entries phi nodes at a time, node_entries being what one
+# node's assembly makes (``PsdPcMatrix.node_entries``; side**2 by default)
 SLICE_ENTRIES = 2 ** 16
 
 
@@ -99,9 +100,11 @@ class ScalarWaterfiller:
     rate(theta)       = r_scale * sum_i w_i * log2+(level_i / theta)
 
     Levels at or below zero add nothing to either sum and are dropped;
-    ``levels`` and ``weights`` hold the positive levels that are kept. Their
-    logarithms relative to the largest level are taken once here, so that a
-    rate evaluation is a subtraction, a clip and a weighted dot product.
+    ``levels`` and ``weights`` hold the positive levels that are kept, the
+    given arrays themselves when none is dropped (they are read, never
+    written). Their logarithms relative to the largest level are taken once
+    here, so that a rate evaluation is a subtraction, a clip and a weighted
+    dot product.
     """
 
     def __init__(self, levels, weights, d_scale: float, r_scale: float):
@@ -111,13 +114,16 @@ class ScalarWaterfiller:
             raise ValueError("levels and weights must have matching shapes")
         _check_inputs(levels, weights, d_scale, r_scale)
         kept = levels > 0.0
-        self.levels = levels[kept]
-        self.weights = weights[kept]
+        if not kept.all():
+            levels, weights = levels[kept], weights[kept]
+        self.levels = levels
+        self.weights = weights
         self.d_scale = float(d_scale)
         self.r_scale = float(r_scale)
-        self.level_max = float(self.levels.max(initial=0.0))
+        self.level_max = float(levels.max(initial=0.0))
         # log2(level / level_max) <= 0; rate(theta) clips log_levels - log2(theta / level_max)
-        self._log_levels = np.log2(self.levels / self.level_max)
+        self._log_levels = levels / self.level_max
+        np.log2(self._log_levels, out=self._log_levels)
         self._table: _BreakpointTable | None = None
 
     def distortion(self, theta: float) -> float:
@@ -305,14 +311,26 @@ class _BreakpointTable:
 
     @classmethod
     def build(cls, levels: np.ndarray, weights: np.ndarray, r_scale: float) -> "_BreakpointTable":
-        """Table of a C-contiguous (P, n) stack."""
+        """Table of a C-contiguous (P, n) stack.
+
+        Each (P, n) temporary is freed once it is used, and the products,
+        cumulative sums and breakpoints are formed in the buffers they read,
+        so beside its input the build holds at most four (P, n) arrays, the
+        table's own four included.
+        """
         p, n = levels.shape
         full = bool(levels.min(initial=1.0) > 0.0)
         kept = None if full else levels > 0.0
         level_max = levels.max(axis=1, initial=0.0)
         live = level_max > 0.0
+        log_levels = levels / np.where(live, level_max, 1.0)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_levels = np.log2(levels / np.where(live, level_max, 1.0)[:, None])
+            np.log2(log_levels, out=log_levels)
+        edges = [(NORMAL_FLOOR, 0.0)] * p
+        for row, top in enumerate(level_max.tolist()):
+            if top > 0.0:
+                keep = slice(None) if full else kept[row]
+                edges[row] = _edge(log_levels[row][keep], weights[keep], top, r_scale)
         # a level at or below zero sorts last (NaN) and is summed with weight
         # 0: the sums stop growing there, and its breakpoint repeats the last
         # one, so a rate past the last level still finds W and L of every
@@ -320,24 +338,27 @@ class _BreakpointTable:
         order = np.argsort(-log_levels if full else np.where(kept, -log_levels, np.nan),
                            axis=1, kind="stable")
         w = weights[order]
-        at = order + n * np.arange(p)[:, None]      # flat positions
-        x, lev = log_levels.ravel()[at], levels.ravel()[at]
+        order += n * np.arange(p)[:, None]          # flat positions
+        x = log_levels.ravel()[order]
+        del log_levels
+        lev = levels.ravel()[order]
         if not full:
-            kept = kept.ravel()[at]
-            x, w, lev = np.where(kept, x, 0.0), np.where(kept, w, 0.0), np.where(kept, lev, 0.0)
-        big_w = np.cumsum(w, axis=1)
-        big_l = np.cumsum(w * x, axis=1)
+            dropped = ~kept.ravel()[order]
+            x[dropped], w[dropped], lev[dropped] = 0.0, 0.0, 0.0
+        del order
+        lev *= w
         tail = np.zeros((p, n + 1))
-        tail[:, :n] = np.cumsum((w * lev)[:, ::-1], axis=1)[:, ::-1]
-        breaks = np.empty((p, n))
+        np.cumsum(lev[:, ::-1], axis=1, out=tail[:, :n][:, ::-1])
+        del lev
+        big_w = np.cumsum(w, axis=1)
+        w *= x
+        big_l = np.cumsum(w, axis=1, out=w)
+        breaks = x      # breaks[k] = r_scale (L_{k-1} - W_{k-1} x_k), written over x_k
+        breaks[:, 1:] *= big_w[:, :-1]
+        np.subtract(big_l[:, :-1], breaks[:, 1:], out=breaks[:, 1:])
+        breaks[:, 1:] *= r_scale
         breaks[:, 0] = 0.0
-        breaks[:, 1:] = r_scale * (big_l[:, :-1] - big_w[:, :-1] * x[:, 1:])
         np.maximum.accumulate(breaks, axis=1, out=breaks)
-        edges = [(NORMAL_FLOOR, 0.0)] * p
-        for row, top in enumerate(level_max.tolist()):
-            if top > 0.0:
-                keep = slice(None) if full else levels[row] > 0.0
-                edges[row] = _edge(log_levels[row][keep], weights[keep], top, r_scale)
         lo, rate_lo = np.array(edges).T
         edge = np.where(live, rate_lo * (1.0 + 1e-12) + 1e-12, np.inf)
         rows = np.arange(p)[:, None]
@@ -467,6 +488,10 @@ class EigenField:
         matrix. Each matrix is decomposed on its own, so the field does not
         depend on the slicing; only the peak memory does.
 
+        A slice holds at most ``SLICE_ENTRIES // matrix.node_entries`` nodes
+        (side**2 when the matrix reports no count), so its assembly, which
+        for a folded alias matrix makes several entries per alias and
+        harmonic beside the matrix, stays within ``SLICE_ENTRIES`` entries.
         Each slice is assembled whole, as ``matrix(nodes)`` returns it. A
         matrix with ``blocks`` is then decomposed block by block: the blocks
         of one size are gathered from the slice into one stack and decomposed
@@ -474,14 +499,14 @@ class EigenField:
         gives an exact zero. The eigenvalues of a node are sorted ascending,
         as the whole matrix's would be.
         """
-        step = max(1, SLICE_ENTRIES // matrix.dim ** 2)
-        parts = []
+        step = max(1, SLICE_ENTRIES // (matrix.node_entries or matrix.dim ** 2))
+        lam = np.empty((grid.size, matrix.dim))
         for start in range(0, grid.size, step):
             nodes = grid.nodes[start:start + step]
             where = (f"nodes {start}..{start + nodes.size - 1} of the phi grid on "
                      f"[{grid.lo}, {grid.hi}], {grid.size} nodes")
             try:
-                parts.append(_block_eigenvalues(matrix(nodes), matrix.blocks))
+                lam[start:start + step] = _block_eigenvalues(matrix(nodes), matrix.blocks)
             except NotPositiveSemidefinite as exc:
                 node = start + exc.index
                 raise NotPositiveSemidefinite(
@@ -491,7 +516,7 @@ class EigenField:
                 raise np.linalg.LinAlgError(f"{exc} ({where})") from exc
         if d_scale is None:
             d_scale = 1.0 / matrix.dim
-        return cls(grid, np.concatenate(parts), d_scale)
+        return cls(grid, lam, d_scale)
 
     def waterfiller(self, rate_normalizer: float) -> ScalarWaterfiller:
         """Waterfiller over the field: ``rate_normalizer`` is 1/(2 M) for bits

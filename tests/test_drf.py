@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import csdrf.drf
 import csdrf.spectra
+import csdrf.waterfilling
 from csdrf.cli import (SOURCES, Scenario, _normalized_pam, drf_rows, load_scenario, make_base,
                        make_discrete)
 from csdrf.drf import (ContinuousDrfConfig, ContinuousDrfSolver,
@@ -1077,3 +1078,26 @@ def test_monotone_information_content_in_symbol_rate():
     curves.append(np.array([baseband.solve(float(r)).distortion for r in rates]))
     for low, high in zip(curves, curves[1:]):
         assert np.all(low < high)
+
+
+@pytest.mark.parametrize("dim", [4, 32])
+def test_a_refinement_level_stays_within_its_working_set(dim):
+    # one level of the wide-alias AM source (J = 27 aliases, three harmonics)
+    # on the 1024 half-grid nodes of phi_grid = 2048: its field, waterfiller
+    # and breakpoint table. The field holds one slice of SLICE_ENTRIES complex
+    # entries, its assembly included, beside lam; the table build holds lam,
+    # the waterfiller's weights and logarithms and four more arrays of lam's
+    # size. Assembled in one slice, M = 4 peaked at 81 x lam (2.66 MB); with
+    # nine full-size build temporaries, M = 32 peaked at 12.7 x lam (2.80 MB)
+    spec = am_cpsd(triangular_psd(1.0, 1.0), 0.1, 0.0)
+    solver = ContinuousDrfSolver(spec, ContinuousDrfConfig(n_grid=2048))
+    tracemalloc.start()
+    try:
+        solver.point_at(1.0, dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lam = solver.eigen_field(dim).lam
+    assert lam.shape == (1024, min(dim, 27))
+    budget = 7 * lam.nbytes + 16 * csdrf.waterfilling.SLICE_ENTRIES
+    assert peak <= budget, (peak / lam.nbytes, peak / budget)

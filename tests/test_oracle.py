@@ -209,6 +209,34 @@ def test_factored_kernel_forms_its_dense_values_on_first_read():
     np.testing.assert_array_equal(first, 0.5 * (dense + dense.T))
 
 
+@pytest.mark.parametrize("symmetric", [False, True], ids=["asymmetric", "symmetric"])
+def test_kernel_values_are_symmetrized_bit_for_bit_leaving_the_callers_array_alone(symmetric):
+    # (K + K^T)/2 is formed a block of rows against its mirror columns; a
+    # caller's array is copied first, or kept as it is when exactly symmetric
+    n = 301                     # several row blocks, the last one ragged
+    values = np.random.default_rng(5).normal(size=(n, n))
+    if symmetric:
+        values = values + values.T
+    before = values.copy()
+    kern = KernelGrid(np.arange(n) + 0.5, values, 1.0 / n, n / 2.0)
+    np.testing.assert_array_equal(kern.values, 0.5 * (before + before.T))
+    np.testing.assert_array_equal(values, before)
+
+
+def test_reversal_halves_are_the_whole_halves_bit_for_bit():
+    # the even and odd halves are formed in turn, a block of rows at a time,
+    # in one buffer: the eigenvalues are those of the halves formed whole
+    spec = GENERIC_SOURCES["stationary"]()
+    kern = build_kernel(spec, 4, 512)
+    values, m = kern.values, 256
+    top = 0.5 * (values[:m, :m] + values[m:, m:][::-1, ::-1])
+    flip = (0.5 * (values[:m, m:] + values[m:, :m][::-1, ::-1]))[:, ::-1]
+    whole = np.sort(np.concatenate([np.linalg.eigvalsh(top + flip),
+                                    np.linalg.eigvalsh(top - flip)]))
+    assert csdrf.oracle._commutes_with_reversal(values)
+    assert (kern.operator_eigenvalues() == whole[::-1] * kern.weight).all()
+
+
 def test_kernel_without_values_or_factor_is_refused():
     with pytest.raises(ValueError, match="values or its factor"):
         KernelGrid(np.array([0.0, 1.0]), None, 0.5, 1.0)
@@ -320,12 +348,13 @@ def test_kernel_rows_and_transform_lags_in_blocks_equal_one_block(name, bandwidt
                                   stationary_cyclic(raised_cosine_psd(1.0, 1.0), 0.7),
                                   pam_cpsd(flat_psd(1.0, 1.0), ideal_interp_pulse(0.8), 0.8)],
                          ids=["am", "stationary", "pam-ideal"])
-def test_kernel_oracle_peak_is_two_kernels(spec):
+def test_kernel_oracle_peak_is_one_kernel(spec):
     # the n x n kernel is gathered a block of rows at a time and symmetrized
-    # into one new buffer, so the build and its decomposition hold the kernel
-    # and its symmetrized copy (tracemalloc sees numpy's buffers, not
-    # LAPACK's workspace); summed whole, the generic kernel peaked at 6 such
-    # arrays, the stationary one at 3
+    # in place, and a reversal-symmetric kernel's halves are formed in turn in
+    # one n/2 x n/2 buffer, so the build and its decomposition hold one kernel
+    # (tracemalloc sees numpy's buffers, not LAPACK's workspace); with a
+    # symmetrized copy they held two, and summed whole, the generic kernel
+    # peaked at 6 such arrays, the stationary one at 3
     n = 1024
     tracemalloc.start()
     try:
@@ -333,7 +362,7 @@ def test_kernel_oracle_peak_is_two_kernels(spec):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 8 * n * n, peak / (8 * n * n)
+    assert peak <= 1.5 * 8 * n * n, peak / (8 * n * n)
 
 
 REVERSAL_SOURCES = {

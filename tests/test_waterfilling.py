@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -7,9 +8,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import csdrf.spectra
+import csdrf.waterfilling
 from csdrf.polyphase import (PsdPcMatrix, folded_alias_matrix, psd_pc_matrix_continuous,
                              psd_pc_matrix_discrete)
-from csdrf.quadrature import phi_grid
+from csdrf.quadrature import half_grid, phi_grid
 from csdrf.spectra import (am_cpsd, flat_psd, raised_cosine_psd, row_blocks,
                            triangular_psd, white_cs)
 from csdrf.waterfilling import (BRACKET_EXP, MAX_BISECT, NORMAL_FLOOR, SLICE_ENTRIES, EigenField,
@@ -107,6 +109,29 @@ def test_field_is_built_in_slices_and_equals_the_one_shot_field():
     field = EigenField.from_matrix(matrix, grid)
     assert max(sizes) <= step and sum(sizes) == grid.size and len(sizes) == 3
     np.testing.assert_array_equal(field.lam, hermitian_eigenvalues(matrix(grid.nodes)))
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.3])
+def test_field_is_bit_identical_whatever_its_slice_budget(monkeypatch, phase):
+    # the wide-alias AM level (J = 27 aliases, three harmonics, side 4) whose
+    # assembly outweighs its matrix: a budget of one node, the default and
+    # 2**30 entries give the same bits, and no slice's assembly exceeds it
+    matrix = folded_alias_matrix(am_cpsd(triangular_psd(1.0, 1.0), 0.1, phase), 4)
+    grid = half_grid(0.5, 2048, matrix.phi_breakpoints)
+    per_node = matrix.node_entries
+    assert matrix.dim == 4 and per_node > 10 * matrix.dim ** 2
+    fields, slices = [], []
+    for budget in (per_node, SLICE_ENTRIES, 2 ** 30):
+        sizes = []
+        recording = dataclasses.replace(
+            matrix, _evaluate=lambda phi: sizes.append(phi.size) or matrix(phi))
+        monkeypatch.setattr(csdrf.waterfilling, "SLICE_ENTRIES", budget)
+        fields.append(EigenField.from_matrix(recording, grid).lam)
+        assert sum(sizes) == grid.size and max(sizes) * per_node <= budget
+        slices.append(len(sizes))
+    assert slices[0] == grid.size and 2 < slices[1] < 8 and slices[2] == 1
+    for lam in fields[1:]:
+        assert lam.tobytes() == fields[0].tobytes()
 
 
 def test_psd_failure_in_a_later_slice_names_the_grid_node():
@@ -702,7 +727,7 @@ def test_am_field_reaches_eigvalsh_real_only_at_phase_zero(monkeypatch, phase, d
     grid = phi_grid(300, matrix.phi_breakpoints)
     dtypes = _eigvalsh_dtypes(monkeypatch)
     field = EigenField.from_matrix(matrix, grid, d_scale=1.0 / 8)
-    assert dtypes == [dtype]
+    assert dtypes and set(dtypes) == {np.dtype(dtype)}       # every slice's call
     as_complex = hermitian_eigenvalues(matrix(grid.nodes).astype(complex))
     assert dtypes[-1] == np.complex128
     np.testing.assert_allclose(field.lam, as_complex, rtol=0, atol=1e-13 * as_complex.max())
