@@ -269,8 +269,9 @@ def _normalized_pam(sc: Scenario, base: StationaryPsd, fs: float) -> PamCyclicSp
 class Source:
     """One source of a scenario: its spectral model and the curves it offers.
 
-    ``curves`` maps a method name to its curve, ``curve(rates)``, run once
-    per curve. It returns (points, failure): the (distortion, theta, M,
+    ``curves`` maps a method name to its curve, ``curve(rates)``; two methods
+    that are the same curve map to one object, which ``drf_rows`` runs once.
+    It returns (points, failure): the (distortion, theta, M,
     converged) of the leading configured rates, and the exception at the next
     rate or None, which ``_points`` raises when the rows reach it. An
     exception that ``curve`` raises ends the whole curve (the lower bounds).
@@ -380,13 +381,12 @@ def _discrete_sources(sc):
 def _am_sources(sc):
     base = make_base(sc)
     spec = am_cpsd(base, sc.f0, sc.phase)
-    if sc.f0 > 2.0 * base.support_radius:
-        drf = _stationary(sc, base)     # the carrier clears the band: exactly the baseband curve
-    else:
-        drf = _refined(sc, spec)
+    baseband = _stationary(sc, base)
+    # the carrier clears the band: drf is the baseband curve, one object, solved once
+    drf = baseband if sc.f0 > 2.0 * base.support_radius else _refined(sc, spec)
     return [Source(spec, {
         "drf": drf,
-        "baseband": _stationary(sc, base),
+        "baseband": baseband,
         "upper_bound_gaussian_psd": _stationary(sc, am_gaussian_psd(base, sc.f0)),
         "lower_bound": _lower_bound(sc, spec),
         "oracle": _kernel_oracle(sc, spec),
@@ -449,15 +449,20 @@ def _row(rate, distortion, theta, method, m, converged):
     return f"{rate:.17g},{distortion:.17g},{theta:.17g},{method},{m},{flag}"
 
 
-def _points(sc, src, method, allow_nonconverged):
+def _points(sc, src, method, allow_nonconverged, solved):
     """(rate, distortion, theta, M, converged) of the ``method`` curve of ``src``
     at its leading rates, then its failure, raised here and nowhere else: named
-    by the method, and by the rate too for a rate beyond the bracket."""
-    try:
-        points, failure = src.curves[method](sc.rates)
-        at = "" if failure is None else f" at rate {sc.rates[len(points)]}"
-    except (WaterLevelUnderflow, *DECOMPOSITION_ERRORS) as exc:
-        points, failure, at = [], exc, ""
+    by the method, and by the rate too for a rate beyond the bracket. A curve
+    already in ``solved`` (curve -> its outcome) is not run again."""
+    curve = src.curves[method]
+    if curve not in solved:
+        try:
+            points, failure = curve(sc.rates)
+            at = "" if failure is None else f" at rate {sc.rates[len(points)]}"
+        except (WaterLevelUnderflow, *DECOMPOSITION_ERRORS) as exc:
+            points, failure, at = [], exc, ""
+        solved[curve] = points, failure, at
+    points, failure, at = solved[curve]
     for rate, (d, theta, m, converged) in zip(sc.rates, points):
         if not converged and not allow_nonconverged:
             raise drf_mod.NonConvergedError(
@@ -478,7 +483,7 @@ def drf_rows(sc: Scenario, allow_nonconverged: bool):
 
     ``include_baseband`` appends ``baseband``. An empty method list and a
     method no source offers are config errors. Raises on non-convergence
-    unless allowed.
+    unless allowed. A curve that two methods share is solved once.
     """
     sources = SOURCES[sc.kind](sc)
     methods = sc.methods
@@ -490,13 +495,13 @@ def drf_rows(sc: Scenario, allow_nonconverged: bool):
         if not any(method in src.curves for src in sources):
             raise ConfigError(f"[methods] methods: method {method!r} is not available "
                               f"for {sc.kind}")
-    rows = []
+    rows, solved = [], {}
     for method in methods:
         for src in sources:
             if method in src.curves:
                 rows += [_row(rate, d, theta, method + src.tag, m, ok)
                          for rate, d, theta, m, ok in
-                         _points(sc, src, method, allow_nonconverged)]
+                         _points(sc, src, method, allow_nonconverged, solved)]
     return rows
 
 
@@ -506,7 +511,7 @@ def bound_rows(sc: Scenario):
     if "lower_bound" not in src.curves:
         raise _unavailable(sc, "bound")
     return [_row(rate, d, theta, "lower_bound", m, ok)
-            for rate, d, theta, m, ok in _points(sc, src, "lower_bound", False)]
+            for rate, d, theta, m, ok in _points(sc, src, "lower_bound", False, {})]
 
 
 def spectra_rows(sc: Scenario):
@@ -550,8 +555,8 @@ def verify_lines(sc: Scenario, allow_nonconverged: bool):
         raise _unavailable(sc, "verify")
     sigma2 = src.spec.avg_power
     lines, gaps = [], []
-    for (rate, fast, *_), (_, ref, *_) in zip(_points(sc, src, "drf", allow_nonconverged),
-                                             _points(sc, src, "oracle", allow_nonconverged)):
+    for (rate, fast, *_), (_, ref, *_) in zip(_points(sc, src, "drf", allow_nonconverged, {}),
+                                             _points(sc, src, "oracle", allow_nonconverged, {})):
         diff = abs(fast - ref)
         scale = max(ref, 1e-9 * sigma2)
         # a zero-power source gives fast == ref == 0: no gap, not 0/0

@@ -43,10 +43,11 @@ def discrete_waterfiller(proc: DiscreteCsProcess, n_grid: int = 2048) -> ScalarW
     (``DiscreteCsProcess``), so the matrix at -phi is the conjugate of the
     matrix at phi and has the same eigenvalues: the field is decomposed on
     ``half_grid``, the nodes phi >= 0 of the mirror-symmetric grid with
-    mirrored weights added.
+    mirrored weights added. The matrix is a trigonometric polynomial in phi,
+    so the grid has no breakpoints.
     """
     matrix = psd_pc_matrix_discrete(proc)
-    grid = half_grid(0.5, n_grid, matrix.phi_breakpoints)
+    grid = half_grid(0.5, n_grid)
     return EigenField.from_matrix(matrix, grid).waterfiller(1.0 / (2.0 * proc.period))
 
 
@@ -70,7 +71,7 @@ def lower_bound_discrete(proc: DiscreteCsProcess, rates_bits_per_symbol,
     in ``discrete_waterfiller``.
     """
     m = proc.period
-    grid = half_grid(0.5, n_grid, proc.phi_breakpoints)
+    grid = half_grid(0.5, n_grid)
     per_component_rates = m * np.asarray(rates_bits_per_symbol, dtype=float)
     blocks = (component_spectra(proc, grid.nodes, rows).T for rows in row_blocks(m, grid.size))
     return _summed_distortions(blocks, grid.weights, per_component_rates, 0.5) / m

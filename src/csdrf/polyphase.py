@@ -26,7 +26,9 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True, eq=False)
 class PsdPcMatrix:
-    """Hermitian spectral matrix field phi -> (dim x dim).
+    """Hermitian spectral matrix field phi -> (dim x dim), with the
+    ``phi_breakpoints`` that a grid over phi pins its cell edges to (none
+    for a discrete table's symbol, a trigonometric polynomial).
 
     ``blocks``, when set, is a tuple of index arrays, disjoint and ascending,
     that holds every nonzero entry at every phi: entry (i, j) is zero unless
@@ -42,7 +44,7 @@ class PsdPcMatrix:
 
     dim: int
     _evaluate: Callable[[np.ndarray], np.ndarray]
-    phi_breakpoints: tuple
+    phi_breakpoints: tuple = ()
     blocks: tuple | None = None
     node_entries: int | None = None
 
@@ -59,14 +61,11 @@ def psd_pc_matrix_discrete(proc: DiscreteCsProcess) -> PsdPcMatrix:
     is the block-Toeplitz symbol of the covariance table R,
     S(phi)[m, r] = sum_j R[r, m - r - j M] e^{2 pi i j phi}, over the block
     lags j with |m - r - j M| <= L, the memory. Every other entry is an
-    exact zero. A memoryless table gives a diagonal matrix whose ``blocks``
-    are singletons, so its field calls no eigensolver. A period-1 process
-    given by its density has that density as its 1 x 1 matrix. One phi's
+    exact zero. The symbol is a trigonometric polynomial, so the matrix has
+    no breakpoints. A memoryless table gives a diagonal matrix whose
+    ``blocks`` are singletons, so its field calls no eigensolver. One phi's
     assembly makes its phase factors, the matrix and one product term.
     """
-    if proc.density is not None:
-        return PsdPcMatrix(1, lambda phi: np.asarray(proc.density(0, phi)).real[:, None, None],
-                           proc.phi_breakpoints)
     m_dim, lmax, table = proc.period, proc.memory, proc.cov_table
     idx = np.arange(m_dim)
     span = (lmax + m_dim - 1) // m_dim
@@ -83,7 +82,7 @@ def psd_pc_matrix_discrete(proc: DiscreteCsProcess) -> PsdPcMatrix:
             out += phase[:, k:k + 1] * coef[k]
         return out.reshape(phi.size, m_dim, m_dim)
 
-    return PsdPcMatrix(m_dim, evaluate, proc.phi_breakpoints, blocks, j.size + 2 * m_dim ** 2)
+    return PsdPcMatrix(m_dim, evaluate, blocks=blocks, node_entries=j.size + 2 * m_dim ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,12 +267,10 @@ def component_spectra(proc: DiscreteCsProcess, phi, components=slice(None)) -> n
     or of the ``components`` (a slice of 0..M-1) only.
 
     Column m is the diagonal entry (m, m) of ``psd_pc_matrix_discrete``,
-    R[m, 0] + 2 sum_{j >= 1} R[m, j M] cos(2 pi j phi) (a period-1 density
-    as given), clipped to nonnegative against rounding.
+    R[m, 0] + 2 sum_{j >= 1} R[m, j M] cos(2 pi j phi), a cosine polynomial
+    read from the table, clipped to nonnegative against rounding.
     """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    if proc.density is not None:
-        return np.maximum(np.asarray(proc.density(0, phi)).real, 0.0)[:, None][:, components]
     m_dim, lmax, table = proc.period, proc.memory, proc.cov_table[components]
     j = np.arange(1, lmax // m_dim + 1)
     cosines = np.cos(TWO_PI * np.multiply.outer(phi, j))

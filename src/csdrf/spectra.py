@@ -829,58 +829,18 @@ class DiscreteCsProcess:
     """Discrete-time Gaussian process whose covariance is periodic in time.
 
     The process is its real covariance table R[n, k] = E[X[n+k] X[n]], slots
-    n = 0..M-1 and lags -L..L (``from_covariance``); its polyphase matrix
-    (``psd_pc_matrix_discrete``) is read from the table, and its matrix at
-    -phi is the conjugate of the one at phi. A period-1 process may instead
-    be given by its real, even density on the circle, ``density(0, phi)``:
-    it has no table, so no oracle block. A table-less process of period
-    above 1 is refused, since one density does not determine its matrix.
+    n = 0..M-1 and lags -L..L, shaped (M, 2L+1); its period M, memory L and
+    power, the mean slot variance, are read from the table. Consistency
+    R[n, -k] = R[(n-k) mod M, k] is required; it is what makes the table the
+    covariance of an actual process. The polyphase matrix
+    (``psd_pc_matrix_discrete``) is the table's block-Toeplitz symbol, a
+    trigonometric polynomial in phi, and its matrix at -phi is the conjugate
+    of the one at phi.
     """
 
-    def __init__(self, period: int, density, avg_power: float, cov_table=None,
-                 phi_breakpoints=(), name=""):
-        if period < 1:
-            raise ValueError("period must be a positive integer")
-        if cov_table is None and (period != 1 or density is None):
-            raise ValueError(f"a process of period {period} without a covariance table; "
-                             "only a period-1 process may be given by its density")
-        self.period = int(period)
-        self.density = None if cov_table is not None else density
-        self.avg_power = float(avg_power)
-        self._cov_table = cov_table          # (M, 2L+1) lags -L..L, or None
-        self.phi_breakpoints = tuple(phi_breakpoints)
-        self.name = name
-
-    @property
-    def cov_table(self) -> np.ndarray:
-        """The table R[n, k] = E[X[n+k] X[n]], shaped (M, 2L+1) over lags -L..L."""
-        if self._cov_table is None:
-            raise ValueError("process was not built from a covariance table")
-        return self._cov_table
-
-    def cov(self, n: int, k: int) -> float:
-        """Covariance E[X[n+k] X[n]]; zero beyond the stored memory."""
-        table = self.cov_table
-        lmax = (table.shape[1] - 1) // 2
-        if abs(k) > lmax:
-            return 0.0
-        return float(table[int(n) % self.period, k + lmax])
-
-    @property
-    def memory(self) -> int:
-        """L, the largest lag of the table."""
-        return (self.cov_table.shape[1] - 1) // 2
-
-    @classmethod
-    def from_covariance(cls, table, name="") -> "DiscreteCsProcess":
-        """Build from a covariance table R[n, k], n in 0..M-1, lags -L..L.
-
-        Consistency R[n, -k] = R[(n-k) mod M, k] is required; it is what makes
-        the table the covariance of an actual process. The power is the mean
-        slot variance.
-        """
+    def __init__(self, table, name=""):
         table = np.asarray(table, dtype=float)
-        if table.ndim != 2 or table.shape[1] % 2 != 1:
+        if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] % 2 != 1:
             raise ValueError("table must be (M, 2L+1) with lags -L..L")
         if not np.all(np.isfinite(table)):
             raise ValueError("covariance table must be finite")
@@ -894,19 +854,25 @@ class DiscreteCsProcess:
                     raise ValueError(
                         f"covariance table inconsistent at n={n}, k={k}: "
                         f"R[n,-k]={lhs} vs R[n-k,k]={rhs}")
-        return cls(m, None, float(np.mean(table[:, lmax])), cov_table=table,
-                   name=name or "from_covariance")
+        self.cov_table = table
+        self.period = m
+        self.memory = lmax
+        self.avg_power = float(np.mean(table[:, lmax]))
+        self.name = name
+
+    def cov(self, n: int, k: int) -> float:
+        """Covariance E[X[n+k] X[n]]; zero beyond the memory."""
+        if abs(k) > self.memory:
+            return 0.0
+        return float(self.cov_table[int(n) % self.period, k + self.memory])
 
 
 def white_cs(variances) -> DiscreteCsProcess:
     """Independent samples with periodically varying variances."""
-    variances = np.asarray(variances, dtype=float)
+    variances = np.array(variances, dtype=float)
     if variances.ndim != 1 or variances.size < 1 or np.any(variances < 0):
         raise ValueError("variances must be a 1-d nonnegative array")
-    m = variances.size
-    table = np.zeros((m, 1))
-    table[:, 0] = variances
-    return DiscreteCsProcess.from_covariance(table, name="white_cs")
+    return DiscreteCsProcess(variances[:, None], name="white_cs")
 
 
 def modulated_ma(scales, taps) -> DiscreteCsProcess:
@@ -919,16 +885,13 @@ def modulated_ma(scales, taps) -> DiscreteCsProcess:
     h = np.asarray(taps, dtype=float)
     if c.ndim != 1 or h.ndim != 1:
         raise ValueError("scales and taps must be 1-d")
-    m = c.size
-    lmax = h.size - 1
-    table = np.zeros((m, 2 * lmax + 1))
-    # a product that overflows is refused by from_covariance as non-finite
+    n = np.arange(c.size)[:, None]
+    k = np.arange(1 - h.size, h.size)
+    # a product that overflows is refused by the constructor as non-finite
     with np.errstate(over="ignore", invalid="ignore"):
-        rho = np.correlate(h, h, mode="full")    # lags -(L-1)..(L-1)
-        for n in range(m):
-            for k in range(-lmax, lmax + 1):
-                table[n, k + lmax] = c[(n + k) % m] * c[n] * rho[k + lmax]
-    return DiscreteCsProcess.from_covariance(table, name="modulated_ma")
+        rho = np.correlate(h, h, mode="full")    # lags -L..L, L = taps - 1
+        table = c[(n + k) % c.size] * c[n] * rho
+    return DiscreteCsProcess(table, name="modulated_ma")
 
 
 # ---------------------------------------------------------------------------

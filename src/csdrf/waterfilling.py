@@ -102,9 +102,10 @@ class ScalarWaterfiller:
     Levels at or below zero add nothing to either sum and are dropped;
     ``levels`` and ``weights`` hold the positive levels that are kept, the
     given arrays themselves when none is dropped (they are read, never
-    written). Their logarithms relative to the largest level are taken once
-    here, so that a rate evaluation is a subtraction, a clip and a weighted
-    dot product.
+    written). Their logarithms relative to the largest level are taken once,
+    on the first ``rate`` or ``_edge`` call, so that a rate evaluation is a
+    subtraction, a clip and a weighted dot product; a waterfiller solved only
+    by ``solve_many`` never takes them.
     """
 
     def __init__(self, levels, weights, d_scale: float, r_scale: float):
@@ -121,9 +122,7 @@ class ScalarWaterfiller:
         self.d_scale = float(d_scale)
         self.r_scale = float(r_scale)
         self.level_max = float(levels.max(initial=0.0))
-        # log2(level / level_max) <= 0; rate(theta) clips log_levels - log2(theta / level_max)
-        self._log_levels = levels / self.level_max
-        np.log2(self._log_levels, out=self._log_levels)
+        self._log_levels: np.ndarray | None = None
         self._table: _BreakpointTable | None = None
 
     def distortion(self, theta: float) -> float:
@@ -135,7 +134,7 @@ class ScalarWaterfiller:
         ratio = theta / self.level_max
         if ratio <= 0.0:        # theta <= 0, or too far below level_max to represent
             return math.inf
-        excess = np.maximum(self._log_levels - math.log2(ratio), 0.0)
+        excess = np.maximum(self._logs() - math.log2(ratio), 0.0)
         return self.r_scale * float(self.weights @ excess)
 
     def point(self, theta: float) -> RateDistortionPoint:
@@ -179,7 +178,16 @@ class ScalarWaterfiller:
 
     def _edge(self) -> tuple[float, float]:
         """(theta, rate) at the lowest water level solved: the module's ``_edge``."""
-        return _edge(self._log_levels, self.weights, self.level_max, self.r_scale)
+        return _edge(self._logs(), self.weights, self.level_max, self.r_scale)
+
+    def _logs(self) -> np.ndarray:
+        """log2(level / level_max) <= 0, formed on first use; ``rate`` clips it
+        minus log2(theta / level_max). A plain attribute set in ``__init__``: a
+        cached_property's instance dict would slow every attribute load in ``rate``."""
+        if self._log_levels is None:
+            self._log_levels = self.levels / self.level_max
+            np.log2(self._log_levels, out=self._log_levels)
+        return self._log_levels
 
     def solve_many(self, rates) -> tuple[np.ndarray, np.ndarray]:
         """(theta, distortion) at every target rate, shaped like ``rates``.

@@ -72,19 +72,17 @@ def test_ac1_oracle_equivalence_discrete():
 # ---------------------------------------------------------------------------
 
 def test_ac2_stationary_reduction():
-    # single-slot processes with flat and triangular spectra on the circle
+    # single-slot tables whose densities on the circle have closed forms:
+    # white, and the MA taps [1, 0.5] with density 1.25 + cos(2 pi phi)
     specs = {
-        "flat": (lambda phi: np.full_like(phi, 1.3), (), 1.3),
-        "triangular": (lambda phi: 2.0 * np.maximum(1.0 - 2.0 * np.abs(phi), 0.0),
-                       (-0.5, 0.0, 0.5), 1.0),
+        "white": ([[1.3]], lambda phi: np.full_like(phi, 1.3)),
+        "ma": ([[0.5, 1.25, 0.5]], lambda phi: 1.25 + np.cos(2.0 * np.pi * phi)),
     }
-    for name, (fn, breaks, power) in specs.items():
-        proc = csdrf.DiscreteCsProcess(1, lambda n, phi, fn=fn: fn(phi).astype(complex),
-                                       power, phi_breakpoints=breaks)
-        sw = csdrf.discrete_waterfiller(proc)
+    for name, (table, fn) in specs.items():
+        sw = csdrf.discrete_waterfiller(csdrf.DiscreteCsProcess(table))
         for rate in (0.2, 1.0, 3.5):
             fast = sw.solve(rate)
-            ref = csdrf.discrete_stationary_drf(fn, rate, breakpoints=breaks)
+            ref = csdrf.discrete_stationary_drf(fn, rate)
             assert fast.distortion == pytest.approx(ref.distortion, rel=1e-12), name
             assert fast.theta == pytest.approx(ref.theta, rel=1e-12), name
 

@@ -117,6 +117,21 @@ def test_am_drf_and_baseband_rows_pair_up(tmp_path):
         assert d == pytest.approx(bb_rows[rate], rel=1e-6)
 
 
+def test_wide_am_drf_and_baseband_are_one_curve_solved_once(tmp_path, monkeypatch):
+    # f0 = 4 > 2 f_B: the carrier clears the band, and AM's drf curve is its
+    # baseband curve, so its waterfiller is built once for both blocks
+    built = []
+    monkeypatch.setattr(csdrf.cli, "stationary_waterfiller",
+                        lambda *args: built.append(args) or stationary_waterfiller(*args))
+    out = tmp_path / "out.csv"
+    assert main(["drf", "--config", _write(tmp_path, "am.ini", AM_CFG), "--out", str(out)]) == 0
+    assert len(built) == 1
+    lines = out.read_text().splitlines()[1:]
+    drf = [line.replace(",drf,", ",") for line in lines if ",drf," in line]
+    baseband = [line.replace(",baseband,", ",") for line in lines if ",baseband," in line]
+    assert len(drf) == 4 and drf == baseband
+
+
 def test_verify_subcommand_passes(tmp_path, capsys):
     cfg = _write(tmp_path, "v.ini", VERIFY_CFG)
     assert main(["verify", "--config", cfg]) == 0
@@ -217,7 +232,7 @@ def test_failed_kernel_decomposition_is_a_numeric_failure(tmp_path, capsys, monk
 
 def test_failed_field_decomposition_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
     # R(0) = 1, R(+-1) = 2: the spectrum 1 + 4 cos(2 pi phi) is negative near phi = 1/2
-    proc = csdrf.DiscreteCsProcess.from_covariance([[2.0, 1.0, 2.0]])
+    proc = csdrf.DiscreteCsProcess([[2.0, 1.0, 2.0]])
     monkeypatch.setattr(csdrf.cli, "make_discrete", lambda sc: proc)
     cfg = _write(tmp_path, "d.ini", VERIFY_CFG)
     out = tmp_path / "x.csv"

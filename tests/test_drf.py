@@ -581,7 +581,7 @@ def test_fields_are_decomposed_on_the_non_negative_half(monkeypatch, source, n_g
     spec = HALF_GRID_SOURCES[source]()
     seen = _recorded_nodes(monkeypatch)
     if source == "discrete":
-        assert half_grid(0.5, n_grid, spec.phi_breakpoints).size == half
+        assert half_grid(0.5, n_grid).size == half
         discrete_waterfiller(spec, n_grid).solve(1.0)
         fields = 1
     else:
@@ -810,7 +810,8 @@ def test_half_grid_bound_reproduces_the_full_grid(name, seed, shape, n_grid, rat
         bound, kwargs = lower_bound_continuous, {"n_t": 8}
         rates = [rate / src.period for rate in rates]
     fast = bound(src, rates, n_grid=n_grid, **kwargs)
-    with mock.patch.object(csdrf.drf, "half_grid", lambda r, n, b: segmented_midpoint(-r, r, n, b)):
+    with mock.patch.object(csdrf.drf, "half_grid",
+                           lambda r, n, b=(): segmented_midpoint(-r, r, n, b)):
         ref = bound(src, rates, n_grid=n_grid, **kwargs)
     np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=0.0)
 
@@ -832,7 +833,7 @@ def test_bound_in_blocks_of_rows_equals_the_bound_in_one_block(name, seed, shape
     # neighbour), against one block holding every row: bit for bit
     src = _BOUND_SOURCES[name](np.random.default_rng(seed), shape)
     if isinstance(src, DiscreteCsProcess):
-        bound, kwargs, bps = lower_bound_discrete, {}, src.phi_breakpoints
+        bound, kwargs, bps = lower_bound_discrete, {}, ()
     else:
         bound, kwargs, bps = lower_bound_continuous, {"n_t": n_t}, src.phi_breakpoints()
         rates = [rate / src.period for rate in rates]

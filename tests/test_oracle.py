@@ -481,7 +481,7 @@ def _time_varying_ma(taps):
         for k in range(-lmax, lmax + 1):
             for i in range(max(0, -k), min(width, width - k)):
                 table[n, lmax + k] += taps[(n + k) % m, i + k] * taps[n, i]
-    return DiscreteCsProcess.from_covariance(table)
+    return DiscreteCsProcess(table)
 
 
 _unit = st.floats(-2.0, 2.0).map(lambda x: 0.0 if abs(x) < 0.2 else x)
@@ -501,19 +501,6 @@ def test_block_fill_equals_the_per_entry_loop(proc, extra):
     # lengths from 1 to past the memory, multiples of the period or not
     for n in sorted({1, 2, proc.period, proc.memory + 1, 2 * proc.memory + extra + 1}):
         _assert_bitwise(BlockCovariance.from_process(proc, n).matrix, _per_entry_block(proc, n))
-
-
-def test_block_of_a_process_without_a_table_is_refused():
-    # above period 1 a process without a table is refused when it is built
-    with pytest.raises(ValueError, match="period 2 without a covariance table"):
-        DiscreteCsProcess(2, lambda n, phi: np.ones_like(phi), 1.0)
-    # a period-1 process given by its density has no block
-    proc = DiscreteCsProcess(1, lambda n, phi: np.ones_like(phi), 1.0)
-    with pytest.raises(ValueError) as entry:
-        proc.cov(0, 0)
-    with pytest.raises(ValueError) as block:
-        BlockCovariance.from_process(proc, 4)
-    assert str(block.value) == str(entry.value)
 
 
 def _dense_levels(matrix):
@@ -655,7 +642,7 @@ def test_periodized_oracle_still_checks_the_fast_path(tmp_path, capsys, monkeypa
         scale[0] = 1.01
         rows = np.arange(proc.period)[:, None]
         lags = np.arange(-lmax, lmax + 1)[None, :]
-        return waterfiller(DiscreteCsProcess.from_covariance(
+        return waterfiller(DiscreteCsProcess(
             table * scale[rows] * scale[(rows + lags) % proc.period]), *args)
 
     monkeypatch.setattr(csdrf.drf, "discrete_waterfiller", scaled)

@@ -327,17 +327,27 @@ def test_white_cs_covariance_and_power():
 
 def test_modulated_ma_covariance_consistency():
     proc = modulated_ma([1.0, 0.5, 1.5], [1.0, 0.4])
-    # R[n, -k] must equal R[n-k, k]; from_covariance validates, so this
+    # R[n, -k] must equal R[n-k, k]; the constructor validates, so this
     # simply has to construct without raising
     assert proc.period == 3
     # slot variance: c_n^2 (1 + a^2)
     assert proc.cov(1, 0) == pytest.approx(0.25 * 1.16)
 
 
-def test_from_covariance_rejects_inconsistent_table():
+def test_modulated_ma_table_is_the_per_entry_product():
+    c, h = np.array([1.0, -0.5, 1.5]), np.array([1.0, 0.4, -0.3])
+    rho = np.correlate(h, h, mode="full")
+    table = modulated_ma(c, h).cov_table
+    assert table.shape == (3, 5)
+    for n in range(3):
+        for k in range(-2, 3):
+            assert table[n, k + 2] == c[(n + k) % 3] * c[n] * rho[k + 2]
+
+
+def test_constructor_rejects_inconsistent_table():
     bad = np.array([[0.3, 1.0, 0.3], [0.1, 1.0, 0.2]])
     with pytest.raises(ValueError):
-        DiscreteCsProcess.from_covariance(bad)
+        DiscreteCsProcess(bad)
 
 
 def test_average_power_unbounded_series_reported():
@@ -357,11 +367,11 @@ def test_stationary_cyclic_reduces_to_base():
     assert average_power(spec) == pytest.approx(1.0, rel=1e-9)
 
 
-def test_from_covariance_rejects_a_table_that_overflowed():
+def test_constructor_rejects_a_table_that_overflowed():
     with pytest.raises(ValueError, match="must be finite"):
         modulated_ma([1e300, 1.0], [1.0])
     with pytest.raises(ValueError, match="must be finite"):
-        DiscreteCsProcess.from_covariance([[np.nan]])
+        DiscreteCsProcess([[np.nan]])
 
 
 # ---------------------------------------------------------------------------

@@ -385,14 +385,18 @@ def test_log2_runs_once_per_waterfiller_and_never_per_step(monkeypatch):
     monkeypatch.setattr(np, "log2", recording_log2)
     levels = np.array([0.0, 1e-6, 0.3, 2.0, 5.0])
     sw = ScalarWaterfiller(levels, np.ones(5), 1.0, 0.5)
-    assert calls == [4]                                   # the kept levels, once
+    assert calls == []                                    # none at construction
     rate_calls = []
     real_rate = ScalarWaterfiller.rate
     monkeypatch.setattr(ScalarWaterfiller, "rate",
                         lambda self, theta: rate_calls.append(theta) or real_rate(self, theta))
     sw.solve(1.5)
+    assert calls == [4]                                   # the kept levels, once
     sw.point(0.7)
     assert calls == [4] and len(rate_calls) > 30
+    # solved only by the table, a waterfiller takes the table's one log2 alone
+    ScalarWaterfiller(levels, np.ones(5), 1.0, 0.5).solve_many([0.4, 1.5])
+    assert calls == [4, 4]
 
 
 @settings(max_examples=300, deadline=None)
