@@ -16,9 +16,8 @@ from .polyphase import (PsdPcMatrix, component_spectra, folded_alias_matrix,
 from .quadrature import Grid, fold_breakpoints, phi_grid, segmented_midpoint
 from .spectra import (AliasCountError, CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum,
                       PulseShape, StationaryPsd, TruncationError, am_cpsd,
-                      am_gaussian_psd, average_power, flat_psd,
-                      ideal_interp_pulse, modulated_ma, pam_cpsd,
-                      raised_cosine_psd, raised_cosine_pulse, rect_pulse,
+                      am_gaussian_psd, flat_psd, ideal_interp_pulse, modulated_ma,
+                      pam_cpsd, raised_cosine_psd, raised_cosine_pulse, rect_pulse,
                       stationary_cyclic, tabulated_psd, triangle_pulse,
                       triangular_psd, white_cs, wiener_pulse)
 from .waterfilling import (EigenField, NotPositiveSemidefinite,

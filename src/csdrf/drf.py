@@ -277,11 +277,15 @@ def lower_bound_continuous(spec: CyclicSpectrum, rates_bits_per_second,
 
     The average takes two Gauss-Legendre nodes on each of ceil(n_t / 2)
     equal cells of [0, T0), so an odd ``n_t`` takes one node more; the
-    weights are equal. For a pulse inside one symbol the phase-t component
-    is U(a T0) p(t), so the phase curves are p(t)^2 times one curve and the
-    bound is the mean of p(t)^2 times it: the rule is exact where p(t)^2 is
-    piecewise cubic with its kinks on cell edges (a rect or triangle pulse
-    of one symbol), and D(0) = sigma^2 to rounding.
+    weights are equal. It takes at least one cell more than the highest
+    active harmonic N: a phase's variance is a trigonometric polynomial of
+    degree N in t, and m equal cells average e^{2 pi i j t / T0} to 0 unless
+    m divides j, so D(0) = sigma^2 to rounding. For a pulse inside one
+    symbol the phase-t component is U(a T0) p(t), so the phase curves are
+    p(t)^2 times one curve and the bound is the mean of p(t)^2 times it: the
+    rule is exact where p(t)^2 is piecewise cubic with its kinks on cell
+    edges (a rect or triangle pulse of one symbol), and D(0) = sigma^2 to
+    rounding.
 
     Returns the bound at every rate, shaped like ``rates_bits_per_second``.
     Each harmonic is folded once for the whole curve (``phase_spectra``);
@@ -295,7 +299,9 @@ def lower_bound_continuous(spec: CyclicSpectrum, rates_bits_per_second,
     t0 = spec.period
     grid = half_grid(0.5, n_grid, spec.phi_breakpoints())
     rates = np.asarray(rates_bits_per_second, dtype=float)
-    phases, _ = gauss_segments(0.0, t0, (), min_cells=(n_t + 1) // 2, order=2)
+    harmonics = max(abs(n) for n in spec.active_indices or (0,))
+    phases, _ = gauss_segments(0.0, t0, (), min_cells=max((n_t + 1) // 2, harmonics + 1),
+                               order=2)
     profiles = spec.phase_spectra(grid.nodes)
     blocks = (profiles(phases[rows]) for rows in row_blocks(phases.size, grid.size))
     return _summed_distortions(blocks, grid.weights, rates, 1.0 / (2.0 * t0)) / phases.size

@@ -185,7 +185,10 @@ def tabulated_psd(freqs, values) -> StationaryPsd:
     """Linearly interpolated density from samples; negatives are clamped to 0.
 
     The input is symmetrized so the evenness invariant holds exactly. The
-    number of clamped evaluations is tracked on ``negative_clip_count``.
+    number of clamped evaluations is tracked on ``negative_clip_count``. The
+    density is affine between its kinks, every +-f_i and each zero where the
+    clamp bends it, so those are its breakpoints, and its power is the exact
+    integral: on each piece between kinks, the length times the midpoint value.
     """
     freqs = np.asarray(freqs, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -193,25 +196,39 @@ def tabulated_psd(freqs, values) -> StationaryPsd:
         raise ValueError("need matching 1-d frequency and value arrays")
     if np.any(np.diff(freqs) <= 0):
         raise ValueError("frequencies must be strictly increasing")
-    f_max = max(abs(freqs[0]), abs(freqs[-1]))
 
     psd = None
 
-    def raw(f):
-        return np.interp(f, freqs, values, left=0.0, right=0.0)
+    def raw(f, side=0):
+        """The interpolant, or its limit from the right (side 1) or left (-1)."""
+        out = np.interp(f, freqs, values, left=0.0, right=0.0)
+        if side:        # the limit outside the table's last (first) knot is 0
+            out = np.where(f == (freqs[-1] if side > 0 else freqs[0]), 0.0, out)
+        return out
+
+    def even(f):
+        return 0.5 * (raw(f) + raw(-f))
 
     def fn(f):
-        f = np.asarray(f, dtype=float)
-        out = 0.5 * (raw(f) + raw(-f))
+        out = even(np.asarray(f, dtype=float))
         neg = out < 0.0
         if np.any(neg):
             psd.negative_clip_count += int(np.count_nonzero(neg))
             out = np.where(neg, 0.0, out)
         return out
 
-    dense = np.linspace(-f_max, f_max, 4 * freqs.size + 1)
-    power = float(np.trapezoid(np.maximum(0.5 * (raw(dense) + raw(-dense)), 0.0), dense))
-    psd = StationaryPsd(fn, f_max, power, (-f_max, f_max), None, "tabulated")
+    # on the half line, the affine piece between knots a < b changes sign at
+    # most once, where its limits at the ends differ in sign (their product
+    # may underflow)
+    knots = np.union1d(np.abs(freqs), 0.0)
+    a, b = knots[:-1], knots[1:]
+    at_a, at_b = 0.5 * (raw(a, 1) + raw(-a, -1)), 0.5 * (raw(b, -1) + raw(-b, 1))
+    bent = np.sign(at_a) * np.sign(at_b) < 0.0
+    zeros = a[bent] + (b - a)[bent] * at_a[bent] / (at_a - at_b)[bent]
+    edges = np.union1d(knots, zeros)
+    power = 2.0 * float(np.diff(edges) @ np.maximum(even(0.5 * (edges[:-1] + edges[1:])), 0.0))
+    psd = StationaryPsd(fn, knots[-1], power, np.concatenate([freqs, -freqs, zeros, -zeros]),
+                        None, "tabulated")
     return psd
 
 
@@ -393,36 +410,15 @@ class CyclicSpectrum:
 
     # -- derived spectra ------------------------------------------------------
 
-    def tpsd(self, t: float, f):
-        """Time-varying spectral density at time t (complex in general)."""
-        self._require_finite("tpsd")
-        f = np.asarray(f, dtype=float)
-        out = np.zeros(f.shape, dtype=complex)
-        for n in self.active_indices:
-            out += self.cpsd(n, f) * np.exp(TWO_PI * 1j * n * t / self.period)
-        return out
-
-    def pc_psd(self, t, phi):
-        """Spectrum of the phase-t polyphase component on the normalized circle.
-
-        Folds the time-varying spectrum over the sampling lattice 1/period:
-        Re sum_n e^{2 pi i n t / T0} F_n(phi) / T0, where F_n(phi) is
-        cpsd(n, .) summed over the lattice shifts (phi - k) / T0. ``t`` may
-        be an array, and the result has shape t.shape + phi.shape; it is
-        ``phase_spectra(phi)(t)``. The fold is real and nonnegative up to
-        rounding.
-        """
-        return self.phase_spectra(phi)(t)
-
     def phase_spectra(self, phi):
-        """The function t -> ``pc_psd(t, phi)``, with each F_n folded once,
-        here, for every phase it is then called at.
-
-        Every phase is summed elementwise, in the order of the harmonics, so a
-        phase's row depends neither on the other phases of a call nor on how
-        the phases are split between calls.
+        """The function t -> the phase-t component spectra on the normalized
+        circle, shaped t.shape + phi.shape: Re sum_n e^{2 pi i n t / T0}
+        F_n(phi) / T0, F_n(phi) being cpsd(n, .) summed over the lattice shifts
+        (phi - k) / T0, folded once, here. Every phase is summed elementwise, in
+        harmonic order, so its row depends neither on the other phases of a call
+        nor on how they are split between calls. Real and nonnegative up to rounding.
         """
-        self._require_finite("pc_psd")
+        self._require_finite("phase_spectra")
         phi = np.asarray(phi, dtype=float)
         folds = [(n, _lattice_fold(lambda x: self.cpsd(n, x / self.period), phi,
                                    self.period * self.freq_radius, 1.0))
@@ -622,14 +618,9 @@ def am_gaussian_psd(base: StationaryPsd, f0: float) -> StationaryPsd:
     def fn(f):
         return 0.5 * (base(f - f0) + base(f + f0))
 
-    autocorr = None
-    if base.autocorr is not None:
-        def autocorr(tau):
-            return base.autocorr(tau) * np.cos(TWO_PI * f0 * np.asarray(tau, dtype=float))
-
     breaks = [b + f0 for b in base.breakpoints] + [b - f0 for b in base.breakpoints]
     return StationaryPsd(fn, base.support_radius + f0, base.total_power,
-                         breaks, autocorr, f"am_psd({base.name})")
+                         breaks, None, f"am_psd({base.name})")
 
 
 class PamCyclicSpectrum(CyclicSpectrum):
@@ -761,8 +752,8 @@ class PamCyclicSpectrum(CyclicSpectrum):
         return fold, np.ascontiguousarray(np.moveaxis(g, 0, -1))
 
     def phase_spectra(self, phi):
-        """The function t -> ``pc_psd(t, phi)``, fold * |g(t, phi)|^2: the fold
-        is taken once, here, and each call's gains at once for all its phases."""
+        """``CyclicSpectrum.phase_spectra`` as fold * |g(t, phi)|^2: the fold is
+        taken once, here, and each call's gains at once for all its phases."""
         phi = np.asarray(phi, dtype=float)
         fold = self.sampled_base_psd(phi / self.period)
 
@@ -846,14 +837,16 @@ class DiscreteCsProcess:
             raise ValueError("covariance table must be finite")
         m, width = table.shape
         lmax = (width - 1) // 2
-        for n in range(m):
-            for k in range(1, lmax + 1):
-                lhs = table[n, lmax - k]
-                rhs = table[(n - k) % m, lmax + k]
-                if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs), abs(rhs)):
-                    raise ValueError(
-                        f"covariance table inconsistent at n={n}, k={k}: "
-                        f"R[n,-k]={lhs} vs R[n-k,k]={rhs}")
+        # R[n, -k] against R[(n-k) mod M, k], k = 1..L, as (M, L) arrays
+        k = np.arange(1, lmax + 1)
+        lhs = table[:, lmax - k]
+        rhs = table[(np.arange(m)[:, None] - k) % m, lmax + k]
+        bad = np.abs(lhs - rhs) > 1e-12 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        if bad.any():
+            n, j = np.argwhere(bad)[0]          # the first in (n, k) row-major order
+            raise ValueError(
+                f"covariance table inconsistent at n={n}, k={j + 1}: "
+                f"R[n,-k]={lhs[n, j]} vs R[n-k,k]={rhs[n, j]}")
         self.cov_table = table
         self.period = m
         self.memory = lmax
@@ -893,27 +886,3 @@ def modulated_ma(scales, taps) -> DiscreteCsProcess:
         table = c[(n + k) % c.size] * c[n] * rho
     return DiscreteCsProcess(table, name="modulated_ma")
 
-
-# ---------------------------------------------------------------------------
-# shared power accounting
-# ---------------------------------------------------------------------------
-
-def average_power(spec) -> float:
-    """Time-averaged power of a spectral description.
-
-    Continuous spectra integrate harmonic 0; a discrete process gives its
-    ``avg_power``, its table's mean slot variance. Raises TruncationError
-    when the integral cannot be truncated.
-    """
-    if isinstance(spec, PamCyclicSpectrum):
-        return spec._integrate_profile() / spec.period
-    if isinstance(spec, CyclicSpectrum):
-        spec._require_finite("average_power")
-        nodes, weights = gauss_segments(-spec.freq_radius, spec.freq_radius,
-                                        spec.breakpoints, min_cells=256)
-        return float((weights @ spec.cpsd(0, nodes)).real)
-    if isinstance(spec, DiscreteCsProcess):
-        return spec.avg_power
-    if isinstance(spec, StationaryPsd):
-        return spec.total_power
-    raise TypeError(f"unsupported spectral description: {type(spec)!r}")

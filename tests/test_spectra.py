@@ -1,13 +1,34 @@
+import re
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from csdrf.drf import ContinuousDrfSolver, pam_waterfiller
+from csdrf.polyphase import saturation_dim
 from csdrf.spectra import (MAX_ALIASES, AliasCountError, CyclicSpectrum,
                            DiscreteCsProcess, StationaryPsd, TruncationError,
-                           am_cpsd, am_gaussian_psd, average_power, flat_psd,
+                           am_cpsd, am_gaussian_psd, flat_psd,
                            ideal_interp_pulse, modulated_ma, pam_cpsd,
                            raised_cosine_psd, raised_cosine_pulse, rect_pulse,
                            stationary_cyclic, tabulated_psd, triangle_pulse,
                            triangular_psd, white_cs, wiener_pulse)
+from csdrf.waterfilling import stationary_waterfiller
+
+EPS = sys.float_info.epsilon
+
+
+def _saturated_d0(spec):
+    """(D(0), rounding bound) of the curve built from ``spec`` at M = s, its
+    saturation dimension. D(0) is the weighted sum of at most n = 1025 M
+    nonnegative eigenvalues of the default grid's half; a recursive sum of n
+    such terms rounds by at most n eps of its value, and each M x M
+    decomposition moves its eigenvalues' sum (its trace) by a few M eps."""
+    dim = saturation_dim(spec)
+    d0 = ContinuousDrfSolver(spec).point_at(0.0, dim).distortion
+    return d0, (1025 * dim + 8 * dim) * EPS * spec.avg_power
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +71,49 @@ def test_tabulated_symmetrizes_and_clamps():
     vals = psd(np.linspace(-1, 1, 101))
     assert np.all(vals >= 0)
     assert psd.negative_clip_count > 0
+
+
+@st.composite
+def _tables(draw):
+    """(freqs, values): knots on a lattice of step h, on both sides of 0 or on
+    one, and values of either sign or exactly 0. The lattice keeps distinct
+    knots h apart, far above the 1e-12 span within which the quadrature
+    grid merges cell edges."""
+    lo = draw(st.sampled_from([-12, 0, 1]))
+    ks = draw(st.lists(st.integers(lo, 12), min_size=2, max_size=12, unique=True))
+    h = draw(st.floats(1e-3, 10.0))
+    value = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+    values = draw(st.lists(value, min_size=len(ks), max_size=len(ks)))
+    return h * np.sort(np.array(ks, dtype=float)), np.array(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_tables())
+def test_tabulated_power_is_the_curve_at_rate_zero(table):
+    freqs, values = table
+    psd = tabulated_psd(freqs, values)
+    fill = stationary_waterfiller(psd)
+    d0 = fill.solve(0.0).distortion
+    # the density is affine between its breakpoints, which the grid pins, so
+    # the midpoint rule is exact and D(0) is the power up to rounding. Each
+    # value rounds by a few eps of S = 2 f_max max|v|, the integral of the
+    # table's magnitude bound, and each node by eps f_max, which moves its
+    # value by at most the slope 2 max|v| / h times that: K = f_max / h. The
+    # n levels' sums round by at most n eps S, and by 2^-1074 a term when
+    # the values are subnormal.
+    f_max = psd.support_radius
+    scale = 2.0 * f_max * np.max(np.abs(values))
+    n = fill.levels.size
+    tol = (n + 4 * f_max / np.diff(freqs).min() + 16) * EPS * scale + 16 * n * 2.0 ** -1074
+    # A zero of the clamp may fall within tau = 1e-12 of the grid's span of a
+    # knot. The grid merges such edges, keeping the first, so a kink moves by
+    # at most tau and, where the merge breaks the edges' mirror symmetry, the
+    # cells of a segment shift by at most tau: at most 8 tau max|v| a merge.
+    tau = 1e-12 * 2.0 * f_max
+    tol += 8 * tau * np.max(np.abs(values)) * np.count_nonzero(np.diff(psd.breakpoints) <= tau)
+    assert abs(d0 - psd.total_power) <= tol
+    # the interpolant kinks at every +-f_i, so each is a breakpoint
+    assert set(np.abs(freqs)) <= {abs(b) for b in psd.breakpoints}
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +207,13 @@ def test_am_zero_source_vanishes():
     f = np.linspace(-6, 6, 33)
     for n in (-2, 0, 2):
         assert np.all(spec.cpsd(n, f) == 0)
-    assert average_power(spec) == pytest.approx(0.0, abs=1e-15)
+    # the curve's D(0) is the power, exactly 0
+    assert _saturated_d0(spec)[0] == 0.0
 
 
 def test_am_tpsd_matches_direct_modulated_expression():
-    # oracle: the modulated time-varying spectrum written out by hand at t
+    # oracle: the modulated time-varying spectrum written out by hand at t,
+    # against the harmonic series sum_n cpsd(n, f) e^{2 pi i n t / T0}
     base = flat_psd(1.0, 1.0)
     f0, phase = 4.0, 0.0
     spec = am_cpsd(base, f0, phase)
@@ -156,7 +222,9 @@ def test_am_tpsd_matches_direct_modulated_expression():
         psi = 2 * np.pi * f0 * t + phase
         direct = 0.5 * base(f + f0) * (1 + np.exp(-2j * psi)) \
             + 0.5 * base(f - f0) * (1 + np.exp(2j * psi))
-        np.testing.assert_allclose(spec.tpsd(t, f), direct, atol=1e-12)
+        series = sum(spec.cpsd(n, f) * np.exp(2j * np.pi * n * t / spec.period)
+                     for n in spec.active_indices)
+        np.testing.assert_allclose(series, direct, atol=1e-12)
 
 
 def test_am_rejects_bad_carrier():
@@ -169,7 +237,11 @@ def test_am_rejects_bad_carrier():
 def test_am_power_is_preserved():
     spec = am_cpsd(flat_psd(1.0, 1.0), 4.0)
     assert spec.avg_power == pytest.approx(1.0, rel=1e-12)
-    assert average_power(spec) == pytest.approx(1.0, rel=1e-9)
+    # D(0) at M = s: the flat base's aliases are flat between the folded
+    # breakpoints that the grid pins, so the midpoint rule is exact and D(0)
+    # is the power up to the rounding of the sum and the decompositions
+    d0, tol = _saturated_d0(spec)
+    assert abs(d0 - spec.avg_power) <= tol
 
 
 def test_am_gaussian_psd_carries_same_power():
@@ -194,7 +266,7 @@ def test_tpsd_series_reconstruction_real_nonneg_on_grid():
     spec = am_cpsd(triangular_psd(1.0, 1.0), 1.2, 0.3)
     phi = np.linspace(-0.5, 0.5, 65)
     for t in np.linspace(0.0, spec.period, 7):
-        vals = spec.pc_psd(t, phi)
+        vals = spec.phase_spectra(phi)(t)
         assert np.all(vals >= 0)
 
 
@@ -239,7 +311,11 @@ def test_pam_rect_pulse_harmonic0_spot_values():
 def test_pam_staircase_power_equals_base_power():
     spec = pam_cpsd(flat_psd(1.0, 1.0), rect_pulse(1.0), 1.0)
     assert spec.avg_power == pytest.approx(1.0, rel=1e-12)
-    assert average_power(spec) == pytest.approx(1.0, rel=1e-9)
+    # D(0) of the closed form: its profile is the constant 1 on the Nyquist
+    # band, so the half grid's weighted sum of its at most 1025 levels is the
+    # power up to 1025 eps of rounding
+    d0 = pam_waterfiller(spec).solve(0.0).distortion
+    assert abs(d0 - spec.avg_power) <= 1025 * EPS * spec.avg_power
 
 
 def test_pam_staircase_component_spectra_all_equal_sample_spectrum():
@@ -249,7 +325,7 @@ def test_pam_staircase_component_spectra_all_equal_sample_spectrum():
     phi = np.linspace(-0.49, 0.49, 50)
     ref = spec.sampled_base_psd(phi)
     for t in (0.1, 0.5, 0.9):
-        np.testing.assert_allclose(spec.pc_psd(t, phi), ref, rtol=1e-12)
+        np.testing.assert_allclose(spec.phase_spectra(phi)(t), ref, rtol=1e-12)
 
 
 def test_pam_generic_vs_structured_component_spectra():
@@ -262,18 +338,23 @@ def test_pam_generic_vs_structured_component_spectra():
                              spec.freq_radius, spec.avg_power, spec.breakpoints)
     phi = np.linspace(-0.5, 0.5, 41)
     for t in (0.0, 0.13, 0.52):
-        np.testing.assert_allclose(spec.pc_psd(t, phi), generic.pc_psd(t, phi),
+        np.testing.assert_allclose(spec.phase_spectra(phi)(t), generic.phase_spectra(phi)(t),
                                    atol=1e-12)
 
 
 def _phase_profile(spec, t, phi):
     """One phase's component spectrum, folded term by term: the sum over
-    lattice shifts of the time-varying spectrum, or fold * |g|^2 for PAM."""
+    lattice shifts of the time-varying spectrum sum_n cpsd(n, f) e^{2 pi i n t / T0},
+    or fold * |g|^2 for PAM."""
     if hasattr(spec, "synthesis_gain"):
         g = spec.synthesis_gain(t, phi)
         return spec.sampled_base_psd(phi / spec.period) * (g * g.conj()).real
+
+    def tvsd(f):
+        return sum(spec.cpsd(n, f) * np.exp(2j * np.pi * n * t / spec.period)
+                   for n in spec.active_indices)
     kr = spec.period * spec.freq_radius
-    out = sum(spec.tpsd(t, (phi - k) / spec.period)
+    out = sum(tvsd((phi - k) / spec.period)
               for k in range(int(np.floor(phi.min() - kr)), int(np.ceil(phi.max() + kr)) + 1))
     return np.maximum(out.real / spec.period, 0.0)
 
@@ -289,13 +370,14 @@ def _phase_profile(spec, t, phi):
 def test_batched_component_spectra_equal_the_per_phase_ones(spec):
     phi = np.linspace(-0.5, 0.5, 97)
     ts = (np.arange(16) + 0.5) * spec.period / 16
-    batched = spec.pc_psd(ts, phi)
+    profiles = spec.phase_spectra(phi)
+    batched = profiles(ts)
     assert batched.shape == (16, 97)
-    assert spec.pc_psd(ts.reshape(4, 4), phi).shape == (4, 4, 97)
+    assert profiles(ts.reshape(4, 4)).shape == (4, 4, 97)
     scale = batched.max()
     for t, row in zip(ts, batched):
         np.testing.assert_allclose(row, _phase_profile(spec, t, phi), rtol=0, atol=1e-14 * scale)
-        single = spec.pc_psd(float(t), phi)
+        single = spec.phase_spectra(phi)(float(t))
         assert single.shape == phi.shape
         np.testing.assert_array_equal(single, row)
 
@@ -306,9 +388,11 @@ def test_pam_rejects_bad_symbol_time():
 
 
 def test_pam_unbounded_harmonics_raise_on_generic_paths():
+    # the rect pulse's harmonic series does not truncate, and the lag-domain
+    # transform, which has no closed form here, refuses it
     spec = pam_cpsd(flat_psd(1.0, 1.0), rect_pulse(1.0), 1.0)
-    with pytest.raises(TruncationError):
-        spec.tpsd(0.1, np.array([0.0]))
+    with pytest.raises(TruncationError, match="does not truncate"):
+        spec.cyclic_autocorr(0, [0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +406,6 @@ def test_white_cs_covariance_and_power():
     assert proc.cov(1, 0) == 4.0
     assert proc.cov(0, 1) == 0.0
     assert proc.avg_power == pytest.approx(2.5)
-    assert average_power(proc) == pytest.approx(2.5, rel=1e-12)
 
 
 def test_modulated_ma_covariance_consistency():
@@ -350,12 +433,21 @@ def test_constructor_rejects_inconsistent_table():
         DiscreteCsProcess(bad)
 
 
-def test_average_power_unbounded_series_reported():
-    from csdrf.spectra import CyclicSpectrum
-    spec = CyclicSpectrum(1.0, lambda n, f: np.zeros_like(f, dtype=complex),
-                          None, np.inf, 1.0)
-    with pytest.raises(TruncationError):
-        average_power(spec)
+def test_inconsistency_names_the_first_offender_in_row_major_order():
+    # each negative-lag entry R[n, -k] is compared with R[n-k, k] alone, so
+    # spoiling two of them makes exactly the pairs (n, k) = (1, 2) and (2, 1)
+    # inconsistent; (1, 2) comes first by slot, (2, 1) first by lag
+    table = modulated_ma([1.0, -0.5, 1.5], [1.0, 0.4, -0.3]).cov_table.copy()
+    table[1, 2 - 2] += 1.0
+    table[2, 2 - 1] += 1.0
+    lhs, rhs = table[1, 2 - 2], table[(1 - 2) % 3, 2 + 2]
+    message = f"covariance table inconsistent at n=1, k=2: R[n,-k]={lhs} vs R[n-k,k]={rhs}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DiscreteCsProcess(table)
+    # within the 1e-12 relative rule, a table is consistent
+    table = modulated_ma([1.0, -0.5, 1.5], [1.0, 0.4, -0.3]).cov_table.copy()
+    table[1, 0] *= 1.0 + 5e-13
+    DiscreteCsProcess(table)
 
 
 def test_stationary_cyclic_reduces_to_base():
@@ -364,7 +456,11 @@ def test_stationary_cyclic_reduces_to_base():
     f = np.linspace(-2, 2, 21)
     np.testing.assert_allclose(spec.cpsd(0, f).real, base(f), atol=1e-15)
     assert np.all(spec.cpsd(1, f) == 0)
-    assert average_power(spec) == pytest.approx(1.0, rel=1e-9)
+    # D(0) at M = s: the triangle's aliases are linear between the folded
+    # breakpoints that the grid pins, so the midpoint rule is exact and D(0)
+    # is the power up to the rounding of the sum and the decompositions
+    d0, tol = _saturated_d0(spec)
+    assert abs(d0 - spec.avg_power) <= tol
 
 
 def test_constructor_rejects_a_table_that_overflowed():
