@@ -35,9 +35,9 @@ filled one diagonal at a time and decomposed dense. The periodized block
 edge, and it is block-circulant, so a DFT over the period index, the
 paper's orthogonalization over polyphase components done in the time
 domain, splits it into P Hermitian M x M matrices, and only its first block
-row is stored. Either block, when diagonal (a memoryless source), is its
-own sorted spectrum, which is what the dense decomposition returns for it
-bit for bit.
+row is stored. A memoryless periodized block skips the DFT: its diagonal,
+repeated and sorted, is exact, and the DFT of a lone first block is not at
+every period count P.
 """
 
 from __future__ import annotations
@@ -171,13 +171,8 @@ class BlockCovariance:
         return cls(mat)
 
     def operator_eigenvalues(self) -> np.ndarray:
-        """Descending eigenvalues of C/N. A diagonal block is its own sorted
-        spectrum, bit for bit what the dense decomposition returns; any other
-        block is decomposed dense."""
-        mat = self.matrix
-        if np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat)):
-            return np.sort(np.diagonal(mat))[::-1] / self.size
-        return np.linalg.eigvalsh(mat)[::-1] / self.size
+        """Descending eigenvalues of C/N, the block decomposed dense."""
+        return np.linalg.eigvalsh(self.matrix)[::-1] / self.size
 
 
 @dataclass(frozen=True, eq=False)

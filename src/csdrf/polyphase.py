@@ -13,15 +13,13 @@ this matrix carry the entire rate-distortion content of the source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, gcd, isfinite
+from math import ceil, gcd
 from typing import Callable
 
 import numpy as np
 
 from .quadrature import _require_positive_int
-from .spectra import CyclicSpectrum, DiscreteCsProcess, TruncationError
-
-TWO_PI = 2.0 * np.pi
+from .spectra import TWO_PI, CyclicSpectrum, DiscreteCsProcess
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,39 +83,11 @@ def psd_pc_matrix_discrete(proc: DiscreteCsProcess) -> PsdPcMatrix:
     return PsdPcMatrix(m_dim, evaluate, blocks=blocks, node_entries=j.size + 2 * m_dim ** 2)
 
 
-@dataclass(frozen=True, eq=False)
-class _AliasSeries:
-    """Truncated alias series of a harmonic-limited continuous-time spectrum.
-
-    At resolution M the polyphase matrix is (1/T0) A S A^H with
-    A[m, k] = e^{2 pi i m (phi - k) / M} and S[k, k + n] = cpsd(n, (phi - k)/T0)
-    over the aliases k = -kmax..kmax, kmax = ceil(0.5 + T0 f_rad) + 1, and the
-    active harmonics n. Only the aliases with |k| - 1/2 < T0 f_rad can be
-    nonzero for phi in (-1/2, 1/2) (see ``saturation_dim``). The outer aliases
-    stay in the series, so a matrix keeps its side; ``folded_alias_matrix``
-    marks them dead in its ``blocks``, and they are skipped when the matrix is
-    decomposed.
-    """
-
-    spec: CyclicSpectrum
-    aliases: np.ndarray      # k = -kmax..kmax, consecutive and ascending
-
-    @classmethod
-    def of(cls, spec: CyclicSpectrum, caller: str) -> "_AliasSeries":
-        if spec.active_indices is None or not isfinite(spec.freq_radius):
-            raise TruncationError(
-                f"{caller}: harmonic/alias series does not truncate "
-                "for this spectrum; achieved tail bound is unbounded")
-        kmax = ceil(0.5 + spec.period * spec.freq_radius) + 1
-        return cls(spec, np.arange(-kmax, kmax + 1))
-
-    def harmonics(self, phi: np.ndarray):
-        """(n, values) per active harmonic, one ``cpsd`` call each:
-        values[p, i] = cpsd(n, (phi_p - k_i)/T0) / T0 over the aliases k_i."""
-        t0 = self.spec.period
-        f = ((phi[:, None] - self.aliases) / t0).ravel()
-        for n in self.spec.active_indices:
-            yield n, self.spec.cpsd(n, f).reshape(phi.size, self.aliases.size) / t0
+def _alias_reach(spec: CyclicSpectrum, caller: str) -> int:
+    """kmax = ceil(0.5 + T0 f_rad) + 1, the reach of the alias series of
+    ``folded_alias_matrix``; ``caller`` names a series that does not truncate."""
+    spec._require_finite(caller)
+    return ceil(0.5 + spec.period * spec.freq_radius) + 1
 
 
 def saturation_dim(spec: CyclicSpectrum) -> int | None:
@@ -134,8 +104,7 @@ def saturation_dim(spec: CyclicSpectrum) -> int | None:
     rank-one level depends on dim through the pulse samples, or a series
     that does not truncate.
     """
-    if (hasattr(spec, "polyphase_factor") or spec.active_indices is None
-            or not isfinite(spec.freq_radius)):
+    if hasattr(spec, "polyphase_factor") or not spec.truncates:
         return None
     return 2 * ceil(spec.period * spec.freq_radius - 0.5) + 1
 
@@ -161,7 +130,7 @@ def psd_pc_matrix_continuous(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
 
         return PsdPcMatrix(dim, evaluate, spec.phi_breakpoints())
 
-    kmax = -_AliasSeries.of(spec, "psd_pc_matrix_continuous").aliases[0]
+    kmax = _alias_reach(spec, "psd_pc_matrix_continuous")
     folded = folded_alias_matrix(spec, dim)
     idx = np.arange(dim)
     shift = np.exp(-TWO_PI * 1j * np.multiply.outer(idx, np.arange(folded.dim) - kmax) / dim)
@@ -176,12 +145,17 @@ def psd_pc_matrix_continuous(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
 def folded_alias_matrix(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
     """Smallest matrix with the nonzero spectrum of ``psd_pc_matrix_continuous(spec, dim)``.
 
-    Over the J = 2 kmax + 1 row aliases k the alias matrix factors as
-    A = D(phi) F E: D(phi) = diag(e^{2 pi i m phi/dim}) is unitary, F is the
-    dim-point DFT (F^H F = dim I) and E maps alias k to its residue k mod dim.
-    The nonzero eigenvalues of (1/T0) A S A^H are therefore those of
-    (dim/T0) E S E^T, of side r = min(dim, J); entries of aliases that share a
-    residue add. This holds at every dim, below the alias count too. Columns
+    At resolution dim the polyphase matrix is (1/T0) A S A^H, with
+    A[m, k] = e^{2 pi i m (phi - k) / dim} and S[k, k + n] = cpsd(n, (phi - k)/T0)
+    over the active harmonics n and the J = 2 kmax + 1 row aliases
+    k = -kmax..kmax, kmax = ceil(0.5 + T0 f_rad) + 1. The live aliases are
+    those of ``saturation_dim``; the outer ones stay in the series, so the
+    matrix keeps its side. The alias matrix factors as A = D(phi) F E:
+    D(phi) = diag(e^{2 pi i m phi/dim}) is unitary, F is the dim-point DFT
+    (F^H F = dim I) and E maps alias k to its residue k mod dim. The nonzero
+    eigenvalues of (1/T0) A S A^H are therefore those of (dim/T0) E S E^T, of
+    side r = min(dim, J); entries of aliases that share a residue add. This
+    holds at every dim, below the alias count too. Columns
     k + n beyond the row aliases are dropped: a cyclic spectrum is Hermitian,
     cpsd(n, f) = conj(cpsd(-n, f - n/T0)), so such an entry mirrors one on a
     row beyond kmax, which the support radius makes zero.
@@ -221,8 +195,9 @@ def folded_alias_matrix(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
 
         return PsdPcMatrix(1, evaluate, spec.phi_breakpoints(), node_entries=2 * dim + 1)
 
-    series = _AliasSeries.of(spec, "folded_alias_matrix")
-    pos = np.arange(series.aliases.size)      # alias k sits at k + kmax
+    kmax = _alias_reach(spec, "folded_alias_matrix")
+    t0 = spec.period
+    pos = np.arange(2 * kmax + 1)      # alias k sits at k + kmax
     side = min(dim, pos.size)
     # residues counted from -kmax, (k + kmax) mod dim, fill 0..side-1; they
     # differ from k mod dim by a shift, a diagonal unitary similarity
@@ -245,9 +220,10 @@ def folded_alias_matrix(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
         blocks = None
 
     def evaluate(phi):
+        f = ((phi[:, None] - (pos - kmax)) / t0).ravel()
         s = dim * np.concatenate([np.zeros((phi.size, 0))] +
-                                 [values[:, inside[n]] for n, values in series.harmonics(phi)],
-                                 axis=1)
+                                 [(spec.cpsd(n, f).reshape(phi.size, pos.size) / t0)[:, i]
+                                  for n, i in inside.items()], axis=1)
         where = (np.arange(phi.size)[:, None] * side ** 2 + flat).ravel()
         size = phi.size * side ** 2
         if not np.any(s.imag):      # a real slice stays real: half the bytes, real eigvalsh
@@ -258,7 +234,7 @@ def folded_alias_matrix(spec: CyclicSpectrum, dim: int) -> PsdPcMatrix:
             out.imag = np.bincount(where, s.imag.ravel(), size)
         return out.reshape(phi.size, side, side)
 
-    entries = series.aliases.size * len(spec.active_indices) + 2 * flat.size + side ** 2
+    entries = pos.size * len(spec.active_indices) + 2 * flat.size + side ** 2
     return PsdPcMatrix(side, evaluate, spec.phi_breakpoints(), blocks, entries)
 
 

@@ -42,6 +42,11 @@ def segmented_midpoint(lo: float, hi: float, n: int, breakpoints=()) -> Grid:
     at least one node per segment). The allocation is deterministic, so the
     same inputs always yield the same grid.
 
+    Breakpoints are taken in order of magnitude: one within 1e-12 of the span
+    of an end, or of a kept breakpoint of smaller magnitude, merges into it,
+    and a mirrored pair that close merges at 0. Mirrored breakpoints
+    therefore give exactly mirrored edges.
+
     Where the edges are mirror-symmetric about 0 (within the 1e-12 span
     tolerance that also merges breakpoints), each mirrored pair of segments
     gets the same count, so the grid is mirror-symmetric: leftover nodes go
@@ -56,12 +61,16 @@ def segmented_midpoint(lo: float, hi: float, n: int, breakpoints=()) -> Grid:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     tol = 1e-12 * span
 
-    edges = [lo]
-    for b in sorted(float(x) for x in breakpoints):
-        if edges[-1] + tol < b < hi - tol:
-            edges.append(b)
-    edges.append(hi)
-    edges = np.asarray(edges)
+    pos, neg = [], []       # kept breakpoints by sign and magnitude; a pair merged at 0 is neg[0]
+    for b in sorted({float(x) for x in breakpoints if lo + tol < x < hi - tol},
+                    key=lambda x: (abs(x), x)):
+        same, other = (pos, neg) if b >= 0.0 else (neg, pos)
+        nearest = same[-1:] + [x for x in other[:1] if abs(x) < abs(b)]
+        if other[:1] == [-b] and 2.0 * b <= tol:
+            other[0] = 0.0
+        elif all(abs(b - x) > tol for x in nearest):
+            same.append(b)
+    edges = np.array([lo, *neg[::-1], *pos, hi])
     lengths = np.diff(edges)
     nseg = lengths.size
     mirrored = np.all(np.abs(edges + edges[::-1]) <= tol)

@@ -302,11 +302,7 @@ def ideal_interp_pulse(t_symbol: float) -> PulseShape:
     def fourier(f):
         return np.where(np.abs(np.asarray(f, dtype=float)) <= f_cut, t_symbol, 0.0).astype(complex)
 
-    def time_fn(t):
-        return np.sinc(np.asarray(t, dtype=float) / t_symbol)
-
-    return PulseShape(fourier, t_symbol, f_cut, time_fn, None,
-                      (-f_cut, f_cut), "ideal_interp")
+    return PulseShape(fourier, t_symbol, f_cut, breakpoints=(-f_cut, f_cut), name="ideal_interp")
 
 
 def raised_cosine_pulse(t_symbol: float, beta: float = 0.25) -> PulseShape:
@@ -400,13 +396,17 @@ class CyclicSpectrum:
             return np.zeros_like(np.asarray(f, dtype=float), dtype=complex)
         return np.asarray(self._cpsd_fn(n, np.asarray(f, dtype=float)), dtype=complex)
 
+    @property
+    def truncates(self) -> bool:
+        """Whether its harmonic and alias series truncate: a finite active set
+        and a finite support radius."""
+        return self.active_indices is not None and isfinite(self.freq_radius)
+
     def _require_finite(self, what):
-        if self.active_indices is None:
+        if not self.truncates:
             raise TruncationError(
-                f"{what}: the harmonic series of {self.name or 'this spectrum'} does not "
-                "truncate (unbounded active set); no tail bound below tolerance is available")
-        if not isfinite(self.freq_radius):
-            raise TruncationError(f"{what}: unbounded frequency support")
+                f"{what}: the harmonic/alias series of {self.name or 'this spectrum'} does "
+                "not truncate (unbounded active set or frequency support)")
 
     # -- derived spectra ------------------------------------------------------
 
@@ -850,7 +850,10 @@ class DiscreteCsProcess:
         self.cov_table = table
         self.period = m
         self.memory = lmax
-        self.avg_power = float(np.mean(table[:, lmax]))
+        with np.errstate(over="ignore"):
+            self.avg_power = float(np.mean(table[:, lmax]))
+        if not isfinite(self.avg_power):
+            raise ValueError(f"the power, the mean slot variance, is not finite: {self.avg_power}")
         self.name = name
 
     def cov(self, n: int, k: int) -> float:

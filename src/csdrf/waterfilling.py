@@ -34,8 +34,6 @@ from .polyphase import PsdPcMatrix
 from .quadrature import Grid, half_grid, segmented_midpoint
 from .spectra import StationaryPsd, TruncationError, row_blocks
 
-LOG2 = math.log(2.0)
-
 # bisection bracket [lam_max * 2**-BRACKET_EXP, lam_max]; rates beyond the
 # bracket's resolution are reported as errors rather than extrapolated
 BRACKET_EXP = 120
@@ -64,7 +62,8 @@ class WaterLevelUnderflow(RuntimeError):
 
 
 class NotPositiveSemidefinite(ValueError):
-    """A spectral matrix had an eigenvalue below the tolerance floor.
+    """A spectral matrix had an eigenvalue below the tolerance floor, or one
+    that is not finite.
 
     ``index`` is the batch position of the offending matrix.
     """
@@ -408,11 +407,17 @@ def _clip_eigenvalues(lam: np.ndarray) -> np.ndarray:
     """Eigenvalues (one matrix per row of the last axis) with round-off
     negatives set to zero.
 
-    An eigenvalue below -CLIP_SCALE times the largest magnitude in its row
-    raises, since it means the input was not a valid spectral or covariance
-    matrix.
+    An eigenvalue that is not finite (an entry overflowed) or is below
+    -CLIP_SCALE times the largest magnitude in its row raises, since it means
+    the input was not a valid spectral or covariance matrix.
     """
-    scale = np.maximum(np.abs(lam).max(axis=-1, keepdims=True, initial=0.0), 1e-300)
+    peak = np.abs(lam).max(axis=-1, keepdims=True, initial=0.0)   # NaN or inf with lam
+    finite = np.isfinite(peak).ravel()
+    if not finite.all():
+        bad = int(np.argmin(finite))            # the first matrix with one
+        raise NotPositiveSemidefinite(
+            f"eigenvalue not finite at batch index {bad}; an entry overflowed", bad)
+    scale = np.maximum(peak, 1e-300)
     if np.any(lam < -CLIP_SCALE * scale):
         worst = int(np.argmin(lam.min(axis=-1)))
         raise NotPositiveSemidefinite(

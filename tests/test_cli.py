@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -197,6 +198,36 @@ def test_config_error_names_convergence_tol(tmp_path, capsys):
         assert main(["drf", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2, text
         err = capsys.readouterr().err
         assert key in err, (text, err)
+
+
+# (command, scenario, the stderr line) of each refusal of a scenario that no
+# other case reaches for certain; an unreadable file is test_console_entry_point's
+CONFIG_REFUSALS = {
+    "boolean": ("drf", "[source]\nkind = pam\nnormalize_power = maybe\n",
+                "bad value for [source] normalize_power: 'maybe' (not a boolean: 'maybe')"),
+    "no source": ("drf", "[rates]\nmin = 1\n", "missing required section [source]"),
+    "kind": ("drf", "[source]\nkind = fm\n",
+             f"unknown source kind 'fm' for key 'kind'; expected one of {tuple(SOURCES)}"),
+    "log spacing": ("drf", "[source]\nkind = stationary\n[rates]\nmin = 0\nspacing = log\n",
+                    "[rates] spacing=log requires min > 0"),
+    "family": ("drf", "[source]\nkind = stationary\nfamily = gaussian\n",
+               "unknown spectral family 'gaussian' for key 'family'"),
+    "pulse": ("drf", "[source]\nkind = pam\npulse = sinc\n",
+              "unknown pulse 'sinc' for key 'pulse'"),
+    "spectra": ("spectra", "[source]\nkind = sampled-coding\n",
+                "spectra is not available for source kind 'sampled-coding'"),
+    "verify": ("verify", "[source]\nkind = sampled-coding\n",
+               "verify is not available for source kind 'sampled-coding'"),
+}
+
+
+@pytest.mark.parametrize("command, text, line", CONFIG_REFUSALS.values(),
+                         ids=CONFIG_REFUSALS.keys())
+def test_a_refused_scenario_exits_2_with_its_reason(tmp_path, capsys, command, text, line):
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", _write(tmp_path, "x.ini", text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"
+    assert not out.exists()
 
 
 def test_rate_beyond_the_bracket_is_a_numeric_failure(tmp_path, capsys):
@@ -945,6 +976,43 @@ def test_an_allocation_that_fails_is_a_numeric_failure(tmp_path, capsys, monkeyp
     assert main(["drf", "--config", cfg, "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"numeric failure: {message}\n"
     assert not out.exists()
+
+
+# sources whose values overflow a float, with the exit code of drf, bound,
+# verify and spectra: a covariance table whose power overflows is refused, and
+# a spectral matrix whose symmetrization overflows is a numeric failure
+OVERFLOWING = {
+    "lopsided-variances": ("kind = discrete-cs\nvariances = 1e308 1e-300\n", (0, 0, 0, 3)),
+    "stationary-power": ("kind = stationary\nfamily = flat\npower = 1e308\n", (0, 2, 3, 3)),
+    "variances-power": ("kind = discrete-cs\nvariances = 1.5e308 1e308\n", (2, 2, 2, 2)),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("source, codes", OVERFLOWING.values(), ids=OVERFLOWING.keys())
+def test_no_command_exits_0_with_a_non_finite_value(tmp_path, capsys, source, codes):
+    cfg = _write(tmp_path, "x.ini", f"[source]\n{source}\n[rates]\nmin = 1\nmax = 2\ncount = 2\n")
+    out = tmp_path / "x.csv"
+    for command, code in zip(("drf", "bound", "verify", "spectra"), codes):
+        out.unlink(missing_ok=True)
+        assert main([command, "--config", cfg, "--out", str(out)]) == code, command
+        printed, err = capsys.readouterr()
+        if code == 0:
+            text = printed + (out.read_text() if command != "verify" else "")
+            values = [float(x) for x in re.split(r"[\s,=]+", text) if _is_float(x)]
+            assert values and all(math.isfinite(v) for v in values), command
+        elif code == 2 and "discrete" in source:
+            assert err.startswith("config error: [source] variances: ") and "not finite" in err
+        elif command == "spectra":
+            assert err.startswith("numeric failure: spectra: eigenvalue not finite")
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def test_discrete_oracle_takes_whole_periods(tmp_path, capsys, monkeypatch):

@@ -1102,3 +1102,18 @@ def test_a_refinement_level_stays_within_its_working_set(dim):
     assert lam.shape == (1024, min(dim, 27))
     budget = 7 * lam.nbytes + 16 * csdrf.waterfilling.SLICE_ENTRIES
     assert peak <= budget, (peak / lam.nbytes, peak / budget)
+
+
+DRF_REFUSALS = {
+    "lipschitz_c": (lambda: ContinuousDrfConfig(lipschitz_c=-1.0),
+                    "lipschitz_c must be nonnegative"),
+    "rate": (lambda: ContinuousDrfSolver(am_cpsd(flat_psd(1.0), 1.2),
+                                         ContinuousDrfConfig(n_grid=16)).solve_many([0.5, -1.0]),
+             "target rate must be finite and nonnegative"),
+}
+
+
+@pytest.mark.parametrize("build, message", DRF_REFUSALS.values(), ids=DRF_REFUSALS.keys())
+def test_a_bad_refinement_setting_or_rate_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

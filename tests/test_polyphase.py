@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csdrf.polyphase import (TWO_PI, component_spectra, folded_alias_matrix,
+from csdrf.polyphase import (component_spectra, folded_alias_matrix,
                              psd_pc_matrix_continuous, psd_pc_matrix_discrete)
 from csdrf.quadrature import Grid, phi_grid
-from csdrf.spectra import (CyclicSpectrum, TruncationError, am_cpsd, flat_psd,
+from csdrf.spectra import (TWO_PI, CyclicSpectrum, TruncationError, am_cpsd, flat_psd,
                            modulated_ma, pam_cpsd, raised_cosine_psd,
                            raised_cosine_pulse, rect_pulse, stationary_cyclic,
                            triangle_pulse, triangular_psd, white_cs)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csdrf.quadrature import Grid, fold_breakpoints, half_grid, phi_grid, segmented_midpoint
@@ -99,12 +99,16 @@ def test_half_grid_folds_a_one_sided_breakpoint_list():
 
 
 def _reference_edges(lo, hi, breakpoints):
+    """Breakpoints by magnitude: each within the tolerance of an end or of a
+    kept one is dropped, and a mirrored pair within it of each other is kept as 0."""
     tol = 1e-12 * (hi - lo)
-    edges = [lo]
-    for b in sorted(breakpoints):
-        if not (b <= edges[-1] + tol or b >= hi - tol):
-            edges.append(b)
-    return np.asarray(edges + [hi])
+    kept = []
+    for b in sorted(set(breakpoints), key=lambda b: (abs(b), b)):
+        if -b in kept and 2 * abs(b) <= tol:
+            kept[kept.index(-b)] = 0.0
+        elif lo + tol < b < hi - tol and all(abs(b - k) > tol for k in kept):
+            kept.append(b)
+    return np.array([lo, *sorted(kept), hi])
 
 
 def _reference_midpoint(lo, hi, n, breakpoints):
@@ -126,11 +130,9 @@ def _reference_midpoint(lo, hi, n, breakpoints):
     return Grid(np.concatenate(nodes), np.repeat(lengths / counts, counts), lo, hi)
 
 
-def _is_mirrored(grid, tol=2e-12, weight_rtol=0.0):
-    """Nodes and weights mirrored within ``tol`` of the span, or the weights
-    within ``weight_rtol`` relative. Edges merged within the breakpoint
-    tolerance, 1e-12 of the span, can be that far from their mirrors, and a
-    node or a weight then inherits that, plus rounding."""
+def _is_mirrored(grid, tol, weight_rtol=0.0):
+    """Nodes mirrored within ``tol`` of the span, and weights within that or,
+    if given, within ``weight_rtol`` relative."""
     tol *= grid.hi - grid.lo
     return (np.all(np.abs(grid.nodes + grid.nodes[::-1]) <= tol)
             and np.allclose(grid.weights, grid.weights[::-1], rtol=weight_rtol,
@@ -142,18 +144,27 @@ def _mirrored_breakpoints(draw):
     """|b| in [0, 1/2], sometimes with 0 or a round value, and their fold +-|b|."""
     pos = draw(st.lists(st.floats(0.0, 0.5), max_size=4))
     pos += draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.3, 0.4]), max_size=2))
+    return _fold(pos)
+
+
+def _fold(pos):
     return pos, sorted({s * b for b in pos for s in (-1.0, 1.0)})
 
 
 @settings(max_examples=150, deadline=None)
 @given(bps=_mirrored_breakpoints(), n=st.integers(1, 600))
+@example(bps=_fold([0.16666666666666663, 0.16666666666666652]), n=512)   # near-equal |b|
+@example(bps=_fold([0.2837046959620147, 1.1102230246251565e-16]), n=512)  # +-b merge at 0
+@example(bps=_fold([0.0, 4e-13]), n=511)
 def test_centred_grids_are_mirrored_and_keep_every_symmetric_reference(bps, n):
     pos, folded = bps
     grid = segmented_midpoint(-0.5, 0.5, n, folded)
-    assert _is_mirrored(grid)
+    assert _is_mirrored(grid, 1e-15)
     assert grid.weights.sum() == pytest.approx(1.0, rel=0, abs=1e-14)
-    # an even number of cells has an edge at 0: an odd n loses one node
+    # mirrored breakpoints merge alike on both sides; an even number of cells
+    # has an edge at 0, and an odd n loses one node
     edges = _reference_edges(-0.5, 0.5, folded)
+    assert np.array_equal(edges, -edges[::-1])
     cells = len(edges) - 1
     size = max(n, cells)
     assert grid.size == (size - size % 2 if cells % 2 == 0 else size)
@@ -161,11 +172,7 @@ def test_centred_grids_are_mirrored_and_keep_every_symmetric_reference(bps, n):
     if _is_mirrored(ref, 1e-12, weight_rtol=1e-12):      # the reference's own half-grid test
         assert np.array_equal(grid.nodes, ref.nodes)
         assert np.array_equal(grid.weights, ref.weights)
-    # the half grid reads the nodes phi >= 0. Where a breakpoint and its mirror
-    # were merged within the tolerance (one of +-b near 0, or near-equal |b|), a
-    # node sits up to 1e-12 from its mirror's negation: the integrals then differ
-    # by up to 1e-12 times max |f'| (2.5 + 2 pi) over the half span
-    atol = 1e-15 if np.array_equal(edges, -edges[::-1]) else 1e-15 + 0.5e-12 * (2.5 + 2 * np.pi)
+    # the half grid reads the nodes phi >= 0 of the same mirrored grid
     half = half_grid(0.5, n, pos)
     assert half.weights @ _even(half.nodes) == pytest.approx(grid.weights @ _even(grid.nodes),
-                                                             rel=0, abs=atol)
+                                                             rel=0, abs=1e-15)

@@ -3,13 +3,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csdrf.drf import ContinuousDrfSolver, pam_waterfiller
 from csdrf.polyphase import saturation_dim
 from csdrf.spectra import (MAX_ALIASES, AliasCountError, CyclicSpectrum,
-                           DiscreteCsProcess, StationaryPsd, TruncationError,
+                           DiscreteCsProcess, PulseShape, StationaryPsd, TruncationError,
                            am_cpsd, am_gaussian_psd, flat_psd,
                            ideal_interp_pulse, modulated_ma, pam_cpsd,
                            raised_cosine_psd, raised_cosine_pulse, rect_pulse,
@@ -89,6 +89,8 @@ def _tables(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(table=_tables())
+# clamp zeros at +-1.995e-12, within the grid's merge tolerance of the knot at 0
+@example(table=(np.array([0.0, 1.0, 2.0]), np.array([-1.995e-12, 1.0, 1.0])))
 def test_tabulated_power_is_the_curve_at_rate_zero(table):
     freqs, values = table
     psd = tabulated_psd(freqs, values)
@@ -104,13 +106,10 @@ def test_tabulated_power_is_the_curve_at_rate_zero(table):
     f_max = psd.support_radius
     scale = 2.0 * f_max * np.max(np.abs(values))
     n = fill.levels.size
+    # A zero of the clamp within 1e-12 of the span of a knot merges into it:
+    # the kink moves by tau <= 1e-12 * 2 f_max, which changes the midpoint rule
+    # by a term of order tau^2, and the grid stays mirrored.
     tol = (n + 4 * f_max / np.diff(freqs).min() + 16) * EPS * scale + 16 * n * 2.0 ** -1074
-    # A zero of the clamp may fall within tau = 1e-12 of the grid's span of a
-    # knot. The grid merges such edges, keeping the first, so a kink moves by
-    # at most tau and, where the merge breaks the edges' mirror symmetry, the
-    # cells of a segment shift by at most tau: at most 8 tau max|v| a merge.
-    tau = 1e-12 * 2.0 * f_max
-    tol += 8 * tau * np.max(np.abs(values)) * np.count_nonzero(np.diff(psd.breakpoints) <= tau)
     assert abs(d0 - psd.total_power) <= tol
     # the interpolant kinks at every +-f_i, so each is a breakpoint
     assert set(np.abs(freqs)) <= {abs(b) for b in psd.breakpoints}
@@ -283,7 +282,6 @@ def test_pam_narrow_pulse_is_stationary():
 
 
 def test_pam_zero_pulse_vanishes():
-    from csdrf.spectra import PulseShape
     zero = PulseShape(lambda f: np.zeros_like(f, dtype=complex), 0.0, 0.1,
                       breakpoints=(), name="zero")
     spec = pam_cpsd(flat_psd(1.0, 1.0), zero, 1.0)
@@ -491,3 +489,59 @@ def test_models_at_the_alias_bound_are_built_and_past_it_refused(build):
         with pytest.raises(AliasCountError, match="MAX_ALIASES"):
             AT_RATIO[build](ratio)
     assert issubclass(AliasCountError, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# refusals
+# ---------------------------------------------------------------------------
+
+def _no_truncation(n, f):
+    return np.zeros_like(f, dtype=complex)
+
+
+# a pulse inside one symbol in time that has no time function, and no finite
+# frequency support: its aliased energy is known, its gains are not
+_WINDOW_ONLY = PulseShape(lambda f: np.ones_like(f, dtype=complex), 1.0, np.inf, None, (0.0, 0.5))
+
+REFUSALS = {
+    "flat f_cut": (lambda: flat_psd(0.0), ValueError, "f_cut must be positive"),
+    "triangular f_cut": (lambda: triangular_psd(-1.0), ValueError, "f_cut must be positive"),
+    "raised_cosine f_cut": (lambda: raised_cosine_psd(0.0), ValueError, "f_cut must be positive"),
+    "tabulated shape": (lambda: tabulated_psd([0.0], [1.0]), ValueError,
+                        "need matching 1-d frequency and value arrays"),
+    "tabulated order": (lambda: tabulated_psd([0.0, 0.0], [1.0, 1.0]), ValueError,
+                        "frequencies must be strictly increasing"),
+    "rect width": (lambda: rect_pulse(0.0), ValueError, "width must be positive"),
+    "triangle width": (lambda: triangle_pulse(-1.0), ValueError, "width must be positive"),
+    "ideal t_symbol": (lambda: ideal_interp_pulse(0.0), ValueError, "t_symbol must be positive"),
+    "raised_cosine t_symbol": (lambda: raised_cosine_pulse(0.0), ValueError,
+                               "t_symbol must be positive"),
+    "raised_cosine beta": (lambda: raised_cosine_pulse(1.0, beta=0.0), ValueError,
+                           r"beta must lie in \(0, 1\]"),
+    "covariance times": (lambda: stationary_cyclic(flat_psd(1.0), 1.0).covariance(
+        np.zeros((2, 2)), 0.5), ValueError, "times must be a 1-d vector"),
+    "am_gaussian_psd f0": (lambda: am_gaussian_psd(flat_psd(1.0), 0.0), ValueError,
+                           "carrier frequency f0 must be positive"),
+    "pam wide pulse": (lambda: pam_cpsd(flat_psd(0.5), rect_pulse(2.0), 1.0), TruncationError,
+                       "pulse_energy_fold: pulse has neither compact frequency support"),
+    "pam pulse gains": (lambda: pam_cpsd(flat_psd(0.5), _WINDOW_ONLY, 1.0).synthesis_gain(0.0, 0.0),
+                        TruncationError, "synthesis_gain: pulse representable in neither domain"),
+    "white_cs shape": (lambda: white_cs([[1.0]]), ValueError,
+                       "variances must be a 1-d nonnegative array"),
+    "modulated_ma shape": (lambda: modulated_ma([[1.0]], [1.0]), ValueError,
+                           "scales and taps must be 1-d"),
+    "cyclic period": (lambda: CyclicSpectrum(0.0, _no_truncation, (0,), 1.0, 1.0), ValueError,
+                      "period must be positive"),
+    "cyclic support": (lambda: CyclicSpectrum(1.0, _no_truncation, (0,), np.inf, 1.0)
+                       .cyclic_autocorr(0, [0.0]), TruncationError, "does not truncate"),
+    "table shape": (lambda: DiscreteCsProcess(np.ones((2, 2))), ValueError,
+                    r"table must be \(M, 2L\+1\)"),
+    "table power": (lambda: DiscreteCsProcess([[1.5e308], [1e308]]), ValueError,
+                    "the power, the mean slot variance, is not finite"),
+}
+
+
+@pytest.mark.parametrize("build, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_bad_model_or_argument_is_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -12,8 +12,8 @@ import csdrf.waterfilling
 from csdrf.polyphase import (PsdPcMatrix, folded_alias_matrix, psd_pc_matrix_continuous,
                              psd_pc_matrix_discrete)
 from csdrf.quadrature import half_grid, phi_grid
-from csdrf.spectra import (am_cpsd, flat_psd, raised_cosine_psd, row_blocks,
-                           triangular_psd, white_cs)
+from csdrf.spectra import (StationaryPsd, TruncationError, am_cpsd, flat_psd,
+                           raised_cosine_psd, row_blocks, triangular_psd, white_cs)
 from csdrf.waterfilling import (BRACKET_EXP, MAX_BISECT, NORMAL_FLOOR, SLICE_ENTRIES, EigenField,
                                 NotPositiveSemidefinite, RateDistortionPoint,
                                 ScalarWaterfiller, WaterLevelUnderflow,
@@ -73,6 +73,17 @@ def test_indefinite_matrix_rejected():
     mat = np.diag([1.0, -0.5]).astype(complex)[None, :, :]
     with pytest.raises(NotPositiveSemidefinite):
         hermitian_eigenvalues(mat)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_matrix_whose_symmetrization_overflows_is_rejected(dtype):
+    # A^H + A overflows to inf before it is halved: the eigenvalues are not
+    # finite, and the second matrix of the stack is named
+    mats = np.stack([np.eye(2), np.full((2, 2), 1e308)]).astype(dtype)
+    with pytest.raises(NotPositiveSemidefinite, match="not finite at batch index 1") as info:
+        hermitian_eigenvalues(mats)
+    assert info.value.index == 1
 
 
 def test_tiny_negative_clipped():
@@ -752,3 +763,20 @@ def test_symmetrization_is_bit_identical_and_leaves_the_input_alone(complex_stac
                          0.0)
         np.testing.assert_array_equal(hermitian_eigenvalues(stack), ref)
         np.testing.assert_array_equal(stack, before)
+
+
+WATERFILLING_REFUSALS = {
+    "shapes": (lambda: ScalarWaterfiller([1.0, 2.0], [1.0], 1.0, 0.5), ValueError,
+               "levels and weights must have matching shapes"),
+    "rate": (lambda: ScalarWaterfiller([1.0], [1.0], 1.0, 0.5).solve(math.inf), ValueError,
+             "target rate must be finite and nonnegative"),
+    "support": (lambda: stationary_waterfiller(StationaryPsd(np.ones_like, np.inf, 1.0)),
+                TruncationError, "stationary waterfilling needs a finite support radius"),
+}
+
+
+@pytest.mark.parametrize("build, error, message", WATERFILLING_REFUSALS.values(),
+                         ids=WATERFILLING_REFUSALS.keys())
+def test_a_bad_waterfilling_input_is_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
