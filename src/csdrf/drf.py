@@ -5,9 +5,9 @@ curve has one builder: ``discrete_waterfiller`` for discrete time,
 ``ContinuousDrfSolver`` for the intra-period refinement in continuous time,
 ``pam_waterfiller`` for the pulse-amplitude closed form and
 ``sampled_coding`` for sampling followed by source coding; the scalar ones
-return a ``ScalarWaterfiller`` to solve at every rate of a curve. The
-per-component lower bounds take a whole curve's rates at once, solving their
-component or phase spectra a block at a time (``waterfilling.stacked_solve``).
+return a ``ScalarWaterfiller`` to solve at every rate of a curve. Each
+per-component lower bound solves all its component or phase spectra at every
+rate of a curve in one call (``waterfilling.stacked_solve``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .polyphase import (component_spectra, folded_alias_matrix, psd_pc_matrix_di
 # phi_grid is not called here: the benchmark's tracer test rebinds this name
 from .quadrature import _require_positive_int, gauss_segments, half_grid, phi_grid  # noqa: F401
 from .spectra import (CyclicSpectrum, DiscreteCsProcess, PamCyclicSpectrum, StationaryPsd,
-                      row_blocks, wiener_pulse)
+                      wiener_pulse)
 from .waterfilling import (DECOMPOSITION_ERRORS, EigenField, RateDistortionPoint,
                            ScalarWaterfiller, WaterLevelUnderflow, stacked_solve)
 
@@ -61,30 +61,18 @@ def lower_bound_discrete(proc: DiscreteCsProcess, rates_bits_per_symbol,
     coordinates jointly can only do better, hence the bound. Tight at rate 0
     and asymptotically as the rate grows.
 
-    Returns the bound at every rate, shaped like ``rates_bits_per_symbol``.
-    The component spectra are read from the table (``component_spectra``:
-    R[m, 0] + 2 sum_{j >= 1} R[m, j M] cos(2 pi j phi)) one block of
-    components at a time (``row_blocks``), and each block is solved exactly
-    at every rate by one ``stacked_solve``; the components' distortions are
-    summed in component order, whatever the blocks. A component of a real
-    process has a spectrum even in phi, so it is taken on ``half_grid``, as
-    in ``discrete_waterfiller``.
+    Returns the bound at every rate, shaped like ``rates_bits_per_symbol``:
+    one ``stacked_solve`` over the M component spectra, which it reads from
+    the table a block at a time (``component_spectra``: R[m, 0] +
+    2 sum_{j >= 1} R[m, j M] cos(2 pi j phi)). A component of a real process
+    has a spectrum even in phi, so it is taken on ``half_grid``, as in
+    ``discrete_waterfiller``.
     """
     m = proc.period
     grid = half_grid(0.5, n_grid)
-    per_component_rates = m * np.asarray(rates_bits_per_symbol, dtype=float)
-    blocks = (component_spectra(proc, grid.nodes, rows).T for rows in row_blocks(m, grid.size))
-    return _summed_distortions(blocks, grid.weights, per_component_rates, 0.5) / m
-
-
-def _summed_distortions(blocks, weights, rates: np.ndarray, r_scale: float) -> np.ndarray:
-    """Sum over every row of every block of level rows of the row's distortion
-    at each rate, in row order, by one ``stacked_solve`` per block."""
-    total = np.zeros(rates.shape)
-    for levels in blocks:
-        for dist in stacked_solve(levels, weights, rates, r_scale)[1]:
-            total += dist
-    return total
+    rates = np.asarray(rates_bits_per_symbol, dtype=float)
+    return stacked_solve(lambda s: component_spectra(proc, grid.nodes, s).T, m, grid.weights,
+                         m * rates, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +275,11 @@ def lower_bound_continuous(spec: CyclicSpectrum, rates_bits_per_second,
     edges (a rect or triangle pulse of one symbol), and D(0) = sigma^2 to
     rounding.
 
-    Returns the bound at every rate, shaped like ``rates_bits_per_second``.
-    Each harmonic is folded once for the whole curve (``phase_spectra``);
-    the phase spectra are built from those folds one block of phases at a
-    time (``row_blocks``), and each block is solved exactly at every rate by
-    one ``stacked_solve``, the phases' distortions summed in phase order. A
-    phase of a real process has a spectrum even in phi, so the phases are
-    taken on ``half_grid``, as in ``ContinuousDrfSolver``.
+    Returns the bound at every rate, shaped like ``rates_bits_per_second``:
+    one ``stacked_solve`` over the phases, whose spectra it builds a block at
+    a time from folds of each harmonic taken once for the whole curve
+    (``phase_spectra``). A phase of a real process has an even spectrum in
+    phi, so the phases are taken on ``half_grid``, as in ``ContinuousDrfSolver``.
     """
     _require_positive_int("n_t", n_t)
     t0 = spec.period
@@ -303,8 +289,8 @@ def lower_bound_continuous(spec: CyclicSpectrum, rates_bits_per_second,
     phases, _ = gauss_segments(0.0, t0, (), min_cells=max((n_t + 1) // 2, harmonics + 1),
                                order=2)
     profiles = spec.phase_spectra(grid.nodes)
-    blocks = (profiles(phases[rows]) for rows in row_blocks(phases.size, grid.size))
-    return _summed_distortions(blocks, grid.weights, rates, 1.0 / (2.0 * t0)) / phases.size
+    return stacked_solve(lambda s: profiles(phases[s]), phases.size, grid.weights, rates,
+                         1.0 / (2.0 * t0))
 
 
 # ---------------------------------------------------------------------------

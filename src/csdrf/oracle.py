@@ -126,11 +126,11 @@ class KernelGrid:
             if _commutes_with_reversal(self.values):
                 lam = _reversal_eigenvalues(self.values)
             else:
-                lam = np.linalg.eigvalsh(self.values)
+                lam = _window_eigvalsh(self.values, self.size, self.values)
         else:
             pulses, inner = self.factor
             rp = np.linalg.qr(pulses, mode="r")
-            core = np.linalg.eigvalsh(_symmetrize(rp @ inner @ rp.T))
+            core = _window_eigvalsh(_symmetrize(rp @ inner @ rp.T), self.size, inner)
             lam = np.concatenate([np.zeros(self.size - core.size), core])
         return lam[::-1] * self.weight
 
@@ -165,14 +165,14 @@ class BlockCovariance:
         flat = mat.reshape(-1)
         for k in range(min(lmax, n - 1) + 1):
             j = np.arange(n - k)
-            diag = 0.5 * (table[j % m, lmax + k] + table[(j + k) % m, lmax - k])
+            diag = 0.5 * table[j % m, lmax + k] + 0.5 * table[(j + k) % m, lmax - k]
             flat[k * n::n + 1] = diag
             flat[k:(n - k) * n:n + 1] = diag
         return cls(mat)
 
     def operator_eigenvalues(self) -> np.ndarray:
         """Descending eigenvalues of C/N, the block decomposed dense."""
-        return np.linalg.eigvalsh(self.matrix)[::-1] / self.size
+        return _window_eigvalsh(self.matrix, self.size, self.matrix)[::-1] / self.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,8 +227,9 @@ class PeriodizedBlock:
         if np.count_nonzero(blocks) == np.count_nonzero(diagonal):
             return np.sort(np.tile(diagonal, blocks.shape[0]))[::-1] / self.size
         spectra = np.fft.fft(blocks, axis=0)
-        spectra = 0.5 * (spectra + spectra.conj().transpose(0, 2, 1))
-        return np.sort(np.linalg.eigvalsh(spectra), axis=None)[::-1] / self.size
+        spectra *= 0.5
+        spectra += spectra.conj().transpose(0, 2, 1)
+        return np.sort(_window_eigvalsh(spectra, self.size, blocks), axis=None)[::-1] / self.size
 
 
 def build_kernel(spec: CyclicSpectrum, periods: int, n: int) -> KernelGrid:
@@ -296,9 +297,10 @@ def _reversal_eigenvalues(values: np.ndarray) -> np.ndarray:
     lam = []
     for combine in (np.add, np.subtract):
         for rows in row_blocks(m, n):
-            top = 0.5 * (values[rows] + mirror[rows])    # rows of [A | B]
-            combine(top[:, :m], top[:, m:][:, ::-1], out=half[rows])
-        lam.append(np.linalg.eigvalsh(half))
+            top = 0.5 * values[rows] + 0.5 * mirror[rows]    # rows of [A | B]
+            with np.errstate(over="ignore"):                 # refused below
+                combine(top[:, :m], top[:, m:][:, ::-1], out=half[rows])
+        lam.append(_window_eigvalsh(half, n, values))
     return np.sort(np.concatenate(lam))
 
 
@@ -311,20 +313,30 @@ def _is_symmetric(values: np.ndarray) -> bool:
 
 
 def _symmetrize(values: np.ndarray) -> np.ndarray:
-    """A square float array overwritten with (K + K^T) / 2, and returned.
+    """A square float array overwritten with K / 2 + K^T / 2, and returned.
 
-    Entry (i, j) and its mirror both get (K[i, j] + K[j, i]) * 0.5, the sum
-    formed whole bit for bit. A block of rows from the diagonal on is summed
-    with its mirror block of columns (``row_blocks``); no earlier block has
-    written either, so the only temporary is one block.
+    Entry (i, j) and its mirror both get K[i, j] * 0.5 + K[j, i] * 0.5, halved
+    before adding so that no finite mean overflows. A block of rows from the
+    diagonal on is added to its mirror block of columns (``row_blocks``); no
+    earlier block has written either, so the temporaries are block-sized.
     """
     n = values.shape[0]
     for rows in row_blocks(n, n):
-        block = values[rows, rows.start:] + values[rows.start:, rows].T
-        block *= 0.5
+        block = values[rows, rows.start:] * 0.5
+        block += values[rows.start:, rows].T * 0.5
         values[rows, rows.start:] = block
         values[rows.start:, rows] = block.T
     return values
+
+
+def _window_eigvalsh(operand: np.ndarray, size: int, values: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh`` of an operand formed from the ``values`` of a window
+    of ``size``; an entry that overflowed raises ``LinAlgError`` naming both."""
+    if not np.isfinite(operand).all():
+        raise np.linalg.LinAlgError(
+            f"a decomposition of the window of size {size} overflowed; max |entry| = "
+            f"{max(values.max(), -values.min()):.3e}")
+    return np.linalg.eigvalsh(operand)
 
 
 def kl_drf(window) -> ScalarWaterfiller:

@@ -3,17 +3,17 @@
 A water level theta splits every spectral level lambda into a preserved part
 min(lambda, theta) charged to distortion and a coded part log+(lambda/theta)
 charged to rate. ``stacked_solve`` inverts the monotone rate map exactly
-from the sorted levels, for a (P, n) stack of level rows with shared weights
-at any number of rates, taking ``spectra.BLOCK_ENTRIES`` levels at a time
-(``spectra.row_blocks``); the per-component bounds solve their phases or
-components this way. ``ScalarWaterfiller.solve_many`` is its one-row case,
-and the continuous-time refinement and the ``verify`` oracle solve through
-it. ``ScalarWaterfiller.solve``, a geometric bisection one rate at a
-time, serves the scalar curves (stationary, discrete-time, PAM and sampled
-coding), which the CLI builds in one function, ``cli._solved``: the
-benchmark harness keeps every pass's output, so a much faster solve there
-would run more passes and raise its peak memory (ROADMAP item 1). Integrals
-are computed in nats and rates reported in bits.
+from the sorted levels, for the caller's level rows with shared weights at
+any number of rates, asking for ``spectra.BLOCK_ENTRIES`` levels at a time
+(``spectra.row_blocks``), and returns their mean distortion: each
+per-component bound is one such call. ``ScalarWaterfiller.solve_many`` is
+its one-row case, and the continuous-time refinement and the ``verify``
+oracle solve through it. ``ScalarWaterfiller.solve``, a geometric bisection
+one rate at a time, serves the scalar curves (stationary, discrete-time, PAM
+and sampled coding), which the CLI builds in one function, ``cli._solved``:
+the benchmark harness keeps every pass's output, so a much faster solve
+there would run more passes and raise its peak memory (ROADMAP item 1).
+Integrals are computed in nats and rates reported in bits.
 
 Every source solves at its smallest exact size. An eigenvalue field
 (``EigenField.from_matrix``) decomposes a matrix that records its blocks
@@ -41,6 +41,9 @@ MAX_BISECT = 200
 
 # smallest normal float, 2**-1022: no water level is solved below it
 NORMAL_FLOOR = 2.0 ** -1022
+
+# log2 of a level ratio that underflowed to 0: below every ratio (2**-1074 up)
+LOG_FLOOR = -1075.0
 
 # relative size of the negative eigenvalues read as round-off and clipped to zero
 CLIP_SCALE = 1e-9
@@ -180,12 +183,13 @@ class ScalarWaterfiller:
         return _edge(self._logs(), self.weights, self.level_max, self.r_scale)
 
     def _logs(self) -> np.ndarray:
-        """log2(level / level_max) <= 0, formed on first use; ``rate`` clips it
+        """log2(level / level_max) in [LOG_FLOOR, 0], formed on first use; ``rate`` clips it
         minus log2(theta / level_max). A plain attribute set in ``__init__``: a
         cached_property's instance dict would slow every attribute load in ``rate``."""
         if self._log_levels is None:
-            self._log_levels = self.levels / self.level_max
-            np.log2(self._log_levels, out=self._log_levels)
+            logs = self._log_levels = self.levels / self.level_max
+            with np.errstate(divide="ignore"):
+                np.maximum(np.log2(logs, out=logs), LOG_FLOOR, out=logs)
         return self._log_levels
 
     def solve_many(self, rates) -> tuple[np.ndarray, np.ndarray]:
@@ -260,38 +264,39 @@ def _edge(log_levels, weights, level_max: float, r_scale: float) -> tuple[float,
     return max(level_max * 2.0 ** -BRACKET_EXP, NORMAL_FLOOR), rate
 
 
-def stacked_solve(levels, weights, rates, r_scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, distortion) of every row of a (P, n) stack of level rows with
-    shared weights, at every target rate: each shaped (P,) + rates.shape.
+def stacked_solve(rows, count: int, weights, rates, r_scale: float) -> np.ndarray:
+    """Mean of ``count`` level rows' distortions at every target rate, shaped
+    like ``rates``; the rows share ``weights`` (n,).
 
-    Row p is ``ScalarWaterfiller(levels[p], weights, 1.0,
-    r_scale).solve_many(rates)`` bit for bit: each row is sorted stably,
-    summed cumulatively along the row in the same order, and searched at
-    every rate, a row's levels at or below zero sorting after its positive
-    ones with weight zero, which leaves every sum over the positive ones
-    unchanged. The rows are taken a block at a time (``row_blocks``), so no
-    temporary grows with P. A non-finite level or an invalid rate or scale
-    raises ``ValueError``; a rate beyond a row's lowest water level raises
-    the ``WaterLevelUnderflow`` of the first such row, naming its first such
-    rate and its flat position (``index``), as that row's own solve would.
+    ``rows(s)`` returns the (len, n) rows of a slice ``s`` of 0..count-1,
+    asked for a block at a time (``row_blocks``), so no temporary grows with
+    ``count``. Each row's distortion is its ``ScalarWaterfiller(row, weights,
+    1.0, r_scale).solve_many(rates)`` bit for bit: a row is sorted stably and
+    summed cumulatively in the same order, its levels at or below zero
+    sorting last with weight zero, which leaves every sum over the positive
+    ones unchanged. The distortions are added in row order and the total is
+    divided by ``count``. A count below 1, a non-finite level, or an invalid
+    shape, rate or scale raises ``ValueError``; a rate beyond a row's lowest
+    water level raises the first such row's ``WaterLevelUnderflow``, naming
+    its first such rate and that rate's flat position (``index``).
     """
-    levels = np.ascontiguousarray(levels, dtype=float)
+    if count < 1:
+        raise ValueError(f"need at least one level row, got count = {count!r}")
     weights = np.asarray(weights, dtype=float)
-    if levels.ndim != 2 or weights.shape != levels.shape[1:]:
-        raise ValueError(f"levels must be (P, n) and weights (n,), got shapes "
-                         f"{levels.shape} and {weights.shape}")
-    _check_inputs(levels, weights, 1.0, r_scale)
-    r_scale = float(r_scale)
     rates = np.asarray(rates, dtype=float)
     flat = _checked_rates(rates)
-    theta = np.zeros((levels.shape[0], flat.size))
-    dist = np.zeros((levels.shape[0], flat.size))
-    for rows in row_blocks(levels.shape[0] if levels.shape[1] else 0, levels.shape[1]):
-        table = _BreakpointTable.build(levels[rows], weights, r_scale)
+    total = np.zeros(flat.size)
+    for s in row_blocks(count if weights.size else 0, weights.size):
+        levels = np.ascontiguousarray(rows(s), dtype=float)
+        if levels.shape != (s.stop - s.start,) + weights.shape:
+            raise ValueError(f"rows {s.start}..{s.stop - 1} have shape {levels.shape}, "
+                             f"not (rows, n) for weights of shape {weights.shape}")
+        _check_inputs(levels, weights, 1.0, r_scale)
+        table = _BreakpointTable.build(levels, weights, float(r_scale))
         table.check(flat)
-        theta[rows], dist[rows] = table.solve(flat)
-    return (theta.reshape(levels.shape[:1] + rates.shape),
-            dist.reshape(levels.shape[:1] + rates.shape))
+        for dist in table.solve(flat)[1]:
+            total += dist
+    return (total / count).reshape(rates.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,7 +337,7 @@ class _BreakpointTable:
         live = level_max > 0.0
         log_levels = levels / np.where(live, level_max, 1.0)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.log2(log_levels, out=log_levels)
+            np.maximum(np.log2(log_levels, out=log_levels), LOG_FLOOR, out=log_levels)
         edges = [(NORMAL_FLOOR, 0.0)] * p
         for row, top in enumerate(level_max.tolist()):
             if top > 0.0:
@@ -416,7 +421,7 @@ def _clip_eigenvalues(lam: np.ndarray) -> np.ndarray:
     if not finite.all():
         bad = int(np.argmin(finite))            # the first matrix with one
         raise NotPositiveSemidefinite(
-            f"eigenvalue not finite at batch index {bad}; an entry overflowed", bad)
+            f"eigenvalue not finite at batch index {bad}; the matrix overflows", bad)
     scale = np.maximum(peak, 1e-300)
     if np.any(lam < -CLIP_SCALE * scale):
         worst = int(np.argmin(lam.min(axis=-1)))
@@ -429,21 +434,17 @@ def _clip_eigenvalues(lam: np.ndarray) -> np.ndarray:
 def hermitian_eigenvalues(mats: np.ndarray) -> np.ndarray:
     """Ascending real eigenvalues of a stack of (near-)Hermitian matrices.
 
-    The input is symmetrized as (A + A^H)/2 before decomposition; a real
-    stack is decomposed in real arithmetic, a complex one in complex. Small
-    negative eigenvalues (within CLIP_SCALE times the matrix's largest
-    magnitude) are clipped to zero; anything more negative raises
-    NotPositiveSemidefinite.
+    The input is symmetrized as A^H / 2 + A / 2, halved before adding so that
+    an entry overflows only where its mean does, and decomposed in real or
+    complex arithmetic as it is real or complex. Small negative eigenvalues (within CLIP_SCALE
+    times the matrix's largest magnitude) are clipped to zero; anything more
+    negative raises NotPositiveSemidefinite.
     """
     mats = np.asarray(mats)
-    # (A^H + A) / 2 in one buffer
-    if np.iscomplexobj(mats):
-        herm = np.swapaxes(mats, -1, -2).conj()
-        herm += mats
-    else:
-        mats = mats.astype(float, copy=False)
-        herm = np.swapaxes(mats, -1, -2) + mats     # conj() of a real stack is a view of it
-    herm *= 0.5
+    herm = np.multiply(np.swapaxes(mats, -1, -2), 0.5)     # one buffer, A/2 added a block at a time
+    np.conjugate(herm, out=herm)
+    for rows in row_blocks(len(mats), math.prod(mats.shape[1:])):
+        herm[rows] += 0.5 * mats[rows]
     try:
         lam = np.linalg.eigvalsh(herm)
     except np.linalg.LinAlgError as exc:

@@ -344,6 +344,22 @@ def test_kernel_rows_and_transform_lags_in_blocks_equal_one_block(name, bandwidt
     _assert_bitwise(lags, whole[1])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_window_symmetrizations_halve_before_adding_and_an_overflow_is_named():
+    # entries of 1.5e308 sum past the float range, but their mean is finite;
+    # the reversal halves A + B J of an all-1e308 kernel are 2e308, refused
+    big = 1.5e308
+    np.testing.assert_array_equal(csdrf.oracle._symmetrize(np.full((2, 2), big)), big)
+    assert csdrf.oracle._reversal_eigenvalues(np.diag([big, big])).tolist() == [big, big]
+    block = BlockCovariance.from_process(DiscreteCsProcess([[big]]), 2)
+    np.testing.assert_array_equal(block.matrix, np.diag([big, big]))
+    wrapped = PeriodizedBlock(np.array([[[big, 0.0], [0.0, big]], [[0.0, 1.0], [1.0, 0.0]]]))
+    np.testing.assert_allclose(wrapped.operator_eigenvalues(), big / 4, rtol=1e-15)
+    with pytest.raises(np.linalg.LinAlgError, match=r"the window of size 2 overflowed; "
+                                                    r"max \|entry\| = 1\.000e\+308$"):
+        csdrf.oracle._reversal_eigenvalues(np.full((2, 2), 1e308))
+
+
 @pytest.mark.parametrize("spec", [am_cpsd(triangular_psd(1.0, 1.0), 1.2, 0.3),
                                   stationary_cyclic(raised_cosine_psd(1.0, 1.0), 0.7),
                                   pam_cpsd(flat_psd(1.0, 1.0), ideal_interp_pulse(0.8), 0.8)],

@@ -14,9 +14,9 @@ from csdrf.polyphase import (PsdPcMatrix, folded_alias_matrix, psd_pc_matrix_con
 from csdrf.quadrature import half_grid, phi_grid
 from csdrf.spectra import (StationaryPsd, TruncationError, am_cpsd, flat_psd,
                            raised_cosine_psd, row_blocks, triangular_psd, white_cs)
-from csdrf.waterfilling import (BRACKET_EXP, MAX_BISECT, NORMAL_FLOOR, SLICE_ENTRIES, EigenField,
-                                NotPositiveSemidefinite, RateDistortionPoint,
-                                ScalarWaterfiller, WaterLevelUnderflow,
+from csdrf.waterfilling import (BRACKET_EXP, LOG_FLOOR, MAX_BISECT, NORMAL_FLOOR, SLICE_ENTRIES,
+                                EigenField, NotPositiveSemidefinite, RateDistortionPoint,
+                                ScalarWaterfiller, WaterLevelUnderflow, _BreakpointTable,
                                 discrete_stationary_drf, hermitian_eigenvalues,
                                 stacked_solve, stationary_waterfiller)
 
@@ -75,11 +75,13 @@ def test_indefinite_matrix_rejected():
         hermitian_eigenvalues(mat)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_matrix_whose_symmetrization_overflows_is_rejected(dtype):
-    # A^H + A overflows to inf before it is halved: the eigenvalues are not
-    # finite, and the second matrix of the stack is named
+def test_matrix_whose_eigenvalue_overflows_is_rejected(dtype):
+    # A^H and A are halved before they are added, so an entry of 1.5e308
+    # stays finite; the eigenvalue 2e308 of the all-1e308 matrix overflows,
+    # and the second matrix of the stack is named
+    lam = hermitian_eigenvalues(np.diag([1.5e308, 1.0]).astype(dtype)[None])
+    assert lam.tolist() == [[1.0, 1.5e308]]
     mats = np.stack([np.eye(2), np.full((2, 2), 1e308)]).astype(dtype)
     with pytest.raises(NotPositiveSemidefinite, match="not finite at batch index 1") as info:
         hermitian_eigenvalues(mats)
@@ -587,12 +589,26 @@ def test_underflow_index_is_the_flat_position_of_the_first_rate_past_the_edge(ra
     with pytest.raises(WaterLevelUnderflow) as one_row:
         ScalarWaterfiller([1.0], [1.0], 1.0, 0.5).solve_many(rates)
     with pytest.raises(WaterLevelUnderflow) as stack:
-        stacked_solve(levels, weights, rates, 0.5)
+        stacked_solve(levels.__getitem__, 3, weights, rates, 0.5)
     for exc in (one_row.value, stack.value):
         assert exc.index == index and f"target rate {rates.flat[index]} " in str(exc)
     with pytest.raises(WaterLevelUnderflow) as bisection:
         ScalarWaterfiller([1.0], [1.0], 1.0, 0.5).solve(float(rates.flat[index]))
     assert bisection.value.index is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_levels_spanning_more_than_the_float_range_leave_no_nan_in_the_table():
+    # 1e-300 / 1e308 underflows to 0, whose log2 is taken as LOG_FLOOR, so no
+    # log is infinite and no breakpoint is inf - inf; both solves agree
+    sw = ScalarWaterfiller([1e308, 1e-300], [1.0, 1.0], 1.0, 0.5)
+    theta, dist = sw.solve_many([1.0, 2.0])
+    assert sw._logs().tolist() == [0.0, LOG_FLOOR]
+    assert np.isfinite(sw._table.big_l).all() and np.isfinite(sw._table.breaks).all()
+    for rate, t, d in zip((1.0, 2.0), theta, dist):
+        point = sw.solve(rate)
+        assert math.isclose(point.theta, t, rel_tol=1e-12)
+        assert math.isclose(point.distortion, d, rel_tol=1e-12)
 
 
 def test_exact_solve_keeps_its_table_and_gives_the_batch_result_one_rate_at_a_time():
@@ -665,19 +681,35 @@ def _per_row(levels, weights, rates, r_scale):
          r_scale=0.5, rates=[0.0, 0.5, 3.0], block=1)
 def test_stacked_solve_is_each_rows_exact_solve_bit_for_bit(stack, r_scale, rates, block):
     # blocks of 1 to 3 rows (a lone row joins its neighbour), so that every
-    # stack of more than three rows spans several blocks
+    # stack of more than three rows spans several blocks: each block's table
+    # gives each of its rows' own theta and D, and the stacked solve asks for
+    # the rows block by block and returns the row-order sum of D over count
     levels, weights = stack
     want = _per_row(levels, weights, rates, r_scale)
+    asked = []
+
+    def rows(s):
+        asked.append(s)
+        return levels[s]
+
     with _blocks_of(block, levels.shape[1]):
+        blocks = list(row_blocks(len(levels), levels.shape[1]))
         if isinstance(want, str):
             with pytest.raises(WaterLevelUnderflow) as got:
-                stacked_solve(levels, weights, rates, r_scale)
+                stacked_solve(rows, len(levels), weights, rates, r_scale)
             assert str(got.value) == want
             return
-        theta, dist = stacked_solve(levels, weights, rates, r_scale)
-    assert theta.shape == dist.shape == (levels.shape[0], len(rates))
-    for row_theta, row_dist, (t, d) in zip(theta, dist, want):
-        assert row_theta.tobytes() == t.tobytes() and row_dist.tobytes() == d.tobytes()
+        mean = stacked_solve(rows, len(levels), weights, rates, r_scale)
+    assert asked == blocks
+    flat = np.asarray(rates, dtype=float)
+    for s in blocks:
+        theta, dist = _BreakpointTable.build(levels[s], weights, r_scale).solve(flat)
+        for row_theta, row_dist, (t, d) in zip(theta, dist, want[s]):
+            assert row_theta.tobytes() == t.tobytes() and row_dist.tobytes() == d.tobytes()
+    total = np.zeros(len(rates))
+    for _, d in want:
+        total += d
+    assert mean.shape == (len(rates),) and mean.tobytes() == (total / len(levels)).tobytes()
 
 
 def test_stacked_solve_names_the_first_row_and_rate_past_the_bracket():
@@ -694,30 +726,33 @@ def test_stacked_solve_names_the_first_row_and_rate_past_the_bracket():
         ScalarWaterfiller(levels[4], weights, 1.0, 0.5).solve_many(rates)
     assert f"target rate {1.5 * edge} " in str(want.value) and str(later.value) != str(want.value)
     with _blocks_of(2, 2), pytest.raises(WaterLevelUnderflow) as got:
-        stacked_solve(levels, weights, rates, 0.5)
+        stacked_solve(levels.__getitem__, 5, weights, rates, 0.5)
     assert str(got.value) == str(want.value)
 
 
 def test_stacked_solve_keeps_the_rate_shape_and_checks_its_inputs():
     levels = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
-    theta, dist = stacked_solve(levels, [1.0, 1.0, 1.0], np.full((2, 3), 0.4), 0.5)
-    assert theta.shape == dist.shape == (2, 2, 3)
-    np.testing.assert_array_equal(theta[1], 0.0)
-    np.testing.assert_array_equal(dist[1], 0.0)
-    for empty in (np.zeros((0, 3)), np.zeros((2, 0))):         # no rows, rows of no level
-        theta, dist = stacked_solve(empty, np.ones(empty.shape[1]), [0.0, 0.5], 0.5)
-        assert theta.shape == dist.shape == (empty.shape[0], 2)
-        assert not theta.any() and not dist.any()
-    for bad, name in (((levels[0], [1.0, 1.0, 1.0]), "levels must be"),
-                      ((levels, [1.0, 1.0]), "levels must be"),
-                      ((levels * np.nan, [1.0, 1.0, 1.0]), "levels must be finite"),
-                      ((levels, [1.0, -1.0, 1.0]), "weights")):
+    rates = np.full((2, 3), 0.4)
+    mean = stacked_solve(levels.__getitem__, 2, [1.0, 1.0, 1.0], rates, 0.5)
+    _, first = ScalarWaterfiller(levels[0], [1.0, 1.0, 1.0], 1.0, 0.5).solve_many(rates)
+    assert mean.shape == (2, 3) and mean.tobytes() == ((first + 0.0) / 2).tobytes()
+    empty = np.zeros((2, 0))                                   # rows of no level
+    assert not stacked_solve(empty.__getitem__, 2, [], [0.0, 0.5], 0.5).any()
+    for count in (0, -1):           # no row: a mean of nothing
+        with pytest.raises(ValueError, match="at least one level row"):
+            stacked_solve(levels.__getitem__, count, [1.0, 1.0, 1.0], [0.5], 0.5)
+    for bad, name in (((lambda s: levels[0], 2, [1.0, 1.0, 1.0]), r"rows 0..1 have shape \(3,\)"),
+                      ((levels.__getitem__, 3, [1.0, 1.0, 1.0]), r"rows 0..2 have shape \(2, 3\)"),
+                      ((levels.__getitem__, 2, [1.0, 1.0]), r"weights of shape \(2,\)"),
+                      ((lambda s: levels[s] * np.nan, 2, [1.0, 1.0, 1.0]),
+                       "levels must be finite"),
+                      ((levels.__getitem__, 2, [1.0, -1.0, 1.0]), "weights")):
         with pytest.raises(ValueError, match=name):
             stacked_solve(*bad, [0.5], 0.5)
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        stacked_solve(levels, [1.0, 1.0, 1.0], [0.5, -1.0], 0.5)
+        stacked_solve(levels.__getitem__, 2, [1.0, 1.0, 1.0], [0.5, -1.0], 0.5)
     with pytest.raises(ValueError, match="r_scale"):
-        stacked_solve(levels, [1.0, 1.0, 1.0], [0.5], 0.0)
+        stacked_solve(levels.__getitem__, 2, [1.0, 1.0, 1.0], [0.5], 0.0)
 
 
 # ---------------------------------------------------------------------------
