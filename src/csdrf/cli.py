@@ -146,9 +146,12 @@ def load_scenario(path: str) -> Scenario:
     # no default section: [DEFAULT] is one more section that no kind reads
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
-        read = cp.read(path)
+        read = cp.read(path, encoding="utf-8")
     except configparser.Error as exc:          # e.g. a duplicated key, named in the message
         raise ConfigError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from exc
     if not read:
         raise ConfigError(f"cannot read config file: {path}")
     for section in cp.sections():
@@ -174,7 +177,10 @@ def load_scenario(path: str) -> Scenario:
         setattr(sc, key, value)
     if len(set(sc.symbol_rates)) < len(sc.symbol_rates):
         raise ConfigError(f"[source] symbol_rates repeats a rate, got {sc.symbol_rates!r}")
-    if cp.has_option("source", "symbol_rate") and not cp.has_option("source", "symbol_rates"):
+    if cp.has_option("source", "symbol_rate"):
+        if cp.has_option("source", "symbol_rates"):
+            raise ConfigError("[source] symbol_rate and symbol_rates are both given; "
+                              "give one of them")
         single = _get(cp, "source", "symbol_rate", float)
         _check_source("symbol_rate", single, "positive")
         sc.symbol_rates = (single,)
@@ -201,6 +207,9 @@ def load_scenario(path: str) -> Scenario:
 
     if cp.has_section("methods"):
         sc.methods = tuple(_get(cp, "methods", "methods", str, "drf").split())
+        for method in sc.methods:
+            if sc.methods.count(method) > 1:
+                raise ConfigError(f"[methods] methods repeats method {method!r}")
     for key, (cast, least) in NUMERICS.items():
         value = _get(cp, "numerics", key, cast, getattr(sc, key))
         if not (math.isfinite(value) and value >= least):
@@ -571,9 +580,12 @@ def verify_lines(sc: Scenario, allow_nonconverged: bool):
 # ---------------------------------------------------------------------------
 
 def _write_csv(path: str, lines):
-    with open(path, "w", newline="") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    try:
+        with open(path, "w", newline="") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+    except OSError as exc:          # a directory, a missing folder, no permission
+        raise ConfigError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

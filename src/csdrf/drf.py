@@ -303,8 +303,11 @@ def pam_waterfiller(spec: PamCyclicSpectrum, n_grid: int = 2048) -> ScalarWaterf
     The profile is the folded base spectrum times the aliased pulse energy;
     distortion carries a 1/T0 in front of the band integral so it stays in
     power units per unit time. Both factors are even in f (a real base
-    density, a real pulse), so the profile is taken on the ``half_grid`` of
-    the band, as in ``stationary_waterfiller``.
+    density, a real pulse), so the profile is taken on a half grid. It is
+    the eigenvalue path's grid, ``half_grid`` of the phi circle with the
+    folded breakpoints (``ContinuousDrfSolver``), its nodes and weights
+    divided by T0: a band grid rounds its segments' node counts in other
+    units, and where a count is an exact .5 tie the two grids differ.
 
     The polyphase matrix of the process is rank one at every frequency, so
     no intra-period refinement is needed. The fixed-resolution curves of
@@ -313,10 +316,10 @@ def pam_waterfiller(spec: PamCyclicSpectrum, n_grid: int = 2048) -> ScalarWaterf
     triangle pulse the relative gap is 1.25e-1, 3.1e-2 and 7.8e-3 at M = 4,
     8 and 16, i.e. O(1/M^2)).
     """
-    grid = half_grid(0.5 / spec.period, n_grid, spec.breakpoints)
-    levels = spec.shaped_profile(grid.nodes)
-    return ScalarWaterfiller(levels, grid.weights,
-                             d_scale=1.0 / spec.period, r_scale=0.5)
+    t0 = spec.period
+    grid = half_grid(0.5, n_grid, spec.phi_breakpoints())
+    return ScalarWaterfiller(spec.shaped_profile(grid.nodes / t0), grid.weights / t0,
+                             d_scale=1.0 / t0, r_scale=0.5)
 
 
 # ---------------------------------------------------------------------------

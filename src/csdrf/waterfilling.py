@@ -152,8 +152,10 @@ class ScalarWaterfiller:
         scale is exact, so in the normal float range every step is the same
         bit for bit, and a level near either end of the range neither
         overflows ``lo * hi`` nor underflows ``lo`` to 0. A rate beyond the
-        lowest level solved (``_edge``) raises ``WaterLevelUnderflow``, so
-        every theta returned at a positive rate is a normal float.
+        rate at the lowest level solved (``_edge``) by more than 1e-12 of that
+        rate raises ``WaterLevelUnderflow``, so every theta returned at a
+        positive rate is a normal float; where that rate is 0 (every positive
+        level has weight 0), every positive rate raises.
         """
         if not math.isfinite(target_rate) or target_rate < 0.0:
             raise ValueError("target rate must be finite and nonnegative")
@@ -162,7 +164,7 @@ class ScalarWaterfiller:
         if target_rate == 0.0:
             return self.point(self.level_max)
         theta_lo, rate_lo = self._edge()
-        if target_rate > rate_lo * (1.0 + 1e-12) + 1e-12:
+        if target_rate > rate_lo * (1.0 + 1e-12):
             raise WaterLevelUnderflow(
                 f"target rate {target_rate} exceeds resolvable maximum {rate_lo} "
                 f"(water level underflow below {theta_lo})")
@@ -209,26 +211,23 @@ class ScalarWaterfiller:
         the sum of w level over the remaining levels, taken from the small
         end. The rules of ``solve`` hold: a negative or non-finite rate
         raises ``ValueError``, rate 0 gives theta = level_max, no positive
-        level gives the zero curve, and a rate beyond the lowest level solved
-        (``_edge``) raises ``WaterLevelUnderflow`` (within the edge's 1e-12
-        band, theta stays at the edge). A zero-weight level adds nothing to
-        rate or distortion and never stops theta from falling below it.
+        level gives the zero curve, and a rate beyond the edge raises
+        ``WaterLevelUnderflow`` (within 1e-12 of the edge rate, relative,
+        theta stays at the edge). A zero-weight level adds nothing to rate or
+        distortion and never stops theta from falling below it.
 
         The sorted table is built on the first call and kept on the
-        waterfiller, so each further call costs one ``searchsorted``.
+        waterfiller, so each further call is one ``_BreakpointTable.solve``,
+        which refuses a rate past the edge before it solves.
         """
         rates = np.asarray(rates, dtype=float)
         flat = _checked_rates(rates)
         if not self.levels.size:
             return np.zeros(rates.shape), np.zeros(rates.shape)
-        table = self._table or self._build_table()
-        table.check(flat)
-        theta, dist = table.solve(flat)
+        if self._table is None:
+            self._table = _BreakpointTable.build(self.levels[None, :], self.weights, self.r_scale)
+        theta, dist = self._table.solve(flat)
         return theta.reshape(rates.shape), (self.d_scale * dist).reshape(rates.shape)
-
-    def _build_table(self) -> _BreakpointTable:
-        self._table = _BreakpointTable.build(self.levels[None, :], self.weights, self.r_scale)
-        return self._table
 
 
 def _check_inputs(levels, weights, d_scale: float, r_scale: float) -> None:
@@ -274,11 +273,13 @@ def stacked_solve(rows, count: int, weights, rates, r_scale: float) -> np.ndarra
     1.0, r_scale).solve_many(rates)`` bit for bit: a row is sorted stably and
     summed cumulatively in the same order, its levels at or below zero
     sorting last with weight zero, which leaves every sum over the positive
-    ones unchanged. The distortions are added in row order and the total is
-    divided by ``count``. A count below 1, a non-finite level, or an invalid
-    shape, rate or scale raises ``ValueError``; a rate beyond a row's lowest
-    water level raises the first such row's ``WaterLevelUnderflow``, naming
-    its first such rate and that rate's flat position (``index``).
+    ones unchanged; a row with no positive level gives 0. Each block is one
+    table, built and solved in one call. The distortions are added in row
+    order and the total is divided by ``count``. A count below 1, a
+    non-finite level, or an invalid shape, rate or scale raises
+    ``ValueError``; a rate beyond a row's edge raises the first such row's
+    ``WaterLevelUnderflow``, naming its first such rate and that rate's flat
+    position (``index``).
     """
     if count < 1:
         raise ValueError(f"need at least one level row, got count = {count!r}")
@@ -292,9 +293,7 @@ def stacked_solve(rows, count: int, weights, rates, r_scale: float) -> np.ndarra
             raise ValueError(f"rows {s.start}..{s.stop - 1} have shape {levels.shape}, "
                              f"not (rows, n) for weights of shape {weights.shape}")
         _check_inputs(levels, weights, 1.0, r_scale)
-        table = _BreakpointTable.build(levels, weights, float(r_scale))
-        table.check(flat)
-        for dist in table.solve(flat)[1]:
+        for dist in _BreakpointTable.build(levels, weights, float(r_scale)).solve(flat)[1]:
             total += dist
     return (total / count).reshape(rates.shape)
 
@@ -304,8 +303,9 @@ class _BreakpointTable:
     """The exact solve's sorted breakpoints of P level rows, n levels each;
     the (P, n) sums are kept flat, row after row.
 
-    A row with no positive level solves to the zero curve; its edge is
-    infinite, and its sums are never read.
+    ``solve`` is its one entry point and refuses a rate past a row's edge
+    before it solves. A row with no positive level has lowest water level 0,
+    an infinite edge and zero sums, so it solves to theta = D = 0.
     """
 
     r_scale: float
@@ -319,7 +319,6 @@ class _BreakpointTable:
     breaks: np.ndarray       # (P, n) rate at theta = the k-th largest level
     w_at: np.ndarray         # (P, 1) row * n - 1
     tail_at: np.ndarray      # (P, 1) row * (n + 1)
-    dead: np.ndarray         # rows with no positive level
 
     @classmethod
     def build(cls, levels: np.ndarray, weights: np.ndarray, r_scale: float) -> "_BreakpointTable":
@@ -338,7 +337,7 @@ class _BreakpointTable:
         log_levels = levels / np.where(live, level_max, 1.0)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             np.maximum(np.log2(log_levels, out=log_levels), LOG_FLOOR, out=log_levels)
-        edges = [(NORMAL_FLOOR, 0.0)] * p
+        edges = [(0.0, 0.0)] * p
         for row, top in enumerate(level_max.tolist()):
             if top > 0.0:
                 keep = slice(None) if full else kept[row]
@@ -372,15 +371,18 @@ class _BreakpointTable:
         breaks[:, 0] = 0.0
         np.maximum.accumulate(breaks, axis=1, out=breaks)
         lo, rate_lo = np.array(edges).T
-        edge = np.where(live, rate_lo * (1.0 + 1e-12) + 1e-12, np.inf)
+        edge = np.where(live, rate_lo * (1.0 + 1e-12), np.inf)
         rows = np.arange(p)[:, None]
         return cls(r_scale, level_max[:, None], lo[:, None], rate_lo, edge[:, None],
                    big_w.ravel(), big_l.ravel(), tail.ravel(), breaks, n * rows - 1,
-                   (n + 1) * rows, np.flatnonzero(~live))
+                   (n + 1) * rows)
 
-    def check(self, rates: np.ndarray) -> None:
-        """Raise ``WaterLevelUnderflow`` at the first row with a rate beyond
-        its edge, naming that row's first such rate and its ``index``."""
+    def solve(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(theta, sum of w min(level, theta)) of every row at every rate of
+        a flat ``rates`` (``_checked_rates``), each (P, rates.size). A rate
+        beyond a row's edge raises ``WaterLevelUnderflow`` first, at the first
+        such row in row order, naming that row's first such rate and its
+        ``index``."""
         over = rates > self.edge
         if over.any():
             row, at = divmod(int(np.argmax(over)), rates.size)   # first in row-major order
@@ -388,10 +390,6 @@ class _BreakpointTable:
                 f"target rate {rates[at]} exceeds resolvable maximum "
                 f"{float(self.rate_lo[row])} (water level underflow below "
                 f"{float(self.lo[row, 0])})", at)
-
-    def solve(self, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(theta, sum of w min(level, theta)) of every row at every rate
-        (checked), each (P, rates.size)."""
         k = np.maximum([b.searchsorted(rates, side="left") for b in self.breaks], 1)  # top k code
         wk, lk = self.big_w[k + self.w_at], self.big_l[k + self.w_at]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -400,7 +398,6 @@ class _BreakpointTable:
                          np.maximum(self.level_max * np.exp2(xk), self.lo))
         dist = np.where(rates == 0.0, self.tail[self.tail_at],
                         self.tail[k + self.tail_at] + theta * wk)
-        theta[self.dead], dist[self.dead] = 0.0, 0.0
         return theta, dist
 
 

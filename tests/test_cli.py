@@ -218,6 +218,11 @@ CONFIG_REFUSALS = {
                 "spectra is not available for source kind 'sampled-coding'"),
     "verify": ("verify", "[source]\nkind = sampled-coding\n",
                "verify is not available for source kind 'sampled-coding'"),
+    "symbol_rate beside symbol_rates": (
+        "drf", "[source]\nkind = pam\nsymbol_rate = -5\nsymbol_rates = 1\n",
+        "[source] symbol_rate and symbol_rates are both given; give one of them"),
+    "repeated method": ("drf", "[source]\nkind = stationary\n[methods]\nmethods = drf drf\n",
+                        "[methods] methods repeats method 'drf'"),
 }
 
 
@@ -227,6 +232,47 @@ def test_a_refused_scenario_exits_2_with_its_reason(tmp_path, capsys, command, t
     out = tmp_path / "x.csv"
     assert main([command, "--config", _write(tmp_path, "x.ini", text), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {line}\n"
+    assert not out.exists()
+
+
+# case -> (config bytes, --out or None for [output] path, the stderr line);
+# {dir} is the test's own folder
+FILE_REFUSALS = {
+    "--out is a directory": (VERIFY_CFG.encode(), "{dir}",
+                             "cannot write output file {dir}: Is a directory"),
+    "[output] path is a directory": ((VERIFY_CFG + "[output]\npath = {dir}\n").encode(), None,
+                                     "cannot write output file {dir}: Is a directory"),
+    "missing folder": (VERIFY_CFG.encode(), "/nonexistent/dir/x.csv",
+                       "cannot write output file /nonexistent/dir/x.csv: "
+                       "No such file or directory"),
+    "not UTF-8": (b"\xff\xfe", "{dir}/x.csv",
+                  "config file {dir}/x.ini is not UTF-8 text (invalid start byte at byte 0)"),
+}
+
+
+@pytest.mark.parametrize("command", ["drf", "bound", "spectra"])
+@pytest.mark.parametrize("data, out, line", FILE_REFUSALS.values(), ids=FILE_REFUSALS.keys())
+def test_a_file_that_cannot_be_read_or_written_exits_2_with_one_line(tmp_path, capsys, command,
+                                                                     data, out, line):
+    cfg = tmp_path / "x.ini"
+    cfg.write_bytes(data.replace(b"{dir}", str(tmp_path).encode()))
+    args = [] if out is None else ["--out", out.format(dir=tmp_path)]
+    assert main([command, "--config", str(cfg), *args]) == 2
+    assert capsys.readouterr().err == f"config error: {line.format(dir=tmp_path)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.ini"]
+
+
+def test_a_rate_past_an_edge_rate_of_1e_12_bits_is_a_numeric_failure(tmp_path, capsys):
+    # at bandwidth 1e-14 the bracket resolves 1.2e-12 bits: the edge band is
+    # relative to that rate, so the next rate is refused, not solved at the
+    # edge's D = 7.5e-37 (2^(-R/B) there is 7.2e-42)
+    cfg = _write(tmp_path, "tiny.ini", "[source]\nkind = stationary\nbandwidth = 1e-14\n"
+                 "[rates]\nmin = 1e-12\nmax = 2.1e-12\ncount = 4\nspacing = linear\n")
+    out = tmp_path / "x.csv"
+    assert main(["drf", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: drf at rate 1.3666666666666666e-12: target rate "
+                          "1.3666666666666666e-12 exceeds resolvable maximum 1.2e-12 "), err
     assert not out.exists()
 
 

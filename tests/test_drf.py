@@ -505,7 +505,8 @@ def test_normalize_power_scales_the_pam_curve(family, bandwidth, power, pulse, n
 
 def _scalar_waterfillers(kind, base, ratio, n_grid):
     """(waterfiller, whole-grid reference) of one scalar curve: the reference
-    takes every node of the grid the waterfiller halves."""
+    takes every node of the grid the waterfiller halves, for PAM and sampled
+    coding the phi circle's grid with the folded breakpoints, over T0."""
     if kind in ("stationary", "upper_bound"):
         psd = base if kind == "stationary" else am_gaussian_psd(base, ratio * base.support_radius)
         r = psd.support_radius
@@ -518,9 +519,11 @@ def _scalar_waterfillers(kind, base, ratio, n_grid):
     else:
         spec = pam_cpsd(base, SCALAR_PULSES[kind](1.0 / fs), 1.0 / fs)
         fast = pam_waterfiller(spec, n_grid)
-    grid = spec.band_grid(n_grid)
-    whole = ScalarWaterfiller(spec.shaped_profile(grid.nodes), grid.weights,
-                              d_scale=1.0 / spec.period, r_scale=0.5)
+    t0 = spec.period
+    grid = segmented_midpoint(-0.5, 0.5, n_grid,
+                              [s * abs(b) for b in spec.phi_breakpoints() for s in (-1.0, 1.0)])
+    whole = ScalarWaterfiller(spec.shaped_profile(grid.nodes / t0), grid.weights / t0,
+                              d_scale=1.0 / t0, r_scale=0.5)
     return fast, whole
 
 

@@ -331,7 +331,7 @@ class _DirectWaterfiller:
         if self.level_max == 0.0:
             return 1.0              # any target: the curve is zero
         rate_lo = self.rate(self.level_max * 2.0 ** -BRACKET_EXP)
-        return rate_lo * (1.0 + 1e-12) + 1e-12
+        return rate_lo * (1.0 + 1e-12)
 
     def solve(self, target_rate):
         if self.level_max == 0.0:
@@ -517,7 +517,7 @@ def test_every_water_level_solved_is_a_normal_float(exp, share):
     assert theta_lo >= NORMAL_FLOOR
     rate = share * rate_lo
     assume(rate > 0.0)
-    if rate > rate_lo * (1.0 + 1e-12) + 1e-12:
+    if rate > rate_lo * (1.0 + 1e-12):
         with pytest.raises(WaterLevelUnderflow):
             sw.solve(rate)
         with pytest.raises(WaterLevelUnderflow):
@@ -526,6 +526,27 @@ def test_every_water_level_solved_is_a_normal_float(exp, share):
     pt = sw.solve(rate)
     theta, _ = sw.solve_many(rate)
     assert pt.theta >= NORMAL_FLOOR and theta >= NORMAL_FLOOR
+
+
+def test_the_edge_band_is_relative_to_the_edge_rate():
+    # one level of weight 1e-14 resolves 0.5e-14 * 120 = 6e-13 bits: a rate
+    # within 1e-12 of that, relative, stays at the edge, and past it both
+    # solves refuse, 1e-12 bits beyond it too; a curve whose positive levels
+    # all have weight 0 has rate 0, and refuses every positive rate
+    sw = ScalarWaterfiller([1.0], [1e-14], 1.0, 0.5)
+    _, rate_lo = sw._edge()
+    assert rate_lo == pytest.approx(6e-13, rel=1e-12)
+    for rate in (rate_lo, rate_lo * (1.0 + 1e-13)):
+        for theta in (sw.solve(rate).theta, sw.solve_many(rate)[0]):
+            assert theta == pytest.approx(2.0 ** -BRACKET_EXP, rel=1e-9)
+    dead = ScalarWaterfiller([1.0, 2.0], [0.0, 0.0], 1.0, 0.5)
+    for filler, rate in ((sw, rate_lo * (1.0 + 1e-11)), (sw, rate_lo + 1e-12),
+                         (dead, 1e-300), (dead, 1e-13)):
+        with pytest.raises(WaterLevelUnderflow):
+            filler.solve(rate)
+        with pytest.raises(WaterLevelUnderflow):
+            filler.solve_many([0.0, rate])
+    assert dead.solve(0.0).distortion == dead.solve_many(0.0)[1] == 0.0
 
 
 @pytest.mark.parametrize("levels, weights, d_scale, r_scale, name", [
@@ -683,7 +704,8 @@ def test_stacked_solve_is_each_rows_exact_solve_bit_for_bit(stack, r_scale, rate
     # blocks of 1 to 3 rows (a lone row joins its neighbour), so that every
     # stack of more than three rows spans several blocks: each block's table
     # gives each of its rows' own theta and D, and the stacked solve asks for
-    # the rows block by block and returns the row-order sum of D over count
+    # the rows block by block and returns the row-order sum of D over count.
+    # Past an edge, a table's own solve raises the first row's refusal
     levels, weights = stack
     want = _per_row(levels, weights, rates, r_scale)
     asked = []
@@ -698,6 +720,9 @@ def test_stacked_solve_is_each_rows_exact_solve_bit_for_bit(stack, r_scale, rate
             with pytest.raises(WaterLevelUnderflow) as got:
                 stacked_solve(rows, len(levels), weights, rates, r_scale)
             assert str(got.value) == want
+            with pytest.raises(WaterLevelUnderflow) as whole:    # the table refuses itself
+                _BreakpointTable.build(levels, weights, r_scale).solve(np.asarray(rates, float))
+            assert str(whole.value) == want
             return
         mean = stacked_solve(rows, len(levels), weights, rates, r_scale)
     assert asked == blocks
