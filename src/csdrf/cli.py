@@ -14,7 +14,7 @@ import configparser
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -122,6 +122,13 @@ IN_RANGE = {"positive": lambda x: x > 0.0, "nonnegative": lambda x: x >= 0.0,
             "in (0, 1]": lambda x: 0.0 < x <= 1.0, "any": lambda x: True}
 
 
+# [source] family -> the base density of (bandwidth, power)
+FAMILIES = {"flat": flat_psd, "triangular": triangular_psd, "raised_cosine": raised_cosine_psd}
+# [source] pulse -> the pulse of (symbol period, pulse_beta)
+PULSES = {"rect": lambda t, beta: rect_pulse(t), "triangle": lambda t, beta: triangle_pulse(t),
+          "ideal": lambda t, beta: ideal_interp_pulse(t), "raised_cosine": raised_cosine_pulse}
+
+
 # section -> the keys some source kind reads there; any other is a config error
 _KEYS = {"source": {"kind", "family", "pulse", "normalize_power", "include_baseband",
                     "symbol_rate", *SOURCE_NUMBERS},
@@ -142,13 +149,29 @@ def _check_source(key, value, bound):
         raise ConfigError(f"[source] {key} must be {what}{many}, got {value!r}")
 
 
+def _parse_error(path: str, exc: configparser.Error) -> ConfigError:
+    """One line naming the file and the line of an error that ``read`` raised:
+    a repeated key or section, text before the first section, or a line that
+    is neither a section header nor a key (the first such line)."""
+    if isinstance(exc, configparser.DuplicateOptionError):
+        line, what = exc.lineno, f"key [{exc.section}] {exc.option} is given twice"
+    elif isinstance(exc, configparser.DuplicateSectionError):
+        line, what = exc.lineno, f"section [{exc.section}] is given twice"
+    elif isinstance(exc, configparser.MissingSectionHeaderError):
+        line, what = exc.lineno, f"{exc.line!r} comes before the first [section] header"
+    else:                                      # a ParsingError
+        line, text = exc.errors[0]
+        what = f"{text} is neither a [section] header nor a key = value line"
+    return ConfigError(f"config file {path}, line {line}: {what}")
+
+
 def load_scenario(path: str) -> Scenario:
     # no default section: [DEFAULT] is one more section that no kind reads
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
-    try:
-        read = cp.read(path, encoding="utf-8")
-    except configparser.Error as exc:          # e.g. a duplicated key, named in the message
-        raise ConfigError(str(exc)) from exc
+    try:                                       # utf-8-sig: a byte-order mark is skipped
+        read = cp.read(path, encoding="utf-8-sig")
+    except configparser.Error as exc:
+        raise _parse_error(path, exc) from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text ({exc.reason} at byte "
                           f"{exc.start})") from exc
@@ -169,6 +192,9 @@ def load_scenario(path: str) -> Scenario:
     sc = Scenario(kind=kind)
     sc.family = _get(cp, "source", "family", str, sc.family).strip()
     sc.pulse = _get(cp, "source", "pulse", str, sc.pulse).strip()
+    for key, names, what in (("family", FAMILIES, "spectral family"), ("pulse", PULSES, "pulse")):
+        if getattr(sc, key) not in names:
+            raise ConfigError(f"unknown {what} {getattr(sc, key)!r} for key '{key}'")
     sc.normalize_power = _get(cp, "source", "normalize_power", _bool, sc.normalize_power)
     sc.include_baseband = _get(cp, "source", "include_baseband", _bool, sc.include_baseband)
     for key, (cast, bound) in SOURCE_NUMBERS.items():
@@ -233,19 +259,11 @@ def load_scenario(path: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def make_base(sc: Scenario) -> StationaryPsd:
-    families = {"flat": flat_psd, "triangular": triangular_psd,
-                "raised_cosine": raised_cosine_psd}
-    if sc.family not in families:
-        raise ConfigError(f"unknown spectral family {sc.family!r} for key 'family'")
-    return families[sc.family](sc.bandwidth, sc.power)
+    return FAMILIES[sc.family](sc.bandwidth, sc.power)
 
 
 def make_pulse(sc: Scenario, t_symbol: float) -> PulseShape:
-    pulses = {"rect": rect_pulse, "triangle": triangle_pulse, "ideal": ideal_interp_pulse,
-              "raised_cosine": partial(raised_cosine_pulse, beta=sc.pulse_beta)}
-    if sc.pulse not in pulses:
-        raise ConfigError(f"unknown pulse {sc.pulse!r} for key 'pulse'")
-    return pulses[sc.pulse](t_symbol)
+    return PULSES[sc.pulse](t_symbol, sc.pulse_beta)
 
 
 def make_discrete(sc: Scenario) -> DiscreteCsProcess:

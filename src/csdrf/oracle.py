@@ -16,8 +16,8 @@ buffer it was built in, so a built kernel and its decomposition hold one
 n x n array. A PAM kernel with a time-windowed
 pulse is the product P R_U P^T of an n x s pulse matrix and an s x s symbol
 Toeplitz matrix: its nonzero eigenvalues are those of one s x s matrix, and
-the other n - s are exact zeros, and its dense n x n values are formed only
-when something reads them (``weyl_gap``). A dense kernel of even size that
+the other n - s are exact zeros; its dense n x n values are formed only for
+``weyl_gap`` (``KernelGrid.dense_values``). A dense kernel of even size that
 equals its reversal J K J within REVERSAL_TOL n eps max |K| (a stationary
 kernel, AM at phase 0 or pi/2, PAM with an even pulse: the grid is symmetric
 about 0) is decomposed as an even and an odd half of size n/2, each
@@ -63,35 +63,25 @@ class KernelGrid:
 
     ``weight`` is the quadrature weight per cell divided by the window length
     2T, so values * weight is the matrix of the window-normalized integral
-    operator. ``values`` are stored symmetrized, whatever the caller passes:
-    an exactly symmetric array as given, any other as (K + K^T)/2 in a new
-    buffer, so a caller's array is never changed. ``factor``, when set, is a
-    pair (P, R) with R symmetric and values = P R P^T up to rounding; the
-    eigenvalues are then taken from it.
-    A factored kernel may be made without its dense values (pass None): they
-    are formed from the factor, and symmetrized, on their first read.
+    operator. ``values`` must be exactly symmetric, as both builders make it
+    (``build_kernel``, ``step_approximation``); it is kept as given. A
+    factored kernel has ``factor`` = (P, R), R symmetric, and ``values`` None:
+    its eigenvalues come from the factor, and ``dense_values`` forms P R P^T.
     """
 
     times: np.ndarray
-    _values: np.ndarray | None
+    values: np.ndarray | None
     weight: float
     half_width: float
     factor: tuple | None = None
 
     def __post_init__(self):
-        if self._values is not None:
-            values = np.asarray(self._values, dtype=float)
-            if not _is_symmetric(values):
-                values = _symmetrize(values.copy())
-            object.__setattr__(self, "_values", values)
-        elif self.factor is None:
+        if self.values is None and self.factor is None:
             raise ValueError("a kernel needs its values or its factor")
 
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            object.__setattr__(self, "_values", _symmetrize(factor_product(self.factor)))
-        return self._values
+    def dense_values(self) -> np.ndarray:
+        """The n x n kernel: ``values``, or P R P^T symmetrized in a new array."""
+        return self.values if self.factor is None else _symmetrize(factor_product(self.factor))
 
     @property
     def size(self) -> int:
@@ -239,8 +229,8 @@ def build_kernel(spec: CyclicSpectrum, periods: int, n: int) -> KernelGrid:
     The kernel is evaluated through the source's covariance function at the
     lags k dt of the grid's lattice, symmetrized in that buffer, and paired
     with the 1/(2T) window normalization. A source with a covariance factor
-    (``covariance_factor``) builds the kernel from it and keeps it; the dense
-    values, which ``kl_drf`` does not read, are formed only when read.
+    (``covariance_factor``) builds the kernel from it alone, with no dense
+    values, which ``kl_drf`` does not read.
     """
     if n < 2:
         raise ValueError(f"need at least two grid points, got n = {n!r}")
@@ -302,14 +292,6 @@ def _reversal_eigenvalues(values: np.ndarray) -> np.ndarray:
                 combine(top[:, :m], top[:, m:][:, ::-1], out=half[rows])
         lam.append(_window_eigvalsh(half, n, values))
     return np.sort(np.concatenate(lam))
-
-
-def _is_symmetric(values: np.ndarray) -> bool:
-    """Whether a square array equals its transpose exactly, compared a block
-    of rows against its mirror block of columns at a time (``row_blocks``)."""
-    n = values.shape[0]
-    return all(np.array_equal(values[rows, rows.start:], values[rows.start:, rows].T)
-               for rows in row_blocks(n, n))
 
 
 def _symmetrize(values: np.ndarray) -> np.ndarray:
@@ -380,8 +362,9 @@ def weyl_gap(a: KernelGrid, b: KernelGrid) -> WeylGap:
     lb = b.operator_eigenvalues()
     per_rank = np.abs(la - lb)
     gap = float(per_rank.max())
-    bound = 2.0 * float(np.abs(a.values - b.values).max())
-    scale = max(np.abs(a.values).max(), np.abs(b.values).max())
+    ka, kb = a.dense_values(), b.dense_values()
+    bound = 2.0 * float(np.abs(ka - kb).max())
+    scale = max(np.abs(ka).max(), np.abs(kb).max())
     if gap > bound + WEYL_ROUNDING * a.size * np.finfo(float).eps * scale:
         raise AssertionError(f"eigenvalue gap {gap:.6e} exceeds sup-norm bound {bound:.6e}")
     return WeylGap(gap, bound, per_rank)

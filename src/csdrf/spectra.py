@@ -390,9 +390,13 @@ class CyclicSpectrum:
 
     # -- harmonic access ----------------------------------------------------
 
+    def _active(self, n: int) -> bool:
+        """Whether harmonic n may carry energy; an inactive one is exactly zero."""
+        return self.active_indices is None or n in self.active_indices
+
     def cpsd(self, n: int, f):
         """Cyclic spectral density of harmonic n at frequencies f."""
-        if self.active_indices is not None and n not in self.active_indices:
+        if not self._active(n):
             return np.zeros_like(np.asarray(f, dtype=float), dtype=complex)
         return np.asarray(self._cpsd_fn(n, np.asarray(f, dtype=float)), dtype=complex)
 
@@ -459,7 +463,7 @@ class CyclicSpectrum:
         out = np.empty((len(harmonics),) + tau.shape, dtype=complex)
         if self._cyclic_autocorr is not None:
             for row, h in zip(out, harmonics):
-                row[...] = self._cyclic_autocorr(h, tau)
+                row[...] = self._cyclic_autocorr(h, tau) if self._active(h) else 0.0
             return out if np.ndim(n) else out[0]
         self._require_finite("cyclic_autocorr")
         if self._quad_cache is None:
@@ -589,9 +593,7 @@ def am_cpsd(base: StationaryPsd, f0: float, phase: float = 0.0) -> CyclicSpectru
                 return r * np.cos(TWO_PI * f0 * tau)
             if n == 2:
                 return 0.5 * r * np.exp(1j * (TWO_PI * f0 * tau + 2.0 * phase))
-            if n == -2:
-                return 0.5 * r * np.exp(-1j * (TWO_PI * f0 * tau + 2.0 * phase))
-            return np.zeros_like(np.asarray(tau, dtype=float), dtype=complex)
+            return 0.5 * r * np.exp(-1j * (TWO_PI * f0 * tau + 2.0 * phase))    # n == -2
 
     breaks = [b + f0 for b in base.breakpoints] + [b - f0 for b in base.breakpoints]
     return CyclicSpectrum(
@@ -801,11 +803,8 @@ def stationary_cyclic(base: StationaryPsd, period: float) -> CyclicSpectrum:
 
     cyc_ac = None
     if base.autocorr is not None:
-        def cyc_ac(n, tau):
-            tau = np.asarray(tau, dtype=float)
-            if n == 0:
-                return base.autocorr(tau).astype(complex)
-            return np.zeros_like(tau, dtype=complex)
+        def cyc_ac(n, tau):     # n == 0, the only active harmonic
+            return base.autocorr(tau)
 
     return CyclicSpectrum(period, cpsd_fn, (0,), base.support_radius,
                           base.total_power, base.breakpoints, cyc_ac,

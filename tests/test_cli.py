@@ -214,6 +214,10 @@ CONFIG_REFUSALS = {
                "unknown spectral family 'gaussian' for key 'family'"),
     "pulse": ("drf", "[source]\nkind = pam\npulse = sinc\n",
               "unknown pulse 'sinc' for key 'pulse'"),
+    "family of a kind with no base": ("drf", "[source]\nkind = discrete-cs\nfamily = bogus\n",
+                                      "unknown spectral family 'bogus' for key 'family'"),
+    "pulse of a kind with no pulse": ("drf", "[source]\nkind = stationary\npulse = nonesuch\n",
+                                      "unknown pulse 'nonesuch' for key 'pulse'"),
     "spectra": ("spectra", "[source]\nkind = sampled-coding\n",
                 "spectra is not available for source kind 'sampled-coding'"),
     "verify": ("verify", "[source]\nkind = sampled-coding\n",
@@ -247,6 +251,16 @@ FILE_REFUSALS = {
                        "No such file or directory"),
     "not UTF-8": (b"\xff\xfe", "{dir}/x.csv",
                   "config file {dir}/x.ini is not UTF-8 text (invalid start byte at byte 0)"),
+    "junk line": (b"[source]\nkind = stationary\njunk line\n", "{dir}/x.csv",
+                  "config file {dir}/x.ini, line 3: 'junk line\\n' is neither a [section] "
+                  "header nor a key = value line"),
+    "no section header": (b"kind = stationary\n", "{dir}/x.csv",
+                          "config file {dir}/x.ini, line 1: 'kind = stationary\\n' comes "
+                          "before the first [section] header"),
+    "repeated section": (b"[source]\nkind = stationary\n[source]\n", "{dir}/x.csv",
+                         "config file {dir}/x.ini, line 3: section [source] is given twice"),
+    "repeated key": (b"[source]\nkind = stationary\nkind = am\n", "{dir}/x.csv",
+                     "config file {dir}/x.ini, line 3: key [source] kind is given twice"),
 }
 
 
@@ -260,6 +274,16 @@ def test_a_file_that_cannot_be_read_or_written_exits_2_with_one_line(tmp_path, c
     assert main([command, "--config", str(cfg), *args]) == 2
     assert capsys.readouterr().err == f"config error: {line.format(dir=tmp_path)}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.ini"]
+
+
+def test_a_config_with_a_byte_order_mark_reads_as_the_plain_file(tmp_path):
+    # the UTF-8 byte-order mark (ef bb bf) that some editors write is skipped
+    text = (Path(__file__).resolve().parent.parent / "configs" / "verify_alternating.ini")
+    for name, data in (("plain", text.read_bytes()), ("bom", b"\xef\xbb\xbf" + text.read_bytes())):
+        (tmp_path / f"{name}.ini").write_bytes(data)
+        assert main(["drf", "--config", str(tmp_path / f"{name}.ini"),
+                     "--out", str(tmp_path / f"{name}.csv")]) == 0
+    assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_a_rate_past_an_edge_rate_of_1e_12_bits_is_a_numeric_failure(tmp_path, capsys):

@@ -69,7 +69,7 @@ def test_pam_rect_kernel_is_block_constant():
     cell = np.floor(kern.times).astype(int)
     for ci in (-4, -1, 2):
         for cj in (-4, 0, 3):
-            block = kern.values[np.ix_(cell == ci, cell == cj)]
+            block = kern.dense_values()[np.ix_(cell == ci, cell == cj)]
             assert np.ptp(block) <= 1e-12
 
 
@@ -146,7 +146,7 @@ def _assert_factored_matches_loop(spec, periods, n, steps):
     kern = build_kernel(spec, periods, n)
     stepped = step_approximation(spec, kern, steps)
     h = spec.period / steps
-    for values, times in ((kern.values, kern.times),
+    for values, times in ((kern.dense_values(), kern.times),
                           (stepped.values, np.floor(kern.times / h) * h)):
         ref = _outer(_pam_loop_covariance, spec, times)
         np.testing.assert_allclose(values, ref, rtol=0.0, atol=1e-15 * np.abs(ref).max())
@@ -188,39 +188,63 @@ def test_symbol_space_eigenvalues_equal_the_dense_decomposition(
     with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eigvalsh:
         fast = kern.operator_eigenvalues()
     assert [np.shape(c.args[0]) for c in eigvalsh.call_args_list] == [(min(n, symbols),) * 2]
-    dense = np.linalg.eigvalsh(kern.values)[::-1] * kern.weight
+    dense = np.linalg.eigvalsh(kern.dense_values())[::-1] * kern.weight
     assert fast.shape == (n,) and np.all(fast[min(n, symbols):] == 0.0)
     tol = 4.0 * n * np.finfo(float).eps * np.abs(dense).max()
     np.testing.assert_allclose(fast, dense, rtol=0.0, atol=tol)
 
 
-def test_factored_kernel_forms_its_dense_values_on_first_read():
-    # kl_drf reads only the factor; the dense P R_U P^T is formed once, when
-    # something reads ``values``, with the bits of the symmetrized covariance
+def test_factored_kernel_keeps_no_dense_values_and_forms_them_bit_for_bit():
+    # a factored kernel is built and decomposed (kl_drf) without its dense
+    # P R_U P^T; ``dense_values`` forms it with the bits of the symmetrized
+    # covariance
     spec = _pam("triangular", 1.0, 1.0, "rect", 1.3, False)
     with mock.patch("csdrf.oracle.factor_product",
                     wraps=csdrf.oracle.factor_product) as product:
         kern = build_kernel(spec, 4, 96)
         kl_drf(kern)
-        assert product.call_count == 0
-        first, second = kern.values, kern.values
-        assert product.call_count == 1 and first is second
-    dense = spec.covariance(kern.times, 2.0 * kern.half_width / kern.size)
-    np.testing.assert_array_equal(first, 0.5 * (dense + dense.T))
+        assert product.call_count == 0 and kern.values is None
+        dense = kern.dense_values()
+        assert product.call_count == 1
+    covariance = spec.covariance(kern.times, 2.0 * kern.half_width / kern.size)
+    np.testing.assert_array_equal(dense, 0.5 * (covariance + covariance.T))
 
 
-@pytest.mark.parametrize("symmetric", [False, True], ids=["asymmetric", "symmetric"])
-def test_kernel_values_are_symmetrized_bit_for_bit_leaving_the_callers_array_alone(symmetric):
-    # (K + K^T)/2 is formed a block of rows against its mirror columns; a
-    # caller's array is copied first, or kept as it is when exactly symmetric
+def test_symmetrize_is_the_half_sum_bit_for_bit_and_a_kernel_keeps_its_array():
+    # (K + K^T)/2 is formed in place, a block of rows against its mirror
+    # columns; a kernel holds the array it is given, unchecked and uncopied
     n = 301                     # several row blocks, the last one ragged
     values = np.random.default_rng(5).normal(size=(n, n))
-    if symmetric:
-        values = values + values.T
     before = values.copy()
+    assert csdrf.oracle._symmetrize(values) is values
+    np.testing.assert_array_equal(values, 0.5 * (before + before.T))
     kern = KernelGrid(np.arange(n) + 0.5, values, 1.0 / n, n / 2.0)
-    np.testing.assert_array_equal(kern.values, 0.5 * (before + before.T))
-    np.testing.assert_array_equal(values, before)
+    assert kern.values is values and kern.dense_values() is values
+
+
+def _am(phase):
+    return am_cpsd(triangular_psd(1.0, 1.5), 1.7, phase)
+
+
+# source -> the n x n array a builder made for it
+BUILT_KERNELS = {
+    "stationary": lambda: build_kernel(
+        stationary_cyclic(raised_cosine_psd(0.8), 0.7), 3, 97).values,
+    "am phase 0": lambda: build_kernel(_am(0.0), 3, 97).values,
+    "am phase 0.3": lambda: build_kernel(_am(0.3), 3, 97).values,
+    "pam ideal": lambda: build_kernel(
+        pam_cpsd(flat_psd(1.0), ideal_interp_pulse(0.8), 0.8), 3, 97).values,
+    "pam rect": lambda: build_kernel(
+        pam_cpsd(flat_psd(1.0), rect_pulse(0.8), 0.8), 3, 97).dense_values(),
+    "am stepped": lambda: step_approximation(_am(0.3), build_kernel(_am(0.3), 3, 97), 5).values,
+}
+
+
+@pytest.mark.parametrize("build", BUILT_KERNELS.values(), ids=BUILT_KERNELS.keys())
+def test_every_kernel_builder_makes_an_exactly_symmetric_array(build):
+    # a KernelGrid keeps its values as given, so each builder symmetrizes
+    values = build()
+    assert values.shape == (97, 97) and np.array_equal(values, values.T)
 
 
 def test_reversal_halves_are_the_whole_halves_bit_for_bit():

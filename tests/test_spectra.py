@@ -210,7 +210,7 @@ def test_am_zero_source_vanishes():
     assert _saturated_d0(spec)[0] == 0.0
 
 
-def test_am_tpsd_matches_direct_modulated_expression():
+def test_am_harmonic_series_matches_direct_modulated_expression():
     # oracle: the modulated time-varying spectrum written out by hand at t,
     # against the harmonic series sum_n cpsd(n, f) e^{2 pi i n t / T0}
     base = flat_psd(1.0, 1.0)
@@ -260,7 +260,7 @@ def test_conjugate_symmetry_of_cyclic_spectra():
                                        atol=1e-13)
 
 
-def test_tpsd_series_reconstruction_real_nonneg_on_grid():
+def test_phase_spectra_are_real_and_nonnegative_on_grid():
     # folded component spectra must come out real and nonnegative
     spec = am_cpsd(triangular_psd(1.0, 1.0), 1.2, 0.3)
     phi = np.linspace(-0.5, 0.5, 65)
@@ -378,6 +378,22 @@ def test_batched_component_spectra_equal_the_per_phase_ones(spec):
         single = spec.phase_spectra(phi)(float(t))
         assert single.shape == phi.shape
         np.testing.assert_array_equal(single, row)
+
+
+@pytest.mark.parametrize("base, closed_form", [
+    (triangular_psd(1.0, 1.5), True), (tabulated_psd([0.0, 0.5, 1.0], [1.0, 0.6, 0.0]), False)],
+    ids=["closed form", "gauss"])
+def test_an_inactive_harmonic_has_exact_zero_autocorrelation_rows(base, closed_form):
+    # an inactive harmonic is zero on both lag paths, as in ``cpsd``; the
+    # models' closed forms know only their active harmonics
+    assert (base.autocorr is not None) == closed_form
+    tau = np.linspace(-2.0, 2.0, 9)
+    harmonics = np.arange(-4, 5)
+    for spec, active in ((am_cpsd(base, 1.7, 0.3), (-2, 0, 2)),
+                         (stationary_cyclic(base, 0.7), (0,))):
+        rows = spec.cyclic_autocorr(harmonics, tau)
+        live = np.isin(harmonics, active)
+        assert np.all(rows[~live] == 0.0) and np.all(np.abs(rows[live]).max(axis=1) > 0.0)
 
 
 def test_pam_rejects_bad_symbol_time():
